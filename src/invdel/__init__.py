@@ -17,7 +17,7 @@ from .cayley import (DClassGraph, GenSet, MonoidEnumeration, build_union,
                      cache_load, cache_store, enumerate_monoid,
                      get_dclass_graph, induce_dclass, monoid_size)
 from .align import (AlignmentSolution, min_over_reference_pairs, mu_oracle,
-                    solve_pair, solve_pair_via_cayley)
+                    solve_pair, solve_pair_via_cayley, solve_sources)
 from .distance import (AncestorScenario, DistanceResult, construct_ancestor,
                        directed_distance, distance_matrix, format_phylip,
                        format_tsv, mrca_distance, verify_scenario,
@@ -43,6 +43,7 @@ __all__ = [
     "parse_word", "partition_brute", "partition_witness", "random_genome",
     "reduce_partition", "region_set_ops", "relation_table", "replay",
     "rewrite_deletions_first", "sigma_from_frames", "simulate", "solve_pair",
-    "solve_pair_via_cayley", "solve_balancedsort", "verify_scenario",
+    "solve_pair_via_cayley", "solve_balancedsort", "solve_sources",
+    "verify_scenario",
     "verify_scenario_report",
 ]

@@ -6,10 +6,21 @@ genome) and on the right (inversions of the second) until the pairing is
 orientation preserving, i.e. the shared regions sit in the same clockwise
 cyclic order on both circles.
 
-Three routes compute the same number: a breadth-first search directly over
-pairings (the default engine), the same search inside the prebuilt
-rank-class graph, and an iterative-deepening oracle with its own traversal
-and its own orientation test.  Tests hold all three together.
+The default engine is one breadth-first search seeded with every candidate
+pairing at once (`solve_sources`); `solve_pair` is its one-source case.
+All sources of one genome pair lie in the same rank class, so the first
+goal reached is the cheapest over all of them.  The order is fixed:
+sources are seeded in the order given (repeats dropped, the first copy
+kept), each state tries left moves before right ones, then by generator
+index, and the first goal found wins.  So on a tie the earliest source of
+least cost wins, with its lexicographically least shortest move sequence:
+the same answer as solving every source alone and keeping the first strict
+minimum.  States are ints packing the image row and then its inverse, 4
+bits per field (5 at n = 16), so a move is a few shifts and xors.
+
+Two more routes compute the same number: the same search inside the
+prebuilt rank-class graph, and an iterative-deepening oracle with its own
+traversal and its own orientation test.  Tests hold all three together.
 
 Minimizing over reference pairs only needs two of the 4mn frame pairs:
 rotating either frame conjugates the inversion alphabet (rotations
@@ -23,10 +34,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
 from .errors import InvalidArgumentError
 from .algebra import Generator, Word
-from .cayley import LEFT, RIGHT, DClassGraph
+from .cayley import DClassGraph
 from .genome import DihedralElement, Genome, ReferenceFrame, dihedral_apply
 from .pperm import PartialPerm, sigma_from_frames
 
@@ -83,64 +96,154 @@ class AlignmentSolution:
         assert self.cost == len(self.left_inversions) + len(self.right_inversions)
 
 
-def solve_pair(sigma: PartialPerm) -> AlignmentSolution:
-    """Minimum inversions (left on the m side, right on the n side) making
-    the pairing orientation preserving, with a lexicographically least
-    shortest move sequence (left moves order before right, then by index).
+def _pack(sigma: PartialPerm, width: int) -> int:
+    """The image row followed by the inverse row, `width` bits per field."""
+    state = 0
+    for i, v in enumerate(sigma.image_row + sigma.inverse().image_row):
+        state |= v << (width * i)
+    return state
+
+
+@lru_cache(maxsize=None)  # at most one entry per (m, n) up to MAX_POSITIONS
+def _moves(m: int, n: int, width: int) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
+    """(code, shift, shift, xor table) per move, left moves first.
+
+    A move swaps the two fields at the given shifts; the table then fixes
+    the other half of the state: for a left move (swap two positions) it
+    relabels the moved values' entries in the inverse row, for a right
+    move (swap two values) the moved positions' entries in the image row.
+    Entry 0 of a table is 0, so an empty endpoint needs no fix.
     """
-    m, n = sigma.m, sigma.n
+    moves = []
+    for a, b in _swap_pairs(m):
+        diff = (a + 1) ^ (b + 1)
+        fix = (0,) + tuple(diff << (width * (m + v - 1)) for v in range(1, n + 1))
+        moves.append((len(moves), width * a, width * b, fix))
+    for a, b in _swap_pairs(n):
+        diff = (a + 1) ^ (b + 1)
+        fix = (0,) + tuple(diff << (width * (p - 1)) for p in range(1, m + 1))
+        moves.append((len(moves), width * (m + a), width * (m + b), fix))
+    return tuple(moves)
+
+
+def _apply(state: int, move, mask: int) -> int:
+    _code, sa, sb, fix = move
+    x = (state >> sa) & mask
+    y = (state >> sb) & mask
+    t = x ^ y
+    return state ^ (t << sa) ^ (t << sb) ^ fix[x] ^ fix[y]
+
+
+def _descents(state: int, shifts: range, mask: int) -> int:
+    """Cyclic descents of the defined images, read off the packed row."""
+    first = last = drops = 0
+    for shift in shifts:
+        v = (state >> shift) & mask
+        if v:
+            if last > v:
+                drops += 1
+            elif not first:
+                first = v
+            last = v
+    return drops + (last > first)
+
+
+def _search(frontier: list[int], parent: dict[int, int], moves, shifts: range,
+            mask: int) -> int:
+    """Breadth-first from the queued non-goal states; returns the first goal.
+
+    A move with one empty endpoint keeps the cyclic order of the defined
+    images, and any move changes the descent count by at most one, so only
+    a two-endpoint move out of a state with exactly two descents can reach
+    a goal.
+    """
+    while frontier:
+        layer, frontier = frontier, []
+        push = frontier.append
+        for state in layer:
+            near = _descents(state, shifts, mask) == 2
+            for code, sa, sb, fix in moves:  # `_apply`, inlined on the hot path
+                x = (state >> sa) & mask
+                y = (state >> sb) & mask
+                if x == y:  # both endpoints empty: the move fixes the state
+                    continue
+                t = x ^ y
+                nxt = state ^ (t << sa) ^ (t << sb) ^ fix[x] ^ fix[y]
+                if nxt in parent:
+                    continue
+                parent[nxt] = code
+                if near and x and y and _descents(nxt, shifts, mask) <= 1:
+                    return nxt
+                push(nxt)
+    raise AssertionError("every rank class contains orientation-preserving elements")
+
+
+def solve_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolution]:
+    """One breadth-first search seeded with every source pairing.
+
+    Returns the index of the winning source and its solution: the first
+    source of least cost, with its lexicographically least shortest move
+    sequence (left moves order before right, then by index), exactly what
+    solving each source alone and keeping the first strict minimum gives.
+    Repeated sources are searched once, under their first index.
+    """
+    if not sources:
+        raise InvalidArgumentError("the search needs at least one source pairing")
+    m, n = sources[0].m, sources[0].n
+    if any((s.m, s.n) != (m, n) for s in sources):
+        raise InvalidArgumentError("source pairings must all be m-by-n for one m and n")
     if m > n:
-        mirror = solve_pair(sigma.inverse())
-        return AlignmentSolution(
+        index, mirror = solve_sources([s.inverse() for s in sources])
+        return index, AlignmentSolution(
             mirror.cost,
             Word(tuple(reversed(mirror.right_inversions.letters)), m),
             Word(tuple(reversed(mirror.left_inversions.letters)), n),
             mirror.witness.inverse(),
         )
-    start = sigma.image_row
-    if row_is_popi(start):
-        return AlignmentSolution(0, Word.empty(m), Word.empty(n), sigma)
-
-    left_pairs = _swap_pairs(m)
-    right_values = [(a + 1, b + 1) for a, b in _swap_pairs(n)]
-    parent: dict[ImageRow, tuple[ImageRow, int, int] | None] = {start: None}
-    queue = deque([start])
+    width = 4 if n < 16 else 5
+    mask = (1 << width) - 1
+    shifts = range(0, width * m, width)
+    moves = _moves(m, n, width)
+    # parent maps a state to the move that reached it; a move is its own
+    # inverse, so the path back is replayed from the codes alone.  Sources
+    # map to -1 - index.
+    parent: dict[int, int] = {}
+    frontier: list[int] = []
     goal = None
-    while queue and goal is None:
-        row = queue.popleft()
-        for gi, (a, b) in enumerate(left_pairs, start=1):
-            nxt = _swap_positions(row, a, b)
-            if nxt not in parent:
-                parent[nxt] = (row, LEFT, gi)
-                if row_is_popi(nxt):
-                    goal = nxt
-                    break
-                queue.append(nxt)
-        if goal is not None:
+    for index, sigma in enumerate(sources):
+        state = _pack(sigma, width)
+        if state in parent:
+            continue
+        parent[state] = -1 - index
+        if _descents(state, shifts, mask) <= 1:
+            goal = state
             break
-        for gi, (a, b) in enumerate(right_values, start=1):
-            nxt = _swap_values(row, a, b)
-            if nxt not in parent:
-                parent[nxt] = (row, RIGHT, gi)
-                if row_is_popi(nxt):
-                    goal = nxt
-                    break
-                queue.append(nxt)
-    assert goal is not None, "every rank class contains orientation-preserving elements"
+        frontier.append(state)
+    if goal is None:
+        goal = _search(frontier, parent, moves, shifts, mask)
 
-    moves = []
+    codes = []
     at = goal
-    while parent[at] is not None:
-        prev, side, gi = parent[at]
-        moves.append((side, gi))
-        at = prev
-    moves.reverse()
-    left_chrono = [gi for side, gi in moves if side == LEFT]
-    right_chrono = [gi for side, gi in moves if side == RIGHT]
+    while (code := parent[at]) >= 0:
+        codes.append(code)
+        at = _apply(at, moves[code], mask)
+    codes.reverse()
+    lefts = len(_swap_pairs(m))
+    left_chrono = [c + 1 for c in codes if c < lefts]
+    right_chrono = [c - lefts + 1 for c in codes if c >= lefts]
     left_word = Word([Generator.inversion(gi, m) for gi in reversed(left_chrono)], m)
     right_word = Word([Generator.inversion(gi, n) for gi in right_chrono], n)
-    return AlignmentSolution(len(moves), left_word, right_word,
-                             PartialPerm.from_image(n, goal))
+    row = tuple((goal >> shift) & mask for shift in shifts)
+    return -1 - parent[at], AlignmentSolution(len(codes), left_word, right_word,
+                                              PartialPerm.from_image(n, row))
+
+
+def solve_pair(sigma: PartialPerm) -> AlignmentSolution:
+    """Minimum inversions (left on the m side, right on the n side) making
+    the pairing orientation preserving, with a lexicographically least
+    shortest move sequence (left moves order before right, then by index).
+    """
+    return solve_sources([sigma])[1]
 
 
 def solve_pair_via_cayley(sigma: PartialPerm, graph: DClassGraph) -> int:
@@ -243,27 +346,31 @@ def min_over_reference_pairs(
     The default enumerates the full frame product; the fast mode tries only
     the canonical frame against the canonical and reflected-canonical frame
     of the other genome (see the module docstring for why this is enough).
+    The on-the-fly engine searches all of them at once; the cayley engine
+    costs each pair on the class graph and then solves the winner once for
+    its witness.  Either way the first pair of least cost wins.
     """
     if g1.alphabet != g2.alphabet:
         raise InvalidArgumentError("genomes must share one alphabet")
     if engine not in ("onthefly", "cayley"):
         raise InvalidArgumentError(f"unknown engine {engine!r}")
-    best: tuple[int, tuple[ReferenceFrame, ReferenceFrame]] | None = None
-    for f1, f2 in reference_pairs(g1, g2, fast):
+    pairs = reference_pairs(g1, g2, fast)
+    if engine == "onthefly":
+        index, solution = solve_sources([sigma_from_frames(f1, f2) for f1, f2 in pairs])
+        return pairs[index], solution
+    best: tuple[int, int, PartialPerm] | None = None
+    for index, (f1, f2) in enumerate(pairs):
         sigma = sigma_from_frames(f1, f2)
-        if engine == "cayley":
-            cost = _cayley_cost(sigma, cache_dir)
-        else:
-            cost = solve_pair(sigma).cost
+        cost = _cayley_cost(sigma, cache_dir)
         if best is None or cost < best[0]:
-            best = (cost, (f1, f2))
+            best = (cost, index, sigma)
             if cost == 0:
                 break
     assert best is not None
-    pair = best[1]
-    solution = solve_pair(sigma_from_frames(*pair))
-    assert solution.cost == best[0]
-    return pair, solution
+    cost, index, sigma = best
+    solution = solve_pair(sigma)
+    assert solution.cost == cost
+    return pairs[index], solution
 
 
 def _cayley_cost(sigma: PartialPerm, cache_dir) -> int:

@@ -126,8 +126,10 @@ def cmd_mrca(args) -> int:
     config = _config(args)
     named = _load_named(args.file, config)
     g1, g2 = _pick(named, args.genome1), _pick(named, args.genome2)
-    scenario = construct_ancestor(g1, g2, fast_pairs=config.fast_pairs)
-    ok, report = verify_scenario_report(scenario, g1, g2)
+    result = mrca_distance(g1, g2, fast_pairs=config.fast_pairs,
+                           engine=config.engine, cache_dir=config.cache_dir)
+    scenario = construct_ancestor(g1, g2, fast_pairs=config.fast_pairs, result=result)
+    ok, report = verify_scenario_report(scenario, g1, g2, expected=result.total)
     lines = [
         f"ancestor {scenario.ancestor_frame}",
         f"events-to-{args.genome1} {format_word(scenario.events_to_g1)}",
@@ -150,14 +152,12 @@ def cmd_mrca(args) -> int:
 
 def cmd_matrix(args) -> int:
     config = _config(args)
-    named = load_genomes(args.file)
-    for name, genome in named:
-        if genome.n > config.max_n:
-            raise CapacityError(f"genome {name!r} exceeds --max-n {config.max_n}")
+    named = _load_named(args.file, config)
     if len(named) < 2:
         raise InvdelError("a distance matrix needs at least 2 genomes")
-    names = [name for name, _ in named]
-    matrix = distance_matrix(named, fast_pairs=config.fast_pairs)
+    names = list(named)
+    matrix = distance_matrix(list(named.items()), fast_pairs=config.fast_pairs,
+                             engine=config.engine, cache_dir=config.cache_dir)
     text = format_phylip(names, matrix) if args.format == "phylip" else format_tsv(names, matrix)
     if getattr(args, "json", False):
         _emit(args, [], {"command": "matrix", "format": args.format,
@@ -211,7 +211,8 @@ def cmd_simulate(args) -> int:
     scenario = simulate(ancestor, args.deletions1, args.inversions1,
                         args.deletions2, args.inversions2, config.seed)
     result = mrca_distance(scenario.genome1, scenario.genome2,
-                           fast_pairs=config.fast_pairs)
+                           fast_pairs=config.fast_pairs,
+                           engine=config.engine, cache_dir=config.cache_dir)
     lines = [
         f"ancestor {scenario.ancestor.canonical}",
         f"branch-1 {format_word(scenario.branch1)}",
@@ -283,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--cache-dir", default=None,
-                        help="class-graph cache directory (default: $INVDEL_CACHE or none)")
+                        help="class-graph cache directory (default: $INVDEL_CACHE, else "
+                             "the platform cache directory, ~/.cache/invdel on Linux)")
     common.add_argument("--engine", choices=["onthefly", "cayley"], default="onthefly",
                         help="alignment engine (default onthefly)")
     common.add_argument("--max-n", type=int, default=8,

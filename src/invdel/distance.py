@@ -9,7 +9,6 @@ order, and interleaves the private regions of each side into one circle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections import deque
 
 from .errors import CapacityError, InvalidArgumentError, NoPathError
 from .algebra import Generator, Word, apply_to_frame
@@ -18,7 +17,7 @@ from .genome import (DihedralElement, Genome, ReferenceFrame, canonicalize,
                      dihedral_apply, region_set_ops)
 from .pperm import sigma_from_frames
 
-MAX_SORT_BFS = 10  # the inversion-only search walks S_k; beyond ~10 it explodes
+MAX_SORT_BFS = 10  # the exact search grows ~10-20x per region; beyond ~10 it runs for hours
 
 
 @dataclass(frozen=True)
@@ -53,13 +52,17 @@ def mrca_distance(
 
 # -- one-sided distance --------------------------------------------------------
 
-def _restrict_frame(frame: ReferenceFrame, keep: frozenset[str]) -> ReferenceFrame:
-    return ReferenceFrame(frame.alphabet, tuple(t for t in frame.tokens if t in keep))
-
-
 def directed_distance(g1: Genome, g2: Genome) -> int:
     """Minimum inversions and deletions transforming the first genome into
-    the second; only defined when the second's regions are a subset."""
+    the second; only defined when the second's regions are a subset.
+
+    Then it equals the distance through the most recent common ancestor:
+    the symmetric difference is exactly the deleted regions, and the
+    alignment cost matches the fewest inversions sorting the first genome's
+    surviving regions into the second.  The tests check this against that
+    inversion-sorting search on every pair with n <= 5; it also held on
+    every subset pair with n <= 6.
+    """
     r1, r2 = g1.regions, g2.regions
     if not r2 <= r1:
         missing = ", ".join(sorted(r2 - r1))
@@ -67,40 +70,9 @@ def directed_distance(g1: Genome, g2: Genome) -> int:
             "no inversion/deletion sequence exists: target regions not in source "
             f"(missing from source: {missing})"
         )
-    k = len(r2)
-    deletions = len(r1) - k
-    # Single-region deletions keep the survivors' cyclic order, so the
-    # deletion phase always lands in one intermediate genome.
-    intermediate = canonicalize(_restrict_frame(g1.canonical, r2))
-    if k > MAX_SORT_BFS:
-        raise CapacityError(f"inversion sorting is capped at {MAX_SORT_BFS} regions, got {k}")
-    targets = {f.tokens for f in g2.frames()}
-    start = intermediate.canonical.tokens
-    if start in targets:
-        return deletions
-    pairs = _adjacent_pairs(k)
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for a, b in pairs:
-            lst = list(cur)
-            lst[a], lst[b] = lst[b], lst[a]
-            nxt = tuple(lst)
-            if nxt not in dist:
-                dist[nxt] = dist[cur] + 1
-                if nxt in targets:
-                    return deletions + dist[nxt]
-                queue.append(nxt)
-    raise AssertionError("inversions act transitively; unreachable")
-
-
-def _adjacent_pairs(k: int) -> list[tuple[int, int]]:
-    if k <= 1:
-        return []
-    if k == 2:
-        return [(0, 1)]
-    return [(i, i + 1) for i in range(k - 1)] + [(0, k - 1)]
+    if len(r2) > MAX_SORT_BFS:
+        raise CapacityError(f"inversion sorting is capped at {MAX_SORT_BFS} regions, got {len(r2)}")
+    return mrca_distance(g1, g2).total
 
 
 # -- ancestor construction -------------------------------------------------------
@@ -137,6 +109,7 @@ def construct_ancestor(
     g1: Genome,
     g2: Genome,
     fast_pairs: bool = True,
+    result: DistanceResult | None = None,
 ) -> AncestorScenario:
     """Build an ancestor realizing the minimum event count.
 
@@ -145,9 +118,14 @@ def construct_ancestor(
     final position, which makes the pairing order preserving and pins a
     deterministic circular cut for the ancestor.  Private regions of the
     second genome are appended after the first genome's regions within
-    each gap between consecutive shared regions.
+    each gap between consecutive shared regions.  A `result` already
+    computed by `mrca_distance` for these genomes is reused instead of
+    searching again (its reference pair wins over `fast_pairs`).
     """
-    (f1, f2), solution = min_over_reference_pairs(g1, g2, fast=fast_pairs)
+    if result is None:
+        (f1, f2), solution = min_over_reference_pairs(g1, g2, fast=fast_pairs)
+    else:
+        (f1, f2), solution = result.best_pair, result.solution
     m, n = f1.n, f2.n
 
     g1p = f1
@@ -223,9 +201,15 @@ def verify_scenario(scenario: AncestorScenario, g1: Genome, g2: Genome) -> bool:
     return ok
 
 
-def verify_scenario_report(scenario: AncestorScenario, g1: Genome, g2: Genome) -> tuple[bool, str]:
+def verify_scenario_report(
+    scenario: AncestorScenario,
+    g1: Genome,
+    g2: Genome,
+    expected: int | None = None,
+) -> tuple[bool, str]:
     """Replay the scenario and compare against the claimed genomes and the
-    computed distance; on failure the report says what diverged."""
+    distance (`expected`, computed here when not given); on failure the
+    report says what diverged."""
     problems = []
     try:
         landed1 = canonicalize(apply_to_frame(scenario.ancestor_frame, scenario.events_to_g1))
@@ -239,7 +223,8 @@ def verify_scenario_report(scenario: AncestorScenario, g1: Genome, g2: Genome) -
             problems.append(f"side 2 lands in {landed2} instead of {g2}")
     except Exception as exc:  # noqa: BLE001
         problems.append(f"side 2 replay failed: {exc}")
-    expected = mrca_distance(g1, g2).total
+    if expected is None:
+        expected = mrca_distance(g1, g2).total
     if scenario.event_count != expected:
         problems.append(f"event count {scenario.event_count} != distance {expected}")
     if canonicalize(scenario.ancestor_frame) != scenario.ancestor:
@@ -249,14 +234,20 @@ def verify_scenario_report(scenario: AncestorScenario, g1: Genome, g2: Genome) -
 
 # -- all-pairs matrices ----------------------------------------------------------
 
-def distance_matrix(named: list[tuple[str, Genome]], fast_pairs: bool = True) -> list[list[int]]:
+def distance_matrix(
+    named: list[tuple[str, Genome]],
+    fast_pairs: bool = True,
+    engine: str = "onthefly",
+    cache_dir=None,
+) -> list[list[int]]:
     if len(named) < 2:
         raise InvalidArgumentError("a distance matrix needs at least 2 genomes")
     k = len(named)
     out = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            d = mrca_distance(named[i][1], named[j][1], fast_pairs=fast_pairs).total
+            d = mrca_distance(named[i][1], named[j][1], fast_pairs=fast_pairs,
+                              engine=engine, cache_dir=cache_dir).total
             out[i][j] = out[j][i] = d
     return out
 

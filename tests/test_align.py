@@ -5,8 +5,8 @@ import pytest
 from invdel import (InvalidArgumentError, PartialPerm, all_partial_perms,
                     eval_word, genomes_from_token_lists, get_dclass_graph,
                     min_over_reference_pairs, mu_oracle, sigma_from_frames,
-                    solve_pair, solve_pair_via_cayley)
-from invdel.align import reference_pairs
+                    solve_pair, solve_pair_via_cayley, solve_sources)
+from invdel.align import reference_pairs, row_is_popi
 
 SIGMA86 = sigma_from_frames("abcdefgh", "eibach")
 
@@ -208,3 +208,117 @@ def test_engine_choice_agrees(tmp_path):
         g1, g2, fast=True, engine="cayley", cache_dir=tmp_path
     )
     assert on_the_fly.cost == via_cayley.cost
+
+
+# -- the multi-source search core ------------------------------------------------
+
+def _check_multi_source(sources, single):
+    index, sol = solve_sources(sources)
+    costs = [single[s].cost for s in sources]
+    assert sol.cost == min(costs)
+    assert index == costs.index(sol.cost)
+    alone = single[sources[index]]
+    assert (sol.left_inversions, sol.right_inversions, sol.witness) == (
+        alone.left_inversions, alone.right_inversions, alone.witness)
+
+
+def test_packed_moves_match_row_moves():
+    # the search core prunes on this: a move changes the cyclic descent
+    # count of the defined images by at most one
+    from invdel.align import (_apply, _descents, _moves, _pack, _swap_pairs,
+                              _swap_positions, _swap_values)
+
+    for m in range(1, 5):
+        for n in range(m, 5):
+            moves = _moves(m, n, 4)
+            shifts = range(0, 4 * m, 4)
+            for sigma in all_partial_perms(m, n):
+                state = _pack(sigma, 4)
+                rows = [_swap_positions(sigma.image_row, a, b) for a, b in _swap_pairs(m)]
+                rows += [_swap_values(sigma.image_row, a + 1, b + 1) for a, b in _swap_pairs(n)]
+                for move, row in zip(moves, rows, strict=True):
+                    moved = _apply(state, move, 15)
+                    assert moved == _pack(PartialPerm.from_image(n, row), 4)
+                    assert _apply(moved, move, 15) == state
+                    assert abs(_descents(moved, shifts, 15) - _descents(state, shifts, 15)) <= 1
+                    assert (_descents(moved, shifts, 15) <= 1) == row_is_popi(row)
+
+
+def test_multi_source_matches_single_sources():
+    for m in range(1, 5):
+        for n in range(1, 5):
+            perms = list(all_partial_perms(m, n))
+            single = {sigma: solve_pair(sigma) for sigma in perms}
+            for a in perms:
+                for b in perms:
+                    _check_multi_source([a, b], single)
+    rng = random.Random(46)
+    for _ in range(200):
+        sources = [random_pperm(rng, 5, 5) for _ in range(2)]
+        _check_multi_source(sources, {s: solve_pair(s) for s in sources})
+
+
+def test_full_mode_winner_is_first_minimum():
+    # repeated pairings (symmetric genomes) and ties over 4mn frame pairs
+    rng = random.Random(47)
+    pool = list("abcdef")
+    for _ in range(25):
+        rng.shuffle(pool)
+        t1 = pool[: rng.randint(2, 4)]
+        rng.shuffle(pool)
+        t2 = pool[: rng.randint(2, 4)]
+        g1, g2 = genomes_from_token_lists(t1, t2)
+        pairs = reference_pairs(g1, g2, fast=False)
+        alone = [solve_pair(sigma_from_frames(f1, f2)) for f1, f2 in pairs]
+        costs = [sol.cost for sol in alone]
+        pair, sol = min_over_reference_pairs(g1, g2, fast=False)
+        first = costs.index(min(costs))
+        assert pair == pairs[first]
+        assert (sol.left_inversions, sol.right_inversions) == (
+            alone[first].left_inversions, alone[first].right_inversions)
+
+
+def test_close_pair_at_ten_regions():
+    # the reflected pairing alone costs 16; searched together with the
+    # direct one, the search stops at depth 4
+    from invdel import mrca_distance, random_genome, simulate
+
+    sc = simulate(random_genome(10, 3), 0, 2, 0, 2, 7)
+    assert mrca_distance(sc.genome1, sc.genome2).total == 4
+
+
+def test_mrca_command_searches_once(tmp_path, monkeypatch, capsys):
+    from invdel import align
+    from invdel.cli import main
+
+    calls = []
+    core = align.solve_sources
+
+    def counted(sources):
+        calls.append(len(sources))
+        return core(sources)
+
+    monkeypatch.setattr(align, "solve_sources", counted)
+    path = tmp_path / "pair.txt"
+    path.write_text("A: a e f b g c d h\nB: i a j k b l c d\n")
+    assert main(["mrca", str(path), "A", "B"]) == 0
+    assert "ancestor iaefjkbglcdh" in capsys.readouterr().out
+    assert calls == [2]
+
+
+def test_sixteen_regions_use_wider_fields():
+    # 16 does not fit a 4-bit field, so the packed states widen to 5 bits
+    from string import ascii_lowercase
+
+    tokens = list(ascii_lowercase[:16])
+    moved = tokens[:]
+    moved[3], moved[4] = moved[4], moved[3]
+    moved[0], moved[15] = moved[15], moved[0]
+    # cutting the genome to 11 regions drops the wraparound swap
+    for other, cost in ((moved, 2), (moved[:11], 1)):
+        g1, g2 = genomes_from_token_lists(tokens, other)
+        pair, sol = min_over_reference_pairs(g1, g2, fast=True)
+        sigma = sigma_from_frames(*pair)
+        assert sol.cost == cost
+        assert sol.witness.is_orientation_preserving()
+        assert eval_word(sol.left_inversions) * sigma * eval_word(sol.right_inversions) == sol.witness

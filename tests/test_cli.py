@@ -188,3 +188,33 @@ def test_cache_dir_flag(genome_file, tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[0] == "distance 8"
     assert any(cache.glob("delta_*.bin"))
+
+
+SMALL = "P: a b c d e\nQ: a c b e d\nR: b a d c\nS: e a c\n"
+
+
+def test_matrix_cayley_engine_matches_onthefly(tmp_path, capsys):
+    path = tmp_path / "small.txt"
+    path.write_text(SMALL)
+    cache = tmp_path / "cache"
+    code, onthefly, _ = run(capsys, "matrix", str(path), "--json")
+    assert code == 0
+    code, cayley, _ = run(capsys, "matrix", str(path), "--json",
+                          "--engine", "cayley", "--cache-dir", str(cache))
+    assert code == 0
+    assert json.loads(cayley) == json.loads(onthefly)
+    assert any(cache.glob("delta_*.bin"))
+
+
+def test_mrca_cayley_engine_matches_onthefly(tmp_path, capsys):
+    path = tmp_path / "small.txt"
+    path.write_text(SMALL)
+    cache = tmp_path / "cache"
+    code, onthefly, _ = run(capsys, "mrca", str(path), "P", "Q", "--json")
+    assert code == 0
+    code, cayley, _ = run(capsys, "mrca", str(path), "P", "Q", "--json",
+                          "--engine", "cayley", "--cache-dir", str(cache))
+    assert code == 0
+    assert json.loads(cayley) == json.loads(onthefly)
+    assert json.loads(onthefly)["verify"] == "ok"
+    assert any(cache.glob("delta_*.bin"))

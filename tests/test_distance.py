@@ -233,3 +233,46 @@ def test_tsv_format():
     lines = text.splitlines()
     assert lines[0] == "name\ta\tb"
     assert lines[1] == "a\t0\t1"
+
+
+def _sorting_distance(g1, g2):
+    """Deletions, then the fewest circular adjacent swaps carrying the first
+    genome's surviving regions onto a frame of the second."""
+    keep = g2.regions
+    start = tuple(t for t in g1.canonical.tokens if t in keep)
+    targets = {f.tokens for f in g2.frames()}
+    k = len(start)
+    swaps = [(i, (i + 1) % k) for i in range(k)] if k > 2 else [(0, 1)][: k - 1]
+    dist = {start: 0}
+    layer = [start]
+    while not targets & set(layer):
+        nxt = []
+        for tokens in layer:
+            for a, b in swaps:
+                lst = list(tokens)
+                lst[a], lst[b] = lst[b], lst[a]
+                moved = tuple(lst)
+                if moved not in dist:
+                    dist[moved] = dist[tokens] + 1
+                    nxt.append(moved)
+        layer = nxt
+    return len(g1.regions) - k + dist[layer[0]]
+
+
+def test_directed_equals_mrca_on_all_small_subset_pairs():
+    from itertools import combinations, permutations
+
+    checked = 0
+    for n in range(2, 6):
+        letters = "abcde"[:n]
+        for rest in permutations(letters[1:]):
+            t1 = letters[0] + "".join(rest)
+            for k in range(1, n + 1):
+                for subset in combinations(letters, k):
+                    for tail in permutations(subset[1:]):
+                        t2 = subset[0] + "".join(tail)
+                        g1, g2 = genomes_from_token_lists(t1, t2)
+                        d = directed_distance(g1, g2)
+                        assert d == mrca_distance(g1, g2).total == _sorting_distance(g1, g2), (t1, t2)
+                        checked += 1
+    assert checked == 2299
