@@ -14,8 +14,8 @@ from .algebra import (Generator, Relation, Word, apply_to_frame,
                       eval_generator, eval_word, format_word, parse_word,
                       relation_table, rewrite_deletions_first)
 from .cayley import (DClassGraph, GenSet, MonoidEnumeration, build_union,
-                     cache_load, cache_store, enumerate_monoid,
-                     get_dclass_graph, induce_dclass, monoid_size)
+                     class_cost, enumerate_monoid, get_dclass_graph,
+                     induce_dclass, monoid_size)
 from .align import (AlignmentSolution, min_over_reference_pairs, mu_oracle,
                     solve_pair, solve_pair_via_cayley, solve_sources)
 from .distance import (AncestorScenario, DistanceResult, construct_ancestor,
@@ -33,8 +33,8 @@ __all__ = [
     "GenomeParseError", "InvalidArgumentError", "InvdelError",
     "MonoidEnumeration", "NoPathError", "PartialPerm", "ReferenceFrame",
     "RegionAlphabet", "Relation", "Word", "WordTypeError",
-    "all_partial_perms", "apply_to_frame", "build_union", "cache_load",
-    "cache_store", "canonicalize", "construct_ancestor", "dihedral_apply",
+    "all_partial_perms", "apply_to_frame", "build_union", "canonicalize",
+    "class_cost", "construct_ancestor", "dihedral_apply",
     "directed_distance", "distance_matrix", "enumerate_monoid",
     "eval_generator", "eval_word", "format_phylip", "format_tsv",
     "format_word", "genomes_from_token_lists", "get_dclass_graph",

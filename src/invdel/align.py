@@ -18,9 +18,12 @@ the same answer as solving every source alone and keeping the first strict
 minimum.  States are ints packing the image row and then its inverse, 4
 bits per field (5 at n = 16), so a move is a few shifts and xors.
 
-Two more routes compute the same number: the same search inside the
-prebuilt rank-class graph, and an iterative-deepening oracle with its own
-traversal and its own orientation test.  Tests hold all three together.
+The cayley engine reads the same number from a per-class table
+(`cayley.class_cost`), filled by its own search over tuple rows.  Two more
+routes serve as checks: the same search inside the rank-class graph
+induced from the enumerated monoid, and an iterative-deepening oracle with
+its own traversal and its own orientation test.  Tests hold all four
+together.
 
 Minimizing over reference pairs only needs two of the 4mn frame pairs:
 rotating either frame conjugates the inversion alphabet (rotations
@@ -39,47 +42,12 @@ from typing import Sequence
 
 from .errors import InvalidArgumentError
 from .algebra import Generator, Word
-from .cayley import DClassGraph
+from .cayley import (DClassGraph, _swap_pairs, _swap_positions, _swap_values,
+                     class_cost, row_is_popi)
 from .genome import DihedralElement, Genome, ReferenceFrame, dihedral_apply
 from .pperm import PartialPerm, sigma_from_frames
 
 ImageRow = tuple[int, ...]
-
-
-def _defined(row: ImageRow) -> list[int]:
-    return [v for v in row if v]
-
-
-def row_is_popi(row: ImageRow) -> bool:
-    images = _defined(row)
-    k = len(images)
-    if k <= 1:
-        return True
-    return sum(1 for t in range(k) if images[t] > images[(t + 1) % k]) <= 1
-
-
-def row_is_poi(row: ImageRow) -> bool:
-    images = _defined(row)
-    return all(a < b for a, b in zip(images, images[1:]))
-
-
-def _swap_pairs(n: int) -> list[tuple[int, int]]:
-    """0-based position pairs of the circular adjacent inversions, deduplicated."""
-    if n <= 1:
-        return []
-    if n == 2:
-        return [(0, 1)]
-    return [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-
-
-def _swap_positions(row: ImageRow, a: int, b: int) -> ImageRow:
-    lst = list(row)
-    lst[a], lst[b] = lst[b], lst[a]
-    return tuple(lst)
-
-
-def _swap_values(row: ImageRow, a: int, b: int) -> ImageRow:
-    return tuple(b if v == a else a if v == b else v for v in row)
 
 
 @dataclass(frozen=True)
@@ -347,8 +315,8 @@ def min_over_reference_pairs(
     the canonical frame against the canonical and reflected-canonical frame
     of the other genome (see the module docstring for why this is enough).
     The on-the-fly engine searches all of them at once; the cayley engine
-    costs each pair on the class graph and then solves the winner once for
-    its witness.  Either way the first pair of least cost wins.
+    looks each pair's cost up in its class table and then solves the winner
+    once for its witness.  Either way the first pair of least cost wins.
     """
     if g1.alphabet != g2.alphabet:
         raise InvalidArgumentError("genomes must share one alphabet")
@@ -361,7 +329,7 @@ def min_over_reference_pairs(
     best: tuple[int, int, PartialPerm] | None = None
     for index, (f1, f2) in enumerate(pairs):
         sigma = sigma_from_frames(f1, f2)
-        cost = _cayley_cost(sigma, cache_dir)
+        cost = class_cost(sigma, cache_dir)
         if best is None or cost < best[0]:
             best = (cost, index, sigma)
             if cost == 0:
@@ -371,14 +339,3 @@ def min_over_reference_pairs(
     solution = solve_pair(sigma)
     assert solution.cost == cost
     return pairs[index], solution
-
-
-def _cayley_cost(sigma: PartialPerm, cache_dir) -> int:
-    from .cayley import get_dclass_graph
-
-    if sigma.rank <= 1:
-        return 0
-    if sigma.m > sigma.n:
-        sigma = sigma.inverse()
-    graph = get_dclass_graph(sigma.n, sigma.m, sigma.rank, cache_dir)
-    return solve_pair_via_cayley(sigma, graph)

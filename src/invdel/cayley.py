@@ -1,33 +1,75 @@
-"""Enumeration of the square partial-permutation monoid and its Cayley graphs.
+"""Cayley graphs of partial permutations and the per-class cost tables.
 
-Elements are represented internally as image rows: tuples of length n whose
-entry for position i is the image of i, or 0 when i is undefined.  The
-monoid on n points is generated by the circular adjacent inversions
-together with the partial identity on {1..n-1}; a breadth-first closure
-from the identity in fixed generator order gives a deterministic indexing.
+Elements are represented internally as image rows: tuples whose entry for
+position i is the image of i, or 0 when i is undefined.  A left move swaps
+two circularly adjacent positions of a row, a right move two circularly
+adjacent values; a row is a target when its defined images read in a
+cyclic order (`row_is_popi`).
 
-The rank-r class of the left/right union graph is the search arena for the
-alignment solver; building it is the expensive step, so finished class
-graphs can be stored in a small versioned binary cache.
+The cayley engine reads the alignment cost `mu` from a table per m-by-n
+rank-r class (m <= n): one breadth-first search from every target state
+fills it, a query is one lookup at the row's arithmetic rank, and finished
+tables are kept in a small checked binary cache, one file per class.
+
+The square monoid on n points, generated by the circular adjacent
+inversions together with the partial identity on {1..n-1}, is also
+enumerated in full (a breadth-first closure from the identity in fixed
+generator order gives a deterministic indexing), with its left/right union
+graph and the rank classes induced from it.  They back the enumeration
+counts and serve the tests as an independent route to the same costs.
 """
 from __future__ import annotations
 
 import os
 import struct
+import sys
+import tempfile
+import zlib
 from array import array
 from dataclasses import dataclass
-from math import comb, factorial
+from itertools import combinations, permutations
+from math import comb, factorial, perm
 from pathlib import Path
 
 from .errors import CacheIntegrityError, CapacityError, InvalidArgumentError
 from .algebra import inversion_set, eval_generator
 from .pperm import PartialPerm
 
-MAX_ENUM = 8  # |I_8| is already 1.4M elements; anything larger is hopeless here.
+# |I_8| is already 1.4M elements and the largest class table at n = 8,
+# rank 6, has 564,480 states; anything larger is hopeless here.
+MAX_ENUM = 8
 
 LEFT, RIGHT = 0, 1
 
 ImageRow = tuple[int, ...]
+
+
+def row_is_popi(row: ImageRow) -> bool:
+    """True iff the defined images read in a cyclic order."""
+    images = [v for v in row if v]
+    k = len(images)
+    if k <= 1:
+        return True
+    return sum(1 for t in range(k) if images[t] > images[(t + 1) % k]) <= 1
+
+
+def _swap_pairs(n: int) -> list[tuple[int, int]]:
+    """0-based position pairs of the circular adjacent inversions, deduplicated."""
+    if n <= 1:
+        return []
+    if n == 2:
+        return [(0, 1)]
+    return [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+
+
+def _swap_positions(row: ImageRow, a: int, b: int) -> ImageRow:
+    lst = list(row)
+    lst[a], lst[b] = lst[b], lst[a]
+    return tuple(lst)
+
+
+def _swap_values(row: ImageRow, a: int, b: int) -> ImageRow:
+    return tuple(b if v == a else a if v == b else v for v in row)
 
 
 def monoid_size(n: int) -> int:
@@ -222,80 +264,198 @@ def induce_dclass(union: UnionGraph, r: int) -> DClassGraph:
     return DClassGraph(n, m, r, tuple(members), tuple(adjacency))
 
 
-def build_dclass_graph(n: int, m: int, r: int) -> DClassGraph:
+def get_dclass_graph(n: int, m: int, r: int) -> DClassGraph:
+    """The rank-r class graph, built from the whole monoid on n points."""
     return induce_dclass(build_union(m, n, enumerate_monoid(n)), r)
 
 
-# -- binary cache --------------------------------------------------------------
+# -- per-class mu tables ---------------------------------------------------------
 #
-# Layout (all integers little-endian u32 unless noted): magic "IDCG",
-# format version, n, m, r, vertex count, edge count; then the vertices in
-# ascending order as n raw bytes each; then the edges as (source vertex,
-# label, target vertex) triples where label = side * 256 + inversion index.
+# The states of the m-by-n rank-r class (m <= n) are its image rows: the
+# defined positions, a subset of C(m, r), and their images read in position
+# order, one of the P(n, r) r-permutations of 1..n.  A row's rank is the
+# lexicographic rank of its subset times P(n, r) plus the lexicographic rank
+# of its images, so ranks follow `combinations(range(m), r)` crossed with
+# `permutations(range(1, n + 1), r)`.  The table holds `mu` of every state
+# as one byte, in rank order.
 
-MAGIC = b"IDCG"
+UNSEEN = 255  # byte of a state the table search has not reached yet
+
+
+def class_size(m: int, n: int, r: int) -> int:
+    return comb(m, r) * perm(n, r)
+
+
+def class_rank(row: ImageRow, n: int) -> int:
+    """Index of an m-by-n image row (m = len(row)) within its rank class."""
+    m = len(row)
+    r = _rank(row)
+    subset = chosen = 0
+    images = used = 0
+    for p, v in enumerate(row):
+        if v:
+            # images before v in the order: the unused values below it
+            images = images * (n - chosen) + v - 1 - (used & ((1 << v) - 1)).bit_count()
+            used |= 1 << v
+            chosen += 1
+        elif chosen < r:
+            # every subset taking position p next ranks before this one
+            subset += comb(m - 1 - p, r - 1 - chosen)
+    return subset * perm(n, r) + images
+
+
+def build_table(m: int, n: int, r: int) -> bytes:
+    """`mu` of every state of the m-by-n rank-r class, in rank order.
+
+    One breadth-first search from every orientation-preserving state at
+    once; the moves are involutions, so it runs outward from the targets.
+    A state is (subset, images).  Swapping two values relabels the images
+    and keeps the subset.  Swapping two positions is worked out once per
+    subset on a row whose images are their own ordinals: the moved row
+    gives the new subset and the order the images are then read in.
+    """
+    if not 0 <= r <= m <= n:
+        raise InvalidArgumentError(f"a class needs 0 <= r <= m <= n, got ({m}, {n}, {r})")
+    images = list(permutations(range(1, n + 1), r))
+    size = len(images)
+    index = {v: i for i, v in enumerate(images)}
+    subsets = list(combinations(range(m), r))
+    subset_index = {d: i for i, d in enumerate(subsets)}
+
+    rights = [[index[_swap_values(v, a + 1, b + 1)] for v in images]
+              for a, b in _swap_pairs(n)]
+    reorders: dict[tuple[int, ...], list[int]] = {}
+    lefts = []  # per subset: (first state of the new subset, image relabelling)
+    for subset in subsets:
+        ordinals = [0] * m
+        for k, p in enumerate(subset):
+            ordinals[p] = k + 1
+        ordinals = tuple(ordinals)
+        edges = []
+        for a, b in _swap_pairs(m):
+            moved = _swap_positions(ordinals, a, b)
+            if moved == ordinals:
+                continue
+            order = tuple(k - 1 for k in moved if k)
+            if order not in reorders:
+                reorders[order] = [index[tuple(v[k] for k in order)] for v in images]
+            target = tuple(p for p, k in enumerate(moved) if k)
+            edges.append((subset_index[target] * size, reorders[order]))
+        lefts.append(edges)
+
+    mu = bytearray([UNSEEN]) * (len(subsets) * size)
+    goals = [i for i, v in enumerate(images) if row_is_popi(v)]
+    frontier = [d * size + i for d in range(len(subsets)) for i in goals]
+    for state in frontier:
+        mu[state] = 0
+    depth = 0
+    while frontier:
+        depth += 1
+        layer, frontier = frontier, []
+        push = frontier.append
+        for state in layer:
+            d, i = divmod(state, size)
+            base = d * size
+            for table in rights:
+                t = base + table[i]
+                if mu[t] == UNSEEN:
+                    mu[t] = depth
+                    push(t)
+            for first, table in lefts[d]:
+                t = first + table[i]
+                if mu[t] == UNSEEN:
+                    mu[t] = depth
+                    push(t)
+    if UNSEEN in mu:
+        raise AssertionError("every state reaches an orientation-preserving one")
+    return bytes(mu)
+
+
+# Cache file layout: the header is magic "IDMU" then little-endian u32
+# format version, m, n, r and the CRC32 of the body; the body is the table.
+MAGIC = b"IDMU"
 FORMAT_VERSION = 1
+HEADER = struct.Struct("<4s5I")
 
 
-def cache_path(cache_dir, n: int, r: int) -> Path:
-    return Path(cache_dir) / f"delta_{n}_{r}.bin"
+def table_path(cache_dir, m: int, n: int, r: int) -> Path:
+    return Path(cache_dir) / f"mu_{m}_{n}_{r}.bin"
 
 
-def cache_store(graph: DClassGraph, cache_dir) -> Path:
-    path = cache_path(cache_dir, graph.n, graph.r)
+def store_table(table: bytes, m: int, n: int, r: int, cache_dir) -> Path:
+    """Write the table through a temporary file in the same directory and
+    rename it into place, so a reader never sees it half-written."""
+    path = table_path(cache_dir, m, n, r)
     path.parent.mkdir(parents=True, exist_ok=True)
-    edges = [
-        (u, side * 256 + gi, v)
-        for u, adj in enumerate(graph.adjacency)
-        for (side, gi, v) in adj
-    ]
-    blob = [MAGIC, struct.pack("<6I", FORMAT_VERSION, graph.n, graph.m, graph.r,
-                               len(graph.vertices), len(edges))]
-    for row in graph.vertices:
-        blob.append(bytes(row))
-    for u, label, v in edges:
-        blob.append(struct.pack("<3I", u, label, v))
-    path.write_bytes(b"".join(blob))
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(HEADER.pack(MAGIC, FORMAT_VERSION, m, n, r, zlib.crc32(table)))
+            fh.write(table)
+        os.chmod(tmp, 0o644)  # mkstemp makes it owner-only; a cache may be shared
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 
-def cache_load(cache_dir, n: int, m: int, r: int) -> DClassGraph:
-    path = cache_path(cache_dir, n, r)
+def load_table(cache_dir, m: int, n: int, r: int) -> bytes | None:
+    """The stored table, None when there is no file; a file that fails any
+    check raises CacheIntegrityError naming the file and the reason."""
+    path = table_path(cache_dir, m, n, r)
     try:
         data = path.read_bytes()
+    except FileNotFoundError:
+        return None
     except OSError as exc:
-        raise CacheIntegrityError(f"cannot read cache file {path}: {exc}") from exc
-    if len(data) < 4 + 24 or data[:4] != MAGIC:
+        raise CacheIntegrityError(f"{path}: unreadable ({exc.strerror})") from exc
+    if data[:4] != MAGIC:
         raise CacheIntegrityError(f"{path}: bad magic")
-    version, fn, fm, fr, vcount, ecount = struct.unpack_from("<6I", data, 4)
+    if len(data) < HEADER.size:
+        raise CacheIntegrityError(f"{path}: {len(data)} bytes, shorter than the header")
+    _, version, fm, fn, fr, crc = HEADER.unpack_from(data)
     if version != FORMAT_VERSION:
         raise CacheIntegrityError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
-    if (fn, fm, fr) != (n, m, r):
-        raise CacheIntegrityError(
-            f"{path}: holds ({fn}, {fm}, {fr}), requested ({n}, {m}, {r})"
-        )
-    off = 4 + 24
-    need = off + vcount * n + ecount * 12
-    if len(data) != need:
-        raise CacheIntegrityError(f"{path}: expected {need} bytes, found {len(data)}")
-    vertices = []
-    for _ in range(vcount):
-        row = tuple(data[off:off + n])
-        if any(v > n for v in row) or _rank(row) != r:
-            raise CacheIntegrityError(f"{path}: vertex row out of range")
-        vertices.append(row)
-        off += n
-    if vertices != sorted(set(vertices)):
-        raise CacheIntegrityError(f"{path}: vertices not sorted/distinct")
-    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(vcount)]
-    for _ in range(ecount):
-        u, label, v = struct.unpack_from("<3I", data, off)
-        off += 12
-        side, gi = divmod(label, 256)
-        if u >= vcount or v >= vcount or side not in (LEFT, RIGHT):
-            raise CacheIntegrityError(f"{path}: edge out of range")
-        adjacency[u].append((side, gi, v))
-    return DClassGraph(n, m, r, tuple(vertices), tuple(tuple(a) for a in adjacency))
+    if (fm, fn, fr) != (m, n, r):
+        raise CacheIntegrityError(f"{path}: header holds class {(fm, fn, fr)}, "
+                                  f"expected {(m, n, r)}")
+    body = data[HEADER.size:]
+    if len(body) != class_size(m, n, r):
+        raise CacheIntegrityError(f"{path}: body is {len(body)} bytes, "
+                                  f"expected {class_size(m, n, r)}")
+    if zlib.crc32(body) != crc:
+        raise CacheIntegrityError(f"{path}: CRC mismatch")
+    return body
+
+
+def class_table(m: int, n: int, r: int, cache_dir=None) -> bytes:
+    """The class's table: loaded from `cache_dir` when a valid file is there,
+    else built (and stored when there is a cache directory).  A file that
+    fails validation is reported on stderr before it is rebuilt."""
+    if cache_dir is None:
+        return build_table(m, n, r)
+    try:
+        table = load_table(cache_dir, m, n, r)
+    except CacheIntegrityError as exc:
+        print(f"warning: rebuilding cache file {exc}", file=sys.stderr)
+        table = None
+    if table is None:
+        table = build_table(m, n, r)
+        store_table(table, m, n, r, cache_dir)
+    return table
+
+
+def class_cost(sigma: PartialPerm, cache_dir=None) -> int:
+    """The alignment cost of a pairing, looked up in its class's table."""
+    if sigma.rank <= 1:
+        return 0
+    if sigma.m > sigma.n:
+        sigma = sigma.inverse()
+    if sigma.n > MAX_ENUM:
+        raise CapacityError(f"the cayley engine supports up to {MAX_ENUM} regions, got {sigma.n}")
+    table = class_table(sigma.m, sigma.n, sigma.rank, cache_dir)
+    return table[class_rank(sigma.image_row, sigma.n)]
 
 
 def default_cache_dir() -> Path:
@@ -311,13 +471,3 @@ def default_cache_dir() -> Path:
     return base / "invdel"
 
 
-def get_dclass_graph(n: int, m: int, r: int, cache_dir=None) -> DClassGraph:
-    """Load the class graph from cache, rebuilding on any mismatch."""
-    if cache_dir is None:
-        return build_dclass_graph(n, m, r)
-    try:
-        return cache_load(cache_dir, n, m, r)
-    except CacheIntegrityError:
-        graph = build_dclass_graph(n, m, r)
-        cache_store(graph, cache_dir)
-        return graph

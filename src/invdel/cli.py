@@ -93,7 +93,8 @@ def cmd_distance(args) -> int:
     named = _load_named(args.file, config)
     g1, g2 = _pick(named, args.genome1), _pick(named, args.genome2)
     if args.directed:
-        d = directed_distance(g1, g2)
+        d = directed_distance(g1, g2, fast_pairs=config.fast_pairs,
+                              engine=config.engine, cache_dir=config.cache_dir)
         _emit(args, [f"directed-distance {d}"],
               {"command": "distance", "directed": True, "distance": d,
                "from": args.genome1, "to": args.genome2})

@@ -16,9 +16,10 @@ from itertools import combinations_with_replacement
 import pytest
 
 from invdel import (Generator, PartialPerm, Word, all_partial_perms,
-                    apply_to_frame, construct_ancestor, eval_generator,
-                    eval_word, format_word, genomes_from_token_lists,
-                    get_dclass_graph, mrca_distance, mu_oracle, parse_word,
+                    apply_to_frame, class_cost, construct_ancestor,
+                    eval_generator, eval_word, format_word,
+                    genomes_from_token_lists, get_dclass_graph,
+                    mrca_distance, mu_oracle, parse_word,
                     partition_brute, random_genome, reduce_partition,
                     relation_table, rewrite_deletions_first,
                     sigma_from_frames, simulate, solve_balancedsort,
@@ -75,7 +76,7 @@ def _cayley_cost(sigma):
     return solve_pair_via_cayley(s, get_dclass_graph(s.n, s.m, s.rank))
 
 
-def test_criterion_3_oracle_equivalence():
+def test_criterion_3_oracle_equivalence(tmp_path):
     start = time.perf_counter()
     checked = 0
     for m in range(1, 5):
@@ -84,7 +85,8 @@ def test_criterion_3_oracle_equivalence():
                 bfs = solve_pair(sigma).cost
                 oracle = mu_oracle(sigma, 8)
                 cayley = _cayley_cost(sigma)
-                assert bfs == oracle == cayley, (sigma, bfs, oracle, cayley)
+                table = class_cost(sigma, tmp_path)
+                assert bfs == oracle == cayley == table, (sigma, bfs, oracle, cayley, table)
                 checked += 1
     rng = random.Random(2024)
     for _ in range(200):
@@ -95,11 +97,12 @@ def test_criterion_3_oracle_equivalence():
         bfs = solve_pair(sigma).cost
         oracle = mu_oracle(sigma, 8)
         cayley = _cayley_cost(sigma)
-        assert bfs == oracle == cayley, (sigma, bfs, oracle, cayley)
+        table = class_cost(sigma, tmp_path)
+        assert bfs == oracle == cayley == table, (sigma, bfs, oracle, cayley, table)
         checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
-    report(3, f"three solver routes agree on {checked} pairings ({elapsed:.1f}s)")
+    report(3, f"four solver routes agree on {checked} pairings ({elapsed:.1f}s)")
 
 
 def test_criterion_4_worked_fixtures():

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from invdel import (InvalidArgumentError, PartialPerm, all_partial_perms,
-                    eval_word, genomes_from_token_lists, get_dclass_graph,
-                    min_over_reference_pairs, mu_oracle, sigma_from_frames,
-                    solve_pair, solve_pair_via_cayley, solve_sources)
+                    class_cost, eval_word, genomes_from_token_lists,
+                    get_dclass_graph, min_over_reference_pairs, mu_oracle,
+                    sigma_from_frames, solve_pair, solve_pair_via_cayley,
+                    solve_sources)
 from invdel.align import reference_pairs, row_is_popi
 
 SIGMA86 = sigma_from_frames("abcdefgh", "eibach")
@@ -46,6 +47,7 @@ def test_worked_sigma_cost():
     sol = solve_pair(SIGMA86)
     assert sol.cost == 2
     assert cayley_cost(SIGMA86) == 2
+    assert class_cost(SIGMA86) == 2
 
 
 def test_solution_invariants():
@@ -81,13 +83,15 @@ def test_cost_invariant_under_rotations():
         assert solve_pair(sigma * rot_n).cost == base
 
 
-def test_three_way_agreement_small():
+def test_three_way_agreement_small(tmp_path):
+    # the search core, the oracle, the class graph and the class table
     for m in range(1, 4):
         for n in range(1, 4):
             for sigma in all_partial_perms(m, n):
                 bfs = solve_pair(sigma).cost
                 assert mu_oracle(sigma, 8) == bfs
                 assert cayley_cost(sigma) == bfs
+                assert class_cost(sigma, tmp_path) == bfs
 
 
 def test_cayley_route_validates_parameters():

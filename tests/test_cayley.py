@@ -1,9 +1,14 @@
+from itertools import combinations, permutations
+
 import pytest
 
 from invdel import (CacheIntegrityError, CapacityError, InvalidArgumentError,
-                    build_union, cache_load, cache_store, enumerate_monoid,
-                    get_dclass_graph, induce_dclass, monoid_size)
-from invdel.cayley import LEFT, RIGHT, build_dclass_graph, cache_path
+                    PartialPerm, build_union, class_cost, enumerate_monoid,
+                    induce_dclass, monoid_size, solve_pair)
+from invdel import cayley
+from invdel.cayley import (FORMAT_VERSION, HEADER, LEFT, RIGHT, build_table,
+                           class_rank, class_size, class_table, load_table,
+                           store_table, table_path)
 
 
 def test_counts_small():
@@ -121,44 +126,152 @@ def test_dclass_strongly_connected_when_m_equals_n():
                 assert len(seen) == size, f"n={n} r={r}"
 
 
+# -- per-class mu tables -----------------------------------------------------------
+
+def test_rank_follows_enumeration_order():
+    for m in range(7):
+        for n in range(m, 7):
+            for r in range(m + 1):
+                ranks = []
+                for subset in combinations(range(m), r):
+                    for images in permutations(range(1, n + 1), r):
+                        row = [0] * m
+                        for p, v in zip(subset, images):
+                            row[p] = v
+                        ranks.append(class_rank(tuple(row), n))
+                assert ranks == list(range(class_size(m, n, r))), (m, n, r)
+
+
+def test_table_equals_search_core_on_every_small_class():
+    # every state of every class with m <= n <= 6, in rank order
+    for m in range(1, 7):
+        for n in range(m, 7):
+            for r in range(m + 1):
+                table = build_table(m, n, r)
+                costs = []
+                for subset in combinations(range(m), r):
+                    for images in permutations(range(1, n + 1), r):
+                        sigma = PartialPerm(m, n, zip((p + 1 for p in subset), images))
+                        costs.append(solve_pair(sigma).cost)
+                assert list(table) == costs, (m, n, r)
+
+
+def test_table_rejects_bad_class():
+    with pytest.raises(InvalidArgumentError):
+        build_table(4, 3, 2)  # m > n
+    with pytest.raises(InvalidArgumentError):
+        build_table(3, 4, 4)  # r > m
+
+
+def test_class_cost_capacity():
+    nine = PartialPerm(9, 2, {1: 1, 2: 2})
+    with pytest.raises(CapacityError):
+        class_cost(nine)
+    with pytest.raises(CapacityError):
+        class_cost(nine.inverse())
+    assert class_cost(PartialPerm(9, 2, {1: 2})) == 0  # rank <= 1 needs no table
+
+
+def _never_build(*args):
+    raise AssertionError("a valid cache file was rebuilt")
+
+
 def test_cache_round_trip(tmp_path):
-    graph = build_dclass_graph(4, 3, 2)
-    path = cache_store(graph, tmp_path)
-    assert path == cache_path(tmp_path, 4, 2)
-    assert cache_load(tmp_path, 4, 3, 2) == graph
+    table = build_table(3, 4, 2)
+    path = store_table(table, 3, 4, 2, tmp_path)
+    assert path == table_path(tmp_path, 3, 4, 2)
+    assert path.name == "mu_3_4_2.bin"
+    assert load_table(tmp_path, 3, 4, 2) == table
     # byte-stable across rebuilds
-    again = build_dclass_graph(4, 3, 2)
-    assert cache_store(again, tmp_path) == path
-    assert cache_load(tmp_path, 4, 3, 2) == graph
+    data = path.read_bytes()
+    assert store_table(build_table(3, 4, 2), 3, 4, 2, tmp_path) == path
+    assert path.read_bytes() == data
+    assert load_table(tmp_path, 3, 4, 2) == table
 
 
-def test_cache_rejects_bad_magic(tmp_path):
-    graph = build_dclass_graph(3, 3, 2)
-    path = cache_store(graph, tmp_path)
+def test_cache_rejects_bad_magic(tmp_path, monkeypatch):
+    table = build_table(3, 3, 2)
+    path = store_table(table, 3, 3, 2, tmp_path)
     raw = bytearray(path.read_bytes())
     raw[0] ^= 0xFF
     path.write_bytes(bytes(raw))
-    with pytest.raises(CacheIntegrityError):
-        cache_load(tmp_path, 3, 3, 2)
-    # the orchestrator rebuilds instead of crashing
-    assert get_dclass_graph(3, 3, 2, tmp_path) == graph
-    assert cache_load(tmp_path, 3, 3, 2) == graph
+    with pytest.raises(CacheIntegrityError, match="bad magic"):
+        load_table(tmp_path, 3, 3, 2)
+    # the engine rebuilds instead of crashing, and the rebuilt file loads
+    assert class_table(3, 3, 2, tmp_path) == table
+    monkeypatch.setattr(cayley, "build_table", _never_build)
+    assert class_table(3, 3, 2, tmp_path) == table
 
 
 def test_cache_rejects_truncation_and_param_mismatch(tmp_path):
-    graph = build_dclass_graph(3, 3, 2)
-    path = cache_store(graph, tmp_path)
+    table = build_table(4, 4, 3)
+    path = store_table(table, 4, 4, 3, tmp_path)
     data = path.read_bytes()
-    path.write_bytes(data[: len(data) // 2])
-    with pytest.raises(CacheIntegrityError):
-        cache_load(tmp_path, 3, 3, 2)
-    cache_store(graph, tmp_path)
-    with pytest.raises(CacheIntegrityError):
-        cache_load(tmp_path, 3, 2, 2)  # same file, different m
+    for cut in (len(data) // 2, 10):  # inside the body, inside the header
+        path.write_bytes(data[:cut])
+        with pytest.raises(CacheIntegrityError, match="bytes"):
+            load_table(tmp_path, 4, 4, 3)
+    # a valid file copied under another class's name
+    table_path(tmp_path, 3, 4, 3).write_bytes(data)
+    with pytest.raises(CacheIntegrityError, match="header"):
+        load_table(tmp_path, 3, 4, 3)
 
 
-def test_cold_then_warm_cache(tmp_path):
-    first = get_dclass_graph(4, 4, 3, tmp_path)
-    assert cache_path(tmp_path, 4, 3).exists()
-    second = get_dclass_graph(4, 4, 3, tmp_path)
-    assert first == second
+def _repack(data, **fields):
+    magic, version, m, n, r, crc = HEADER.unpack_from(data)
+    values = {"version": version, "crc": crc, **fields}
+    return HEADER.pack(magic, values["version"], m, n, r, values["crc"]) + data[HEADER.size:]
+
+
+CORRUPTIONS = {
+    "bad magic": lambda data: b"XXXX" + data[4:],
+    "format version": lambda data: _repack(data, version=FORMAT_VERSION + 1),
+    "header": lambda data: data[:8] + b"\x07" + data[9:],  # the m field
+    "bytes": lambda data: data + b"\x00",
+    "CRC": lambda data: data[:-1] + bytes([data[-1] ^ 1]),
+}
+
+
+@pytest.mark.parametrize("reason", CORRUPTIONS)
+def test_invalid_cache_file_warns_then_rebuilds(tmp_path, capsys, reason):
+    table = build_table(4, 5, 3)
+    path = store_table(table, 4, 5, 3, tmp_path)
+    path.write_bytes(CORRUPTIONS[reason](path.read_bytes()))
+    assert class_table(4, 5, 3, tmp_path) == table
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == 1
+    assert str(path) in warnings[0] and reason in warnings[0]
+    assert load_table(tmp_path, 4, 5, 3) == table
+
+
+def test_missing_cache_file_is_a_silent_build(tmp_path, capsys):
+    assert load_table(tmp_path, 4, 5, 3) is None
+    class_table(4, 5, 3, tmp_path)
+    assert capsys.readouterr().err == ""
+
+
+def test_cold_then_warm_cache(tmp_path, monkeypatch):
+    first = class_table(4, 4, 3, tmp_path)
+    assert table_path(tmp_path, 4, 4, 3).exists()
+    monkeypatch.setattr(cayley, "build_table", _never_build)
+    assert class_table(4, 4, 3, tmp_path) == first
+
+
+def test_classes_differing_only_in_m_coexist(tmp_path, monkeypatch):
+    small = PartialPerm(5, 6, {1: 2, 2: 1, 3: 4, 5: 3})
+    large = PartialPerm(6, 6, {1: 2, 2: 1, 3: 4, 6: 3})
+    costs = [class_cost(small, tmp_path), class_cost(large, tmp_path)]
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["mu_5_6_4.bin", "mu_6_6_4.bin"]
+    monkeypatch.setattr(cayley, "build_table", _never_build)
+    assert [class_cost(small, tmp_path), class_cost(large, tmp_path)] == costs
+
+
+def test_failed_store_leaves_no_files(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cayley.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        store_table(build_table(3, 3, 2), 3, 3, 2, tmp_path)
+    assert list(tmp_path.iterdir()) == []

@@ -72,6 +72,21 @@ def test_directed_distance(genome_file, capsys):
     assert out.startswith("directed-distance ")
 
 
+def test_directed_cayley_engine_matches_onthefly(tmp_path, capsys):
+    path = tmp_path / "subset.txt"
+    path.write_text("A: a b c d e f g\nB: c a e g b\n")
+    cache = tmp_path / "cache"
+    code, onthefly, _ = run(capsys, "distance", str(path), "A", "B", "--directed", "--json")
+    assert code == 0
+    code, cayley, _ = run(capsys, "distance", str(path), "A", "B", "--directed", "--json",
+                          "--engine", "cayley", "--cache-dir", str(cache))
+    assert code == 0
+    assert cayley == onthefly
+    assert json.loads(cayley)["distance"] > 2  # two deletions and some inversions
+    # the search saw only the five surviving regions
+    assert [p.name for p in cache.glob("mu_*.bin")] == ["mu_5_5_5.bin"]
+
+
 def test_directed_no_path_is_exit_2(genome_file, capsys):
     code, _, err = run(capsys, "distance", genome_file, "G1", "G2", "--directed")
     assert code == 2
@@ -85,6 +100,15 @@ def test_capacity_exit_2(tmp_path, capsys):
     assert code == 2
     assert "--max-n" in err
     assert main(["distance", str(path), "BIG", "T", "--max-n", "9"]) == 0
+
+
+def test_cayley_engine_capacity_exit_2(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("BIG: " + " ".join(f"r{i}" for i in range(9)) + "\nT: r0 r1 r2\n")
+    code, _, err = run(capsys, "distance", str(path), "BIG", "T", "--max-n", "9",
+                       "--engine", "cayley", "--cache-dir", str(tmp_path / "cache"))
+    assert code == 2
+    assert "cayley engine" in err
 
 
 def test_mrca_fixture(genome_file, capsys):
@@ -187,7 +211,7 @@ def test_cache_dir_flag(genome_file, tmp_path, capsys):
                        "--engine", "cayley", "--cache-dir", str(cache))
     assert code == 0
     assert out.splitlines()[0] == "distance 8"
-    assert any(cache.glob("delta_*.bin"))
+    assert any(cache.glob("mu_*.bin"))
 
 
 SMALL = "P: a b c d e\nQ: a c b e d\nR: b a d c\nS: e a c\n"
@@ -203,7 +227,7 @@ def test_matrix_cayley_engine_matches_onthefly(tmp_path, capsys):
                           "--engine", "cayley", "--cache-dir", str(cache))
     assert code == 0
     assert json.loads(cayley) == json.loads(onthefly)
-    assert any(cache.glob("delta_*.bin"))
+    assert any(cache.glob("mu_*.bin"))
 
 
 def test_mrca_cayley_engine_matches_onthefly(tmp_path, capsys):
@@ -217,4 +241,4 @@ def test_mrca_cayley_engine_matches_onthefly(tmp_path, capsys):
     assert code == 0
     assert json.loads(cayley) == json.loads(onthefly)
     assert json.loads(onthefly)["verify"] == "ok"
-    assert any(cache.glob("delta_*.bin"))
+    assert any(cache.glob("mu_*.bin"))

@@ -119,6 +119,23 @@ def test_directed_bounds_mrca():
         assert mrca_distance(g1, g2).total <= d
 
 
+def test_directed_searches_only_the_survivors(monkeypatch):
+    from invdel import align
+
+    g1, g2 = genomes_from_token_lists("abcdefghijkl", "cahfbedg")
+    expected = mrca_distance(g1, g2).total
+    sizes = []
+    core = align.solve_sources
+
+    def recorded(sources):
+        sizes.extend((s.m, s.n) for s in sources)
+        return core(sources)
+
+    monkeypatch.setattr(align, "solve_sources", recorded)
+    assert directed_distance(g1, g2) == expected
+    assert sizes == [(8, 8), (8, 8)]  # |R2| positions on both sides, never 12
+
+
 def test_directed_capacity():
     toks = "abcdefghijkl"
     g1, g2 = genomes_from_token_lists(toks, toks[::-1])
