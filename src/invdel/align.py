@@ -6,17 +6,35 @@ genome) and on the right (inversions of the second) until the pairing is
 orientation preserving, i.e. the shared regions sit in the same clockwise
 cyclic order on both circles.
 
-The default engine is one breadth-first search seeded with every candidate
-pairing at once (`solve_sources`); `solve_pair` is its one-source case.
-All sources of one genome pair lie in the same rank class, so the first
-goal reached is the cheapest over all of them.  The order is fixed:
-sources are seeded in the order given (repeats dropped, the first copy
-kept), each state tries left moves before right ones, then by generator
-index, and the first goal found wins.  So on a tie the earliest source of
-least cost wins, with its lexicographically least shortest move sequence:
-the same answer as solving every source alone and keeping the first strict
-minimum.  States are ints packing the image row and then its inverse, 4
-bits per field (5 at n = 16), so a move is a few shifts and xors.
+The default engine is one search seeded with every candidate pairing at
+once (`solve_sources`); `solve_pair` is its one-source case.  All sources
+of one genome pair lie in the same rank class, so the cheapest goal
+reached is the cheapest over all of them.  States are ints packing the
+image row and then its inverse, 4 bits per field (5 at n = 16), so a move
+is a few shifts and xors.
+
+The search has two phases.  The forward phase is a layered breadth-first
+search from the sources, and only a state with exactly two cyclic descents
+tests its children for the goal.  It runs while its frontier is smaller
+than the goal set, whose size C(m,r) C(n,r) r is known without listing it,
+so cheap searches never pay for the goals.  Then the goals are listed and
+grown into a reverse ball holding each state's exact distance h* to the
+nearest goal, and the search always expands the smaller frontier.  With
+forward layers 0..t and the ball of radius b complete, every sequence of
+at most t + b moves to a goal passes through a state in both; so the first
+time the two share a state, after t or b grew by one, the cost is t + b.
+
+The tie rule is fixed: sources are seeded in the order given (repeats
+dropped, the first copy kept), each state tries left moves before right
+ones, then by generator index.  On a tie the earliest source of least cost
+wins, with its lexicographically least shortest move sequence: the same
+answer as solving every source alone and keeping the first strict minimum.
+The bidirectional phase keeps it.  Every cheapest sequence passes through
+forward layer t at a state x with h*(x) = b; discovery order within a
+layer is lexicographic on (source index, moves), so the first such x in
+layer t carries the least prefix, and from x the suffix takes, at each
+step, the first move whose child is one step closer.  The search holds at
+most `MAX_STATES` states and raises CapacityError beyond that.
 
 The cayley engine reads the same number from a per-class table
 (`cayley.class_cost`), filled by its own search over tuple rows.  Two more
@@ -38,16 +56,25 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
+from math import comb
 from typing import Sequence
 
-from .errors import InvalidArgumentError
+from .errors import CapacityError, InvalidArgumentError
 from .algebra import Generator, Word
 from .cayley import (DClassGraph, _swap_pairs, _swap_positions, _swap_values,
-                     class_cost, row_is_popi)
+                     class_costs, row_is_popi)
 from .genome import DihedralElement, Genome, ReferenceFrame, dihedral_apply
 from .pperm import PartialPerm, sigma_from_frames
 
 ImageRow = tuple[int, ...]
+
+# Most states (forward tree and reverse ball together) one search may hold
+# before it gives up with CapacityError.  Neither side can outgrow its rank
+# class, so no pairing of at most 8 regions (largest class: 8 by 8, rank 6,
+# 564,480 states) comes near it; the most seen over 250 random 10-region
+# full-rank pairs was 393,254.
+MAX_STATES = 1_200_000
 
 
 @dataclass(frozen=True)
@@ -116,38 +143,114 @@ def _descents(state: int, shifts: range, mask: int) -> int:
     return drops + (last > first)
 
 
-def _search(frontier: list[int], parent: dict[int, int], moves, shifts: range,
-            mask: int) -> int:
-    """Breadth-first from the queued non-goal states; returns the first goal.
+def _goal_states(m: int, n: int, r: int, width: int) -> list[int]:
+    """Every orientation-preserving packed state of the m-by-n rank-r
+    class: r defined positions, r values, and one of the r rotations of
+    the values in increasing order, read in position order."""
+    # cell[p][v]: the bits of "position p maps to v" in both rows; the cells
+    # of one state never overlap, so their sum is the state
+    cell = [[v << (width * p) | (p + 1) << (width * (m + v - 1)) for v in range(n + 1)]
+            for p in range(m)]
+    goals = []
+    for positions in combinations(range(m), r):
+        rows = [cell[p] for p in positions]
+        for values in combinations(range(1, n + 1), r):
+            for k in range(r):
+                goals.append(sum(map(list.__getitem__, rows, values[k:] + values[:k])))
+    return goals
 
-    A move with one empty endpoint keeps the cyclic order of the defined
-    images, and any move changes the descent count by at most one, so only
-    a two-endpoint move out of a state with exactly two descents can reach
-    a goal.
+
+def _over_budget() -> CapacityError:
+    return CapacityError(f"the alignment search reached its budget of {MAX_STATES:,} states; "
+                         "the pairing is too large to solve exactly")
+
+
+def _search(frontier: list[int], parent: dict[int, int], moves, shifts: range,
+            mask: int, goal_count: int, goals) -> tuple[int, list[int]]:
+    """Search from the queued non-goal sources until the cheapest goal.
+
+    Returns the state where the witness leaves the forward tree and the
+    move codes that lead from it to its goal.  `goals()` lists the goal
+    states, of which there are `goal_count`.
     """
+    # h holds, once the ball is grown, the exact distance to the nearest
+    # goal of every state within `radius` of one
+    h: dict[int, int] = {}
+    ball: list[int] = []
+    radius = 0
     while frontier:
-        layer, frontier = frontier, []
-        push = frontier.append
-        for state in layer:
-            near = _descents(state, shifts, mask) == 2
-            for code, sa, sb, fix in moves:  # `_apply`, inlined on the hot path
-                x = (state >> sa) & mask
-                y = (state >> sb) & mask
-                if x == y:  # both endpoints empty: the move fixes the state
-                    continue
-                t = x ^ y
-                nxt = state ^ (t << sa) ^ (t << sb) ^ fix[x] ^ fix[y]
-                if nxt in parent:
-                    continue
-                parent[nxt] = code
-                if near and x and y and _descents(nxt, shifts, mask) <= 1:
-                    return nxt
-                push(nxt)
+        if not h and len(frontier) >= goal_count:
+            if len(parent) + goal_count > MAX_STATES:
+                raise _over_budget()
+            ball = goals()
+            h = dict.fromkeys(ball, 0)
+        if not h or len(frontier) <= len(ball):
+            layer, frontier = frontier, []
+            push = frontier.append
+            room = MAX_STATES - len(h)
+            for state in layer:
+                if len(parent) >= room:
+                    raise _over_budget()
+                # before the ball: a move with one empty endpoint keeps the
+                # cyclic order of the defined images, and any move changes
+                # the descent count by at most one, so only a two-endpoint
+                # move out of a state with exactly two descents reaches a goal
+                near = not h and _descents(state, shifts, mask) == 2
+                for code, sa, sb, fix in moves:  # `_apply`, inlined on the hot path
+                    x = (state >> sa) & mask
+                    y = (state >> sb) & mask
+                    if x == y:  # both endpoints empty: the move fixes the state
+                        continue
+                    t = x ^ y
+                    nxt = state ^ (t << sa) ^ (t << sb) ^ fix[x] ^ fix[y]
+                    if nxt in parent:
+                        continue
+                    parent[nxt] = code
+                    if near and x and y and _descents(nxt, shifts, mask) <= 1:
+                        return nxt, []
+                    if nxt in h:
+                        return nxt, _descend(nxt, h, moves, mask)
+                    push(nxt)
+        else:
+            radius += 1
+            layer, ball = ball, []
+            push = ball.append
+            room = MAX_STATES - len(parent)
+            for state in layer:
+                if len(h) >= room:
+                    raise _over_budget()
+                for code, sa, sb, fix in moves:
+                    x = (state >> sa) & mask
+                    y = (state >> sb) & mask
+                    if x == y:
+                        continue
+                    t = x ^ y
+                    nxt = state ^ (t << sa) ^ (t << sb) ^ fix[x] ^ fix[y]
+                    if nxt not in h:
+                        h[nxt] = radius
+                        push(nxt)
+            if any(state in parent for state in ball):
+                meet = next(state for state in frontier if state in h)
+                return meet, _descend(meet, h, moves, mask)
     raise AssertionError("every rank class contains orientation-preserving elements")
 
 
+def _descend(state: int, h: dict[int, int], moves, mask: int) -> list[int]:
+    """The lexicographically least shortest move sequence from a state of
+    the ball to a goal: each step takes the first move one step closer."""
+    codes = []
+    for depth in range(h[state] - 1, -1, -1):
+        for move in moves:
+            nxt = _apply(state, move, mask)
+            if h.get(nxt) == depth:
+                codes.append(move[0])
+                state = nxt
+                break
+    return codes
+
+
 def solve_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolution]:
-    """One breadth-first search seeded with every source pairing.
+    """One search seeded with every source pairing (see the module docstring).
 
     Returns the index of the winning source and its solution: the first
     source of least cost, with its lexicographically least shortest move
@@ -177,25 +280,34 @@ def solve_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolutio
     # map to -1 - index.
     parent: dict[int, int] = {}
     frontier: list[int] = []
-    goal = None
+    meet, suffix = None, []
     for index, sigma in enumerate(sources):
         state = _pack(sigma, width)
         if state in parent:
             continue
         parent[state] = -1 - index
         if _descents(state, shifts, mask) <= 1:
-            goal = state
+            meet = state
             break
         frontier.append(state)
-    if goal is None:
-        goal = _search(frontier, parent, moves, shifts, mask)
+    if meet is None:
+        # moves keep the rank, so the goals are those of the sources' ranks
+        ranks = sorted({s.rank for s in sources})
+        meet, suffix = _search(
+            frontier, parent, moves, shifts, mask,
+            sum(comb(m, r) * comb(n, r) * r for r in ranks),
+            lambda: [g for r in ranks for g in _goal_states(m, n, r, width)])
 
     codes = []
-    at = goal
+    at = meet
     while (code := parent[at]) >= 0:
         codes.append(code)
         at = _apply(at, moves[code], mask)
     codes.reverse()
+    codes += suffix
+    goal = meet
+    for code in suffix:
+        goal = _apply(goal, moves[code], mask)
     lefts = len(_swap_pairs(m))
     left_chrono = [c + 1 for c in codes if c < lefts]
     right_chrono = [c - lefts + 1 for c in codes if c >= lefts]
@@ -326,16 +438,9 @@ def min_over_reference_pairs(
     if engine == "onthefly":
         index, solution = solve_sources([sigma_from_frames(f1, f2) for f1, f2 in pairs])
         return pairs[index], solution
-    best: tuple[int, int, PartialPerm] | None = None
-    for index, (f1, f2) in enumerate(pairs):
-        sigma = sigma_from_frames(f1, f2)
-        cost = class_cost(sigma, cache_dir)
-        if best is None or cost < best[0]:
-            best = (cost, index, sigma)
-            if cost == 0:
-                break
-    assert best is not None
-    cost, index, sigma = best
-    solution = solve_pair(sigma)
-    assert solution.cost == cost
+    sigmas = [sigma_from_frames(f1, f2) for f1, f2 in pairs]
+    costs = class_costs(sigmas, cache_dir)
+    index = costs.index(min(costs))
+    solution = solve_pair(sigmas[index])
+    assert solution.cost == costs[index]
     return pairs[index], solution

@@ -446,16 +446,26 @@ def class_table(m: int, n: int, r: int, cache_dir=None) -> bytes:
     return table
 
 
+def class_costs(sigmas, cache_dir=None) -> list[int]:
+    """The alignment costs of pairings of one class, looked up in its
+    table, which is loaded once."""
+    m, n, r = sigmas[0].m, sigmas[0].n, sigmas[0].rank
+    if any((s.m, s.n, s.rank) != (m, n, r) for s in sigmas):
+        raise InvalidArgumentError("pairings must all lie in one m-by-n rank class")
+    if r <= 1:
+        return [0] * len(sigmas)
+    if m > n:
+        m, n = n, m
+        sigmas = [s.inverse() for s in sigmas]
+    if n > MAX_ENUM:
+        raise CapacityError(f"the cayley engine supports up to {MAX_ENUM} regions, got {n}")
+    table = class_table(m, n, r, cache_dir)
+    return [table[class_rank(s.image_row, n)] for s in sigmas]
+
+
 def class_cost(sigma: PartialPerm, cache_dir=None) -> int:
     """The alignment cost of a pairing, looked up in its class's table."""
-    if sigma.rank <= 1:
-        return 0
-    if sigma.m > sigma.n:
-        sigma = sigma.inverse()
-    if sigma.n > MAX_ENUM:
-        raise CapacityError(f"the cayley engine supports up to {MAX_ENUM} regions, got {sigma.n}")
-    table = class_table(sigma.m, sigma.n, sigma.rank, cache_dir)
-    return table[class_rank(sigma.image_row, sigma.n)]
+    return class_costs([sigma], cache_dir)[0]
 
 
 def default_cache_dir() -> Path:

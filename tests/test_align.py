@@ -42,11 +42,12 @@ def test_single_adjacent_swap():
 
 
 def test_worked_sigma_cost():
-    # frozen from the deepening oracle
+    # frozen from the deepening oracle; the class-graph route on this
+    # pairing enumerates the whole n = 8 monoid, so it runs with the long
+    # tests (tests/test_acceptance.py)
     assert mu_oracle(SIGMA86, 8) == 2
     sol = solve_pair(SIGMA86)
     assert sol.cost == 2
-    assert cayley_cost(SIGMA86) == 2
     assert class_cost(SIGMA86) == 2
 
 
@@ -216,14 +217,66 @@ def test_engine_choice_agrees(tmp_path):
 
 # -- the multi-source search core ------------------------------------------------
 
+def reference_search(sources):
+    """The reference for the search core: a plain forward-only layered BFS.
+
+    Sources are seeded in order (repeats dropped, the first copy kept),
+    every state tries its moves in code order (left before right, then by
+    generator index), and the first goal discovered wins.  Returns the
+    winning index, the left and right generator indices and the witness
+    row.  Pairings with m > n are solved through their inverses.
+    """
+    from invdel.align import _apply, _descents, _moves, _pack, _swap_pairs
+
+    m, n = sources[0].m, sources[0].n
+    if m > n:
+        index, left, right, row = reference_search([s.inverse() for s in sources])
+        return index, right[::-1], left[::-1], PartialPerm.from_image(m, row).inverse().image_row
+    moves, shifts = _moves(m, n, 4), range(0, 4 * m, 4)
+
+    def first_goal():
+        parent, layer = {}, []
+        for index, sigma in enumerate(sources):
+            state = _pack(sigma, 4)
+            if state not in parent:
+                parent[state] = -1 - index
+                layer.append(state)
+        for state in layer:
+            if _descents(state, shifts, 15) <= 1:
+                return state, parent
+        while layer:
+            frontier, layer = layer, []
+            for state in frontier:
+                for move in moves:
+                    nxt = _apply(state, move, 15)
+                    if nxt not in parent:
+                        parent[nxt] = move[0]
+                        if _descents(nxt, shifts, 15) <= 1:
+                            return nxt, parent
+                        layer.append(nxt)
+        raise AssertionError("no goal reachable")
+
+    goal, parent = first_goal()
+    codes, at = [], goal
+    while parent[at] >= 0:
+        codes.append(parent[at])
+        at = _apply(at, moves[parent[at]], 15)
+    lefts = len(_swap_pairs(m))
+    left = [c + 1 for c in codes if c < lefts]  # reversed chronological order
+    right = [c - lefts + 1 for c in reversed(codes) if c >= lefts]
+    return -1 - parent[at], left, right, tuple((goal >> s) & 15 for s in shifts)
+
+
 def _check_multi_source(sources, single):
+    # single holds reference_search of each source alone
     index, sol = solve_sources(sources)
-    costs = [single[s].cost for s in sources]
+    costs = [len(single[s][1]) + len(single[s][2]) for s in sources]
     assert sol.cost == min(costs)
     assert index == costs.index(sol.cost)
-    alone = single[sources[index]]
-    assert (sol.left_inversions, sol.right_inversions, sol.witness) == (
-        alone.left_inversions, alone.right_inversions, alone.witness)
+    _, left, right, row = single[sources[index]]
+    assert [g.i for g in sol.left_inversions] == left
+    assert [g.i for g in sol.right_inversions] == right
+    assert sol.witness.image_row == row
 
 
 def test_packed_moves_match_row_moves():
@@ -248,18 +301,41 @@ def test_packed_moves_match_row_moves():
                     assert (_descents(moved, shifts, 15) <= 1) == row_is_popi(row)
 
 
-def test_multi_source_matches_single_sources():
+def test_multi_source_matches_single_sources(monkeypatch):
+    from invdel import align
+
+    # whether each search grew a reverse ball (listed its goals) or not
+    listed = []
+    search = align._search
+
+    def counted(*args):
+        goals = args[-1]
+        listed.append(False)
+
+        def listing():
+            listed[-1] = True
+            return goals()
+        return search(*args[:-1], listing)
+
+    monkeypatch.setattr(align, "_search", counted)
     for m in range(1, 5):
         for n in range(1, 5):
             perms = list(all_partial_perms(m, n))
-            single = {sigma: solve_pair(sigma) for sigma in perms}
+            single = {sigma: reference_search([sigma]) for sigma in perms}
             for a in perms:
                 for b in perms:
                     _check_multi_source([a, b], single)
     rng = random.Random(46)
-    for _ in range(200):
-        sources = [random_pperm(rng, 5, 5) for _ in range(2)]
-        _check_multi_source(sources, {s: solve_pair(s) for s in sources})
+    for n in range(1, 9):
+        for m in range(1, n + 1):
+            for r in range(m + 1):
+                for _ in range(2):
+                    sources = [PartialPerm(m, n, zip(rng.sample(range(1, m + 1), r),
+                                                     rng.sample(range(1, n + 1), r)))
+                               for _ in range(rng.randint(2, 4))]
+                    single = {s: reference_search([s]) for s in sources}
+                    _check_multi_source(sources, single)
+    assert True in listed and False in listed
 
 
 def test_full_mode_winner_is_first_minimum():
@@ -326,3 +402,42 @@ def test_sixteen_regions_use_wider_fields():
         assert sol.cost == cost
         assert sol.witness.is_orientation_preserving()
         assert eval_word(sol.left_inversions) * sigma * eval_word(sol.right_inversions) == sol.witness
+
+
+def test_random_ten_region_pair_solves():
+    # cost and words frozen from the forward-only search this core
+    # replaced, which took about 25 s on this pair
+    rng = random.Random(1000)
+    a, b = list("abcdefghij"), list("abcdefghij")
+    rng.shuffle(a)
+    rng.shuffle(b)
+    g1, g2 = genomes_from_token_lists(a, b)
+    pair, sol = min_over_reference_pairs(g1, g2, fast=True)
+    sigma = sigma_from_frames(*pair)
+    assert sol.cost == 10
+    assert [g.i for g in sol.left_inversions] == [10, 9, 1, 10, 9, 5, 6, 7, 4, 5]
+    assert len(sol.right_inversions) == 0
+    assert sol.witness.is_orientation_preserving()
+    assert eval_word(sol.left_inversions) * sigma * eval_word(sol.right_inversions) == sol.witness
+
+
+def test_full_pairs_cayley_loads_the_class_table_once(tmp_path, monkeypatch):
+    # every reference pair of one genome pair lies in one class
+    from invdel import cayley
+    from invdel.cli import main
+
+    loads = []
+    load = cayley.load_table
+
+    def counted(*args):
+        loads.append(args[1:])
+        return load(*args)
+
+    monkeypatch.setattr(cayley, "load_table", counted)
+    path = tmp_path / "pair.txt"
+    path.write_text("A: a b c d e f\nB: a c b e d g\n")
+    for _ in ("cold", "warm"):
+        loads.clear()
+        assert main(["distance", str(path), "A", "B", "--full-pairs", "--engine", "cayley",
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert loads == [(6, 6, 5)]

@@ -1,4 +1,6 @@
 import json
+import random
+import time
 
 import pytest
 
@@ -100,6 +102,21 @@ def test_capacity_exit_2(tmp_path, capsys):
     assert code == 2
     assert "--max-n" in err
     assert main(["distance", str(path), "BIG", "T", "--max-n", "9"]) == 0
+
+
+def test_search_budget_exit_2(tmp_path, capsys):
+    # a random 14-region pair outgrows the search's state budget
+    rng = random.Random(0)
+    a, b = [f"r{i}" for i in range(14)], [f"r{i}" for i in range(14)]
+    rng.shuffle(a)
+    rng.shuffle(b)
+    path = tmp_path / "big.txt"
+    path.write_text(f"A: {' '.join(a)}\nB: {' '.join(b)}\n")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "distance", str(path), "A", "B", "--max-n", "14")
+    assert code == 2
+    assert "budget" in err
+    assert time.perf_counter() - start < 60
 
 
 def test_cayley_engine_capacity_exit_2(tmp_path, capsys):
