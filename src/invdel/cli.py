@@ -21,7 +21,8 @@ from .distance import (construct_ancestor, directed_distance, distance_matrix,
                        verify_scenario_report)
 from .evolve import random_genome, simulate
 from .genome import Genome, load_genomes
-from .npc import partition_brute, partition_witness, reduce_partition, solve_balancedsort
+from .npc import (MAX_BALANCED, partition_brute, partition_witness, reduce_partition,
+                  solve_balancedsort)
 from .pperm import MAX_POSITIONS
 
 JSON_SCHEMA_VERSION = 1
@@ -253,7 +254,7 @@ def cmd_reduce_partition(args) -> int:
         "command": "reduce-partition", "multiset": list(values),
         "m": inst.sigma.m, "pairs": pairs, "k": inst.k,
     }
-    if inst.sigma.m <= 12:
+    if inst.sigma.m <= MAX_BALANCED:
         decision = solve_balancedsort(inst)
         brute = partition_brute(values)
         witness = partition_witness(values)
@@ -285,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--cache-dir", default=None,
-                        help="class-graph cache directory (default: $INVDEL_CACHE, else "
+                        help="class-table cache directory (default: $INVDEL_CACHE, else "
                              "the platform cache directory, ~/.cache/invdel on Linux)")
     common.add_argument("--engine", choices=["onthefly", "cayley"], default="onthefly",
                         help="alignment engine (default onthefly)")

@@ -110,10 +110,6 @@ class DihedralElement:
         return cls(n, 0, False)
 
     @classmethod
-    def rotation_by(cls, n: int, k: int) -> DihedralElement:
-        return cls(n, k, False)
-
-    @classmethod
     def reflection(cls, n: int) -> DihedralElement:
         return cls(n, 0, True)
 

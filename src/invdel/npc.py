@@ -17,12 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import CapacityError, InvalidArgumentError
 from .pperm import PartialPerm
 
-MAX_BALANCED = 12  # exhaustive balanced search; 12 covers |A|<=4, sum(A)<=8
+MAX_BALANCED = 12  # exact balanced search; 12 covers |A|<=4, sum(A)<=8
 
 
 @dataclass(frozen=True)
@@ -82,6 +80,8 @@ def partition_brute(values: Sequence[int]) -> bool:
 def partition_witness(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """An equal-sum split (X, Y) of the multiset, or None."""
     values = tuple(values)
+    if any(a < 1 for a in values):
+        raise InvalidArgumentError("all elements must be positive integers")
     total = sum(values)
     if total % 2:
         return None
@@ -103,43 +103,42 @@ def partition_witness(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int
 
 # -- exact balanced search -------------------------------------------------------
 #
-# States are nibble-packed image rows (4 bits per source position).  Left
-# and right multiplications commute, so every balanced word pair has an
-# all-lefts-then-rights form; and because the inversions are involutions a
-# word of length c evaluating to a given element exists exactly when the
-# minimum word length is <= c with the same parity.  The search therefore
-# runs one bounded left BFS from sigma and, per left-length parity, one
-# layered numpy BFS of right multiplications looking for an
-# order-preserving state at a depth of matching parity.
+# A key is the nibble-packed image row (4 bits per source position) shifted
+# left once, with the parity of the word length so far in the low bit.  A
+# left move swaps two adjacent nibbles and flips that bit; swapping two
+# undefined positions leaves the row alone, so word lengths are not
+# parity-pure per row, and because every move is an involution a word of
+# length c reaching a row exists exactly when its key was reached at some
+# depth <= c of matching parity.  Left and right moves commute, so every
+# balanced word pair has an all-lefts-then-rights form.  One layered search
+# runs twice: from sigma with left moves, then from the inverses of every
+# key that reached, because a right move on a pairing is a left move on its
+# inverse and a pairing is order preserving exactly when its inverse is.
+# The second run keeps the left-length parity in the low bit, so an
+# order-preserving key with even parity has equally many moves per side.
+#
+# Every linear adjacent move, left or right, changes the number of
+# out-of-order image pairs (the inversion count) by at most one, and
+# that count is 0 exactly on the order-preserving rows.  Both runs drop
+# a key whose count exceeds the moves still allowed: the left run's
+# remaining depth plus the whole right half, the right run's remaining
+# depth.
 
-def _pack(row: tuple[int, ...]) -> int:
+def _key(row: tuple[int, ...]) -> int:
     x = 0
     for i, v in enumerate(row):
-        x |= v << (4 * i)
+        x |= v << (4 * i + 1)
     return x
 
 
-def _right_swap(x: np.ndarray, u: int, v: int, m: int) -> np.ndarray:
-    out = x.copy()
-    delta = np.uint64(u ^ v)
-    for pos in range(m):
-        s = np.uint64(4 * pos)
-        nib = (x >> s) & np.uint64(0xF)
-        hit = (nib == u) | (nib == v)
-        out ^= np.where(hit, delta << s, np.uint64(0))
+def _invert(key: int, m: int) -> int:
+    """The key of the inverse row, with the same parity bit."""
+    out = key & 1
+    for i in range(m):
+        v = (key >> (4 * i + 1)) & 0xF
+        if v:
+            out |= (i + 1) << (4 * v - 3)
     return out
-
-
-def _poi_mask(x: np.ndarray, m: int) -> np.ndarray:
-    """True where the nonzero nibbles are strictly increasing by position."""
-    ok = np.ones(x.shape, dtype=bool)
-    last = np.zeros(x.shape, dtype=np.uint64)
-    for pos in range(m):
-        nib = (x >> np.uint64(4 * pos)) & np.uint64(0xF)
-        defined = nib != 0
-        ok &= ~defined | (nib > last)
-        last = np.where(defined, nib, last)
-    return ok
 
 
 def _linear_swap_pairs(m: int) -> list[tuple[int, int]]:
@@ -150,16 +149,42 @@ def _linear_swap_pairs(m: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(m - 1)]
 
 
+def _layers(start: dict[int, int], m: int, depth: int, slack: int):
+    """Yield the layers 0..depth of a left-move search from `start`.
+
+    Layers map a key to its inversion count.  A key is dropped when its
+    count exceeds the moves left, `depth` minus its own depth plus `slack`.
+    """
+    layer = {x: inv for x, inv in start.items() if inv <= depth + slack}
+    seen = set(layer)
+    yield layer
+    shifts = [(4 * a + 1, 4 * b + 1) for a, b in _linear_swap_pairs(m)]
+    for d in range(1, depth + 1):
+        allowed = depth - d + slack
+        nxt = {}
+        for x, inv in layer.items():
+            for sa, sb in shifts:
+                na = (x >> sa) & 0xF
+                nb = (x >> sb) & 0xF
+                y = x ^ ((na ^ nb) << sa) ^ ((na ^ nb) << sb) ^ 1
+                if y in seen:
+                    continue
+                c = inv + (1 if na < nb else -1) if na and nb else inv
+                if c <= allowed:
+                    seen.add(y)
+                    nxt[y] = c
+        layer = nxt
+        yield layer
+
+
 def solve_balancedsort(inst: BalancedSortInstance) -> bool:
     """Decide whether equally many inversions on each side, within the
     budget, can make the pairing order preserving.
 
     Inversions here are the adjacent transpositions of the linear order,
-    without the wraparound (see _linear_swap_pairs).  Word lengths are not
-    parity-pure per state (a swap of two absent values is a self-loop), so
-    both searches key on (state, depth parity): a word of length c
-    reaching a state exists exactly when that parity class was reached at
-    depth <= c.
+    without the wraparound (see _linear_swap_pairs).  The search is one
+    parity-keyed layered search run from each side, pruned by the
+    inversion count (see the comment above _key).
     """
     sigma, k = inst.sigma, inst.k
     m = sigma.m
@@ -172,51 +197,12 @@ def solve_balancedsort(inst: BalancedSortInstance) -> bool:
     half = k // 2
     if half == 0:
         return False
-    pairs = _linear_swap_pairs(m)
-
-    # Bounded left BFS from sigma, keyed (state, depth parity).
-    start = _pack(sigma.image_row)
-    seen = {(start, 0)}
-    sources_by_parity: dict[int, list[int]] = {0: [start], 1: []}
-    frontier = [start]
-    for depth in range(1, half + 1):
-        parity = depth % 2
-        nxt = []
-        for x in frontier:
-            for a, b in pairs:
-                sa, sb = 4 * a, 4 * b
-                diff = ((x >> sa) ^ (x >> sb)) & 0xF
-                y = x ^ (diff << sa) ^ (diff << sb)
-                if (y, parity) not in seen:
-                    seen.add((y, parity))
-                    sources_by_parity[parity].append(y)
-                    nxt.append(y)
-        frontier = nxt
-
-    parity_bit = np.uint64(1 << 60)
-    values = [(a + 1, b + 1) for a, b in pairs]
-    for parity in (0, 1):
-        if half < parity:
-            continue
-        sources = np.unique(np.array(sources_by_parity[parity], dtype=np.uint64))
-        if sources.size == 0:
-            continue
-        layer = sources
-        visited = sources.copy()  # keys: state | (right-depth parity << 60)
-        max_depth = half if half % 2 == parity else half - 1
-        for depth in range(0, max_depth + 1):
-            if depth % 2 == parity and bool(_poi_mask(layer, m).any()):
-                return True
-            if depth == max_depth:
-                break
-            candidates = np.concatenate([_right_swap(layer, u, v, m) for u, v in values])
-            keyed = np.unique(candidates) | (parity_bit if depth % 2 == 0 else np.uint64(0))
-            lo = np.searchsorted(visited, keyed)
-            hi = np.searchsorted(visited, keyed, side="right")
-            fresh = keyed[lo == hi]
-            if fresh.size == 0:
-                break
-            visited = np.union1d(visited, fresh)
-            layer = fresh & np.uint64((1 << 60) - 1)
-        del visited, layer
-    return False
+    lefts: dict[int, int] = {}
+    for layer in _layers({_key(sigma.image_row): len(sigma.crossings())}, m, half, half):
+        lefts.update(layer)
+    rights = {_invert(x, m): inv for x, inv in lefts.items()}
+    return any(
+        inv == 0 and not x & 1
+        for layer in _layers(rights, m, half, 0)
+        for x, inv in layer.items()
+    )

@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -217,6 +221,19 @@ def test_reduce_partition_small_decision(capsys):
     assert sum(payload["split"][0]) == sum(payload["split"][1])
 
 
+def test_reduce_partition_decides_up_to_the_cap(capsys):
+    code, out, _ = run(capsys, "reduce-partition", "2,2,2,2", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["m"] == 12  # the largest decided size, npc.MAX_BALANCED
+    assert payload["balanced_sortable"] is True
+    code, out, _ = run(capsys, "reduce-partition", "1,1,2,3,4", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["m"] == 16
+    assert "balanced_sortable" not in payload and "partition" not in payload
+
+
 def test_reduce_partition_bad_input(capsys):
     code, _, err = run(capsys, "reduce-partition", "1,x,3")
     assert code == 2
@@ -259,3 +276,18 @@ def test_mrca_cayley_engine_matches_onthefly(tmp_path, capsys):
     assert json.loads(cayley) == json.loads(onthefly)
     assert json.loads(onthefly)["verify"] == "ok"
     assert any(cache.glob("mu_*.bin"))
+
+
+def test_cli_imports_only_the_standard_library():
+    # A fresh interpreter, so modules that site loads count as "before".
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import invdel.cli\n"
+        "print('\\n'.join(sorted({name.partition('.')[0] for name in set(sys.modules) - before})))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert set(done.stdout.split()) - sys.stdlib_module_names == {"invdel"}

@@ -1,4 +1,4 @@
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
@@ -53,6 +53,9 @@ def test_partition_witness():
     x, y = partition_witness((1, 1, 2))
     assert sum(x) == sum(y) == 2
     assert partition_witness((1, 2)) is None
+    for values in [(2, -2), (0, 0), (0,), (3, 0, 3)]:
+        with pytest.raises(InvalidArgumentError):
+            partition_witness(values)
 
 
 def test_balancedsort_trivial_cases():
@@ -78,3 +81,68 @@ def test_reduction_agrees_with_subset_sum_small():
                 continue
             got = solve_balancedsort(reduce_partition(values))
             assert got == partition_brute(values), values
+
+
+def _square_partial_perms(max_m):
+    for m in range(1, max_m + 1):
+        for r in range(m + 1):
+            for domain in combinations(range(1, m + 1), r):
+                for image in permutations(range(1, m + 1), r):
+                    yield PartialPerm(m, m, dict(zip(domain, image)))
+
+
+def _left_moves(row):
+    """Rows after one linear adjacent transposition of positions."""
+    for i in range(len(row) - 1):
+        out = list(row)
+        out[i], out[i + 1] = out[i + 1], out[i]
+        yield tuple(out)
+
+
+def _right_moves(row):
+    """Rows after one linear adjacent transposition of values."""
+    for u in range(1, len(row)):
+        swap = {u: u + 1, u + 1: u}
+        yield tuple(swap.get(v, v) for v in row)
+
+
+def _reference_balanced_steps(sigma, max_steps):
+    """Fewest steps, each one left and one right move, that make sigma
+    order preserving, or None beyond max_steps.
+
+    Left and right moves commute, so c moves on each side are c such steps.
+    Repeating a step undoes it, so a row reached after c steps is reached
+    after c + 2 too; the search therefore keys on (image row, step parity).
+    """
+    start = (sigma.image_row, 0)
+    seen = {start}
+    layer = [start]
+    for steps in range(max_steps + 1):
+        for row, _ in layer:
+            if PartialPerm.from_image(sigma.n, row).is_order_preserving():
+                return steps
+        halfway = {(left, parity) for row, parity in layer for left in _left_moves(row)}
+        nxt = []
+        for left, parity in halfway:
+            for both in _right_moves(left):
+                key = (both, 1 - parity)
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(key)
+        layer = nxt
+    return None
+
+
+def test_balancedsort_matches_reference_exhaustively():
+    cases = 0
+    for sigma in _square_partial_perms(5):
+        row = sigma.image_row
+        count = len(sigma.crossings())
+        for moved in [*_left_moves(row), *_right_moves(row)]:
+            assert abs(len(PartialPerm.from_image(sigma.n, moved).crossings()) - count) <= 1
+        steps = _reference_balanced_steps(sigma, 4)
+        for k in range(9):
+            want = steps is not None and steps <= k // 2
+            assert solve_balancedsort(BalancedSortInstance(sigma, k)) == want, (row, k)
+            cases += 1
+    assert cases == 16182
