@@ -9,11 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .errors import InvdelError, GenomeParseError, NoPathError, CapacityError
+from .errors import InvdelError, CapacityError
 from .algebra import eval_word, format_word, relation_table
 from .cayley import MAX_ENUM, default_cache_dir, enumerate_monoid, monoid_size
 from .distance import (construct_ancestor, directed_distance, distance_matrix,
@@ -32,36 +31,14 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class Config:
-    cache_dir: Path | None = None
-    max_n: int = 8
-    engine: str = "onthefly"
-    fast_pairs: bool = True
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 1 <= self.max_n <= MAX_POSITIONS:
-            raise CapacityError(f"--max-n must be 1..{MAX_POSITIONS}")
-        if self.engine not in ("onthefly", "cayley"):
-            raise InvdelError(f"unknown engine {self.engine!r}")
-
-
-def _config(args) -> Config:
+def _cache_dir(args) -> Path:
     # precedence: --cache-dir flag, then $INVDEL_CACHE, then the platform
     # cache directory (default_cache_dir handles the latter two)
-    cache_dir = getattr(args, "cache_dir", None)
-    return Config(
-        cache_dir=Path(cache_dir) if cache_dir else default_cache_dir(),
-        max_n=getattr(args, "max_n", 8),
-        engine=getattr(args, "engine", "onthefly"),
-        fast_pairs=not getattr(args, "full_pairs", False),
-        seed=getattr(args, "seed", 0),
-    )
+    return Path(args.cache_dir) if args.cache_dir else default_cache_dir()
 
 
 def _emit(args, lines: list[str], payload: dict) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         payload = {"schema_version": JSON_SCHEMA_VERSION, **payload}
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -69,14 +46,18 @@ def _emit(args, lines: list[str], payload: dict) -> None:
             print(line)
 
 
-def _load_named(path: str, config: Config) -> dict[str, Genome]:
+def _check_size(what: str, n: int, max_n: int) -> None:
+    if n > max_n:
+        raise CapacityError(
+            f"{what} has {n} regions; the exact algorithm is "
+            f"capped at {max_n} (override with --max-n up to {MAX_POSITIONS})"
+        )
+
+
+def _load_named(path: str, max_n: int) -> dict[str, Genome]:
     named = load_genomes(path)
     for name, genome in named:
-        if genome.n > config.max_n:
-            raise CapacityError(
-                f"genome {name!r} has {genome.n} regions; the exact algorithm is "
-                f"capped at {config.max_n} (override with --max-n up to {MAX_POSITIONS})"
-            )
+        _check_size(f"genome {name!r}", genome.n, max_n)
     return dict(named)
 
 
@@ -90,18 +71,15 @@ def _pick(named: dict[str, Genome], name: str) -> Genome:
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_distance(args) -> int:
-    config = _config(args)
-    named = _load_named(args.file, config)
+    named = _load_named(args.file, args.max_n)
     g1, g2 = _pick(named, args.genome1), _pick(named, args.genome2)
     if args.directed:
-        d = directed_distance(g1, g2, fast_pairs=config.fast_pairs,
-                              engine=config.engine, cache_dir=config.cache_dir)
+        d = directed_distance(g1, g2, engine=args.engine, cache_dir=_cache_dir(args))
         _emit(args, [f"directed-distance {d}"],
               {"command": "distance", "directed": True, "distance": d,
                "from": args.genome1, "to": args.genome2})
         return EXIT_OK
-    result = mrca_distance(g1, g2, fast_pairs=config.fast_pairs,
-                           engine=config.engine, cache_dir=config.cache_dir)
+    result = mrca_distance(g1, g2, engine=args.engine, cache_dir=_cache_dir(args))
     f1, f2 = result.best_pair
     lines = [
         f"distance {result.total}",
@@ -125,12 +103,10 @@ def cmd_distance(args) -> int:
 
 
 def cmd_mrca(args) -> int:
-    config = _config(args)
-    named = _load_named(args.file, config)
+    named = _load_named(args.file, args.max_n)
     g1, g2 = _pick(named, args.genome1), _pick(named, args.genome2)
-    result = mrca_distance(g1, g2, fast_pairs=config.fast_pairs,
-                           engine=config.engine, cache_dir=config.cache_dir)
-    scenario = construct_ancestor(g1, g2, fast_pairs=config.fast_pairs, result=result)
+    result = mrca_distance(g1, g2, engine=args.engine, cache_dir=_cache_dir(args))
+    scenario = construct_ancestor(g1, g2, result=result)
     ok, report = verify_scenario_report(scenario, g1, g2, expected=result.total)
     lines = [
         f"ancestor {scenario.ancestor_frame}",
@@ -153,15 +129,14 @@ def cmd_mrca(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    config = _config(args)
-    named = _load_named(args.file, config)
+    named = _load_named(args.file, args.max_n)
     if len(named) < 2:
         raise InvdelError("a distance matrix needs at least 2 genomes")
     names = list(named)
-    matrix = distance_matrix(list(named.items()), fast_pairs=config.fast_pairs,
-                             engine=config.engine, cache_dir=config.cache_dir)
+    matrix = distance_matrix(list(named.items()), engine=args.engine,
+                             cache_dir=_cache_dir(args))
     text = format_phylip(names, matrix) if args.format == "phylip" else format_tsv(names, matrix)
-    if getattr(args, "json", False):
+    if args.json:
         _emit(args, [], {"command": "matrix", "format": args.format,
                          "names": names, "matrix": matrix})
     else:
@@ -208,13 +183,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = _config(args)
-    ancestor = random_genome(args.size, config.seed)
+    _check_size("the simulated ancestor", args.size, args.max_n)
+    ancestor = random_genome(args.size, args.seed)
     scenario = simulate(ancestor, args.deletions1, args.inversions1,
-                        args.deletions2, args.inversions2, config.seed)
+                        args.deletions2, args.inversions2, args.seed)
     result = mrca_distance(scenario.genome1, scenario.genome2,
-                           fast_pairs=config.fast_pairs,
-                           engine=config.engine, cache_dir=config.cache_dir)
+                           engine=args.engine, cache_dir=_cache_dir(args))
     lines = [
         f"ancestor {scenario.ancestor.canonical}",
         f"branch-1 {format_word(scenario.branch1)}",
@@ -225,7 +199,7 @@ def cmd_simulate(args) -> int:
         f"distance {result.total}",
     ]
     payload = {
-        "command": "simulate", "seed": config.seed,
+        "command": "simulate", "seed": args.seed,
         "ancestor": str(scenario.ancestor.canonical),
         "branch1": format_word(scenario.branch1),
         "branch2": format_word(scenario.branch2),
@@ -283,19 +257,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"invdel {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--cache-dir", default=None,
-                        help="class-table cache directory (default: $INVDEL_CACHE, else "
-                             "the platform cache directory, ~/.cache/invdel on Linux)")
-    common.add_argument("--engine", choices=["onthefly", "cayley"], default="onthefly",
-                        help="alignment engine (default onthefly)")
-    common.add_argument("--max-n", type=int, default=8,
-                        help=f"largest genome size accepted (default 8, cap {MAX_POSITIONS})")
-    common.add_argument("--full-pairs", action="store_true",
-                        help="minimize over every reference pair instead of the fast two")
+    # each subcommand takes only the options it reads: every one --json,
+    # the sized ones --max-n, the ones that align genomes the engine options
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json", action="store_true", help="emit a JSON report")
+    sized = argparse.ArgumentParser(add_help=False, parents=[report])
+    sized.add_argument("--max-n", type=int, default=8,
+                       help=f"largest genome size accepted (default 8, cap {MAX_POSITIONS})")
+    aligning = argparse.ArgumentParser(add_help=False, parents=[sized])
+    aligning.add_argument("--cache-dir", default=None,
+                          help="class-table cache directory (default: $INVDEL_CACHE, else "
+                               "the platform cache directory, ~/.cache/invdel on Linux)")
+    aligning.add_argument("--engine", choices=["onthefly", "cayley"], default="onthefly",
+                          help="alignment engine (default onthefly)")
 
-    p = sub.add_parser("distance", parents=[common],
+    p = sub.add_parser("distance", parents=[aligning],
                        help="distance between two named genomes")
     p.add_argument("file", help="genome text file")
     p.add_argument("genome1")
@@ -306,25 +282,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print the witnessing inversion words")
     p.set_defaults(func=cmd_distance)
 
-    p = sub.add_parser("mrca", parents=[common],
+    p = sub.add_parser("mrca", parents=[aligning],
                        help="reconstruct the most recent common ancestor")
     p.add_argument("file")
     p.add_argument("genome1")
     p.add_argument("genome2")
     p.set_defaults(func=cmd_mrca)
 
-    p = sub.add_parser("matrix", parents=[common], help="all-pairs distance matrix")
+    p = sub.add_parser("matrix", parents=[aligning], help="all-pairs distance matrix")
     p.add_argument("file")
     p.add_argument("--format", choices=["phylip", "tsv"], default="phylip")
     p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[sized],
                        help="run the relation suite and/or enumeration counts")
     p.add_argument("--relations", action="store_true")
     p.add_argument("--enumerate", type=int, default=None, metavar="N")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[aligning],
                        help="simulate a pair of genomes from a random ancestor")
     p.add_argument("--size", type=int, required=True, help="ancestor region count")
     p.add_argument("--seed", type=int, default=0)
@@ -334,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inversions2", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("reduce-partition", parents=[common],
+    p = sub.add_parser("reduce-partition", parents=[report],
                        help="encode a multiset as a balanced sorting instance")
     p.add_argument("multiset", help="comma-separated positive integers, e.g. 1,1,2,3,4")
     p.set_defaults(func=cmd_reduce_partition)
@@ -346,10 +322,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "max_n" in args and not 1 <= args.max_n <= MAX_POSITIONS:
+            raise CapacityError(f"--max-n must be 1..{MAX_POSITIONS}")
         return args.func(args)
-    except (GenomeParseError, NoPathError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InvdelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,17 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapacityError, InvalidArgumentError, NoPathError
+from .errors import InvalidArgumentError, NoPathError
 from .algebra import Generator, Word, apply_to_frame
 from .align import AlignmentSolution, min_over_reference_pairs
 from .genome import (DihedralElement, Genome, ReferenceFrame, canonicalize,
                      dihedral_apply, region_set_ops)
 from .pperm import sigma_from_frames
-
-# Random same-region pairs take a median 0.03 s at n = 9 (max 0.35 s over
-# 150 pairs) and 0.2 s at n = 10 (max 1.7 s over 100) on a 2-core Xeon VM;
-# at n = 12 most reach the search's state budget (align.MAX_STATES) in ~8 s.
-MAX_SORT_BFS = 10
 
 
 @dataclass(frozen=True)
@@ -38,7 +33,6 @@ class DistanceResult:
 def mrca_distance(
     g1: Genome,
     g2: Genome,
-    fast_pairs: bool = True,
     engine: str = "onthefly",
     cache_dir=None,
 ) -> DistanceResult:
@@ -46,9 +40,7 @@ def mrca_distance(
     ancestor: deletions for the symmetric difference plus the minimum
     alignment cost."""
     _, sym_diff, _ = region_set_ops(g1, g2)
-    pair, solution = min_over_reference_pairs(
-        g1, g2, fast=fast_pairs, engine=engine, cache_dir=cache_dir
-    )
+    pair, solution = min_over_reference_pairs(g1, g2, engine=engine, cache_dir=cache_dir)
     return DistanceResult(len(sym_diff) + solution.cost, len(sym_diff),
                           solution.cost, pair, solution)
 
@@ -58,7 +50,6 @@ def mrca_distance(
 def directed_distance(
     g1: Genome,
     g2: Genome,
-    fast_pairs: bool = True,
     engine: str = "onthefly",
     cache_dir=None,
 ) -> int:
@@ -71,7 +62,9 @@ def directed_distance(
     surviving regions into the second.  So the search runs on the survivors
     alone, and its cost grows with the second genome, not the first.  The
     tests check this against that inversion-sorting search on every pair
-    with n <= 5; it also held on every subset pair with n <= 6.
+    with n <= 5; it also held on every subset pair with n <= 6.  The size
+    limit is the search's own state budget (align.MAX_STATES), as for
+    every other distance.
     """
     r1, r2 = g1.regions, g2.regions
     if not r2 <= r1:
@@ -80,11 +73,8 @@ def directed_distance(
             "no inversion/deletion sequence exists: target regions not in source "
             f"(missing from source: {missing})"
         )
-    if len(r2) > MAX_SORT_BFS:
-        raise CapacityError(f"inversion sorting is capped at {MAX_SORT_BFS} regions, got {len(r2)}")
     survivors = Genome.from_tokens(g1.alphabet, (t for t in g1.canonical.tokens if t in r2))
-    mu = mrca_distance(survivors, g2, fast_pairs=fast_pairs, engine=engine,
-                       cache_dir=cache_dir).mu
+    mu = mrca_distance(survivors, g2, engine=engine, cache_dir=cache_dir).mu
     return len(r1 - r2) + mu
 
 
@@ -121,7 +111,6 @@ def _deletion_word(frame: ReferenceFrame, drop: frozenset[str]) -> Word:
 def construct_ancestor(
     g1: Genome,
     g2: Genome,
-    fast_pairs: bool = True,
     result: DistanceResult | None = None,
 ) -> AncestorScenario:
     """Build an ancestor realizing the minimum event count.
@@ -133,10 +122,10 @@ def construct_ancestor(
     second genome are appended after the first genome's regions within
     each gap between consecutive shared regions.  A `result` already
     computed by `mrca_distance` for these genomes is reused instead of
-    searching again (its reference pair wins over `fast_pairs`).
+    searching again.
     """
     if result is None:
-        (f1, f2), solution = min_over_reference_pairs(g1, g2, fast=fast_pairs)
+        (f1, f2), solution = min_over_reference_pairs(g1, g2)
     else:
         (f1, f2), solution = result.best_pair, result.solution
     m, n = f1.n, f2.n
@@ -249,7 +238,6 @@ def verify_scenario_report(
 
 def distance_matrix(
     named: list[tuple[str, Genome]],
-    fast_pairs: bool = True,
     engine: str = "onthefly",
     cache_dir=None,
 ) -> list[list[int]]:
@@ -259,8 +247,8 @@ def distance_matrix(
     out = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            d = mrca_distance(named[i][1], named[j][1], fast_pairs=fast_pairs,
-                              engine=engine, cache_dir=cache_dir).total
+            d = mrca_distance(named[i][1], named[j][1], engine=engine,
+                              cache_dir=cache_dir).total
             out[i][j] = out[j][i] = d
     return out
 

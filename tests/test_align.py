@@ -12,6 +12,12 @@ from invdel.align import reference_pairs, row_is_popi
 SIGMA86 = sigma_from_frames("abcdefgh", "eibach")
 
 
+def all_frame_pairs(g1, g2):
+    """The pairing of every frame pair, 4mn of them (fewer for short
+    genomes): the reference that the two reference pairs must match."""
+    return [sigma_from_frames(f1, f2) for f1 in g1.frames() for f2 in g2.frames()]
+
+
 def random_pperm(rng, m, n):
     r = rng.randint(0, min(m, n))
     return PartialPerm(m, n, zip(rng.sample(range(1, m + 1), r),
@@ -177,13 +183,8 @@ def test_min_over_reference_pairs_one_swap():
     g1, g2 = genomes_from_token_lists("abcd", "abdc")
     _, sol = min_over_reference_pairs(g1, g2)
     assert sol.cost == 1
-    # frozen via the deepening oracle over every reference pair
-    oracle_min = min(
-        mu_oracle(sigma_from_frames(f1, f2), 4)
-        for f1 in g1.frames()
-        for f2 in g2.frames()
-    )
-    assert oracle_min == 1
+    # frozen via the deepening oracle over every frame pair
+    assert min(mu_oracle(sigma, 4) for sigma in all_frame_pairs(g1, g2)) == 1
 
 
 def test_fast_mode_matches_full_mode():
@@ -195,23 +196,21 @@ def test_fast_mode_matches_full_mode():
         rng.shuffle(pool)
         t2 = pool[: rng.randint(1, 5)]
         g1, g2 = genomes_from_token_lists(t1, t2)
-        _, full = min_over_reference_pairs(g1, g2, fast=False)
-        _, fast = min_over_reference_pairs(g1, g2, fast=True)
+        _, full = solve_sources(all_frame_pairs(g1, g2))
+        _, fast = min_over_reference_pairs(g1, g2)
         assert full.cost == fast.cost, (t1, t2)
 
 
 def test_fast_mode_pair_count():
     g1, g2 = genomes_from_token_lists("abcde", "abcde")
-    assert len(reference_pairs(g1, g2, fast=True)) == 2
-    assert len(reference_pairs(g1, g2, fast=False)) == 100
+    assert len(reference_pairs(g1, g2)) == 2
+    assert len(all_frame_pairs(g1, g2)) == 100
 
 
 def test_engine_choice_agrees(tmp_path):
     g1, g2 = genomes_from_token_lists("abcde", "adceb")
-    _, on_the_fly = min_over_reference_pairs(g1, g2, fast=True)
-    _, via_cayley = min_over_reference_pairs(
-        g1, g2, fast=True, engine="cayley", cache_dir=tmp_path
-    )
+    _, on_the_fly = min_over_reference_pairs(g1, g2)
+    _, via_cayley = min_over_reference_pairs(g1, g2, engine="cayley", cache_dir=tmp_path)
     assert on_the_fly.cost == via_cayley.cost
 
 
@@ -348,12 +347,12 @@ def test_full_mode_winner_is_first_minimum():
         rng.shuffle(pool)
         t2 = pool[: rng.randint(2, 4)]
         g1, g2 = genomes_from_token_lists(t1, t2)
-        pairs = reference_pairs(g1, g2, fast=False)
-        alone = [solve_pair(sigma_from_frames(f1, f2)) for f1, f2 in pairs]
+        sigmas = all_frame_pairs(g1, g2)
+        alone = [solve_pair(sigma) for sigma in sigmas]
         costs = [sol.cost for sol in alone]
-        pair, sol = min_over_reference_pairs(g1, g2, fast=False)
+        index, sol = solve_sources(sigmas)
         first = costs.index(min(costs))
-        assert pair == pairs[first]
+        assert index == first
         assert (sol.left_inversions, sol.right_inversions) == (
             alone[first].left_inversions, alone[first].right_inversions)
 
@@ -397,7 +396,7 @@ def test_sixteen_regions_use_wider_fields():
     # cutting the genome to 11 regions drops the wraparound swap
     for other, cost in ((moved, 2), (moved[:11], 1)):
         g1, g2 = genomes_from_token_lists(tokens, other)
-        pair, sol = min_over_reference_pairs(g1, g2, fast=True)
+        pair, sol = min_over_reference_pairs(g1, g2)
         sigma = sigma_from_frames(*pair)
         assert sol.cost == cost
         assert sol.witness.is_orientation_preserving()
@@ -412,7 +411,7 @@ def test_random_ten_region_pair_solves():
     rng.shuffle(a)
     rng.shuffle(b)
     g1, g2 = genomes_from_token_lists(a, b)
-    pair, sol = min_over_reference_pairs(g1, g2, fast=True)
+    pair, sol = min_over_reference_pairs(g1, g2)
     sigma = sigma_from_frames(*pair)
     assert sol.cost == 10
     assert [g.i for g in sol.left_inversions] == [10, 9, 1, 10, 9, 5, 6, 7, 4, 5]
@@ -422,7 +421,7 @@ def test_random_ten_region_pair_solves():
 
 
 def test_full_pairs_cayley_loads_the_class_table_once(tmp_path, monkeypatch):
-    # every reference pair of one genome pair lies in one class
+    # both reference pairs of one genome pair lie in one class
     from invdel import cayley
     from invdel.cli import main
 
@@ -438,6 +437,6 @@ def test_full_pairs_cayley_loads_the_class_table_once(tmp_path, monkeypatch):
     path.write_text("A: a b c d e f\nB: a c b e d g\n")
     for _ in ("cold", "warm"):
         loads.clear()
-        assert main(["distance", str(path), "A", "B", "--full-pairs", "--engine", "cayley",
+        assert main(["distance", str(path), "A", "B", "--engine", "cayley",
                      "--cache-dir", str(tmp_path / "cache")]) == 0
         assert loads == [(6, 6, 5)]

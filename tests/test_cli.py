@@ -193,6 +193,29 @@ def test_verify_enumerate_capacity(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("max_n", ["0", "17"])
+def test_max_n_out_of_range_is_exit_2(genome_file, capsys, max_n):
+    for argv in (["distance", genome_file, "G1", "G2"], ["verify", "--relations"]):
+        code, out, err = run(capsys, *argv, "--max-n", max_n)
+        assert (code, out) == (2, "")
+        assert "--max-n must be 1..16" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--relations", "--engine", "cayley"],
+    ["reduce-partition", "1,1", "--engine", "cayley"],
+    ["reduce-partition", "1,1", "--cache-dir", "cache"],
+    ["reduce-partition", "1,1", "--max-n", "3"],
+    ["distance", "genomes.txt", "G1", "G2", "--full-pairs"],
+], ids=["verify-engine", "reduce-partition-engine", "reduce-partition-cache-dir",
+        "reduce-partition-max-n", "distance-full-pairs"])
+def test_subcommands_reject_options_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_simulate_deterministic(capsys):
     args = ["simulate", "--size", "6", "--seed", "11",
             "--deletions1", "2", "--inversions1", "1",
@@ -201,6 +224,15 @@ def test_simulate_deterministic(capsys):
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
     assert "ancestor " in out1 and "distance " in out1
+
+
+def test_simulate_size_is_capped_by_max_n(capsys):
+    code, _, err = run(capsys, "simulate", "--size", "9")
+    assert code == 2
+    assert "9 regions" in err and "--max-n" in err
+    code, out, _ = run(capsys, "simulate", "--size", "9", "--max-n", "9", "--inversions1", "1")
+    assert code == 0
+    assert "events 1" in out
 
 
 def test_reduce_partition_report(capsys):

@@ -136,10 +136,17 @@ def test_directed_searches_only_the_survivors(monkeypatch):
     assert sizes == [(8, 8), (8, 8)]  # |R2| positions on both sides, never 12
 
 
-def test_directed_capacity():
-    toks = "abcdefghijkl"
-    g1, g2 = genomes_from_token_lists(toks, toks[::-1])
-    with pytest.raises(CapacityError):
+def test_directed_capacity(monkeypatch):
+    # the size limit is the search's state budget, not the target's region
+    # count: a close 11-region target solves, and a search that outgrows
+    # the budget fails
+    from invdel import align
+
+    g1, g2 = genomes_from_token_lists("abcdefghijkl", "abcedfghikj")
+    assert directed_distance(g1, g2) == 3  # one deletion, two inversions
+    g1, g2 = genomes_from_token_lists("abcdefghijkl", "cahfbedg")
+    monkeypatch.setattr(align, "MAX_STATES", 20)
+    with pytest.raises(CapacityError, match="budget of 20 states"):
         directed_distance(g1, g2)
 
 
