@@ -13,11 +13,11 @@ from .genome import (DihedralElement, Genome, ReferenceFrame, RegionAlphabet,
 from .algebra import (Generator, Relation, Word, apply_to_frame,
                       eval_generator, eval_word, format_word, parse_word,
                       relation_table, rewrite_deletions_first)
-from .cayley import (DClassGraph, GenSet, MonoidEnumeration, build_union,
-                     class_cost, enumerate_monoid, get_dclass_graph,
-                     induce_dclass, monoid_size)
+from .cayley import (DClassGraph, MonoidEnumeration, class_cost,
+                     enumerate_monoid, get_dclass_graph, monoid_size,
+                     solve_pair_via_cayley)
 from .align import (AlignmentSolution, min_over_reference_pairs, mu_oracle,
-                    solve_pair, solve_pair_via_cayley, solve_sources)
+                    solve_pair, solve_sources)
 from .distance import (AncestorScenario, DistanceResult, construct_ancestor,
                        directed_distance, distance_matrix, format_phylip,
                        format_tsv, mrca_distance, verify_scenario,
@@ -29,16 +29,16 @@ from .npc import (BalancedSortInstance, partition_brute, partition_witness,
 __all__ = [
     "AlignmentSolution", "AncestorScenario", "BalancedSortInstance",
     "CacheIntegrityError", "CapacityError", "DClassGraph", "DihedralElement",
-    "DistanceResult", "EvolutionScenario", "GenSet", "Generator", "Genome",
+    "DistanceResult", "EvolutionScenario", "Generator", "Genome",
     "GenomeParseError", "InvalidArgumentError", "InvdelError",
     "MonoidEnumeration", "NoPathError", "PartialPerm", "ReferenceFrame",
     "RegionAlphabet", "Relation", "Word", "WordTypeError",
-    "all_partial_perms", "apply_to_frame", "build_union", "canonicalize",
+    "all_partial_perms", "apply_to_frame", "canonicalize",
     "class_cost", "construct_ancestor", "dihedral_apply",
     "directed_distance", "distance_matrix", "enumerate_monoid",
     "eval_generator", "eval_word", "format_phylip", "format_tsv",
     "format_word", "genomes_from_token_lists", "get_dclass_graph",
-    "induce_dclass", "load_genomes", "min_over_reference_pairs",
+    "load_genomes", "min_over_reference_pairs",
     "monoid_size", "mrca_distance", "mu_oracle", "parse_genomes",
     "parse_word", "partition_brute", "partition_witness", "random_genome",
     "reduce_partition", "region_set_ops", "relation_table", "replay",

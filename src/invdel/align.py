@@ -38,10 +38,10 @@ most `MAX_STATES` states and raises CapacityError beyond that.
 
 The cayley engine reads the same number from a per-class table
 (`cayley.class_cost`), filled by its own search over tuple rows.  Two more
-routes serve as checks: the same search inside the rank-class graph
-induced from the enumerated monoid, and an iterative-deepening oracle with
-its own traversal and its own orientation test.  Tests hold all four
-together.
+routes serve as checks: a breadth-first search inside the pairing's rank
+class of the enumerated monoid (`cayley.solve_pair_via_cayley`), and an
+iterative-deepening oracle here with its own traversal and its own
+orientation test.  Tests hold all four together.
 
 Minimizing over reference pairs only needs two of the 4mn frame pairs:
 rotating either frame conjugates the inversion alphabet (rotations
@@ -53,7 +53,6 @@ the full product as the reference.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -62,8 +61,7 @@ from typing import Sequence
 
 from .errors import CapacityError, InvalidArgumentError
 from .algebra import Generator, Word
-from .cayley import (DClassGraph, _swap_pairs, _swap_positions, _swap_values,
-                     class_costs, row_is_popi)
+from .cayley import _swap_pairs, _swap_positions, _swap_values, class_costs
 from .genome import DihedralElement, Genome, ReferenceFrame, dihedral_apply
 from .pperm import PartialPerm, sigma_from_frames
 
@@ -324,38 +322,6 @@ def solve_pair(sigma: PartialPerm) -> AlignmentSolution:
     shortest move sequence (left moves order before right, then by index).
     """
     return solve_sources([sigma])[1]
-
-
-def solve_pair_via_cayley(sigma: PartialPerm, graph: DClassGraph) -> int:
-    """The same minimum, read off the memoised rank-class graph."""
-    m, n, r = sigma.m, sigma.n, sigma.rank
-    if m > n:
-        raise InvalidArgumentError("cayley route needs m <= n; solve the inverse instead")
-    if (graph.n, graph.m, graph.r) != (n, m, r):
-        raise InvalidArgumentError(
-            f"class graph is for (n={graph.n}, m={graph.m}, r={graph.r}), "
-            f"got sigma with (n={n}, m={m}, r={r})"
-        )
-    start_row = sigma.embed(n).image_row
-    index = graph.vertex_index()
-    start = index[start_row]
-
-    def is_target(row: ImageRow) -> bool:
-        return all(v == 0 for v in row[m:]) and row_is_popi(row)
-
-    if is_target(start_row):
-        return 0
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for _side, _gi, v in graph.adjacency[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                if is_target(graph.vertices[v]):
-                    return dist[v]
-                queue.append(v)
-    raise InvalidArgumentError("no orientation-preserving element reachable; bad graph")
 
 
 def mu_oracle(sigma: PartialPerm, depth_cap: int) -> int | None:

@@ -14,9 +14,10 @@ tables are kept in a small checked binary cache, one file per class.
 The square monoid on n points, generated by the circular adjacent
 inversions together with the partial identity on {1..n-1}, is also
 enumerated in full (a breadth-first closure from the identity in fixed
-generator order gives a deterministic indexing), with its left/right union
-graph and the rank classes induced from it.  They back the enumeration
-counts and serve the tests as an independent route to the same costs.
+generator order gives a deterministic indexing) for the enumeration
+counts.  Its rank classes, with an edge for each inversion composed on
+either side that keeps the class, serve the tests as an independent route
+to the same costs (`solve_pair_via_cayley`).
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import struct
 import sys
 import tempfile
 import zlib
-from array import array
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb, factorial, perm
@@ -33,7 +34,7 @@ from pathlib import Path
 
 from .errors import CacheIntegrityError, CapacityError, InvalidArgumentError
 from .algebra import inversion_set, eval_generator
-from .pperm import PartialPerm
+from .pperm import PartialPerm, row_is_popi
 
 # |I_8| is already 1.4M elements and the largest class table at n = 8,
 # rank 6, has 564,480 states; anything larger is hopeless here.
@@ -42,15 +43,6 @@ MAX_ENUM = 8
 LEFT, RIGHT = 0, 1
 
 ImageRow = tuple[int, ...]
-
-
-def row_is_popi(row: ImageRow) -> bool:
-    """True iff the defined images read in a cyclic order."""
-    images = [v for v in row if v]
-    k = len(images)
-    if k <= 1:
-        return True
-    return sum(1 for t in range(k) if images[t] > images[(t + 1) % k]) <= 1
 
 
 def _swap_pairs(n: int) -> list[tuple[int, int]]:
@@ -77,10 +69,6 @@ def monoid_size(n: int) -> int:
     return sum(comb(n, r) ** 2 * factorial(r) for r in range(n + 1))
 
 
-def _row(p: PartialPerm) -> ImageRow:
-    return p.image_row
-
-
 def _compose(f: ImageRow, g: ImageRow) -> ImageRow:
     # image row of f then g
     return tuple(g[v - 1] if v else 0 for v in f)
@@ -90,32 +78,16 @@ def _rank(row: ImageRow) -> int:
     return sum(1 for v in row if v)
 
 
-@dataclass(frozen=True)
-class GenSet:
-    """Inversions plus the rank-(n-1) partial identity, in generator order."""
-
-    n: int
-    inversion_rows: tuple[ImageRow, ...]      # index i-1 holds s_{i;n}
-    partial_identity: ImageRow
-
-    @classmethod
-    def for_size(cls, n: int) -> GenSet:
-        rows = tuple(_row(eval_generator(g)) for g in inversion_set(n))
-        pid = tuple(range(1, n)) + (0,)
-        return cls(n, rows, pid)
-
-    def rows(self) -> list[ImageRow]:
-        return list(self.inversion_rows) + [self.partial_identity]
-
-    def embedded_rows(self, size: int) -> list[ImageRow]:
-        """The same generators as elements of the monoid on `size` points."""
-        pad = (0,) * (size - self.n)
-        return [r + pad for r in self.rows()]
+def _inversion_rows(m: int, size: int) -> list[ImageRow]:
+    """The inversions on m points in index order, as elements of the
+    monoid on `size` points (undefined beyond m)."""
+    pad = (0,) * (size - m)
+    return [eval_generator(g).image_row + pad for g in inversion_set(m)]
 
 
 class MonoidEnumeration:
-    """All elements of the partial-permutation monoid on n points, indexed,
-    with complete left and right Cayley edges for the generating set.
+    """All elements of the partial-permutation monoid on n points, indexed
+    in the order a breadth-first closure from the identity finds them.
 
     Never mutated after construction; safe to share across threads.
     """
@@ -124,51 +96,21 @@ class MonoidEnumeration:
         if not 1 <= n <= MAX_ENUM:
             raise CapacityError(f"monoid enumeration supports 1 <= n <= {MAX_ENUM}, got {n}")
         self.n = n
-        self.gens = GenSet.for_size(n)
-        gen_rows = self.gens.rows()
-        self.gen_count = len(gen_rows)
-
+        gen_rows = _inversion_rows(n, n) + [tuple(range(1, n)) + (0,)]
         identity = tuple(range(1, n + 1))
         elements: list[ImageRow] = [identity]
         index: dict[ImageRow, int] = {identity: 0}
-        right = array("i")
-        head = 0
-        while head < len(elements):
-            x = elements[head]
-            head += 1
+        for x in elements:  # the list grows while it is read: a queue
             for g in gen_rows:
                 y = _compose(x, g)
-                j = index.get(y)
-                if j is None:
-                    j = len(elements)
-                    index[y] = j
+                if y not in index:
+                    index[y] = len(elements)
                     elements.append(y)
-                right.append(j)
-        left = array("i")
-        for x in elements:
-            for g in gen_rows:
-                left.append(index[_compose(g, x)])
         self.elements = elements
         self.index = index
-        self._right = right
-        self._left = left
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def element(self, idx: int) -> PartialPerm:
-        return PartialPerm.from_image(self.n, self.elements[idx])
-
-    def index_of(self, p: PartialPerm) -> int:
-        if p.m != self.n or p.n != self.n:
-            raise InvalidArgumentError(f"element is {p.m}x{p.n}, monoid is on {self.n} points")
-        return self.index[p.image_row]
-
-    def right_target(self, idx: int, gen: int) -> int:
-        return self._right[idx * self.gen_count + gen]
-
-    def left_target(self, idx: int, gen: int) -> int:
-        return self._left[idx * self.gen_count + gen]
 
 
 _enum_memo: dict[int, MonoidEnumeration] = {}
@@ -180,44 +122,13 @@ def enumerate_monoid(n: int) -> MonoidEnumeration:
     return _enum_memo[n]
 
 
-@dataclass
-class UnionGraph:
-    """The right Cayley graph on n points overlaid with left multiplication
-    by the generators of the embedded m-point monoid."""
-
-    m: int
-    n: int
-    enum: MonoidEnumeration
-    left_rows: list[ImageRow]          # embedded m-generators, inversions first
-    left_targets: array                # len(elements) * len(left_rows)
-
-    def left_target(self, idx: int, gen: int) -> int:
-        return self.left_targets[idx * len(self.left_rows) + gen]
-
-
-def build_union(m: int, n: int, enum: MonoidEnumeration) -> UnionGraph:
-    if m > n:
-        raise InvalidArgumentError(f"union graph needs m <= n, got m={m}, n={n}")
-    if enum.n != n:
-        raise InvalidArgumentError(f"enumeration is for {enum.n}, expected {n}")
-    rows = GenSet.for_size(m).embedded_rows(n)
-    if m == n:
-        return UnionGraph(m, n, enum, rows, enum._left)
-    targets = array("i")
-    index = enum.index
-    for x in enum.elements:
-        for g in rows:
-            targets.append(index[_compose(g, x)])
-    return UnionGraph(m, n, enum, rows, targets)
-
-
 @dataclass(frozen=True)
 class DClassGraph:
     """The rank-r class with its rank-preserving inversion edges.
 
     Vertices are image rows in ascending order; adjacency entries are
     (side, inversion index, local target).  Partial-identity edges never
-    survive induction (they are self-loops or drop rank), so only the
+    stay in the class (they are self-loops or drop rank), so only the
     inversion labels appear.
     """
 
@@ -235,38 +146,54 @@ class DClassGraph:
         return sum(len(a) for a in self.adjacency)
 
 
-def induce_dclass(union: UnionGraph, r: int) -> DClassGraph:
-    n, m = union.n, union.m
+def get_dclass_graph(n: int, m: int, r: int) -> DClassGraph:
+    """The rank-r class of the monoid on n points, with an edge for each
+    product that stays in the class and moves: LEFT edges multiply by the
+    embedded inversions on m points on the left, RIGHT edges by the
+    inversions on n points on the right."""
+    if m > n:
+        raise InvalidArgumentError(f"a class graph needs m <= n, got m={m}, n={n}")
     if not 0 <= r <= n:
         raise InvalidArgumentError(f"rank {r} outside 0..{n}")
-    enum = union.enum
-    members = sorted(row for row in enum.elements if _rank(row) == r)
+    members = sorted(row for row in enumerate_monoid(n).elements if _rank(row) == r)
     local = {row: i for i, row in enumerate(members)}
-    n_inv = len(inversion_set(n))
-    m_inv = len(inversion_set(m))
+    lefts = _inversion_rows(m, n)
+    rights = _inversion_rows(n, n)
     adjacency = []
-    for row in members:
-        idx = enum.index[row]
-        edges = []
-        for gi in range(m_inv):
-            t = union.left_target(idx, gi)
-            trow = enum.elements[t]
-            j = local.get(trow)
-            if j is not None and trow != row:
-                edges.append((LEFT, gi + 1, j))
-        for gi in range(n_inv):
-            t = enum.right_target(idx, gi)
-            trow = enum.elements[t]
-            j = local.get(trow)
-            if j is not None and trow != row:
-                edges.append((RIGHT, gi + 1, j))
-        adjacency.append(tuple(edges))
+    for i, row in enumerate(members):
+        products = [(LEFT, gi, _compose(g, row)) for gi, g in enumerate(lefts, 1)]
+        products += [(RIGHT, gi, _compose(row, g)) for gi, g in enumerate(rights, 1)]
+        adjacency.append(tuple((side, gi, j) for side, gi, y in products
+                               if (j := local.get(y)) is not None and j != i))
     return DClassGraph(n, m, r, tuple(members), tuple(adjacency))
 
 
-def get_dclass_graph(n: int, m: int, r: int) -> DClassGraph:
-    """The rank-r class graph, built from the whole monoid on n points."""
-    return induce_dclass(build_union(m, n, enumerate_monoid(n)), r)
+def solve_pair_via_cayley(sigma: PartialPerm) -> int:
+    """The alignment cost of a pairing, by breadth-first search in its
+    rank-class graph (a pairing with m > n is inverted first)."""
+    if sigma.m > sigma.n:
+        sigma = sigma.inverse()
+    m, n = sigma.m, sigma.n
+    graph = get_dclass_graph(n, m, sigma.rank)
+    start_row = sigma.embed(n).image_row
+    start = graph.vertex_index()[start_row]
+
+    def is_target(row: ImageRow) -> bool:
+        return all(v == 0 for v in row[m:]) and row_is_popi(row)
+
+    if is_target(start_row):
+        return 0
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for _side, _gi, v in graph.adjacency[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                if is_target(graph.vertices[v]):
+                    return dist[v]
+                queue.append(v)
+    raise AssertionError("every rank class contains orientation-preserving elements")
 
 
 # -- per-class mu tables ---------------------------------------------------------
@@ -406,7 +333,7 @@ def load_table(cache_dir, m: int, n: int, r: int) -> bytes | None:
     path = table_path(cache_dir, m, n, r)
     try:
         data = path.read_bytes()
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):
         return None
     except OSError as exc:
         raise CacheIntegrityError(f"{path}: unreadable ({exc.strerror})") from exc
@@ -432,7 +359,8 @@ def load_table(cache_dir, m: int, n: int, r: int) -> bytes | None:
 def class_table(m: int, n: int, r: int, cache_dir=None) -> bytes:
     """The class's table: loaded from `cache_dir` when a valid file is there,
     else built (and stored when there is a cache directory).  A file that
-    fails validation is reported on stderr before it is rebuilt."""
+    fails validation is reported on stderr before it is rebuilt, and so is
+    a store that fails: the table is exact without its file."""
     if cache_dir is None:
         return build_table(m, n, r)
     try:
@@ -442,7 +370,11 @@ def class_table(m: int, n: int, r: int, cache_dir=None) -> bytes:
         table = None
     if table is None:
         table = build_table(m, n, r)
-        store_table(table, m, n, r, cache_dir)
+        try:
+            store_table(table, m, n, r, cache_dir)
+        except OSError as exc:
+            print(f"warning: not caching {table_path(cache_dir, m, n, r)}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
     return table
 
 

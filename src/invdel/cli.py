@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -249,6 +250,7 @@ def cmd_reduce_partition(args) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
+@cache  # built on the first call, then shared: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invdel",

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from .errors import CapacityError, InvalidArgumentError
 from .algebra import Generator, Word, apply_to_frame
 from .genome import Genome, RegionAlphabet, canonicalize
-
-MAX_REGIONS = 16
+from .pperm import MAX_POSITIONS
 
 
 @dataclass(frozen=True)
@@ -39,8 +38,8 @@ class EvolutionScenario:
 
 def random_genome(n: int, seed: int, alphabet: RegionAlphabet | None = None) -> Genome:
     """A uniformly random circular arrangement of n fixed tokens."""
-    if not 1 <= n <= MAX_REGIONS:
-        raise CapacityError(f"genome size must be 1..{MAX_REGIONS}, got {n}")
+    if not 1 <= n <= MAX_POSITIONS:
+        raise CapacityError(f"genome size must be 1..{MAX_POSITIONS}, got {n}")
     if alphabet is None:
         alphabet = RegionAlphabet.from_tokens(string.ascii_lowercase[:n])
     tokens = list(alphabet.tokens[:n]) if len(alphabet) >= n else None

@@ -31,12 +31,6 @@ class RegionAlphabet:
     def from_tokens(cls, tokens: Iterable[str]) -> RegionAlphabet:
         return cls(tuple(sorted(set(tokens))))
 
-    def index_of(self, token: str) -> int:
-        try:
-            return self._index[token]
-        except KeyError:
-            raise InvalidArgumentError(f"token {token!r} not in alphabet") from None
-
     def __contains__(self, token: str) -> bool:
         return token in self._index
 
@@ -71,10 +65,6 @@ class ReferenceFrame:
     @property
     def n(self) -> int:
         return len(self.tokens)
-
-    def word(self) -> tuple[int, ...]:
-        """The frame as alphabet indices."""
-        return tuple(self.alphabet.index_of(t) for t in self.tokens)
 
     def __str__(self) -> str:
         return " ".join(self.tokens) if any(len(t) > 1 for t in self.tokens) else "".join(self.tokens)

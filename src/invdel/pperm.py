@@ -17,6 +17,17 @@ from .errors import CapacityError, InvalidArgumentError
 MAX_POSITIONS = 16
 
 
+def row_is_popi(row: Sequence[int]) -> bool:
+    """True iff the defined images of an image row read in a cyclic order:
+    at most one descent, counting the wraparound comparison between the
+    last and first image."""
+    images = [v for v in row if v]
+    k = len(images)
+    if k <= 1:
+        return True
+    return sum(1 for t in range(k) if images[t] > images[(t + 1) % k]) <= 1
+
+
 def _check_size(m: int, n: int) -> None:
     if m < 0 or n < 0:
         raise InvalidArgumentError(f"sizes must be non-negative, got {m}, {n}")
@@ -167,19 +178,8 @@ class PartialPerm:
         return not self.crossings()
 
     def is_orientation_preserving(self) -> bool:
-        """True iff the images along the ascending domain are cyclic.
-
-        Cyclic means at most one descent, counting the wraparound
-        comparison between the last and first image.
-        """
-        images = [v for v in self._img if v]
-        k = len(images)
-        if k <= 1:
-            return True
-        descents = sum(
-            1 for t in range(k) if images[t] > images[(t + 1) % k]
-        )
-        return descents <= 1
+        """True iff the images along the ascending domain are cyclic."""
+        return row_is_popi(self._img)
 
     # -- debug rendering ----------------------------------------------------
 

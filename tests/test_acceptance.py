@@ -19,7 +19,7 @@ import pytest
 from invdel import (Generator, PartialPerm, Word, all_partial_perms,
                     apply_to_frame, class_cost, construct_ancestor,
                     eval_generator, eval_word, format_word,
-                    genomes_from_token_lists, get_dclass_graph,
+                    genomes_from_token_lists,
                     mrca_distance, mu_oracle, parse_word,
                     partition_brute, random_genome, reduce_partition,
                     relation_table, rewrite_deletions_first,
@@ -62,9 +62,7 @@ def test_criterion_1_enumeration_count_n8():
 def test_worked_sigma_class_graph_cost():
     # the class-graph route enumerates the whole n = 8 monoid for this 6x8
     # pairing; tests/test_align.py checks its cost on the other routes
-    sigma = sigma_from_frames("abcdefgh", "eibach").inverse()
-    graph = get_dclass_graph(sigma.n, sigma.m, sigma.rank)
-    assert solve_pair_via_cayley(sigma, graph) == 2
+    assert solve_pair_via_cayley(sigma_from_frames("abcdefgh", "eibach")) == 2
 
 
 def test_criterion_2_relation_suite():
@@ -82,11 +80,6 @@ def test_criterion_2_relation_suite():
     report(2, f"all {checked} relation instances hold for n <= 8 ({elapsed:.1f}s)")
 
 
-def _cayley_cost(sigma):
-    s = sigma if sigma.m <= sigma.n else sigma.inverse()
-    return solve_pair_via_cayley(s, get_dclass_graph(s.n, s.m, s.rank))
-
-
 def test_criterion_3_oracle_equivalence(tmp_path):
     start = time.perf_counter()
     checked = 0
@@ -95,7 +88,7 @@ def test_criterion_3_oracle_equivalence(tmp_path):
             for sigma in all_partial_perms(m, n):
                 bfs = solve_pair(sigma).cost
                 oracle = mu_oracle(sigma, 8)
-                cayley = _cayley_cost(sigma)
+                cayley = solve_pair_via_cayley(sigma)
                 table = class_cost(sigma, tmp_path)
                 assert bfs == oracle == cayley == table, (sigma, bfs, oracle, cayley, table)
                 checked += 1
@@ -107,7 +100,7 @@ def test_criterion_3_oracle_equivalence(tmp_path):
                                       rng.sample(range(1, 6), r)))
         bfs = solve_pair(sigma).cost
         oracle = mu_oracle(sigma, 8)
-        cayley = _cayley_cost(sigma)
+        cayley = solve_pair_via_cayley(sigma)
         table = class_cost(sigma, tmp_path)
         assert bfs == oracle == cayley == table, (sigma, bfs, oracle, cayley, table)
         checked += 1

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from invdel import (InvalidArgumentError, PartialPerm, all_partial_perms,
-                    class_cost, eval_word, genomes_from_token_lists,
-                    get_dclass_graph, min_over_reference_pairs, mu_oracle,
-                    sigma_from_frames, solve_pair, solve_pair_via_cayley,
-                    solve_sources)
-from invdel.align import reference_pairs, row_is_popi
+from invdel import (CapacityError, InvalidArgumentError, PartialPerm,
+                    all_partial_perms, class_cost, eval_word,
+                    genomes_from_token_lists, min_over_reference_pairs,
+                    mu_oracle, sigma_from_frames, solve_pair,
+                    solve_pair_via_cayley, solve_sources)
+from invdel.align import reference_pairs
+from invdel.pperm import row_is_popi
 
 SIGMA86 = sigma_from_frames("abcdefgh", "eibach")
 
@@ -22,12 +23,6 @@ def random_pperm(rng, m, n):
     r = rng.randint(0, min(m, n))
     return PartialPerm(m, n, zip(rng.sample(range(1, m + 1), r),
                                  rng.sample(range(1, n + 1), r)))
-
-
-def cayley_cost(sigma):
-    s = sigma if sigma.m <= sigma.n else sigma.inverse()
-    graph = get_dclass_graph(s.n, s.m, s.rank)
-    return solve_pair_via_cayley(s, graph)
 
 
 def test_identity_costs_zero():
@@ -97,18 +92,19 @@ def test_three_way_agreement_small(tmp_path):
             for sigma in all_partial_perms(m, n):
                 bfs = solve_pair(sigma).cost
                 assert mu_oracle(sigma, 8) == bfs
-                assert cayley_cost(sigma) == bfs
+                assert solve_pair_via_cayley(sigma) == bfs
                 assert class_cost(sigma, tmp_path) == bfs
 
 
 def test_cayley_route_validates_parameters():
-    graph = get_dclass_graph(4, 4, 2)
-    with pytest.raises(InvalidArgumentError):
-        solve_pair_via_cayley(PartialPerm(4, 4, {1: 1}), graph)  # rank 1, graph r=2
-    with pytest.raises(InvalidArgumentError):
-        solve_pair_via_cayley(PartialPerm(4, 3, {1: 1, 2: 2}), graph)
-    with pytest.raises(InvalidArgumentError):
-        solve_pair_via_cayley(PartialPerm(5, 4, {1: 1, 2: 2}), graph)  # m > n
+    # the route builds the graph of the pairing's own class, inverting it
+    # when m > n; only a class beyond the enumeration is refused
+    sigma = PartialPerm(5, 4, {1: 2, 2: 1, 3: 4, 5: 3})
+    assert solve_pair_via_cayley(sigma) == solve_pair_via_cayley(sigma.inverse())
+    assert solve_pair_via_cayley(sigma) == solve_pair(sigma).cost > 0
+    for big in (PartialPerm(9, 3, {1: 2, 2: 1}), PartialPerm(3, 9, {1: 2, 2: 1})):
+        with pytest.raises(CapacityError):
+            solve_pair_via_cayley(big)
 
 
 def test_oracle_contract():
@@ -127,7 +123,7 @@ def test_lexicographically_least_word():
     # before right, then by index) and compare the word pair it induces.
     from itertools import product
 
-    from invdel.align import _swap_pairs, _swap_positions, _swap_values, row_is_popi
+    from invdel.align import _swap_pairs, _swap_positions, _swap_values
 
     def brute_words(sigma, cost):
         lefts = [(0, gi, ab) for gi, ab in enumerate(_swap_pairs(sigma.m), start=1)]

@@ -3,12 +3,13 @@ from itertools import combinations, permutations
 import pytest
 
 from invdel import (CacheIntegrityError, CapacityError, InvalidArgumentError,
-                    PartialPerm, build_union, class_cost, enumerate_monoid,
-                    induce_dclass, monoid_size, solve_pair)
+                    PartialPerm, class_cost, enumerate_monoid,
+                    get_dclass_graph, monoid_size, solve_pair)
 from invdel import cayley
-from invdel.cayley import (FORMAT_VERSION, HEADER, LEFT, RIGHT, build_table,
-                           class_rank, class_size, class_table, load_table,
-                           store_table, table_path)
+from invdel.cayley import (FORMAT_VERSION, HEADER, LEFT, RIGHT, _compose,
+                           _inversion_rows, build_table, class_rank,
+                           class_size, class_table, load_table, store_table,
+                           table_path)
 
 
 def test_counts_small():
@@ -34,64 +35,70 @@ def test_deterministic_indexing():
     a = MonoidEnumeration(4)
     b = MonoidEnumeration(4)
     assert a.elements == b.elements
-    assert a._right == b._right
-    assert a._left == b._left
+    assert a.index == b.index == {row: i for i, row in enumerate(a.elements)}
 
 
-def test_rank_monotone_along_right_edges():
+def test_inversion_products_stay_in_the_closure_and_rank():
     enum = enumerate_monoid(4)
-    n_inv = 4
-
-    def rank(row):
-        return sum(1 for v in row if v)
-
-    for idx, row in enumerate(enum.elements):
-        for gi in range(enum.gen_count):
-            target = enum.elements[enum.right_target(idx, gi)]
-            if gi < n_inv:
-                assert rank(target) == rank(row)  # inversions preserve rank
-            else:
-                assert rank(target) <= rank(row)  # partial identity may drop it
+    for g in _inversion_rows(4, 4):
+        for row in enum.elements:
+            for product in (_compose(g, row), _compose(row, g)):
+                assert product in enum.index
+                assert product.count(0) == row.count(0)
 
 
-def test_union_requires_m_le_n():
-    enum = enumerate_monoid(3)
+def test_dclass_graph_requires_m_le_n():
     with pytest.raises(InvalidArgumentError):
-        build_union(4, 3, enum)
+        get_dclass_graph(3, 4, 2)
+    with pytest.raises(InvalidArgumentError):
+        get_dclass_graph(3, 3, 4)
 
 
-def test_union_left_edge_counts():
-    enum = enumerate_monoid(3)
-    same = build_union(3, 3, enum)
-    assert len(same.left_targets) == len(enum.elements) * same.enum.gen_count
-    mixed = build_union(2, 3, enum)
-    # X_2 = {s_{1;2}} plus the partial identity on {1}
-    assert len(mixed.left_rows) == 2
-    assert len(mixed.left_targets) == len(enum.elements) * 2
+def test_dclass_left_labels_follow_m():
+    same = get_dclass_graph(3, 3, 2)
+    mixed = get_dclass_graph(3, 2, 2)
+    assert same.vertices == mixed.vertices
+    # X_2 has the one inversion s_{1;2}; the right edges do not depend on m
+    for full, small in zip(same.adjacency, mixed.adjacency):
+        assert [e for e in full if e[0] == RIGHT] == [e for e in small if e[0] == RIGHT]
+    assert {gi for adj in same.adjacency for side, gi, _ in adj if side == LEFT} == {1, 2, 3}
+    assert {gi for adj in mixed.adjacency for side, gi, _ in adj if side == LEFT} == {1}
+
+
+def test_dclass_full_rank_vertices_take_every_inversion():
+    # a move never fixes a full-rank row, so every label leaves the vertex
+    for n in (3, 4, 5):
+        graph = get_dclass_graph(n, n, n)
+        for adj in graph.adjacency:
+            assert sorted(gi for side, gi, _ in adj if side == LEFT) == list(range(1, n + 1))
+            assert sorted(gi for side, gi, _ in adj if side == RIGHT) == list(range(1, n + 1))
+    graph = get_dclass_graph(4, 3, 3)
+    checked = 0
+    for row, adj in zip(graph.vertices, graph.adjacency):
+        if row[3] == 0:  # domain {1, 2, 3}: the left inversions on 3 points all move it
+            assert {gi for side, gi, _ in adj if side == LEFT} == {1, 2, 3}
+            checked += 1
+    assert checked == 24
 
 
 def test_dclass_vertex_counts():
     from math import comb, factorial
 
-    union = build_union(4, 4, enumerate_monoid(4))
-    assert len(induce_dclass(union, 0).vertices) == 1
-    assert len(induce_dclass(union, 4).vertices) == 24
-    assert len(induce_dclass(union, 2).vertices) == 72
+    assert len(get_dclass_graph(4, 4, 0).vertices) == 1
+    assert len(get_dclass_graph(4, 4, 4).vertices) == 24
+    assert len(get_dclass_graph(4, 4, 2).vertices) == 72
     for r in range(5):
         expected = comb(4, r) ** 2 * factorial(r)
-        assert len(induce_dclass(union, r).vertices) == expected
+        assert len(get_dclass_graph(4, 4, r).vertices) == expected
 
 
 def test_dclass_rank_zero_has_no_edges():
-    union = build_union(4, 4, enumerate_monoid(4))
-    graph = induce_dclass(union, 0)
-    assert graph.edge_count == 0
+    assert get_dclass_graph(4, 4, 0).edge_count == 0
 
 
 def test_dclass_edges_preserve_rank_and_skip_self_loops():
-    union = build_union(3, 4, enumerate_monoid(4))
     for r in range(5):
-        graph = induce_dclass(union, r)
+        graph = get_dclass_graph(4, 3, r)
         for u, adj in enumerate(graph.adjacency):
             for side, gi, v in adj:
                 assert side in (LEFT, RIGHT)
@@ -104,9 +111,8 @@ def test_dclass_strongly_connected_when_m_equals_n():
     from collections import deque
 
     for n in (2, 3, 4, 5):
-        union = build_union(n, n, enumerate_monoid(n))
         for r in range(n + 1):
-            graph = induce_dclass(union, r)
+            graph = get_dclass_graph(n, n, r)
             size = len(graph.vertices)
             fwd = [[] for _ in range(size)]
             bwd = [[] for _ in range(size)]
@@ -275,3 +281,4 @@ def test_failed_store_leaves_no_files(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         store_table(build_table(3, 3, 2), 3, 3, 2, tmp_path)
     assert list(tmp_path.iterdir()) == []
+

@@ -271,6 +271,33 @@ def test_reduce_partition_bad_input(capsys):
     assert code == 2
 
 
+def test_parser_is_shared_across_calls(tmp_path, capsys):
+    # one process, several commands: a --max-n or a rejected argv leaves
+    # nothing behind for the next call
+    from invdel.cli import build_parser
+
+    path = tmp_path / "big.txt"
+    path.write_text("BIG: " + " ".join(f"r{i}" for i in range(9)) + "\nT: r0 r1\n")
+    assert run(capsys, "distance", str(path), "BIG", "T", "--max-n", "9")[0] == 0
+    assert run(capsys, "distance", str(path), "BIG", "T")[0] == 2
+    with pytest.raises(SystemExit):
+        main(["distance", str(path), "BIG", "--engine", "nope"])
+    capsys.readouterr()
+    code, out, _ = run(capsys, "distance", str(path), "BIG", "T", "--max-n", "9", "--json")
+    assert code == 0 and json.loads(out)["distance"] == 7
+    assert build_parser() is build_parser()
+
+
+def test_unwritable_cache_dir_warns_once(genome_file, tmp_path, capsys):
+    blocker = tmp_path / "notadir"
+    blocker.write_text("")
+    _, expected, _ = run(capsys, "distance", genome_file, "G1", "G2")
+    code, out, err = run(capsys, "distance", genome_file, "G1", "G2",
+                         "--engine", "cayley", "--cache-dir", str(blocker / "x"))
+    assert (code, out) == (0, expected)
+    assert len(err.splitlines()) == 1 and err.startswith("warning: not caching ")
+
+
 def test_cache_dir_flag(genome_file, tmp_path, capsys):
     cache = tmp_path / "cache"
     code, out, _ = run(capsys, "distance", genome_file, "G1", "G2",
