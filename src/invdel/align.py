@@ -6,12 +6,14 @@ genome) and on the right (inversions of the second) until the pairing is
 orientation preserving, i.e. the shared regions sit in the same clockwise
 cyclic order on both circles.
 
-The default engine is one search seeded with every candidate pairing at
-once (`solve_sources`); `solve_pair` is its one-source case.  All sources
-of one genome pair lie in the same rank class, so the cheapest goal
-reached is the cheapest over all of them.  States are ints packing the
-image row and then its inverse, 4 bits per field (5 at n = 16), so a move
-is a few shifts and xors.
+The default engine (`solve_sources`, with `solve_pair` its one-source
+case) takes one of two routes.  When the two genomes have the same regions
+(every source is n by n of rank n) it needs no search; see "Full rank"
+below.  Otherwise it runs one search seeded with every candidate pairing
+at once.  All sources of one genome pair lie in the same rank class, so
+the cheapest goal reached is the cheapest over all of them.  States are
+ints packing the image row and then its inverse, 4 bits per field (5 at
+n = 16), so a move is a few shifts and xors.
 
 The search has two phases.  The forward phase is a layered breadth-first
 search from the sources, and only a state with exactly two cyclic descents
@@ -35,6 +37,23 @@ layer is lexicographic on (source index, moves), so the first such x in
 layer t carries the least prefix, and from x the suffix takes, at each
 step, the first move whose child is one step closer.  The search holds at
 most `MAX_STATES` states and raises CapacityError beyond that.
+
+Full rank.  An n-by-n rank-n pairing is orientation preserving exactly
+when it is one of the n rotations of the identity, and the fewest moves
+to a given rotation has a closed form (`_rotation_cost`, Jerrum's lift).
+A source costs the least of its n rotation costs, and the first source
+of least cost wins.  The witness comes from a greedy descent that keeps
+the tie rule.  A move changes each rotation's cost by at most one, so
+from cost d only a rotation at cost d can reach d - 1, and a child lies on
+a shortest path exactly when one of those rotations costs d - 1 there.
+Each step takes the first such move in code order and keeps the rotations
+it lowered; since the costs are exact, that is the lexicographically least
+shortest move sequence, the search's answer.  The exhaustive anchor is
+n <= 8: the closed form equals the class table on every permutation
+there, the one-step bound holds on every permutation with n <= 7, and
+the route returns the search's index and solution on every permutation
+with n <= 6.  Beyond that it rests on Jerrum's argument and seeded checks
+against the search.
 
 The cayley engine reads the same number from a per-class table
 (`cayley.class_cost`), filled by its own search over tuple rows.  Two more
@@ -68,10 +87,11 @@ from .pperm import PartialPerm, sigma_from_frames
 ImageRow = tuple[int, ...]
 
 # Most states (forward tree and reverse ball together) one search may hold
-# before it gives up with CapacityError.  Neither side can outgrow its rank
-# class, so no pairing of at most 8 regions (largest class: 8 by 8, rank 6,
-# 564,480 states) comes near it; the most seen over 250 random 10-region
-# full-rank pairs was 393,254.
+# before it gives up with CapacityError.  Only partial ranks search; full
+# rank has a closed form.  Neither side can outgrow its rank class, so no
+# pairing of at most 8 regions (largest class: 8 by 8, rank 6, 564,480
+# states) comes near it, while most random 11-region pairings of rank 10
+# reach it.
 MAX_STATES = 1_200_000
 
 
@@ -247,28 +267,89 @@ def _descend(state: int, h: dict[int, int], moves, mask: int) -> list[int]:
     return codes
 
 
-def solve_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolution]:
-    """One search seeded with every source pairing (see the module docstring).
+def _rotation_cost(row: ImageRow, c: int) -> int:
+    """Fewest cyclic adjacent swaps taking a full-rank row to rotation c.
 
-    Returns the index of the winning source and its solution: the first
-    source of least cost, with its lexicographically least shortest move
-    sequence (left moves order before right, then by index), exactly what
-    solving each source alone and keeping the first strict minimum gives.
-    Repeated sources are searched once, under their first index.
+    Position p (0-based) holds the token of value row[p] (1-based); rotation
+    c sends it to position t_p = (row[p] - 1 + c) mod n, a forward
+    displacement of b_p = (t_p - p) mod n.  Lift the circle to the line:
+    a swap moves one token a step forward and its neighbour a step back,
+    so the lifted displacements of any sorting sum to 0, and exactly
+    k = sum(b) / n tokens travel backwards (b_p - n instead of b_p).  The k
+    with the largest b_p do, ties by position.  The cost is the number of
+    times the lifted tracks cross, counting every periodic copy: tokens
+    p < q cross once for every multiple of n strictly between p - q and
+    y_p - y_q, where y is where the lifted track ends (Jerrum, TCS 36, 1985).
+
+    Two variations changed no least cost over the rotations on any
+    permutation tried, and neither is a simplification.  Sending no token
+    backwards (k = 0) counts the all-forward tracks; moving every end back
+    by k changes no crossing and makes them a lift of rotation c - k, so
+    that count is never below `mu`, and at n <= 8 its minimum was never
+    above it either.  But it is not the cost of rotation c (one move can
+    change it by two), and the greedy descent's argument needs every
+    rotation's cost exact.  Which of several tokens with equal b_p goes
+    backwards changed no cost at n <= 7: the tie rule is a convention,
+    not part of the count.
     """
-    if not sources:
-        raise InvalidArgumentError("the search needs at least one source pairing")
+    n = len(row)
+    b = [((v - 1 + c) % n - p) % n for p, v in enumerate(row)]
+    y = [p + bp for p, bp in enumerate(b)]
+    for p in sorted(range(n), key=b.__getitem__, reverse=True)[: sum(b) // n]:
+        y[p] -= n
+    # p - q lies in (-n, 0) and y_p - y_q is no multiple of n, so the count
+    # of multiples between them is the gap between their floors
+    return sum(abs((yp - yq) // n + 1) for yp, yq in combinations(y, 2))
+
+
+def _solution(m: int, n: int, codes: list[int], row: ImageRow) -> AlignmentSolution:
+    """The words of a move sequence, given in chronological code order, and
+    the goal row it ends at."""
+    lefts = len(_swap_pairs(m))
+    left_chrono = [c + 1 for c in codes if c < lefts]
+    right_chrono = [c - lefts + 1 for c in codes if c >= lefts]
+    left_word = Word([Generator.inversion(gi, m) for gi in reversed(left_chrono)], m)
+    right_word = Word([Generator.inversion(gi, n) for gi in right_chrono], n)
+    return AlignmentSolution(len(codes), left_word, right_word, PartialPerm.from_image(n, row))
+
+
+def _solve_full_rank(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolution]:
+    """`solve_sources` for n-by-n rank-n sources, without a search.
+
+    A source costs the least `_rotation_cost` over the n rotations, and the
+    first source of least cost wins.  Its witness descends greedily: each
+    step takes the first move in code order whose child costs one less on
+    a rotation still at the minimum, and keeps only those rotations.
+    """
+    n = sources[0].n
+    best = None
+    for index, sigma in enumerate(sources):
+        row = sigma.image_row
+        costs = [_rotation_cost(row, c) for c in range(n)]
+        cost = min(costs)
+        if best is None or cost < best[0]:
+            best = cost, index, row, [c for c in range(n) if costs[c] == cost]
+    cost, index, row, kept = best
+    pairs = _swap_pairs(n)
+    moves = ([(_swap_positions, a, b) for a, b in pairs]
+             + [(_swap_values, a + 1, b + 1) for a, b in pairs])
+    codes = []
+    while cost:
+        for code, (swap, a, b) in enumerate(moves):
+            child = swap(row, a, b)
+            closer = [c for c in kept if _rotation_cost(child, c) == cost - 1]
+            if closer:
+                break
+        else:
+            raise AssertionError("a move always brings some cheapest rotation one step closer")
+        codes.append(code)
+        row, kept, cost = child, closer, cost - 1
+    return index, _solution(n, n, codes, row)
+
+
+def _search_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolution]:
+    """`solve_sources` for m <= n by the packed search (module docstring)."""
     m, n = sources[0].m, sources[0].n
-    if any((s.m, s.n) != (m, n) for s in sources):
-        raise InvalidArgumentError("source pairings must all be m-by-n for one m and n")
-    if m > n:
-        index, mirror = solve_sources([s.inverse() for s in sources])
-        return index, AlignmentSolution(
-            mirror.cost,
-            Word(tuple(reversed(mirror.right_inversions.letters)), m),
-            Word(tuple(reversed(mirror.left_inversions.letters)), n),
-            mirror.witness.inverse(),
-        )
     width = 4 if n < 16 else 5
     mask = (1 << width) - 1
     shifts = range(0, width * m, width)
@@ -306,14 +387,35 @@ def solve_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolutio
     goal = meet
     for code in suffix:
         goal = _apply(goal, moves[code], mask)
-    lefts = len(_swap_pairs(m))
-    left_chrono = [c + 1 for c in codes if c < lefts]
-    right_chrono = [c - lefts + 1 for c in codes if c >= lefts]
-    left_word = Word([Generator.inversion(gi, m) for gi in reversed(left_chrono)], m)
-    right_word = Word([Generator.inversion(gi, n) for gi in right_chrono], n)
     row = tuple((goal >> shift) & mask for shift in shifts)
-    return -1 - parent[at], AlignmentSolution(len(codes), left_word, right_word,
-                                              PartialPerm.from_image(n, row))
+    return -1 - parent[at], _solution(m, n, codes, row)
+
+
+def solve_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolution]:
+    """The cheapest alignment over the source pairings (module docstring).
+
+    Returns the index of the winning source and its solution: the first
+    source of least cost, with its lexicographically least shortest move
+    sequence (left moves order before right, then by index), exactly what
+    solving each source alone and keeping the first strict minimum gives.
+    A repeated source can only win under its first index.
+    """
+    if not sources:
+        raise InvalidArgumentError("the search needs at least one source pairing")
+    m, n = sources[0].m, sources[0].n
+    if any((s.m, s.n) != (m, n) for s in sources):
+        raise InvalidArgumentError("source pairings must all be m-by-n for one m and n")
+    if m > n:
+        index, mirror = solve_sources([s.inverse() for s in sources])
+        return index, AlignmentSolution(
+            mirror.cost,
+            Word(tuple(reversed(mirror.right_inversions.letters)), m),
+            Word(tuple(reversed(mirror.left_inversions.letters)), n),
+            mirror.witness.inverse(),
+        )
+    if m == n and all(s.rank == n for s in sources):
+        return _solve_full_rank(sources)
+    return _search_sources(sources)
 
 
 def solve_pair(sigma: PartialPerm) -> AlignmentSolution:

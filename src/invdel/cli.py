@@ -278,10 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="genome text file")
     p.add_argument("genome1")
     p.add_argument("genome2")
-    p.add_argument("--directed", action="store_true",
-                   help="one-sided inversion/deletion distance (needs R2 within R1)")
-    p.add_argument("--emit-events", action="store_true",
-                   help="also print the witnessing inversion words")
+    # the one-sided distance has no witness words to print
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--directed", action="store_true",
+                      help="one-sided inversion/deletion distance (needs R2 within R1)")
+    mode.add_argument("--emit-events", action="store_true",
+                      help="also print the witnessing inversion words")
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("mrca", parents=[aligning],

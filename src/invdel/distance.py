@@ -59,12 +59,13 @@ def directed_distance(
     Then it equals the distance through the most recent common ancestor:
     the symmetric difference is exactly the deleted regions, and the
     alignment cost matches the fewest inversions sorting the first genome's
-    surviving regions into the second.  So the search runs on the survivors
-    alone, and its cost grows with the second genome, not the first.  The
-    tests check this against that inversion-sorting search on every pair
-    with n <= 5; it also held on every subset pair with n <= 6.  The size
-    limit is the search's own state budget (align.MAX_STATES), as for
-    every other distance.
+    surviving regions into the second.  So the alignment is solved on the
+    survivors alone, and its cost grows with the second genome, not the
+    first.  The tests check this against that inversion-sorting search on
+    every pair with n <= 5; it also held on every subset pair with n <= 6.
+    The survivors and the second genome have the same regions, so the
+    alignment is full rank: the default engine takes the closed form (see
+    align.py), runs no search and meets no state budget, up to 16 regions.
     """
     r1, r2 = g1.regions, g2.regions
     if not r2 <= r1:

@@ -250,5 +250,14 @@ def parse_genomes(text: str) -> list[tuple[str, Genome]]:
 
 
 def load_genomes(path) -> list[tuple[str, Genome]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_genomes(fh.read())
+    """Parse a genome file; a file that cannot be read as UTF-8 text raises
+    GenomeParseError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise GenomeParseError(f"cannot read {str(path)!r}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise GenomeParseError(f"{str(path)!r} is not UTF-8 text: byte {exc.start} "
+                               f"cannot be decoded") from exc
+    return parse_genomes(text)

@@ -354,8 +354,7 @@ def test_full_mode_winner_is_first_minimum():
 
 
 def test_close_pair_at_ten_regions():
-    # the reflected pairing alone costs 16; searched together with the
-    # direct one, the search stops at depth 4
+    # the reflected pairing alone costs 16, the direct one 4
     from invdel import mrca_distance, random_genome, simulate
 
     sc = simulate(random_genome(10, 3), 0, 2, 0, 2, 7)
@@ -382,7 +381,8 @@ def test_mrca_command_searches_once(tmp_path, monkeypatch, capsys):
 
 
 def test_sixteen_regions_use_wider_fields():
-    # 16 does not fit a 4-bit field, so the packed states widen to 5 bits
+    # 16 does not fit a 4-bit field, so the packed states widen to 5 bits;
+    # the full-rank pair takes the closed form, the 11-region cut is searched
     from string import ascii_lowercase
 
     tokens = list(ascii_lowercase[:16])
@@ -436,3 +436,67 @@ def test_full_pairs_cayley_loads_the_class_table_once(tmp_path, monkeypatch):
         assert main(["distance", str(path), "A", "B", "--engine", "cayley",
                      "--cache-dir", str(tmp_path / "cache")]) == 0
         assert loads == [(6, 6, 5)]
+
+
+# -- the full-rank closed form ---------------------------------------------------
+
+def rotation_costs(n):
+    """Every n-point permutation row mapped to its cost on each rotation."""
+    from itertools import permutations
+
+    from invdel.align import _rotation_cost
+
+    return {row: [_rotation_cost(row, c) for c in range(n)]
+            for row in permutations(range(1, n + 1))}
+
+
+def test_closed_form_equals_class_table():
+    # the exhaustive anchor: the least rotation cost is `mu` on every
+    # permutation with n <= 8 (40,320 at n = 8)
+    from invdel.cayley import build_table, class_rank
+
+    for n in range(1, 9):
+        table = build_table(n, n, n)
+        for row, costs in rotation_costs(n).items():
+            assert min(costs) == table[class_rank(row, n)], row
+
+
+def test_rotation_cost_moves_by_at_most_one():
+    # the greedy descent rests on this: a move changes every rotation's
+    # cost by at most one, so only a cheapest rotation can reach the goal
+    # in fewer steps
+    from invdel.align import _swap_pairs, _swap_positions, _swap_values
+
+    for n in range(1, 8):
+        costs = rotation_costs(n)
+        for row, before in costs.items():
+            children = [_swap_positions(row, a, b) for a, b in _swap_pairs(n)]
+            children += [_swap_values(row, a + 1, b + 1) for a, b in _swap_pairs(n)]
+            for child in children:
+                assert all(abs(x - y) <= 1 for x, y in zip(costs[child], before)), (row, child)
+
+
+def test_full_rank_route_matches_the_search():
+    # index, cost, words and witness all equal the search's (the tie rule),
+    # on every permutation with n <= 6, alone and next to its reversal, and
+    # on seeded pairings with n = 7..9
+    from itertools import permutations
+
+    from invdel.align import _search_sources
+
+    def check(sources):
+        assert solve_sources(sources) == _search_sources(sources), sources
+
+    for n in range(1, 7):
+        for row in permutations(range(1, n + 1)):
+            sigma = PartialPerm.from_image(n, row)
+            check([sigma])
+            check([sigma, PartialPerm.from_image(n, row[::-1])])
+    rng = random.Random(48)
+    for n in (7, 8, 9):
+        for _ in range(4):
+            a, b = (PartialPerm.from_image(n, tuple(rng.sample(range(1, n + 1), n)))
+                    for _ in range(2))
+            check([a])
+            check([a, b])
+

@@ -72,10 +72,31 @@ def test_parse_error_reports_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_genome_file_is_exit_2(tmp_path, capsys, kind):
+    path = tmp_path / "genomes.txt"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"A: a b \xff\nB: a b\n")
+    code, out, err = run(capsys, "distance", str(path), "A", "B")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(path) in err
+
+
 def test_directed_distance(genome_file, capsys):
     code, out, _ = run(capsys, "distance", genome_file, "G1", "SUB", "--directed")
     assert code == 0
     assert out.startswith("directed-distance ")
+
+
+def test_directed_rejects_emit_events(genome_file, capsys):
+    # the one-sided distance has no witness words, so asking for them is
+    # refused rather than silently dropped
+    with pytest.raises(SystemExit) as exc:
+        main(["distance", genome_file, "G1", "SUB", "--directed", "--emit-events"])
+    assert exc.value.code == 2
+    assert "not allowed with argument --directed" in capsys.readouterr().err
 
 
 def test_directed_cayley_engine_matches_onthefly(tmp_path, capsys):
@@ -109,9 +130,10 @@ def test_capacity_exit_2(tmp_path, capsys):
 
 
 def test_search_budget_exit_2(tmp_path, capsys):
-    # a random 14-region pair outgrows the search's state budget
+    # a random 14-region pair sharing 13 regions is partial rank, so it is
+    # searched, and the search outgrows its state budget
     rng = random.Random(0)
-    a, b = [f"r{i}" for i in range(14)], [f"r{i}" for i in range(14)]
+    a, b = [f"r{i}" for i in range(14)], [f"r{i}" for i in range(1, 15)]
     rng.shuffle(a)
     rng.shuffle(b)
     path = tmp_path / "big.txt"
@@ -121,6 +143,32 @@ def test_search_budget_exit_2(tmp_path, capsys):
     assert code == 2
     assert "budget" in err
     assert time.perf_counter() - start < 60
+
+
+def test_random_full_rank_pairs_solve_without_the_budget(tmp_path, capsys):
+    # genomes with the same regions take the closed form, not the search:
+    # a random 14-region pair, which the search cannot solve within its
+    # budget, and a random 16-region pair with its witness words and ancestor
+    rng = random.Random(0)
+    a, b = [f"r{i}" for i in range(14)], [f"r{i}" for i in range(14)]
+    rng.shuffle(a)
+    rng.shuffle(b)
+    c, d = [f"r{i}" for i in range(16)], [f"r{i}" for i in range(16)]
+    rng.shuffle(c)
+    rng.shuffle(d)
+    path = tmp_path / "big.txt"
+    path.write_text(f"A: {' '.join(a)}\nB: {' '.join(b)}\n"
+                    f"C: {' '.join(c)}\nD: {' '.join(d)}\n")
+    start = time.perf_counter()
+    assert run(capsys, "distance", str(path), "A", "B", "--max-n", "16")[0] == 0
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "distance", str(path), "C", "D", "--max-n", "16",
+                       "--emit-events")
+    assert code == 0 and "left-inversions" in out
+    assert time.perf_counter() - start < 1
+    code, out, _ = run(capsys, "mrca", str(path), "C", "D", "--max-n", "16")
+    assert code == 0 and "verify ok" in out
 
 
 def test_cayley_engine_capacity_exit_2(tmp_path, capsys):

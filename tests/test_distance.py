@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from invdel import (CapacityError, NoPathError, Word, construct_ancestor,
+from invdel import (NoPathError, Word, construct_ancestor,
                     directed_distance, distance_matrix, format_phylip,
                     format_tsv, genomes_from_token_lists, mrca_distance,
                     mu_oracle, random_genome, sigma_from_frames, simulate,
@@ -137,17 +137,22 @@ def test_directed_searches_only_the_survivors(monkeypatch):
 
 
 def test_directed_capacity(monkeypatch):
-    # the size limit is the search's state budget, not the target's region
-    # count: a close 11-region target solves, and a search that outgrows
-    # the budget fails
+    # the size limit is not the target's region count: a close 11-region
+    # target solves, and since the survivors and the target share every
+    # region, the distance never searches, even at 16 regions to 14
     from invdel import align
 
     g1, g2 = genomes_from_token_lists("abcdefghijkl", "abcedfghikj")
     assert directed_distance(g1, g2) == 3  # one deletion, two inversions
-    g1, g2 = genomes_from_token_lists("abcdefghijkl", "cahfbedg")
-    monkeypatch.setattr(align, "MAX_STATES", 20)
-    with pytest.raises(CapacityError, match="budget of 20 states"):
-        directed_distance(g1, g2)
+
+    def refuse(sources):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(align, "_search_sources", refuse)
+    g1, g2 = genomes_from_token_lists("abcdefghijklmnop", "abdcefghjilmno")
+    # two deletions and two swaps; the deepening oracle gives the survivors
+    # mu 2 on the direct pair and more than 2 on the reflected one
+    assert directed_distance(g1, g2) == 4
 
 
 # -- ancestor construction ------------------------------------------------------
