@@ -7,9 +7,9 @@ from .errors import (CacheIntegrityError, CapacityError, GenomeParseError,
                      InvalidArgumentError, InvdelError, NoPathError,
                      WordTypeError)
 from .pperm import PartialPerm, all_partial_perms, sigma_from_frames
-from .genome import (DihedralElement, Genome, ReferenceFrame, RegionAlphabet,
-                     canonicalize, dihedral_apply, genomes_from_token_lists,
-                     load_genomes, parse_genomes, region_set_ops)
+from .genome import (Genome, ReferenceFrame, RegionAlphabet, canonicalize,
+                     genomes_from_token_lists, load_genomes, parse_genomes,
+                     region_set_ops)
 from .algebra import (Generator, Relation, Word, apply_to_frame,
                       eval_generator, eval_word, format_word, parse_word,
                       relation_table, rewrite_deletions_first)
@@ -28,13 +28,13 @@ from .npc import (BalancedSortInstance, partition_brute, partition_witness,
 
 __all__ = [
     "AlignmentSolution", "AncestorScenario", "BalancedSortInstance",
-    "CacheIntegrityError", "CapacityError", "DClassGraph", "DihedralElement",
+    "CacheIntegrityError", "CapacityError", "DClassGraph",
     "DistanceResult", "EvolutionScenario", "Generator", "Genome",
     "GenomeParseError", "InvalidArgumentError", "InvdelError",
     "MonoidEnumeration", "NoPathError", "PartialPerm", "ReferenceFrame",
     "RegionAlphabet", "Relation", "Word", "WordTypeError",
     "all_partial_perms", "apply_to_frame", "canonicalize",
-    "class_cost", "construct_ancestor", "dihedral_apply",
+    "class_cost", "construct_ancestor",
     "directed_distance", "distance_matrix", "enumerate_monoid",
     "eval_generator", "eval_word", "format_phylip", "format_tsv",
     "format_word", "genomes_from_token_lists", "get_dclass_graph",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator
 
 from .errors import InvalidArgumentError, WordTypeError
@@ -292,53 +293,26 @@ def relation_table(n: int) -> list[Relation]:
 
 # -- deletions-first rewriting -------------------------------------------------
 
-def _rewrite_pair(x: Generator, y: Generator) -> list[Generator] | None:
-    """Rewrite one adjacent pair toward deletions-inversions-dihedral shape.
+@cache
+def _rules(n: int) -> dict[tuple[Generator, Generator], tuple[Generator, ...]]:
+    """The rewrite rules for pairs starting at size n: R1..R14 read left to
+    right, lhs pair -> rhs letters.
 
-    Returns the replacement letters, or None when the pair is already in
-    order.  Each rewrite strictly decreases the measure (#inversion letters
-    left of a deletion, then #dihedral letters left of a non-dihedral
-    letter), which guarantees termination.
+    Size 1 has no relation table; there the only pairs out of order are a
+    dihedral letter before the trivial inversion, which commute.  Each
+    rewrite strictly decreases the measure (#inversion letters left of a
+    deletion, then #dihedral letters left of a non-dihedral letter), which
+    guarantees termination.
     """
-    n = x.n
-    s = Generator.inversion
-    d = Generator.deletion
-    c = Generator.rotation
-    a = Generator.reflection
-
-    if x.kind == INV and y.kind == DEL:
-        i, j = x.i, y.i
-        if i == n:
-            if 1 < j < n:
-                return [d(j, n), s(n - 1, n - 1)]
-            if j == n:
-                return [d(1, n), c(n - 1)]
-            return [d(n, n)] + [c(n - 1)] * (n - 2)  # j == 1
-        if i == j:
-            return [d(j + 1, n)]
-        if i + 1 == j:
-            return [d(i, n)]
-        if i > j:
-            return [d(j, n), s(i - 1, n - 1)]
-        return [d(j, n), s(i, n - 1)]  # i + 1 < j
-    if x.kind == ROT and y.kind == INV:
-        i = y.i
-        return [s(n if i == 1 else i - 1, n), c(n)]
-    if x.kind == ROT and y.kind == DEL:
-        i = y.i
-        if i == 1:
-            return [d(n, n)]
-        return [d(i - 1, n), c(n - 1)]
-    if x.kind == REFL and y.kind == DEL:
-        return [d(n - y.i + 1, n), a(n - 1)]
-    if x.kind == REFL and y.kind == INV:
-        i = y.i
-        return [s(n if i == n else n - i, n), a(n)]
-    return None
+    if n == 1:
+        s, c, a = Generator.inversion(1, 1), Generator.rotation(1), Generator.reflection(1)
+        return {(c, s): (s, c), (a, s): (s, a)}
+    return {rel.lhs.letters: rel.rhs.letters for rel in relation_table(n)}
 
 
 def rewrite_deletions_first(w: Word) -> Word:
-    """Normalize a word to (deletions)(inversions)(dihedral) shape.
+    """Normalize a word to (deletions)(inversions)(dihedral) shape by
+    rewriting adjacent pairs with the defining relations.
 
     Evaluation is preserved exactly and the event length (inversion plus
     deletion letters) never increases; dihedral letters may accumulate as
@@ -350,7 +324,7 @@ def rewrite_deletions_first(w: Word) -> Word:
         changed = False
         k = 0
         while k + 1 < len(letters):
-            repl = _rewrite_pair(letters[k], letters[k + 1])
+            repl = _rules(letters[k].n).get((letters[k], letters[k + 1]))
             if repl is not None:
                 letters[k:k + 2] = repl
                 changed = True

@@ -81,7 +81,7 @@ from typing import Sequence
 from .errors import CapacityError, InvalidArgumentError
 from .algebra import Generator, Word
 from .cayley import _swap_pairs, _swap_positions, _swap_values, class_costs
-from .genome import DihedralElement, Genome, ReferenceFrame, dihedral_apply
+from .genome import Genome, ReferenceFrame
 from .pperm import PartialPerm, sigma_from_frames
 
 ImageRow = tuple[int, ...]
@@ -477,7 +477,7 @@ def reference_pairs(g1: Genome, g2: Genome) -> list[tuple[ReferenceFrame, Refere
     when it is the same frame)."""
     c1, c2 = g1.canonical, g2.canonical
     pairs = [(c1, c2)]
-    flipped = dihedral_apply(c2, DihedralElement.reflection(c2.n))
+    flipped = ReferenceFrame(c2.alphabet, c2.tokens[::-1])
     if flipped != c2:
         pairs.append((c1, flipped))
     return pairs

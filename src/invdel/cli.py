@@ -55,25 +55,21 @@ def _check_size(what: str, n: int, max_n: int) -> None:
         )
 
 
-def _load_named(path: str, max_n: int) -> dict[str, Genome]:
-    named = load_genomes(path)
-    for name, genome in named:
-        _check_size(f"genome {name!r}", genome.n, max_n)
-    return dict(named)
-
-
-def _pick(named: dict[str, Genome], name: str) -> Genome:
+def _pick(named: dict[str, Genome], name: str, max_n: int) -> Genome:
+    """The named genome, within the size cap; other genomes in the file
+    are not checked."""
     if name not in named:
         known = ", ".join(named)
         raise InvdelError(f"no genome named {name!r} in file (have: {known})")
+    _check_size(f"genome {name!r}", named[name].n, max_n)
     return named[name]
 
 
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_distance(args) -> int:
-    named = _load_named(args.file, args.max_n)
-    g1, g2 = _pick(named, args.genome1), _pick(named, args.genome2)
+    named = dict(load_genomes(args.file))
+    g1, g2 = _pick(named, args.genome1, args.max_n), _pick(named, args.genome2, args.max_n)
     if args.directed:
         d = directed_distance(g1, g2, engine=args.engine, cache_dir=_cache_dir(args))
         _emit(args, [f"directed-distance {d}"],
@@ -104,8 +100,8 @@ def cmd_distance(args) -> int:
 
 
 def cmd_mrca(args) -> int:
-    named = _load_named(args.file, args.max_n)
-    g1, g2 = _pick(named, args.genome1), _pick(named, args.genome2)
+    named = dict(load_genomes(args.file))
+    g1, g2 = _pick(named, args.genome1, args.max_n), _pick(named, args.genome2, args.max_n)
     result = mrca_distance(g1, g2, engine=args.engine, cache_dir=_cache_dir(args))
     scenario = construct_ancestor(g1, g2, result=result)
     ok, report = verify_scenario_report(scenario, g1, g2, expected=result.total)
@@ -130,7 +126,9 @@ def cmd_mrca(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    named = _load_named(args.file, args.max_n)
+    named = dict(load_genomes(args.file))
+    for name, genome in named.items():
+        _check_size(f"genome {name!r}", genome.n, args.max_n)
     if len(named) < 2:
         raise InvdelError("a distance matrix needs at least 2 genomes")
     names = list(named)

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from .errors import InvalidArgumentError, NoPathError
 from .algebra import Generator, Word, apply_to_frame
 from .align import AlignmentSolution, min_over_reference_pairs
-from .genome import (DihedralElement, Genome, ReferenceFrame, canonicalize,
-                     dihedral_apply, region_set_ops)
+from .genome import Genome, ReferenceFrame, canonicalize, region_set_ops
 from .pperm import sigma_from_frames
 
 
@@ -109,6 +108,18 @@ def _deletion_word(frame: ReferenceFrame, drop: frozenset[str]) -> Word:
     return Word(letters, frame.n)
 
 
+def _stretches(frame: ReferenceFrame, shared: frozenset[str]) -> list[list[str]]:
+    """The frame's private regions before, between and after its shared
+    regions: one more stretch than shared regions."""
+    out: list[list[str]] = [[]]
+    for tok in frame.tokens:
+        if tok in shared:
+            out.append([])
+        else:
+            out[-1].append(tok)
+    return out
+
+
 def construct_ancestor(
     g1: Genome,
     g2: Genome,
@@ -119,84 +130,56 @@ def construct_ancestor(
     The witnessing inversions are applied to the best reference pair; the
     second frame is then rotated so the last shared region sits at its
     final position, which makes the pairing order preserving and pins a
-    deterministic circular cut for the ancestor.  Private regions of the
-    second genome are appended after the first genome's regions within
-    each gap between consecutive shared regions.  A `result` already
-    computed by `mrca_distance` for these genomes is reused instead of
-    searching again.
+    deterministic circular cut for the ancestor.  The ancestor merges the
+    two frames' private stretches: first the second frame's stretch before
+    the first shared region, then the first frame's, then each shared
+    region in order followed by the first frame's stretch after it and
+    then the second frame's.  A `result` already computed by
+    `mrca_distance` for these genomes is reused instead of searching again.
     """
     if result is None:
-        (f1, f2), solution = min_over_reference_pairs(g1, g2)
-    else:
-        (f1, f2), solution = result.best_pair, result.solution
+        result = mrca_distance(g1, g2)
+    (f1, f2), solution = result.best_pair, result.solution
     m, n = f1.n, f2.n
 
-    g1p = f1
-    for gi in reversed([g.i for g in solution.left_inversions]):
-        g1p = apply_to_frame(g1p, Word([Generator.inversion(gi, m)], m))
+    g1p = apply_to_frame(f1, Word(reversed(solution.left_inversions.letters), m))
+    g2p = apply_to_frame(f2, solution.right_inversions)
     right_chrono = [g.i for g in solution.right_inversions]
-    g2p = f2
-    for gi in right_chrono:
-        g2p = apply_to_frame(g2p, Word([Generator.inversion(gi, n)], n))
 
     witness = sigma_from_frames(g1p, g2p)
     assert witness.is_orientation_preserving()
 
     dom = witness.domain()
     if dom:
-        # Rotate the second frame so the last shared region lands at
-        # position n; for an orientation-preserving pairing this always
-        # yields an order-preserving one.
-        shift = (n - witness(dom[-1])) % n
-        if shift:
-            f2 = dihedral_apply(f2, DihedralElement(n, -shift))
-            g2p = dihedral_apply(g2p, DihedralElement(n, -shift))
-            right_chrono = [(i - 1 + shift) % n + 1 for i in right_chrono]
+        # Rotate the second frame k places on (k letters c_n) so the last
+        # shared region lands at position n; for an orientation-preserving
+        # pairing this always yields an order-preserving one.
+        k = (n - witness(dom[-1])) % n
+        if k:
+            f2 = ReferenceFrame(f2.alphabet, f2.tokens[-k:] + f2.tokens[:-k])
+            g2p = ReferenceFrame(g2p.alphabet, g2p.tokens[-k:] + g2p.tokens[:-k])
+            right_chrono = [(i - 1 + k) % n + 1 for i in right_chrono]
             witness = sigma_from_frames(g1p, g2p)
     assert witness.is_order_preserving()
 
-    # Gap sets: the second frame's private regions before, between, and
-    # after its shared regions, in their order around that frame.
-    common_pos2 = sorted(witness(i) for i in dom)
-    bounds = [0] + common_pos2 + [n + 1]
-    gaps = [tuple(g2p.tokens[bounds[t] : bounds[t + 1] - 1]) for t in range(len(bounds) - 1)]
-
-    # Split the first frame into runs, each ending at a shared region, plus
-    # the trailing private suffix: [prefix, r_1], [between, r_2], ...,
-    # [suffix].  Within every stretch the first frame's own regions come
-    # first, then the gap regions from the second frame.
-    common = {g1p.tokens[i - 1] for i in dom}
-    runs: list[list[str]] = [[]]
-    for tok in g1p.tokens:
-        runs[-1].append(tok)
-        if tok in common:
-            runs.append([])
-    ancestor_tokens: list[str] = list(gaps[0])
-    for t, run in enumerate(runs):
-        if t == len(runs) - 1:
-            ancestor_tokens.extend(run)
-            if len(gaps) > 1:
-                ancestor_tokens.extend(gaps[-1])
-        elif t == 0:
-            ancestor_tokens.extend(run)
-        else:
-            ancestor_tokens.extend(run[:-1])
-            ancestor_tokens.extend(gaps[t])
-            ancestor_tokens.append(run[-1])
+    shared = g1.regions & g2.regions
+    own1, own2 = _stretches(g1p, shared), _stretches(g2p, shared)
+    ancestor_tokens = own2[0] + own1[0]
+    for r, mine, theirs in zip((t for t in g1p.tokens if t in shared), own1[1:], own2[1:]):
+        ancestor_tokens += [r] + mine + theirs
 
     ancestor_frame = ReferenceFrame(g1.alphabet, tuple(ancestor_tokens))
     ancestor = canonicalize(ancestor_frame)
 
     del1 = _deletion_word(ancestor_frame, g2.regions - g1.regions)
     del2 = _deletion_word(ancestor_frame, g1.regions - g2.regions)
-    inv1 = Word(list(solution.left_inversions), m)
-    inv2 = Word([Generator.inversion(i, n) for i in reversed(right_chrono)], n)
-    events1 = del1 + inv1
-    events2 = del2 + inv2
+    events1 = del1 + solution.left_inversions
+    events2 = del2 + Word([Generator.inversion(i, n) for i in reversed(right_chrono)], n)
 
     assert apply_to_frame(ancestor_frame, events1) == f1
     assert apply_to_frame(ancestor_frame, events2) == f2
-    return AncestorScenario(ancestor, ancestor_frame, events1, events2, tuple(gaps))
+    return AncestorScenario(ancestor, ancestor_frame, events1, events2,
+                            tuple(map(tuple, own2)))
 
 
 def verify_scenario(scenario: AncestorScenario, g1: Genome, g2: Genome) -> bool:

@@ -70,75 +70,6 @@ class ReferenceFrame:
         return " ".join(self.tokens) if any(len(t) > 1 for t in self.tokens) else "".join(self.tokens)
 
 
-@dataclass(frozen=True)
-class DihedralElement:
-    """A rotation/reflection symmetry of the n-gon of frame positions.
-
-    `pos(i)` is the source position read into position i, so applying the
-    element rewrites a word w to w' with w'[i] = w[pos(i)].  Composition is
-    left to right on position maps:  pos(a * b) = pos_b(pos_a(i)).
-    """
-
-    n: int
-    rotation: int = 0
-    reflected: bool = False
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidArgumentError("dihedral degree must be >= 1")
-        object.__setattr__(self, "rotation", self.rotation % self.n)
-        # For n <= 2 the reflection coincides with a rotation; normalize so
-        # the group orders come out as 1 (n=1) and 2 (n=2).
-        if self.n == 1 and self.reflected:
-            object.__setattr__(self, "reflected", False)
-        elif self.n == 2 and self.reflected:
-            object.__setattr__(self, "reflected", False)
-            object.__setattr__(self, "rotation", (self.rotation + 1) % 2)
-
-    @classmethod
-    def identity(cls, n: int) -> DihedralElement:
-        return cls(n, 0, False)
-
-    @classmethod
-    def reflection(cls, n: int) -> DihedralElement:
-        return cls(n, 0, True)
-
-    def pos(self, i: int) -> int:
-        n = self.n
-        if self.reflected:
-            i = n + 1 - i
-        return (i - 1 + self.rotation) % n + 1
-
-    def __mul__(self, other: DihedralElement) -> DihedralElement:
-        if self.n != other.n:
-            raise InvalidArgumentError("dihedral elements of different degree")
-        rot = other.rotation + (-self.rotation if other.reflected else self.rotation)
-        return DihedralElement(self.n, rot, self.reflected ^ other.reflected)
-
-    def inverse(self) -> DihedralElement:
-        if self.reflected:
-            return self
-        return DihedralElement(self.n, -self.rotation, False)
-
-    @classmethod
-    def all_elements(cls, n: int) -> list[DihedralElement]:
-        if n == 1:
-            return [cls(1)]
-        if n == 2:
-            return [cls(2, 0), cls(2, 1)]
-        return [cls(n, r, e) for e in (False, True) for r in range(n)]
-
-
-def dihedral_apply(frame: ReferenceFrame, g: DihedralElement) -> ReferenceFrame:
-    """Re-read the frame after rotating/reflecting the circle."""
-    if g.n != frame.n:
-        raise InvalidArgumentError(
-            f"dihedral degree {g.n} does not match frame length {frame.n}"
-        )
-    toks = frame.tokens
-    return ReferenceFrame(frame.alphabet, tuple(toks[g.pos(i) - 1] for i in range(1, g.n + 1)))
-
-
 def _orbit_words(tokens: tuple[str, ...]) -> list[tuple[str, ...]]:
     n = len(tokens)
     words = []

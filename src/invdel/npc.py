@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CapacityError, InvalidArgumentError
-from .pperm import PartialPerm
+from .pperm import MAX_POSITIONS, PartialPerm
 
 MAX_BALANCED = 12  # exact balanced search; 12 covers |A|<=4, sum(A)<=8
 
@@ -50,6 +50,9 @@ def reduce_partition(values: Sequence[int]) -> BalancedSortInstance:
         raise InvalidArgumentError("all elements must be positive integers")
     total = sum(values)
     m = len(values) + total
+    if m > MAX_POSITIONS:
+        raise CapacityError(f"the multiset needs {m} positions; partial permutations "
+                            f"are capped at {MAX_POSITIONS}")
     mapping = {}
     prefix = 0
     for j, a in enumerate(values, start=1):

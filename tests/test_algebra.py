@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from invdel import (Generator, PartialPerm, RegionAlphabet, ReferenceFrame,
-                    Word, WordTypeError, apply_to_frame, eval_generator,
-                    eval_word, format_word, parse_word, relation_table,
-                    rewrite_deletions_first)
+from invdel import (Generator, Genome, PartialPerm, RegionAlphabet,
+                    ReferenceFrame, Word, WordTypeError, apply_to_frame,
+                    eval_generator, eval_word, format_word, parse_word,
+                    relation_table, rewrite_deletions_first)
 from invdel.algebra import is_deletions_first, inversion_set
-from invdel.genome import DihedralElement
+from invdel.align import reference_pairs
 
 
 def test_eval_deletion_figure():
@@ -86,10 +86,13 @@ def test_dihedral_letters_generate_dihedral_group():
                     group.add(y)
                     frontier.append(y)
         assert len(group) == 2 * n
-        # the same permutations the frame symmetries act by
-        actions = set()
-        for d in DihedralElement.all_elements(n):
-            actions.add(PartialPerm(n, n, {i: d.pos(i) for i in range(1, n + 1)}))
+        # the same permutations as the 2n rotations and reflections of a
+        # frame by slicing: position i moves to where its token lands
+        tokens = tuple(range(1, n + 1))
+        readings = [tokens[k:] + tokens[:k] for k in range(n)]
+        readings += [r[::-1] for r in readings]
+        actions = {PartialPerm(n, n, {t: p for p, t in enumerate(r, start=1)})
+                   for r in readings}
         assert group == actions
 
 
@@ -107,10 +110,35 @@ def test_relation_table_small_sizes_evaluate_equal():
             assert eval_word(rel.lhs) == eval_word(rel.rhs), f"{rel.rule} at n={n}"
 
 
+def test_relations_are_the_rewrite_rules():
+    # every right-hand side is already in deletions-first shape, so each
+    # relation read left to right is one rewrite step
+    for n in range(2, 9):
+        for rel in relation_table(n):
+            assert rewrite_deletions_first(rel.lhs) == rel.rhs, f"{rel.rule} at n={n}"
+
+
+def test_frame_slicing_matches_the_dihedral_letters():
+    for n in range(1, 10):
+        f = frame("abcdefghi"[:n])
+        toks = f.tokens
+        flipped = apply_to_frame(f, Word([Generator.reflection(n)]))
+        assert flipped.tokens == toks[::-1]
+        g = Genome.from_frame(f)  # f is already its least frame
+        assert reference_pairs(g, g) == [(f, f)] + ([(f, flipped)] if n > 1 else [])
+        for k in range(n):
+            # the rotation construct_ancestor applies: k letters c_n
+            rotated = apply_to_frame(f, Word([Generator.rotation(n)] * k, n))
+            assert rotated.tokens == toks[-k:] + toks[:-k]
+
+
 def test_rewriter_figure_instances():
     assert format_word(rewrite_deletions_first(parse_word("s5;5 d5;5"))) == "d1;5 c4"
     assert format_word(rewrite_deletions_first(parse_word("s3;5 d2;5"))) == "d2;5 s2;4"
     assert format_word(rewrite_deletions_first(parse_word("d2;5"))) == "d2;5"
+    # size 1 states no relation: there c1 and a1 commute past s1;1
+    assert format_word(rewrite_deletions_first(parse_word("c1 s1;1 a1 s1;1"))) == \
+        "s1;1 s1;1 c1 a1"
 
 
 def random_word(rng, max_n=8, max_len=12):

@@ -129,6 +129,20 @@ def test_capacity_exit_2(tmp_path, capsys):
     assert main(["distance", str(path), "BIG", "T", "--max-n", "9"]) == 0
 
 
+def test_max_n_checks_only_the_named_genomes(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("A: " + " ".join(f"r{i}" for i in range(9)) +
+                    "\nB: r0 r1 r2 r3\nC: r3 r1 r0 r5\n")
+    assert run(capsys, "distance", str(path), "B", "C")[0] == 0
+    code, out, _ = run(capsys, "mrca", str(path), "B", "C")
+    assert code == 0 and "verify ok" in out
+    for argv in (["distance", str(path), "A", "B"], ["mrca", str(path), "C", "A"],
+                 ["matrix", str(path)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "genome 'A' has 9 regions" in err and "--max-n" in err
+
+
 def test_search_budget_exit_2(tmp_path, capsys):
     # a random 14-region pair sharing 13 regions is partial rank, so it is
     # searched, and the search outgrows its state budget
@@ -160,7 +174,7 @@ def test_random_full_rank_pairs_solve_without_the_budget(tmp_path, capsys):
     path.write_text(f"A: {' '.join(a)}\nB: {' '.join(b)}\n"
                     f"C: {' '.join(c)}\nD: {' '.join(d)}\n")
     start = time.perf_counter()
-    assert run(capsys, "distance", str(path), "A", "B", "--max-n", "16")[0] == 0
+    assert run(capsys, "distance", str(path), "A", "B", "--max-n", "14")[0] == 0
     assert time.perf_counter() - start < 1
     start = time.perf_counter()
     code, out, _ = run(capsys, "distance", str(path), "C", "D", "--max-n", "16",
@@ -185,6 +199,22 @@ def test_mrca_fixture(genome_file, capsys):
     assert code == 0
     assert "ancestor iaefjkbglcdh" in out
     assert "verify ok" in out
+
+
+def test_mrca_layout_fixture(tmp_path, capsys):
+    # both genomes have private regions before the first shared one (b and k
+    # in L1, j and a in L2), and the stretch after the fourth shared region
+    # holds one of each, so the ancestor pins the merge order of the stretches
+    path = tmp_path / "layout.txt"
+    path.write_text("L1: i b d g l e k\nL2: j i a d e g l\n")
+    code, out, _ = run(capsys, "mrca", str(path), "L1", "L2", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "ancestor": "abdeglkji", "command": "mrca", "event_count": 6,
+        "events_to_g1": "d8;9 d1;8 s3;7 s4;7", "events_to_g2": "d7;9 d2;8",
+        "gap_sets": [["a"], [], [], [], ["j"], []], "genomes": ["L1", "L2"],
+        "schema_version": 1, "verify": "ok",
+    }
 
 
 def test_mrca_identical(genome_file, capsys):
@@ -312,6 +342,12 @@ def test_reduce_partition_decides_up_to_the_cap(capsys):
     payload = json.loads(out)
     assert payload["m"] == 16
     assert "balanced_sortable" not in payload and "partition" not in payload
+
+
+def test_reduce_partition_beyond_the_position_cap_is_exit_2(capsys):
+    code, out, err = run(capsys, "reduce-partition", "1,1,2,3,4,5")
+    assert code == 2 and out == ""
+    assert "needs 22 positions" in err and "capped at 16" in err
 
 
 def test_reduce_partition_bad_input(capsys):

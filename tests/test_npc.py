@@ -41,6 +41,12 @@ def test_reduction_validates_input():
         reduce_partition((0, 2))
 
 
+def test_reduction_names_positions_beyond_the_cap():
+    with pytest.raises(CapacityError, match="needs 22 positions.*capped at 16"):
+        reduce_partition((1, 1, 2, 3, 4, 5))
+    assert reduce_partition((1, 1, 2, 3, 4)).sigma.m == 16  # exactly at the cap
+
+
 def test_partition_brute():
     assert partition_brute((1, 1, 2))
     assert not partition_brute((1, 1, 2, 3, 4))  # odd total
