@@ -7,7 +7,7 @@ from .errors import (CacheIntegrityError, CapacityError, GenomeParseError,
                      InvalidArgumentError, InvdelError, NoPathError,
                      WordTypeError)
 from .pperm import PartialPerm, all_partial_perms, sigma_from_frames
-from .genome import (Genome, ReferenceFrame, RegionAlphabet, canonicalize,
+from .genome import (Genome, ReferenceFrame, canonicalize,
                      genomes_from_token_lists, load_genomes, parse_genomes,
                      region_set_ops)
 from .algebra import (Generator, Relation, Word, apply_to_frame,
@@ -32,7 +32,7 @@ __all__ = [
     "DistanceResult", "EvolutionScenario", "Generator", "Genome",
     "GenomeParseError", "InvalidArgumentError", "InvdelError",
     "MonoidEnumeration", "NoPathError", "PartialPerm", "ReferenceFrame",
-    "RegionAlphabet", "Relation", "Word", "WordTypeError",
+    "Relation", "Word", "WordTypeError",
     "all_partial_perms", "apply_to_frame", "canonicalize",
     "class_cost", "construct_ancestor",
     "directed_distance", "distance_matrix", "enumerate_monoid",

@@ -187,7 +187,7 @@ def apply_to_frame(frame: ReferenceFrame, w: Word) -> ReferenceFrame:
             out[j - 1] = tok
     # Words of events always have full image, so every slot is filled.
     assert all(t is not None for t in out)
-    return ReferenceFrame(frame.alphabet, tuple(out))
+    return ReferenceFrame(tuple(out))
 
 
 # -- serialization -----------------------------------------------------------

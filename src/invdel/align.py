@@ -477,7 +477,7 @@ def reference_pairs(g1: Genome, g2: Genome) -> list[tuple[ReferenceFrame, Refere
     when it is the same frame)."""
     c1, c2 = g1.canonical, g2.canonical
     pairs = [(c1, c2)]
-    flipped = ReferenceFrame(c2.alphabet, c2.tokens[::-1])
+    flipped = ReferenceFrame(c2.tokens[::-1])
     if flipped != c2:
         pairs.append((c1, flipped))
     return pairs
@@ -497,8 +497,6 @@ def min_over_reference_pairs(
     up in its class table and then solves the winner once for its witness.
     Either way the first pair of least cost wins.
     """
-    if g1.alphabet != g2.alphabet:
-        raise InvalidArgumentError("genomes must share one alphabet")
     if engine not in ("onthefly", "cayley"):
         raise InvalidArgumentError(f"unknown engine {engine!r}")
     pairs = reference_pairs(g1, g2)

@@ -16,8 +16,8 @@ from . import __version__
 from .errors import InvdelError, CapacityError
 from .algebra import eval_word, format_word, relation_table
 from .cayley import MAX_ENUM, default_cache_dir, enumerate_monoid, monoid_size
-from .distance import (construct_ancestor, directed_distance, distance_matrix,
-                       format_phylip, format_tsv, mrca_distance,
+from .distance import (check_ancestor_size, construct_ancestor, directed_distance,
+                       distance_matrix, format_phylip, format_tsv, mrca_distance,
                        verify_scenario_report)
 from .evolve import random_genome, simulate
 from .genome import Genome, load_genomes
@@ -32,9 +32,12 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _cache_dir(args) -> Path:
-    # precedence: --cache-dir flag, then $INVDEL_CACHE, then the platform
-    # cache directory (default_cache_dir handles the latter two)
+def _cache_dir(args) -> Path | None:
+    # only the cayley engine reads a cache; precedence: --cache-dir flag,
+    # then $INVDEL_CACHE, then the platform cache directory
+    # (default_cache_dir handles the latter two)
+    if args.engine != "cayley":
+        return None
     return Path(args.cache_dir) if args.cache_dir else default_cache_dir()
 
 
@@ -102,6 +105,7 @@ def cmd_distance(args) -> int:
 def cmd_mrca(args) -> int:
     named = dict(load_genomes(args.file))
     g1, g2 = _pick(named, args.genome1, args.max_n), _pick(named, args.genome2, args.max_n)
+    check_ancestor_size(g1, g2)
     result = mrca_distance(g1, g2, engine=args.engine, cache_dir=_cache_dir(args))
     scenario = construct_ancestor(g1, g2, result=result)
     ok, report = verify_scenario_report(scenario, g1, g2, expected=result.total)
@@ -134,12 +138,12 @@ def cmd_matrix(args) -> int:
     names = list(named)
     matrix = distance_matrix(list(named.items()), engine=args.engine,
                              cache_dir=_cache_dir(args))
-    text = format_phylip(names, matrix) if args.format == "phylip" else format_tsv(names, matrix)
     if args.json:
         _emit(args, [], {"command": "matrix", "format": args.format,
                          "names": names, "matrix": matrix})
     else:
-        sys.stdout.write(text)
+        render = format_phylip if args.format == "phylip" else format_tsv
+        sys.stdout.write(render(names, matrix))
     return EXIT_OK
 
 

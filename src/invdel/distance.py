@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidArgumentError, NoPathError
+from .errors import CapacityError, InvalidArgumentError, NoPathError
 from .algebra import Generator, Word, apply_to_frame
 from .align import AlignmentSolution, min_over_reference_pairs
 from .genome import Genome, ReferenceFrame, canonicalize, region_set_ops
-from .pperm import sigma_from_frames
+from .pperm import MAX_POSITIONS, sigma_from_frames
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def directed_distance(
             "no inversion/deletion sequence exists: target regions not in source "
             f"(missing from source: {missing})"
         )
-    survivors = Genome.from_tokens(g1.alphabet, (t for t in g1.canonical.tokens if t in r2))
+    survivors = Genome.from_tokens(t for t in g1.canonical.tokens if t in r2)
     mu = mrca_distance(survivors, g2, engine=engine, cache_dir=cache_dir).mu
     return len(r1 - r2) + mu
 
@@ -120,6 +120,15 @@ def _stretches(frame: ReferenceFrame, shared: frozenset[str]) -> list[list[str]]
     return out
 
 
+def check_ancestor_size(g1: Genome, g2: Genome) -> None:
+    """Refuse a pair whose ancestor, holding the union of the two region
+    sets, has more regions than a partial permutation can address."""
+    _, _, union = region_set_ops(g1, g2)
+    if len(union) > MAX_POSITIONS:
+        raise CapacityError(f"the ancestor has {len(union)} regions; "
+                            f"partial permutations are capped at {MAX_POSITIONS}")
+
+
 def construct_ancestor(
     g1: Genome,
     g2: Genome,
@@ -136,7 +145,10 @@ def construct_ancestor(
     region in order followed by the first frame's stretch after it and
     then the second frame's.  A `result` already computed by
     `mrca_distance` for these genomes is reused instead of searching again.
+    An ancestor beyond `pperm.MAX_POSITIONS` regions raises CapacityError
+    before any search.
     """
+    check_ancestor_size(g1, g2)
     if result is None:
         result = mrca_distance(g1, g2)
     (f1, f2), solution = result.best_pair, result.solution
@@ -156,8 +168,8 @@ def construct_ancestor(
         # pairing this always yields an order-preserving one.
         k = (n - witness(dom[-1])) % n
         if k:
-            f2 = ReferenceFrame(f2.alphabet, f2.tokens[-k:] + f2.tokens[:-k])
-            g2p = ReferenceFrame(g2p.alphabet, g2p.tokens[-k:] + g2p.tokens[:-k])
+            f2 = ReferenceFrame(f2.tokens[-k:] + f2.tokens[:-k])
+            g2p = ReferenceFrame(g2p.tokens[-k:] + g2p.tokens[:-k])
             right_chrono = [(i - 1 + k) % n + 1 for i in right_chrono]
             witness = sigma_from_frames(g1p, g2p)
     assert witness.is_order_preserving()
@@ -168,7 +180,7 @@ def construct_ancestor(
     for r, mine, theirs in zip((t for t in g1p.tokens if t in shared), own1[1:], own2[1:]):
         ancestor_tokens += [r] + mine + theirs
 
-    ancestor_frame = ReferenceFrame(g1.alphabet, tuple(ancestor_tokens))
+    ancestor_frame = ReferenceFrame(tuple(ancestor_tokens))
     ancestor = canonicalize(ancestor_frame)
 
     del1 = _deletion_word(ancestor_frame, g2.regions - g1.regions)

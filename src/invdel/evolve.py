@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import CapacityError, InvalidArgumentError
 from .algebra import Generator, Word, apply_to_frame
-from .genome import Genome, RegionAlphabet, canonicalize
+from .genome import Genome, canonicalize
 from .pperm import MAX_POSITIONS
 
 
@@ -36,17 +36,13 @@ class EvolutionScenario:
         return len(self.branch1) + len(self.branch2)
 
 
-def random_genome(n: int, seed: int, alphabet: RegionAlphabet | None = None) -> Genome:
-    """A uniformly random circular arrangement of n fixed tokens."""
+def random_genome(n: int, seed: int) -> Genome:
+    """A uniformly random circular arrangement of the first n letters."""
     if not 1 <= n <= MAX_POSITIONS:
         raise CapacityError(f"genome size must be 1..{MAX_POSITIONS}, got {n}")
-    if alphabet is None:
-        alphabet = RegionAlphabet.from_tokens(string.ascii_lowercase[:n])
-    tokens = list(alphabet.tokens[:n]) if len(alphabet) >= n else None
-    if tokens is None:
-        raise InvalidArgumentError(f"alphabet has {len(alphabet)} tokens, need {n}")
+    tokens = list(string.ascii_lowercase[:n])
     random.Random(seed).shuffle(tokens)
-    return Genome.from_tokens(alphabet, tokens)
+    return Genome.from_tokens(tokens)
 
 
 def _random_branch(rng: random.Random, n: int, k_del: int, k_inv: int) -> Word:

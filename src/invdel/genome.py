@@ -3,50 +3,23 @@
 A reference frame is one clockwise reading of the circle starting from a
 distinguished point; the genome is the orbit of that word under rotations
 and reflections.  Equality and hashing go through a canonical frame: the
-lexicographically least word of the orbit.
+lexicographically least word of the orbit.  A frame is nothing but its
+region labels, so any two genomes compare by those labels, whatever file
+or list they came from; no universe of all regions is kept.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import GenomeParseError, InvalidArgumentError
 
 
 @dataclass(frozen=True)
-class RegionAlphabet:
-    """Ordered universe of region tokens; order is lexicographic."""
-
-    tokens: tuple[str, ...]
-    _index: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self):
-        if len(set(self.tokens)) != len(self.tokens):
-            raise InvalidArgumentError("alphabet tokens must be distinct")
-        if list(self.tokens) != sorted(self.tokens):
-            raise InvalidArgumentError("alphabet tokens must be sorted")
-        self._index.update({t: i for i, t in enumerate(self.tokens)})
-
-    @classmethod
-    def from_tokens(cls, tokens: Iterable[str]) -> RegionAlphabet:
-        return cls(tuple(sorted(set(tokens))))
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
-@dataclass(frozen=True)
 class ReferenceFrame:
-    """One concrete clockwise reading of a circular genome.
+    """One concrete clockwise reading of a circular genome: its region
+    labels, distinct, from position 1 on."""
 
-    Frames over different alphabets compare by their token words, so the
-    alphabet acts only as the shared universe for region-set operations.
-    """
-
-    alphabet: RegionAlphabet = field(compare=False)
     tokens: tuple[str, ...]
 
     def __post_init__(self):
@@ -54,13 +27,10 @@ class ReferenceFrame:
             raise InvalidArgumentError("a reference frame needs at least one region")
         if len(set(self.tokens)) != len(self.tokens):
             raise InvalidArgumentError("regions in a frame must be distinct")
-        for t in self.tokens:
-            if t not in self.alphabet:
-                raise InvalidArgumentError(f"token {t!r} not in alphabet")
 
     @classmethod
-    def from_tokens(cls, alphabet: RegionAlphabet, tokens: Iterable[str]) -> ReferenceFrame:
-        return cls(alphabet, tuple(tokens))
+    def from_tokens(cls, tokens: Iterable[str]) -> ReferenceFrame:
+        return cls(tuple(tokens))
 
     @property
     def n(self) -> int:
@@ -90,18 +60,19 @@ def _orbit_words(tokens: tuple[str, ...]) -> list[tuple[str, ...]]:
 
 @dataclass(frozen=True)
 class Genome:
-    """A dihedral equivalence class of frames, keyed by its least frame."""
+    """A dihedral equivalence class of frames, keyed by its least frame:
+    genomes with the same labels in the same circular order are equal."""
 
     canonical: ReferenceFrame
 
     @classmethod
     def from_frame(cls, frame: ReferenceFrame) -> Genome:
         best = min(_orbit_words(frame.tokens))
-        return cls(ReferenceFrame(frame.alphabet, best))
+        return cls(ReferenceFrame(best))
 
     @classmethod
-    def from_tokens(cls, alphabet: RegionAlphabet, tokens: Iterable[str]) -> Genome:
-        return cls.from_frame(ReferenceFrame.from_tokens(alphabet, tokens))
+    def from_tokens(cls, tokens: Iterable[str]) -> Genome:
+        return cls.from_frame(ReferenceFrame.from_tokens(tokens))
 
     @property
     def n(self) -> int:
@@ -111,14 +82,9 @@ class Genome:
     def regions(self) -> frozenset[str]:
         return frozenset(self.canonical.tokens)
 
-    @property
-    def alphabet(self) -> RegionAlphabet:
-        return self.canonical.alphabet
-
     def frames(self) -> list[ReferenceFrame]:
         """Every frame of the orbit, in a fixed deterministic order."""
-        alphabet = self.canonical.alphabet
-        return [ReferenceFrame(alphabet, w) for w in _orbit_words(self.canonical.tokens)]
+        return [ReferenceFrame(w) for w in _orbit_words(self.canonical.tokens)]
 
     def __str__(self) -> str:
         return str(self.canonical)
@@ -130,26 +96,23 @@ def canonicalize(frame: ReferenceFrame) -> Genome:
 
 def region_set_ops(g1: Genome, g2: Genome) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
     """(intersection, symmetric difference, union) of the two region sets."""
-    if g1.alphabet != g2.alphabet:
-        raise InvalidArgumentError("genomes must share one alphabet")
     r1, r2 = g1.regions, g2.regions
     return r1 & r2, r1 ^ r2, r1 | r2
 
 
 def genomes_from_token_lists(*token_lists: Sequence[str]) -> list[Genome]:
-    """Build genomes over the shared union alphabet of all the lists."""
-    alphabet = RegionAlphabet.from_tokens(t for toks in token_lists for t in toks)
-    return [Genome.from_tokens(alphabet, toks) for toks in token_lists]
+    """One genome per token list."""
+    return [Genome.from_tokens(toks) for toks in token_lists]
 
 
 # -- genome text files -------------------------------------------------------
 #
 # One genome per line: `NAME: tok1 tok2 ... tokN`.  Lines starting with `#`
 # are comments; blank lines are ignored; the circular order runs left to
-# right clockwise from position 1.  One shared alphabet is built per file.
+# right clockwise from position 1.
 
 def parse_genomes(text: str) -> list[tuple[str, Genome]]:
-    rows: list[tuple[int, str, list[str]]] = []
+    rows: list[tuple[str, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -165,19 +128,12 @@ def parse_genomes(text: str) -> list[tuple[str, Genome]]:
             raise GenomeParseError(f"genome {name!r} has no regions", lineno)
         if len(set(toks)) != len(toks):
             raise GenomeParseError(f"genome {name!r} repeats a region", lineno)
-        rows.append((lineno, name, toks))
-    names = [name for _, name, _ in rows]
+        rows.append((name, toks))
+    names = [name for name, _ in rows]
     if len(set(names)) != len(names):
         dup = next(n for n in names if names.count(n) > 1)
         raise GenomeParseError(f"duplicate genome name {dup!r}")
-    alphabet = RegionAlphabet.from_tokens(t for _, _, toks in rows for t in toks)
-    out = []
-    for lineno, name, toks in rows:
-        try:
-            out.append((name, Genome.from_tokens(alphabet, toks)))
-        except InvalidArgumentError as exc:
-            raise GenomeParseError(str(exc), lineno) from exc
-    return out
+    return [(name, Genome.from_tokens(toks)) for name, toks in rows]
 
 
 def load_genomes(path) -> list[tuple[str, Genome]]:

@@ -28,7 +28,7 @@ from invdel import (Generator, PartialPerm, Word, all_partial_perms,
                     verify_scenario_report)
 from invdel.algebra import is_deletions_first
 from invdel.cayley import MonoidEnumeration
-from invdel.genome import RegionAlphabet, ReferenceFrame
+from invdel.genome import ReferenceFrame
 
 TABLE_COUNTS = {3: 34, 4: 209, 5: 1546, 6: 13327, 7: 130922}
 LONG_COUNTS = {8: 1441729}
@@ -121,8 +121,7 @@ def test_criterion_4_worked_fixtures():
     assert eval_generator(Generator.deletion(2, 5)) == PartialPerm(
         5, 4, {1: 1, 3: 2, 4: 3, 5: 4})
     # a deletions-then-inversion word applied to a 12-region frame
-    alphabet = RegionAlphabet.from_tokens("abcdefghijkl")
-    frame = ReferenceFrame.from_tokens(alphabet, "abcdefghijkl")
+    frame = ReferenceFrame.from_tokens("abcdefghijkl")
     word = parse_word("d12;12 d7;11 d4;10 d3;9 s2;8")
     assert apply_to_frame(frame, word).tokens == tuple("aebfhijk")
     # ancestor reconstruction from the two intermediate frames

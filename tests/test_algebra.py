@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from invdel import (Generator, Genome, PartialPerm, RegionAlphabet,
-                    ReferenceFrame, Word, WordTypeError, apply_to_frame,
+from invdel import (Generator, Genome, PartialPerm, ReferenceFrame, Word,
+                    WordTypeError, apply_to_frame,
                     eval_generator, eval_word, format_word, parse_word,
                     relation_table, rewrite_deletions_first)
 from invdel.algebra import is_deletions_first, inversion_set
@@ -35,11 +35,8 @@ def test_eval_wraparound_inversion():
     )
 
 
-ALPHA = RegionAlphabet.from_tokens("abcdefghijkl")
-
-
 def frame(tokens):
-    return ReferenceFrame.from_tokens(ALPHA, tokens)
+    return ReferenceFrame.from_tokens(tokens)
 
 
 def test_word_evaluation_deletion_chain():

@@ -217,6 +217,18 @@ def test_mrca_layout_fixture(tmp_path, capsys):
     }
 
 
+def test_mrca_ancestor_beyond_the_position_cap_is_exit_2(tmp_path, capsys):
+    # 9 + 9 regions sharing one: the ancestor needs 17, one more than a
+    # partial permutation can address, although --max-n admits both
+    path = tmp_path / "wide.txt"
+    path.write_text("A: a b c d e f g h i\nB: i j k l m n o p q\n")
+    code, out, err = run(capsys, "mrca", str(path), "A", "B", "--max-n", "9")
+    assert (code, out) == (2, "")
+    assert "the ancestor has 17 regions; partial permutations are capped at 16" in err
+    code, out, _ = run(capsys, "distance", str(path), "A", "B", "--max-n", "9")
+    assert code == 0 and out.splitlines()[0] == "distance 16"
+
+
 def test_mrca_identical(genome_file, capsys):
     code, out, _ = run(capsys, "mrca", genome_file, "G1", "SAME")
     assert code == 0
@@ -239,6 +251,16 @@ def test_matrix_tsv(genome_file, capsys):
     assert code == 0
     header = out.splitlines()[0].split("\t")
     assert header == ["name", "G1", "G2", "SAME", "SUB", "ANC1", "ANC2"]
+
+
+def test_matrix_json_takes_names_phylip_cannot_print(tmp_path, capsys):
+    path = tmp_path / "long.txt"
+    path.write_text("LONGNAME_123: a b c d\nB: a c b d\n")
+    code, out, _ = run(capsys, "matrix", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["names"] == ["LONGNAME_123", "B"]
+    code, _, err = run(capsys, "matrix", str(path), "--format", "phylip")
+    assert code == 2 and "PHYLIP names are capped at 10 characters" in err
 
 
 def test_matrix_needs_two(tmp_path, capsys):
@@ -389,6 +411,22 @@ def test_cache_dir_flag(genome_file, tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[0] == "distance 8"
     assert any(cache.glob("mu_*.bin"))
+
+
+def test_cache_dir_is_resolved_only_for_the_cayley_engine(genome_file, tmp_path,
+                                                           capsys, monkeypatch):
+    import invdel.cli
+
+    def refuse():
+        raise AssertionError("the onthefly engine reads no cache directory")
+
+    monkeypatch.setattr(invdel.cli, "default_cache_dir", refuse)
+    code, out, _ = run(capsys, "distance", genome_file, "G1", "G2")
+    assert code == 0 and out.splitlines()[0] == "distance 8"
+    monkeypatch.undo()
+    monkeypatch.setenv("INVDEL_CACHE", str(tmp_path / "env"))
+    code, _, _ = run(capsys, "distance", genome_file, "G1", "G2", "--engine", "cayley")
+    assert code == 0 and any((tmp_path / "env").glob("mu_*.bin"))
 
 
 SMALL = "P: a b c d e\nQ: a c b e d\nR: b a d c\nS: e a c\n"

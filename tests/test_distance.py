@@ -4,9 +4,9 @@ import pytest
 
 from invdel import (NoPathError, Word, construct_ancestor,
                     directed_distance, distance_matrix, format_phylip,
-                    format_tsv, genomes_from_token_lists, mrca_distance,
-                    mu_oracle, random_genome, sigma_from_frames, simulate,
-                    verify_scenario, verify_scenario_report)
+                    format_tsv, genomes_from_token_lists, load_genomes,
+                    mrca_distance, mu_oracle, random_genome, sigma_from_frames,
+                    simulate, verify_scenario, verify_scenario_report)
 from invdel.errors import InvalidArgumentError
 
 
@@ -15,6 +15,19 @@ def test_distance_zero_for_equal_genomes():
     assert g1 == g2
     r = mrca_distance(g1, g2)
     assert (r.total, r.deletions, r.mu) == (0, 0, 0)
+
+
+def test_genomes_built_apart_compare(tmp_path):
+    # genomes from two files, and equal genomes from two token-list calls
+    (tmp_path / "one.txt").write_text("A: a b c d e\n")
+    (tmp_path / "two.txt").write_text("B: a c b d x\n")
+    [(_, a)], [(_, b)] = (load_genomes(tmp_path / f) for f in ("one.txt", "two.txt"))
+    r = mrca_distance(a, b)
+    assert (r.total, r.deletions, r.mu) == (3, 2, 1)
+    (g1,) = genomes_from_token_lists("abcd")
+    g2, _ = genomes_from_token_lists("dcba", "xyz")
+    assert g1 == g2
+    assert mrca_distance(g1, g2).total == 0
 
 
 def test_distance_two_private_regions():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from invdel import (InvalidArgumentError, RegionAlphabet, ReferenceFrame,
+from invdel import (InvalidArgumentError, ReferenceFrame,
                     apply_to_frame, mrca_distance, parse_word, random_genome,
                     replay, simulate)
 from invdel.errors import CapacityError
@@ -58,8 +58,7 @@ def test_simulate_rejects_too_many_deletions():
 def test_worked_scenario_replay():
     # ancestor abcdefghijkl; one branch deletes positions 1, 6, 9, 10 then
     # inverts positions 6/7; the other deletes 3, 4, 7, 12 then inverts 2/3.
-    alphabet = RegionAlphabet.from_tokens("abcdefghijkl")
-    frame = ReferenceFrame.from_tokens(alphabet, "abcdefghijkl")
+    frame = ReferenceFrame.from_tokens("abcdefghijkl")
     branch1 = parse_word("d10;12 d9;11 d6;10 d1;9 s6;8")
     branch2 = parse_word("d12;12 d7;11 d4;10 d3;9 s2;8")
     assert apply_to_frame(frame, branch1).tokens == tuple("bcdegkhl")

@@ -2,16 +2,14 @@ import random
 
 import pytest
 
-from invdel import (Generator, Genome, GenomeParseError,
-                    InvalidArgumentError, RegionAlphabet, ReferenceFrame, Word,
+from invdel import (Generator, GenomeParseError,
+                    InvalidArgumentError, ReferenceFrame, Word,
                     apply_to_frame, canonicalize, genomes_from_token_lists,
                     parse_genomes, region_set_ops)
 
-ALPHA = RegionAlphabet.from_tokens("abcdefghij")
-
 
 def frame(tokens):
-    return ReferenceFrame.from_tokens(ALPHA, tokens)
+    return ReferenceFrame.from_tokens(tokens)
 
 
 def test_rotation_matches_figure():
@@ -104,20 +102,20 @@ def test_symmetric_difference_identity():
         assert len(sym) == len(t1) + len(t2) - 2 * len(inter)
 
 
-def test_alphabet_mismatch_rejected():
-    g1 = Genome.from_tokens(RegionAlphabet.from_tokens("abc"), "abc")
-    g2 = Genome.from_tokens(RegionAlphabet.from_tokens("abd"), "abd")
-    with pytest.raises(InvalidArgumentError):
-        region_set_ops(g1, g2)
+def test_separately_built_genomes_compare():
+    # a genome is its region word: lists built apart give equal genomes
+    # when the words match, and any two genomes have region-set operations
+    (g1,) = genomes_from_token_lists("abc")
+    g2, g3 = genomes_from_token_lists("cba", "abdx")
+    assert g1 == g2 and len({g1, g2}) == 1
+    assert region_set_ops(g1, g3) == (frozenset("ab"), frozenset("cdx"), frozenset("abcdx"))
 
 
 def test_frame_validation():
     with pytest.raises(InvalidArgumentError):
-        ReferenceFrame.from_tokens(ALPHA, "aba")
+        ReferenceFrame.from_tokens("aba")
     with pytest.raises(InvalidArgumentError):
-        ReferenceFrame.from_tokens(ALPHA, "")
-    with pytest.raises(InvalidArgumentError):
-        ReferenceFrame.from_tokens(ALPHA, ["a", "z"])
+        ReferenceFrame.from_tokens("")
 
 
 # -- genome file parsing ------------------------------------------------------
@@ -136,9 +134,6 @@ def test_parse_genomes():
     assert [name for name, _ in named] == ["G1", "G2", "empty_ok_comment"]
     byname = dict(named)
     assert byname["G1"].regions == frozenset("abcd")
-    # all genomes share one alphabet covering the whole file
-    assert byname["G1"].alphabet == byname["G2"].alphabet
-    assert "x" in byname["G1"].alphabet
 
 
 @pytest.mark.parametrize("text,lineno", [
