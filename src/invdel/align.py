@@ -40,20 +40,50 @@ most `MAX_STATES` states and raises CapacityError beyond that.
 
 Full rank.  An n-by-n rank-n pairing is orientation preserving exactly
 when it is one of the n rotations of the identity, and the fewest moves
-to a given rotation has a closed form (`_rotation_cost`, Jerrum's lift).
-A source costs the least of its n rotation costs, and the first source
-of least cost wins.  The witness comes from a greedy descent that keeps
-the tie rule.  A move changes each rotation's cost by at most one, so
-from cost d only a rotation at cost d can reach d - 1, and a child lies on
-a shortest path exactly when one of those rotations costs d - 1 there.
-Each step takes the first such move in code order and keeps the rotations
-it lowered; since the costs are exact, that is the lexicographically least
-shortest move sequence, the search's answer.  The exhaustive anchor is
-n <= 8: the closed form equals the class table on every permutation
-there, the one-step bound holds on every permutation with n <= 7, and
-the route returns the search's index and solution on every permutation
-with n <= 6.  Beyond that it rests on Jerrum's argument and seeded checks
-against the search.
+to a given rotation is Jerrum's lifted crossing count (TCS 36, 1985).
+Position p (0-based) holds the token of value row[p]; rotation c sends it
+forward by b_p = (d_p + c) mod n, with d_p = (row[p] - 1 - p) mod n.  On
+the line, the k = sum(b) / n tokens of largest b go backwards instead
+(b_p - n; ties by position), and the cost is the number of times the
+lifted tracks cross, periodic copies included: the sum over p < q of
+|floor((y_p - y_q) / n) + 1|, where y_p is where token p's track ends.  A
+source costs the least of its n rotation costs, and the first source of
+least cost wins.
+
+`_rotation_costs` counts all n rotations in one O(n^2) pass.  Sort the
+tokens once by d, descending, ties by position: at every rotation the
+tokens by b are this order turned cyclically, and the ones sent backwards
+at rotation c are its first k(0) + c, read cyclically (a whole round
+sends every token back, which moves every end by -n and changes no
+crossing).  So from c to c + 1 every end moves up by one, which changes
+no crossing either, except the next token in order, which also goes back
+by n: only its n - 1 terms change, each by one.
+
+The witness comes from a greedy descent that keeps the tie rule.  A move
+swaps two tokens that are adjacent at their starts (a left move) or at
+their ends (a right move).  Carried over to the child, a lift changes
+only that pair's term, by one; and every move is a transposition, which
+flips the parity of every rotation's cost.  So a move changes each
+rotation's cost by exactly one, and it lowers rotation c's cost when the
+pair's term drops in an optimal lift of the parent.  Any choice among the
+tokens tied at the k-th largest b gives an optimal lift, and these lifts
+catch every lowering move (on every move with n <= 7; Jerrum's argument
+gives only that they are optimal).  `_lowered` tests them all at once in
+O(1) per move and rotation, from the two tokens' b and the k-th and
+(k+1)-th largest b.  Testing the tie-rule lift alone would be sound but
+misses some lowering moves (72,671 at n <= 7) and would change the
+witness.  From cost d only a rotation at cost d can reach d - 1, so each
+step takes the first move in code order that lowers a kept rotation and
+keeps the rotations it lowered; since the costs are exact, that is the
+lexicographically least shortest move sequence, the search's answer.
+
+The exhaustive anchor is n <= 8: the kernel equals the plain count (kept
+in the tests as the reference) on every permutation there, and its least
+cost equals the class table.  On every permutation with n <= 7 each move
+changes each rotation's cost by exactly one, lowering just the rotations
+`_lowered` names, and the route returns the search's index and solution
+on every permutation with n <= 6.  Beyond that it rests on Jerrum's
+argument and seeded checks against the reference and the search.
 
 The cayley engine reads the same number from a per-class table
 (`cayley.class_cost`), filled by its own search over tuple rows.  Two more
@@ -74,9 +104,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import CapacityError, InvalidArgumentError
 from .algebra import Generator, Word
@@ -267,39 +297,83 @@ def _descend(state: int, h: dict[int, int], moves, mask: int) -> list[int]:
     return codes
 
 
-def _rotation_cost(row: ImageRow, c: int) -> int:
-    """Fewest cyclic adjacent swaps taking a full-rank row to rotation c.
-
-    Position p (0-based) holds the token of value row[p] (1-based); rotation
-    c sends it to position t_p = (row[p] - 1 + c) mod n, a forward
-    displacement of b_p = (t_p - p) mod n.  Lift the circle to the line:
-    a swap moves one token a step forward and its neighbour a step back,
-    so the lifted displacements of any sorting sum to 0, and exactly
-    k = sum(b) / n tokens travel backwards (b_p - n instead of b_p).  The k
-    with the largest b_p do, ties by position.  The cost is the number of
-    times the lifted tracks cross, counting every periodic copy: tokens
-    p < q cross once for every multiple of n strictly between p - q and
-    y_p - y_q, where y is where the lifted track ends (Jerrum, TCS 36, 1985).
-
-    Two variations changed no least cost over the rotations on any
-    permutation tried, and neither is a simplification.  Sending no token
-    backwards (k = 0) counts the all-forward tracks; moving every end back
-    by k changes no crossing and makes them a lift of rotation c - k, so
-    that count is never below `mu`, and at n <= 8 its minimum was never
-    above it either.  But it is not the cost of rotation c (one move can
-    change it by two), and the greedy descent's argument needs every
-    rotation's cost exact.  Which of several tokens with equal b_p goes
-    backwards changed no cost at n <= 7: the tie rule is a convention,
-    not part of the count.
-    """
+def _lift(row: ImageRow) -> tuple[list[int], list[int], int]:
+    """The shape of every rotation's lift of a full-rank row (module
+    docstring): each token's displacement d_p at rotation 0, the tokens by
+    d descending with ties by position, and k, the number sent backwards
+    at rotation 0."""
     n = len(row)
-    b = [((v - 1 + c) % n - p) % n for p, v in enumerate(row)]
-    y = [p + bp for p, bp in enumerate(b)]
-    for p in sorted(range(n), key=b.__getitem__, reverse=True)[: sum(b) // n]:
+    d = [(v - 1 - p) % n for p, v in enumerate(row)]
+    return d, sorted(range(n), key=d.__getitem__, reverse=True), sum(d) // n
+
+
+def _rotation_costs(row: ImageRow) -> list[int]:
+    """Fewest cyclic adjacent swaps taking a full-rank row to each of its
+    n rotations, in one O(n^2) pass (module docstring)."""
+    n = len(row)
+    d, order, k = _lift(row)
+    y = [p + dp for p, dp in enumerate(d)]
+    for p in order[:k]:
         y[p] -= n
     # p - q lies in (-n, 0) and y_p - y_q is no multiple of n, so the count
     # of multiples between them is the gap between their floors
-    return sum(abs((yp - yq) // n + 1) for yp, yq in combinations(y, 2))
+    cost = sum(abs((yp - yq) // n + 1) for yp, yq in combinations(y, 2))
+    costs = [cost]
+    # from each rotation to the next every end moves up by one, which
+    # changes no crossing, and the next token j in order also goes back by
+    # n: each of its n - 1 terms moves by one, up when the partner's copy
+    # that starts within n positions after j ends above j, down otherwise
+    for j in (order[k:] + order[:k])[:-1]:
+        yj = y[j]
+        above = sum(map(yj.__lt__, y[j + 1:])) + sum(map((yj - n).__lt__, y[:j]))
+        cost += 2 * above - n + 1
+        y[j] = yj - n
+        costs.append(cost)
+    return costs
+
+
+@lru_cache(maxsize=None)  # one entry per n
+def _adjacent(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs of `_swap_pairs(n)` as (i, i + 1 mod n)."""
+    return tuple((a, b) if b == a + 1 else (b, a) for a, b in _swap_pairs(n))
+
+
+def _lowered(row: ImageRow, rotations: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
+    """For each move in code order, its code and the rotations among
+    `rotations` whose cost it lowers, by one; it raises the others' by one.
+
+    The move's two tokens x and z are adjacent at their starts (a left
+    move: x starts one behind z) or at their ends (a right move: x ends
+    one ahead of z), and it lowers rotation c's cost exactly when their
+    tracks cross in some optimal lift (module docstring).  With m = 1 for
+    a token sent backwards, they cross when b_x - b_z - 1 - n (m_x - m_z)
+    is positive: always when x goes forwards and z backwards, never the
+    other way round, and when the two go the same way exactly when
+    b_x > b_z (b_x - b_z is never 1).  In an optimal lift a token can go
+    backwards when its b is at least the k-th largest, `top`, and forwards
+    when it is at most the (k+1)-th largest, `bot`; both only in a tie.
+    So each test is O(1).
+    """
+    n = len(row)
+    d, order, k = _lift(row)
+    # top is 0 only when k is, at the rotation the row already is; then no
+    # token can go backwards
+    bounds = [(c, (d[order[(k + c - 1) % n]] + c) % n or n, (d[order[(k + c) % n]] + c) % n)
+              for c in rotations]
+    at = [0] * (n + 1)
+    for p, v in enumerate(row):
+        at[v] = p
+    pairs = _adjacent(n)
+    for code, (x, z) in enumerate(chain(pairs, ((at[b + 1], at[a + 1]) for a, b in pairs))):
+        dx, dz = d[x], d[z]
+        lowered = []
+        for c, top, bot in bounds:
+            bx, bz = (dx + c) % n, (dz + c) % n
+            # b_x <= b_z: x forwards, z backwards; otherwise anything but
+            # x forced backwards and z forced forwards
+            if (bx <= bot and bz >= top) if bx <= bz else (bx <= bot or bz >= top):
+                lowered.append(c)
+        yield code, lowered
 
 
 def _solution(m: int, n: int, codes: list[int], row: ImageRow) -> AlignmentSolution:
@@ -316,16 +390,19 @@ def _solution(m: int, n: int, codes: list[int], row: ImageRow) -> AlignmentSolut
 def _solve_full_rank(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolution]:
     """`solve_sources` for n-by-n rank-n sources, without a search.
 
-    A source costs the least `_rotation_cost` over the n rotations, and the
-    first source of least cost wins.  Its witness descends greedily: each
-    step takes the first move in code order whose child costs one less on
-    a rotation still at the minimum, and keeps only those rotations.
+    A source costs the least of its n rotation costs, all found in one
+    pass, and the first source of least cost wins.  Its witness descends
+    greedily: each step takes the first move in code order that lowers a
+    rotation still at the minimum, and keeps only the rotations it
+    lowered.  Every move lowers or raises each rotation's cost by exactly
+    one, and `_lowered` tells which in O(1) per rotation, so no child's
+    cost is counted again (module docstring).
     """
     n = sources[0].n
     best = None
     for index, sigma in enumerate(sources):
         row = sigma.image_row
-        costs = [_rotation_cost(row, c) for c in range(n)]
+        costs = _rotation_costs(row)
         cost = min(costs)
         if best is None or cost < best[0]:
             best = cost, index, row, [c for c in range(n) if costs[c] == cost]
@@ -334,16 +411,16 @@ def _solve_full_rank(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolu
     moves = ([(_swap_positions, a, b) for a, b in pairs]
              + [(_swap_values, a + 1, b + 1) for a, b in pairs])
     codes = []
-    while cost:
-        for code, (swap, a, b) in enumerate(moves):
-            child = swap(row, a, b)
-            closer = [c for c in kept if _rotation_cost(child, c) == cost - 1]
-            if closer:
+    for _ in range(cost):
+        for code, lowered in _lowered(row, kept):
+            if lowered:
                 break
         else:
-            raise AssertionError("a move always brings some cheapest rotation one step closer")
+            raise AssertionError("a move always lowers some cheapest rotation")
+        kept = lowered
+        swap, a, b = moves[code]
+        row = swap(row, a, b)
         codes.append(code)
-        row, kept, cost = child, closer, cost - 1
     return index, _solution(n, n, codes, row)
 
 

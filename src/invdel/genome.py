@@ -109,7 +109,7 @@ def genomes_from_token_lists(*token_lists: Sequence[str]) -> list[Genome]:
 #
 # One genome per line: `NAME: tok1 tok2 ... tokN`.  Lines starting with `#`
 # are comments; blank lines are ignored; the circular order runs left to
-# right clockwise from position 1.
+# right clockwise from position 1.  A name holds no whitespace.
 
 def parse_genomes(text: str) -> list[tuple[str, Genome]]:
     rows: list[tuple[str, list[str]]] = []
@@ -124,6 +124,9 @@ def parse_genomes(text: str) -> list[tuple[str, Genome]]:
         toks = rest.split()
         if not name:
             raise GenomeParseError("empty genome name", lineno)
+        if any(ch.isspace() for ch in name):
+            # matrix output separates names from distances by whitespace
+            raise GenomeParseError(f"genome name {name!r} contains whitespace", lineno)
         if not toks:
             raise GenomeParseError(f"genome {name!r} has no regions", lineno)
         if len(set(toks)) != len(toks):

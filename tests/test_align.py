@@ -1,4 +1,6 @@
 import random
+from functools import lru_cache
+from itertools import combinations, permutations
 
 import pytest
 
@@ -7,7 +9,8 @@ from invdel import (CapacityError, InvalidArgumentError, PartialPerm,
                     genomes_from_token_lists, min_over_reference_pairs,
                     mu_oracle, sigma_from_frames, solve_pair,
                     solve_pair_via_cayley, solve_sources)
-from invdel.align import reference_pairs
+from invdel.align import (_lowered, _rotation_costs, _swap_pairs, _swap_positions,
+                          _swap_values, reference_pairs)
 from invdel.pperm import row_is_popi
 
 SIGMA86 = sigma_from_frames("abcdefgh", "eibach")
@@ -440,14 +443,56 @@ def test_full_pairs_cayley_loads_the_class_table_once(tmp_path, monkeypatch):
 
 # -- the full-rank closed form ---------------------------------------------------
 
+def _rotation_cost(row, c):
+    """Fewest cyclic adjacent swaps taking a full-rank row to rotation c:
+    the reference definition that the package's one-pass kernel
+    (`align._rotation_costs`, `align._lowered`) must match.
+
+    Position p (0-based) holds the token of value row[p] (1-based); rotation
+    c sends it to position t_p = (row[p] - 1 + c) mod n, a forward
+    displacement of b_p = (t_p - p) mod n.  Lift the circle to the line:
+    a swap moves one token a step forward and its neighbour a step back,
+    so the lifted displacements of any sorting sum to 0, and exactly
+    k = sum(b) / n tokens travel backwards (b_p - n instead of b_p).  The k
+    with the largest b_p do, ties by position.  The cost is the number of
+    times the lifted tracks cross, counting every periodic copy: tokens
+    p < q cross once for every multiple of n strictly between p - q and
+    y_p - y_q, where y is where the lifted track ends (Jerrum, TCS 36, 1985).
+
+    Two variations changed no least cost over the rotations on any
+    permutation tried, and neither is a simplification.  Sending no token
+    backwards (k = 0) counts the all-forward tracks; moving every end back
+    by k changes no crossing and makes them a lift of rotation c - k, so
+    that count is never below `mu`, and at n <= 8 its minimum was never
+    above it either.  But it is not the cost of rotation c (one move can
+    change it by two), and the greedy descent's argument needs every
+    rotation's cost exact.  Which of several tokens with equal b_p goes
+    backwards changed no cost at n <= 7: the tie rule is a convention,
+    not part of the count.
+    """
+    n = len(row)
+    b = [((v - 1 + c) % n - p) % n for p, v in enumerate(row)]
+    y = [p + bp for p, bp in enumerate(b)]
+    for p in sorted(range(n), key=b.__getitem__, reverse=True)[: sum(b) // n]:
+        y[p] -= n
+    # p - q lies in (-n, 0) and y_p - y_q is no multiple of n, so the count
+    # of multiples between them is the gap between their floors
+    return sum(abs((yp - yq) // n + 1) for yp, yq in combinations(y, 2))
+
+
+@lru_cache(maxsize=None)  # the n = 8 table is shared by two tests
 def rotation_costs(n):
-    """Every n-point permutation row mapped to its cost on each rotation."""
-    from itertools import permutations
-
-    from invdel.align import _rotation_cost
-
+    """Every n-point permutation row mapped to its reference cost on each
+    rotation."""
     return {row: [_rotation_cost(row, c) for c in range(n)]
             for row in permutations(range(1, n + 1))}
+
+
+def children(row):
+    """The row after each move, in code order."""
+    pairs = _swap_pairs(len(row))
+    return ([_swap_positions(row, a, b) for a, b in pairs]
+            + [_swap_values(row, a + 1, b + 1) for a, b in pairs])
 
 
 def test_closed_form_equals_class_table():
@@ -461,27 +506,56 @@ def test_closed_form_equals_class_table():
             assert min(costs) == table[class_rank(row, n)], row
 
 
-def test_rotation_cost_moves_by_at_most_one():
-    # the greedy descent rests on this: a move changes every rotation's
-    # cost by at most one, so only a cheapest rotation can reach the goal
-    # in fewer steps
-    from invdel.align import _swap_pairs, _swap_positions, _swap_values
+def test_kernel_equals_the_reference():
+    # every rotation of every permutation with n <= 8
+    for n in range(1, 9):
+        for row, costs in rotation_costs(n).items():
+            assert _rotation_costs(row) == costs, row
 
+
+def test_kernel_equals_the_reference_beyond_the_exhaustive_range():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(row=st.integers(9, 16).flatmap(lambda n: st.permutations(range(1, n + 1))))
+    def check(row):
+        row = tuple(row)
+        assert _rotation_costs(row) == [_rotation_cost(row, c) for c in range(len(row))]
+
+    check()
+
+
+def test_rotation_cost_moves_by_exactly_one():
+    # the greedy descent rests on this: a move changes every rotation's
+    # cost by one, up or down (at most one by the lift, and every move is
+    # a transposition, which flips the parity of every rotation's cost),
+    # so only a cheapest rotation can reach the goal in fewer steps
+    for n in range(2, 8):
+        costs = rotation_costs(n)
+        for row, before in costs.items():
+            for child in children(row):
+                assert all(abs(x - y) == 1 for x, y in zip(costs[child], before)), (row, child)
+
+
+def test_lowered_moves_match_the_reference():
+    # the descent's O(1) test, on every (row, rotation, move) with n <= 7:
+    # the rotations a move lowers are exactly those whose reference cost
+    # is lower on the child
     for n in range(1, 8):
         costs = rotation_costs(n)
         for row, before in costs.items():
-            children = [_swap_positions(row, a, b) for a, b in _swap_pairs(n)]
-            children += [_swap_values(row, a + 1, b + 1) for a, b in _swap_pairs(n)]
-            for child in children:
-                assert all(abs(x - y) <= 1 for x, y in zip(costs[child], before)), (row, child)
+            lowered = list(_lowered(row, range(n)))
+            assert [code for code, _ in lowered] == list(range(2 * len(_swap_pairs(n))))
+            for (_, rotations), child in zip(lowered, children(row), strict=True):
+                after = costs[child]
+                assert rotations == [c for c in range(n) if after[c] < before[c]], (row, child)
 
 
 def test_full_rank_route_matches_the_search():
     # index, cost, words and witness all equal the search's (the tie rule),
     # on every permutation with n <= 6, alone and next to its reversal, and
     # on seeded pairings with n = 7..9
-    from itertools import permutations
-
     from invdel.align import _search_sources
 
     def check(sources):

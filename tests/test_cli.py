@@ -72,6 +72,16 @@ def test_parse_error_reports_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("name", ["A\tX", "my genome"], ids=["tab", "space"])
+def test_whitespace_in_a_genome_name_is_exit_2(tmp_path, capsys, name):
+    # a name with whitespace would split a matrix header or PHYLIP row
+    path = tmp_path / "genomes.txt"
+    path.write_text(f"B: a c b d\n{name}: a b c d\n")
+    code, out, err = run(capsys, "matrix", str(path), "--format", "tsv")
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 2: ") and "whitespace" in err
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
 def test_unreadable_genome_file_is_exit_2(tmp_path, capsys, kind):
     path = tmp_path / "genomes.txt"

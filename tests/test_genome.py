@@ -141,6 +141,7 @@ def test_parse_genomes():
     ("G1:", 1),
     (": a b", 1),
     ("G1: a b\nG2: a a", 2),
+    ("G1: a b\nG 2: b a", 2),
 ])
 def test_parse_errors_carry_line_numbers(text, lineno):
     with pytest.raises(GenomeParseError) as exc:
