@@ -9,34 +9,42 @@ cyclic order on both circles.
 The default engine (`solve_sources`, with `solve_pair` its one-source
 case) takes one of two routes.  When the two genomes have the same regions
 (every source is n by n of rank n) it needs no search; see "Full rank"
-below.  Otherwise it runs one search seeded with every candidate pairing
-at once.  All sources of one genome pair lie in the same rank class, so
-the cheapest goal reached is the cheapest over all of them.  States are
-ints packing the image row and then its inverse, 4 bits per field (5 at
+below.  Otherwise it deepens (Korf, 1985): for k = 0, 1, 2, ... it probes
+the sources in the order given, and the first source within k moves of a
+goal, an orientation-preserving pairing, wins at cost k.  States are ints
+packing the image row and then its inverse, 4 bits per field (5 at
 n = 16), so a move is a few shifts and xors.
 
-The search has two phases.  The forward phase is a layered breadth-first
-search from the sources, and only a state with exactly two cyclic descents
-tests its children for the goal.  It runs while its frontier is smaller
-than the goal set, whose size C(m,r) C(n,r) r is known without listing it,
-so cheap searches never pay for the goals.  Then the goals are listed and
-grown into a reverse ball holding each state's exact distance h* to the
-nearest goal, and the search always expands the smaller frontier.  With
-forward layers 0..t and the ball of radius b complete, every sequence of
-at most t + b moves to a goal passes through a state in both; so the first
-time the two share a state, after t or b grew by one, the cost is t + b.
+`probe(state, k)` answers whether a goal lies within k moves.  A state is
+a goal when its defined images, read in position order, have at most one
+cyclic descent; a move changes that count by at most one, so a state with
+d descents is at least d - 1 moves away.  From k = 2 on the probe also
+prunes by the compressed closed form: drop the empty positions and
+values, relabel the r shared values 1..r, and take the least of the r
+rotation costs of "Full rank" below (0 when r <= 2).  This is the
+admissible bound of A* (Hart, Nilsson and Raphael, 1968): it is 0 exactly
+on goals, and a move changes it by at most one, because a move with two
+defined endpoints is a move of the compressed row, and one with an empty
+endpoint leaves that row as it is or turns it cyclically (only across the
+wraparound), which changes no least rotation cost.  A search memoises the
+bound by the tuple of defined images and by its relabelled row.  Past the
+prunes the probe tries the children in code order, skipping a move whose
+endpoints are both empty (it fixes the state), and on failure records k
+as the largest bound the state failed at, so a revisit within it fails
+at once.  Every answer is exact: the prunes are lower bounds, and a state
+that failed at k is more than k moves from a goal.  No goal is listed.
 
-The tie rule is fixed: sources are seeded in the order given (repeats
-dropped, the first copy kept), each state tries left moves before right
-ones, then by generator index.  On a tie the earliest source of least cost
-wins, with its lexicographically least shortest move sequence: the same
-answer as solving every source alone and keeping the first strict minimum.
-The bidirectional phase keeps it.  Every cheapest sequence passes through
-forward layer t at a state x with h*(x) = b; discovery order within a
-layer is lexicographic on (source index, moves), so the first such x in
-layer t carries the least prefix, and from x the suffix takes, at each
-step, the first move whose child is one step closer.  The search holds at
-most `MAX_STATES` states and raises CapacityError beyond that.
+The tie rule is fixed: sources are probed in the order given (repeats
+dropped, the first copy kept), and moves go in code order, left moves
+before right ones, then by generator index.  The first source of least
+cost wins, and its witness descends greedily: each step takes the first
+move in code order whose child passes the probe for the moves left.  The
+probe being exact, that is the source's lexicographically least shortest
+move sequence: the answer of solving every source alone and keeping the
+first strict minimum, and that of a layered breadth-first search seeded
+with the sources in order (the tests' reference).  Probe calls, revisits
+included, count against `MAX_STATES`; beyond it the search raises
+CapacityError, so the budget bounds time, not just memory.
 
 Full rank.  An n-by-n rank-n pairing is orientation preserving exactly
 when it is one of the n rotations of the identity, and the fewest moves
@@ -104,8 +112,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
-from math import comb
+from itertools import chain, combinations, count
 from typing import Iterator, Sequence
 
 from .errors import CapacityError, InvalidArgumentError
@@ -116,12 +123,11 @@ from .pperm import PartialPerm, sigma_from_frames
 
 ImageRow = tuple[int, ...]
 
-# Most states (forward tree and reverse ball together) one search may hold
-# before it gives up with CapacityError.  Only partial ranks search; full
-# rank has a closed form.  Neither side can outgrow its rank class, so no
-# pairing of at most 8 regions (largest class: 8 by 8, rank 6, 564,480
-# states) comes near it, while most random 11-region pairings of rank 10
-# reach it.
+# Most probe calls one partial-rank search may make, revisits included,
+# before it gives up with CapacityError; full rank has a closed form.
+# Random pairings of 12 regions sharing 10 or 11 stay well inside it, while
+# some random 16-region pairs sharing 12 reach it, after 15-20 s on a
+# 2-core Xeon VM.
 MAX_STATES = 1_200_000
 
 
@@ -189,112 +195,6 @@ def _descents(state: int, shifts: range, mask: int) -> int:
                 first = v
             last = v
     return drops + (last > first)
-
-
-def _goal_states(m: int, n: int, r: int, width: int) -> list[int]:
-    """Every orientation-preserving packed state of the m-by-n rank-r
-    class: r defined positions, r values, and one of the r rotations of
-    the values in increasing order, read in position order."""
-    # cell[p][v]: the bits of "position p maps to v" in both rows; the cells
-    # of one state never overlap, so their sum is the state
-    cell = [[v << (width * p) | (p + 1) << (width * (m + v - 1)) for v in range(n + 1)]
-            for p in range(m)]
-    goals = []
-    for positions in combinations(range(m), r):
-        rows = [cell[p] for p in positions]
-        for values in combinations(range(1, n + 1), r):
-            for k in range(r):
-                goals.append(sum(map(list.__getitem__, rows, values[k:] + values[:k])))
-    return goals
-
-
-def _over_budget() -> CapacityError:
-    return CapacityError(f"the alignment search reached its budget of {MAX_STATES:,} states; "
-                         "the pairing is too large to solve exactly")
-
-
-def _search(frontier: list[int], parent: dict[int, int], moves, shifts: range,
-            mask: int, goal_count: int, goals) -> tuple[int, list[int]]:
-    """Search from the queued non-goal sources until the cheapest goal.
-
-    Returns the state where the witness leaves the forward tree and the
-    move codes that lead from it to its goal.  `goals()` lists the goal
-    states, of which there are `goal_count`.
-    """
-    # h holds, once the ball is grown, the exact distance to the nearest
-    # goal of every state within `radius` of one
-    h: dict[int, int] = {}
-    ball: list[int] = []
-    radius = 0
-    while frontier:
-        if not h and len(frontier) >= goal_count:
-            if len(parent) + goal_count > MAX_STATES:
-                raise _over_budget()
-            ball = goals()
-            h = dict.fromkeys(ball, 0)
-        if not h or len(frontier) <= len(ball):
-            layer, frontier = frontier, []
-            push = frontier.append
-            room = MAX_STATES - len(h)
-            for state in layer:
-                if len(parent) >= room:
-                    raise _over_budget()
-                # before the ball: a move with one empty endpoint keeps the
-                # cyclic order of the defined images, and any move changes
-                # the descent count by at most one, so only a two-endpoint
-                # move out of a state with exactly two descents reaches a goal
-                near = not h and _descents(state, shifts, mask) == 2
-                for code, sa, sb, fix in moves:  # `_apply`, inlined on the hot path
-                    x = (state >> sa) & mask
-                    y = (state >> sb) & mask
-                    if x == y:  # both endpoints empty: the move fixes the state
-                        continue
-                    t = x ^ y
-                    nxt = state ^ (t << sa) ^ (t << sb) ^ fix[x] ^ fix[y]
-                    if nxt in parent:
-                        continue
-                    parent[nxt] = code
-                    if near and x and y and _descents(nxt, shifts, mask) <= 1:
-                        return nxt, []
-                    if nxt in h:
-                        return nxt, _descend(nxt, h, moves, mask)
-                    push(nxt)
-        else:
-            radius += 1
-            layer, ball = ball, []
-            push = ball.append
-            room = MAX_STATES - len(parent)
-            for state in layer:
-                if len(h) >= room:
-                    raise _over_budget()
-                for code, sa, sb, fix in moves:
-                    x = (state >> sa) & mask
-                    y = (state >> sb) & mask
-                    if x == y:
-                        continue
-                    t = x ^ y
-                    nxt = state ^ (t << sa) ^ (t << sb) ^ fix[x] ^ fix[y]
-                    if nxt not in h:
-                        h[nxt] = radius
-                        push(nxt)
-            if any(state in parent for state in ball):
-                meet = next(state for state in frontier if state in h)
-                return meet, _descend(meet, h, moves, mask)
-    raise AssertionError("every rank class contains orientation-preserving elements")
-
-
-def _descend(state: int, h: dict[int, int], moves, mask: int) -> list[int]:
-    """The lexicographically least shortest move sequence from a state of
-    the ball to a goal: each step takes the first move one step closer."""
-    codes = []
-    for depth in range(h[state] - 1, -1, -1):
-        for move in moves:
-            nxt = _apply(state, move, mask)
-            if h.get(nxt) == depth:
-                codes.append(move[0])
-                state = nxt
-                break
-    return codes
 
 
 def _lift(row: ImageRow) -> tuple[list[int], list[int], int]:
@@ -424,48 +324,93 @@ def _solve_full_rank(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolu
     return index, _solution(n, n, codes, row)
 
 
+def _relabelled(values: tuple[int, ...]) -> tuple[int, ...]:
+    """Distinct values replaced by their ranks 1..r, in the same order."""
+    rank = dict(zip(sorted(values), range(1, len(values) + 1)))
+    return tuple(map(rank.__getitem__, values))
+
+
+def _compressed_cost(values: tuple[int, ...]) -> int:
+    """The compressed closed form of the defined images, in position
+    order: the least of the r rotation costs of their relabelled row (0
+    when r <= 2).  It is a lower bound on the moves to a goal (module
+    docstring)."""
+    return min(_rotation_costs(_relabelled(values))) if len(values) > 2 else 0
+
+
+def _prober(moves, shifts: range, mask: int):
+    """A fresh `probe(state, k)`, true when the state is at most k moves
+    from a goal, and its memo of the largest k each state failed at."""
+    failed: dict[int, int] = {}
+    bounds: dict[tuple[int, ...], int] = {}
+    calls = 0
+
+    def probe(state: int, k: int) -> bool:
+        nonlocal calls
+        calls += 1
+        if calls > MAX_STATES:
+            raise CapacityError(f"the alignment search reached its budget of {MAX_STATES:,} "
+                                "probes; the pairing is too large to solve exactly")
+        drops = _descents(state, shifts, mask)
+        if drops <= 1:
+            return True
+        # a move changes the descent count by at most one
+        if drops - 1 > k or failed.get(state, -1) >= k:
+            return False
+        if k >= 2:
+            values = tuple(v for shift in shifts if (v := (state >> shift) & mask))
+            bound = bounds.get(values)
+            if bound is None:
+                # keyed by both tuples: defined images in the same
+                # relative order share a relabelled row, hence a bound
+                row = _relabelled(values)
+                bound = bounds.get(row)
+                if bound is None:
+                    bound = bounds[row] = _compressed_cost(row)
+                bounds[values] = bound
+            if bound > k:
+                return False
+        for _code, sa, sb, fix in moves:  # `_apply`, inlined on the hot path
+            x = (state >> sa) & mask
+            y = (state >> sb) & mask
+            if x == y:  # both endpoints empty: the move fixes the state
+                continue
+            t = x ^ y
+            if probe(state ^ (t << sa) ^ (t << sb) ^ fix[x] ^ fix[y], k - 1):
+                return True
+        failed[state] = k
+        return False
+
+    return probe, failed
+
+
 def _search_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolution]:
-    """`solve_sources` for m <= n by the packed search (module docstring)."""
+    """`solve_sources` for m <= n by the bounded probe (module docstring)."""
     m, n = sources[0].m, sources[0].n
     width = 4 if n < 16 else 5
     mask = (1 << width) - 1
     shifts = range(0, width * m, width)
     moves = _moves(m, n, width)
-    # parent maps a state to the move that reached it; a move is its own
-    # inverse, so the path back is replayed from the codes alone.  Sources
-    # map to -1 - index.
-    parent: dict[int, int] = {}
-    frontier: list[int] = []
-    meet, suffix = None, []
+    probe, _ = _prober(moves, shifts, mask)
+    # each distinct source state with the index of its first copy
+    starts: dict[int, int] = {}
     for index, sigma in enumerate(sources):
-        state = _pack(sigma, width)
-        if state in parent:
-            continue
-        parent[state] = -1 - index
-        if _descents(state, shifts, mask) <= 1:
-            meet = state
+        starts.setdefault(_pack(sigma, width), index)
+    for cost in count():
+        state = next((state for state in starts if probe(state, cost)), None)
+        if state is not None:
             break
-        frontier.append(state)
-    if meet is None:
-        # moves keep the rank, so the goals are those of the sources' ranks
-        ranks = sorted({s.rank for s in sources})
-        meet, suffix = _search(
-            frontier, parent, moves, shifts, mask,
-            sum(comb(m, r) * comb(n, r) * r for r in ranks),
-            lambda: [g for r in ranks for g in _goal_states(m, n, r, width)])
-
+    index = starts[state]
     codes = []
-    at = meet
-    while (code := parent[at]) >= 0:
-        codes.append(code)
-        at = _apply(at, moves[code], mask)
-    codes.reverse()
-    codes += suffix
-    goal = meet
-    for code in suffix:
-        goal = _apply(goal, moves[code], mask)
-    row = tuple((goal >> shift) & mask for shift in shifts)
-    return -1 - parent[at], _solution(m, n, codes, row)
+    for left in range(cost - 1, -1, -1):
+        for move in moves:
+            nxt = _apply(state, move, mask)
+            if nxt != state and probe(nxt, left):
+                codes.append(move[0])
+                state = nxt
+                break
+    row = tuple((state >> shift) & mask for shift in shifts)
+    return index, _solution(m, n, codes, row)
 
 
 def solve_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolution]:

@@ -10,7 +10,7 @@ or list they came from; no universe of all regions is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GenomeParseError, InvalidArgumentError
 
@@ -40,22 +40,11 @@ class ReferenceFrame:
         return " ".join(self.tokens) if any(len(t) > 1 for t in self.tokens) else "".join(self.tokens)
 
 
-def _orbit_words(tokens: tuple[str, ...]) -> list[tuple[str, ...]]:
-    n = len(tokens)
-    words = []
-    rev = tokens[::-1]
-    for k in range(n):
-        words.append(tokens[k:] + tokens[:k])
-    if n >= 2:
-        for k in range(n):
-            words.append(rev[k:] + rev[:k])
-    seen = set()
-    out = []
-    for w in words:
-        if w not in seen:
-            seen.add(w)
-            out.append(w)
-    return out
+def _orbit(tokens: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
+    """The rotations of the word, then those of its reflection."""
+    for word in (tokens, tokens[::-1]):
+        for k in range(len(word)):
+            yield word[k:] + word[:k]
 
 
 @dataclass(frozen=True)
@@ -67,8 +56,7 @@ class Genome:
 
     @classmethod
     def from_frame(cls, frame: ReferenceFrame) -> Genome:
-        best = min(_orbit_words(frame.tokens))
-        return cls(ReferenceFrame(best))
+        return cls(ReferenceFrame(min(_orbit(frame.tokens))))
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> Genome:
@@ -84,7 +72,7 @@ class Genome:
 
     def frames(self) -> list[ReferenceFrame]:
         """Every frame of the orbit, in a fixed deterministic order."""
-        return [ReferenceFrame(w) for w in _orbit_words(self.canonical.tokens)]
+        return [ReferenceFrame(w) for w in dict.fromkeys(_orbit(self.canonical.tokens))]
 
     def __str__(self) -> str:
         return str(self.canonical)

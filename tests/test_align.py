@@ -275,6 +275,7 @@ def _check_multi_source(sources, single):
     assert [g.i for g in sol.left_inversions] == left
     assert [g.i for g in sol.right_inversions] == right
     assert sol.witness.image_row == row
+    return sol
 
 
 def test_packed_moves_match_row_moves():
@@ -299,30 +300,47 @@ def test_packed_moves_match_row_moves():
                     assert (_descents(moved, shifts, 15) <= 1) == row_is_popi(row)
 
 
+def least_bound(sources):
+    """The least k at which the probe looks past some source: below it,
+    every source is pruned at once, by its descent count or, from k = 2
+    on, by the compressed closed form."""
+    from invdel.align import _compressed_cost
+
+    bounds = []
+    for s in sources:
+        values = tuple(v for v in (s if s.m <= s.n else s.inverse()).image_row if v)
+        drops = sum(map(int.__gt__, values, values[1:] + values[:1]))
+        # with two descents, k = 1 passes the descent test and is below 2
+        bounds.append(0 if drops <= 1 else 1 if drops == 2
+                      else max(drops - 1, _compressed_cost(values)))
+    return min(bounds)
+
+
 def test_multi_source_matches_single_sources(monkeypatch):
     from invdel import align
 
-    # whether each search grew a reverse ball (listed its goals) or not
-    listed = []
-    search = align._search
+    # the failure memo of each probe, and whether each run solved above the
+    # least bound of its sources: both must happen for the checks below to
+    # cover the probe's search, not just its straight descent
+    memos, above = [], []
+    prober = align._prober
 
-    def counted(*args):
-        goals = args[-1]
-        listed.append(False)
+    def recorded(*args):
+        probe, failed = prober(*args)
+        memos.append(failed)
+        return probe, failed
 
-        def listing():
-            listed[-1] = True
-            return goals()
-        return search(*args[:-1], listing)
+    def check(sources, single):
+        above.append(_check_multi_source(sources, single).cost > least_bound(sources))
 
-    monkeypatch.setattr(align, "_search", counted)
+    monkeypatch.setattr(align, "_prober", recorded)
     for m in range(1, 5):
         for n in range(1, 5):
             perms = list(all_partial_perms(m, n))
             single = {sigma: reference_search([sigma]) for sigma in perms}
             for a in perms:
                 for b in perms:
-                    _check_multi_source([a, b], single)
+                    check([a, b], single)
     rng = random.Random(46)
     for n in range(1, 9):
         for m in range(1, n + 1):
@@ -332,8 +350,8 @@ def test_multi_source_matches_single_sources(monkeypatch):
                                                      rng.sample(range(1, n + 1), r)))
                                for _ in range(rng.randint(2, 4))]
                     single = {s: reference_search([s]) for s in sources}
-                    _check_multi_source(sources, single)
-    assert True in listed and False in listed
+                    check(sources, single)
+    assert any(memos) and True in above
 
 
 def test_full_mode_winner_is_first_minimum():
@@ -574,3 +592,68 @@ def test_full_rank_route_matches_the_search():
             check([a])
             check([a, b])
 
+
+# -- the probe's lower bound -----------------------------------------------------
+
+def _bound_properties(check):
+    """Run `check(state, moves, shifts, mask)` on drawn m-by-n pairings with
+    9 <= m <= n <= 16 of rank 3..n-1, half of them orientation preserving,
+    where no exhaustive check reaches."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    from invdel.align import _moves, _pack
+
+    @st.composite
+    def pairings(draw):
+        n = draw(st.integers(9, 16))
+        m = draw(st.integers(9, n))
+        r = draw(st.integers(3, min(m, n - 1)))
+        positions = draw(st.permutations(range(1, m + 1)))[:r]
+        values = draw(st.permutations(range(1, n + 1)))[:r]
+        if draw(st.booleans()):
+            # a rotation of the values in increasing order, in position order
+            k = draw(st.integers(0, r - 1))
+            positions, values = sorted(positions), sorted(values)
+            values = values[k:] + values[:k]
+        return PartialPerm(m, n, zip(positions, values))
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(sigma=pairings())
+    def run(sigma):
+        width = 4 if sigma.n < 16 else 5
+        check(_pack(sigma, width), _moves(sigma.m, sigma.n, width),
+              range(0, width * sigma.m, width), (1 << width) - 1)
+
+    run()
+
+
+def _bound(state, shifts, mask):
+    from invdel.align import _compressed_cost
+
+    return _compressed_cost(tuple(v for s in shifts if (v := (state >> s) & mask)))
+
+
+def test_compressed_bound_moves_by_at_most_one():
+    # with the next test, this makes the bound admissible: it is 0 on every
+    # goal and a move lowers it by at most one
+    from invdel.align import _apply
+
+    def check(state, moves, shifts, mask):
+        bound = _bound(state, shifts, mask)
+        for move in moves:
+            assert abs(_bound(_apply(state, move, mask), shifts, mask) - bound) <= 1
+
+    _bound_properties(check)
+
+
+def test_compressed_bound_is_zero_exactly_on_goals():
+    # checked on the drawn pairing and on each of its children, which
+    # include the states next to a goal
+    from invdel.align import _apply, _descents
+
+    def check(state, moves, shifts, mask):
+        for at in [state] + [_apply(state, move, mask) for move in moves]:
+            assert (_bound(at, shifts, mask) == 0) == (_descents(at, shifts, mask) <= 1)
+
+    _bound_properties(check)

@@ -153,26 +153,42 @@ def test_max_n_checks_only_the_named_genomes(tmp_path, capsys):
         assert "genome 'A' has 9 regions" in err and "--max-n" in err
 
 
-def test_search_budget_exit_2(tmp_path, capsys):
-    # a random 14-region pair sharing 13 regions is partial rank, so it is
-    # searched, and the search outgrows its state budget
+def random_pair(n, shared):
+    """Genomes A and B over n shuffled regions each, sharing `shared`."""
     rng = random.Random(0)
-    a, b = [f"r{i}" for i in range(14)], [f"r{i}" for i in range(1, 15)]
+    a, b = [f"r{i}" for i in range(n)], [f"r{i}" for i in range(n - shared, 2 * n - shared)]
     rng.shuffle(a)
     rng.shuffle(b)
+    return f"A: {' '.join(a)}\nB: {' '.join(b)}\n"
+
+
+def test_search_budget_exit_2(tmp_path, capsys):
+    # a random 16-region pair sharing 12 regions is partial rank, so it is
+    # searched, and the search outgrows its budget of probes
     path = tmp_path / "big.txt"
-    path.write_text(f"A: {' '.join(a)}\nB: {' '.join(b)}\n")
+    path.write_text(random_pair(16, 12))
     start = time.perf_counter()
-    code, _, err = run(capsys, "distance", str(path), "A", "B", "--max-n", "14")
+    code, _, err = run(capsys, "distance", str(path), "A", "B", "--max-n", "16")
     assert code == 2
     assert "budget" in err
     assert time.perf_counter() - start < 60
 
 
+def test_random_twelve_region_partial_rank_pair_solves(tmp_path, capsys):
+    # a random 12-region pair sharing 11 regions: partial rank, searched
+    # within the budget, and its ancestor replays onto both genomes
+    path = tmp_path / "pair.txt"
+    path.write_text(random_pair(12, 11))
+    code, out, _ = run(capsys, "distance", str(path), "A", "B", "--max-n", "12")
+    assert code == 0 and "distance" in out
+    code, out, _ = run(capsys, "mrca", str(path), "A", "B", "--max-n", "12")
+    assert code == 0 and "verify ok" in out
+
+
 def test_random_full_rank_pairs_solve_without_the_budget(tmp_path, capsys):
     # genomes with the same regions take the closed form, not the search:
-    # a random 14-region pair, which the search cannot solve within its
-    # budget, and a random 16-region pair with its witness words and ancestor
+    # a random 14-region pair, and a random 16-region pair with its witness
+    # words and ancestor
     rng = random.Random(0)
     a, b = [f"r{i}" for i in range(14)], [f"r{i}" for i in range(14)]
     rng.shuffle(a)
