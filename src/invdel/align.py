@@ -15,7 +15,7 @@ goal, an orientation-preserving pairing, wins at cost k.  States are ints
 packing the image row and then its inverse, 4 bits per field (5 at
 n = 16), so a move is a few shifts and xors.
 
-`probe(state, k)` answers whether a goal lies within k moves.  A state is
+`probe(state, k)` finds a path to a goal within k moves.  A state is
 a goal when its defined images, read in position order, have at most one
 cyclic descent; a move changes that count by at most one, so a state with
 d descents is at least d - 1 moves away.  From k = 2 on the probe also
@@ -37,12 +37,12 @@ that failed at k is more than k moves from a goal.  No goal is listed.
 The tie rule is fixed: sources are probed in the order given (repeats
 dropped, the first copy kept), and moves go in code order, left moves
 before right ones, then by generator index.  The first source of least
-cost wins, and its witness descends greedily: each step takes the first
-move in code order whose child passes the probe for the moves left.  The
-probe being exact, that is the source's lexicographically least shortest
-move sequence: the answer of solving every source alone and keeping the
-first strict minimum, and that of a layered breadth-first search seeded
-with the sources in order (the tests' reference).  Probe calls, revisits
+cost wins, and its witness is the path its successful probe found.  The
+probe takes the first child in code order that succeeds, and k is exact,
+so that path is the source's lexicographically least shortest move
+sequence: the answer of solving every source alone and keeping the first
+strict minimum, and that of a layered breadth-first search seeded with
+the sources in order (the tests' reference).  Probe calls, revisits
 included, count against `MAX_STATES`; beyond it the search raises
 CapacityError, so the budget bounds time, not just memory.
 
@@ -117,9 +117,9 @@ from typing import Iterator, Sequence
 
 from .errors import CapacityError, InvalidArgumentError
 from .algebra import Generator, Word
-from .cayley import _swap_pairs, _swap_positions, _swap_values, class_costs
+from .cayley import class_costs
 from .genome import Genome, ReferenceFrame
-from .pperm import PartialPerm, sigma_from_frames
+from .pperm import PartialPerm, _swap_pairs, _swap_positions, _swap_values, sigma_from_frames
 
 ImageRow = tuple[int, ...]
 
@@ -339,13 +339,15 @@ def _compressed_cost(values: tuple[int, ...]) -> int:
 
 
 def _prober(moves, shifts: range, mask: int):
-    """A fresh `probe(state, k)`, true when the state is at most k moves
-    from a goal, and its memo of the largest k each state failed at."""
+    """A fresh `probe(state, k)` and its memo of the largest k each state
+    failed at.  The probe returns None when no goal lies within k moves of
+    the state, and otherwise the first path it found: the goal state, then
+    the codes of the moves to it, last move first."""
     failed: dict[int, int] = {}
     bounds: dict[tuple[int, ...], int] = {}
     calls = 0
 
-    def probe(state: int, k: int) -> bool:
+    def probe(state: int, k: int) -> list[int] | None:
         nonlocal calls
         calls += 1
         if calls > MAX_STATES:
@@ -353,10 +355,10 @@ def _prober(moves, shifts: range, mask: int):
                                 "probes; the pairing is too large to solve exactly")
         drops = _descents(state, shifts, mask)
         if drops <= 1:
-            return True
+            return [state]
         # a move changes the descent count by at most one
         if drops - 1 > k or failed.get(state, -1) >= k:
-            return False
+            return None
         if k >= 2:
             values = tuple(v for shift in shifts if (v := (state >> shift) & mask))
             bound = bounds.get(values)
@@ -369,48 +371,43 @@ def _prober(moves, shifts: range, mask: int):
                     bound = bounds[row] = _compressed_cost(row)
                 bounds[values] = bound
             if bound > k:
-                return False
-        for _code, sa, sb, fix in moves:  # `_apply`, inlined on the hot path
+                return None
+        for code, sa, sb, fix in moves:  # `_apply`, inlined on the hot path
             x = (state >> sa) & mask
             y = (state >> sb) & mask
             if x == y:  # both endpoints empty: the move fixes the state
                 continue
             t = x ^ y
-            if probe(state ^ (t << sa) ^ (t << sb) ^ fix[x] ^ fix[y], k - 1):
-                return True
+            path = probe(state ^ (t << sa) ^ (t << sb) ^ fix[x] ^ fix[y], k - 1)
+            if path is not None:
+                path.append(code)
+                return path
         failed[state] = k
-        return False
+        return None
 
     return probe, failed
 
 
 def _search_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolution]:
-    """`solve_sources` for m <= n by the bounded probe (module docstring)."""
+    """`solve_sources` for m <= n by the bounded probe (module docstring):
+    the first source whose probe succeeds at the least k wins, and the
+    path that probe found is the witness."""
     m, n = sources[0].m, sources[0].n
     width = 4 if n < 16 else 5
     mask = (1 << width) - 1
     shifts = range(0, width * m, width)
-    moves = _moves(m, n, width)
-    probe, _ = _prober(moves, shifts, mask)
+    probe, _ = _prober(_moves(m, n, width), shifts, mask)
     # each distinct source state with the index of its first copy
     starts: dict[int, int] = {}
     for index, sigma in enumerate(sources):
         starts.setdefault(_pack(sigma, width), index)
     for cost in count():
-        state = next((state for state in starts if probe(state, cost)), None)
-        if state is not None:
-            break
-    index = starts[state]
-    codes = []
-    for left in range(cost - 1, -1, -1):
-        for move in moves:
-            nxt = _apply(state, move, mask)
-            if nxt != state and probe(nxt, left):
-                codes.append(move[0])
-                state = nxt
-                break
-    row = tuple((state >> shift) & mask for shift in shifts)
-    return index, _solution(m, n, codes, row)
+        for state, index in starts.items():
+            path = probe(state, cost)
+            if path is not None:
+                goal, *codes = path
+                row = tuple((goal >> shift) & mask for shift in shifts)
+                return index, _solution(m, n, codes[::-1], row)
 
 
 def solve_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolution]:

@@ -34,7 +34,7 @@ from pathlib import Path
 
 from .errors import CacheIntegrityError, CapacityError, InvalidArgumentError
 from .algebra import inversion_set, eval_generator
-from .pperm import PartialPerm, row_is_popi
+from .pperm import PartialPerm, _swap_pairs, _swap_positions, _swap_values, row_is_popi
 
 # |I_8| is already 1.4M elements and the largest class table at n = 8,
 # rank 6, has 564,480 states; anything larger is hopeless here.
@@ -43,25 +43,6 @@ MAX_ENUM = 8
 LEFT, RIGHT = 0, 1
 
 ImageRow = tuple[int, ...]
-
-
-def _swap_pairs(n: int) -> list[tuple[int, int]]:
-    """0-based position pairs of the circular adjacent inversions, deduplicated."""
-    if n <= 1:
-        return []
-    if n == 2:
-        return [(0, 1)]
-    return [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-
-
-def _swap_positions(row: ImageRow, a: int, b: int) -> ImageRow:
-    lst = list(row)
-    lst[a], lst[b] = lst[b], lst[a]
-    return tuple(lst)
-
-
-def _swap_values(row: ImageRow, a: int, b: int) -> ImageRow:
-    return tuple(b if v == a else a if v == b else v for v in row)
 
 
 def monoid_size(n: int) -> int:

@@ -27,11 +27,6 @@ class EvolutionScenario:
     seed: int
 
     @property
-    def ancestor_frame(self):
-        """The fixed frame both branches start from."""
-        return self.ancestor.canonical
-
-    @property
     def event_count(self) -> int:
         return len(self.branch1) + len(self.branch2)
 

@@ -195,8 +195,6 @@ def solve_balancedsort(inst: BalancedSortInstance) -> bool:
         raise CapacityError(f"balanced search is capped at {MAX_BALANCED} positions, got {m}")
     if sigma.is_order_preserving():
         return True
-    if m < 2:
-        return False  # no moves available and sigma is not order preserving
     half = k // 2
     if half == 0:
         return False

@@ -28,6 +28,25 @@ def row_is_popi(row: Sequence[int]) -> bool:
     return sum(1 for t in range(k) if images[t] > images[(t + 1) % k]) <= 1
 
 
+def _swap_pairs(n: int) -> list[tuple[int, int]]:
+    """0-based position pairs of the circular adjacent inversions, deduplicated."""
+    if n <= 1:
+        return []
+    if n == 2:
+        return [(0, 1)]
+    return [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+
+
+def _swap_positions(row: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    lst = list(row)
+    lst[a], lst[b] = lst[b], lst[a]
+    return tuple(lst)
+
+
+def _swap_values(row: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    return tuple(b if v == a else a if v == b else v for v in row)
+
+
 def _check_size(m: int, n: int) -> None:
     if m < 0 or n < 0:
         raise InvalidArgumentError(f"sizes must be non-negative, got {m}, {n}")
@@ -104,9 +123,6 @@ class PartialPerm:
 
     def domain(self) -> tuple[int, ...]:
         return tuple(i + 1 for i, v in enumerate(self._img) if v)
-
-    def image(self) -> tuple[int, ...]:
-        return tuple(sorted(v for v in self._img if v))
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((i + 1, v) for i, v in enumerate(self._img) if v)
