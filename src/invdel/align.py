@@ -93,11 +93,12 @@ changes each rotation's cost by exactly one, lowering just the rotations
 on every permutation with n <= 6.  Beyond that it rests on Jerrum's
 argument and seeded checks against the reference and the search.
 
-The cayley engine reads the same number from a per-class table
-(`cayley.class_cost`), filled by its own search over tuple rows.  Two more
-routes serve as checks: a breadth-first search inside the pairing's rank
-class of the enumerated monoid (`cayley.solve_pair_via_cayley`), and an
-iterative-deepening oracle here with its own traversal and its own
+The class tables of `cayley` hold the same number for every pairing of a
+class (`cayley.class_cost`), filled by their own search over tuple rows;
+only `distance --engine cayley` reads them (`cayley.table_distance`).  Two
+more routes serve as checks: a breadth-first search inside the pairing's
+rank class of the enumerated monoid (`cayley.solve_pair_via_cayley`), and
+an iterative-deepening oracle here with its own traversal and its own
 orientation test.  Tests hold all four together.
 
 Minimizing over reference pairs only needs two of the 4mn frame pairs:
@@ -117,7 +118,6 @@ from typing import Iterator, Sequence
 
 from .errors import CapacityError, InvalidArgumentError
 from .algebra import Generator, Word
-from .cayley import class_costs
 from .genome import Genome, ReferenceFrame
 from .pperm import PartialPerm, _swap_pairs, _swap_positions, _swap_values, sigma_from_frames
 
@@ -505,26 +505,13 @@ def reference_pairs(g1: Genome, g2: Genome) -> list[tuple[ReferenceFrame, Refere
 def min_over_reference_pairs(
     g1: Genome,
     g2: Genome,
-    engine: str = "onthefly",
-    cache_dir=None,
 ) -> tuple[tuple[ReferenceFrame, ReferenceFrame], AlignmentSolution]:
     """Minimize the alignment cost over reference pairs of the two genomes.
 
     Only the pairs of `reference_pairs` are tried; the module docstring
-    says why they reach the minimum over every frame pair.  The on-the-fly
-    engine searches them at once; the cayley engine looks each pair's cost
-    up in its class table and then solves the winner once for its witness.
-    Either way the first pair of least cost wins.
+    says why they reach the minimum over every frame pair.  They are
+    searched at once, and the first pair of least cost wins.
     """
-    if engine not in ("onthefly", "cayley"):
-        raise InvalidArgumentError(f"unknown engine {engine!r}")
     pairs = reference_pairs(g1, g2)
-    sigmas = [sigma_from_frames(f1, f2) for f1, f2 in pairs]
-    if engine == "onthefly":
-        index, solution = solve_sources(sigmas)
-        return pairs[index], solution
-    costs = class_costs(sigmas, cache_dir)
-    index = costs.index(min(costs))
-    solution = solve_pair(sigmas[index])
-    assert solution.cost == costs[index]
+    index, solution = solve_sources([sigma_from_frames(f1, f2) for f1, f2 in pairs])
     return pairs[index], solution

@@ -6,10 +6,11 @@ two circularly adjacent positions of a row, a right move two circularly
 adjacent values; a row is a target when its defined images read in a
 cyclic order (`row_is_popi`).
 
-The cayley engine reads the alignment cost `mu` from a table per m-by-n
-rank-r class (m <= n): one breadth-first search from every target state
-fills it, a query is one lookup at the row's arithmetic rank, and finished
-tables are kept in a small checked binary cache, one file per class.
+The cayley engine (`table_distance`, which `distance --engine cayley`
+calls) reads the alignment cost `mu` from a table per m-by-n rank-r class
+(m <= n): one breadth-first search from every target state fills it, a
+query is one lookup at the row's arithmetic rank, and finished tables can
+be kept in a small checked binary cache, one file per class.
 
 The square monoid on n points, generated by the circular adjacent
 inversions together with the partial identity on {1..n-1}, is also
@@ -34,7 +35,11 @@ from pathlib import Path
 
 from .errors import CacheIntegrityError, CapacityError, InvalidArgumentError
 from .algebra import inversion_set, eval_generator
-from .pperm import PartialPerm, _swap_pairs, _swap_positions, _swap_values, row_is_popi
+from .align import reference_pairs, solve_pair
+from .distance import DistanceResult
+from .genome import Genome, region_set_ops
+from .pperm import (PartialPerm, _swap_pairs, _swap_positions, _swap_values, row_is_popi,
+                    sigma_from_frames)
 
 # |I_8| is already 1.4M elements and the largest class table at n = 8,
 # rank 6, has 564,480 states; anything larger is hopeless here.
@@ -381,16 +386,17 @@ def class_cost(sigma: PartialPerm, cache_dir=None) -> int:
     return class_costs([sigma], cache_dir)[0]
 
 
-def default_cache_dir() -> Path:
-    env = os.environ.get("INVDEL_CACHE")
-    if env:
-        return Path(env)
-    if os.name == "nt":
-        base = Path(os.environ.get("LOCALAPPDATA", Path.home() / "AppData" / "Local"))
-    elif os.uname().sysname == "Darwin":
-        base = Path.home() / "Library" / "Caches"
-    else:
-        base = Path(os.environ.get("XDG_CACHE_HOME", Path.home() / ".cache"))
-    return base / "invdel"
-
-
+def table_distance(g1: Genome, g2: Genome, cache_dir=None) -> DistanceResult:
+    """`distance.mrca_distance` by the class tables: the two reference
+    pairs' costs are looked up in their class's table, which is built in
+    memory when `cache_dir` is None, the first pair of least cost wins, and
+    `solve_pair` gives its witness."""
+    _, sym_diff, _ = region_set_ops(g1, g2)
+    pairs = reference_pairs(g1, g2)
+    sigmas = [sigma_from_frames(f1, f2) for f1, f2 in pairs]
+    costs = class_costs(sigmas, cache_dir)
+    index = costs.index(min(costs))
+    solution = solve_pair(sigmas[index])
+    assert solution.cost == costs[index]
+    return DistanceResult(len(sym_diff) + solution.cost, len(sym_diff), solution.cost,
+                          pairs[index], solution)

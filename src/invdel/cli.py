@@ -10,12 +10,11 @@ import argparse
 import json
 import sys
 from functools import cache
-from pathlib import Path
 
 from . import __version__
 from .errors import InvdelError, CapacityError
 from .algebra import eval_word, format_word, relation_table
-from .cayley import MAX_ENUM, default_cache_dir, enumerate_monoid, monoid_size
+from .cayley import MAX_ENUM, enumerate_monoid, monoid_size, table_distance
 from .distance import (check_ancestor_size, construct_ancestor, directed_distance,
                        distance_matrix, format_phylip, format_tsv, mrca_distance,
                        verify_scenario_report)
@@ -30,15 +29,6 @@ JSON_SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-
-def _cache_dir(args) -> Path | None:
-    # only the cayley engine reads a cache; precedence: --cache-dir flag,
-    # then $INVDEL_CACHE, then the platform cache directory
-    # (default_cache_dir handles the latter two)
-    if args.engine != "cayley":
-        return None
-    return Path(args.cache_dir) if args.cache_dir else default_cache_dir()
 
 
 def _emit(args, lines: list[str], payload: dict) -> None:
@@ -71,15 +61,21 @@ def _pick(named: dict[str, Genome], name: str, max_n: int) -> Genome:
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_distance(args) -> int:
+    if args.directed and args.engine == "cayley":
+        raise InvdelError("--directed takes the default engine only; drop --engine cayley")
     named = dict(load_genomes(args.file))
     g1, g2 = _pick(named, args.genome1, args.max_n), _pick(named, args.genome2, args.max_n)
     if args.directed:
-        d = directed_distance(g1, g2, engine=args.engine, cache_dir=_cache_dir(args))
+        d = directed_distance(g1, g2)
         _emit(args, [f"directed-distance {d}"],
               {"command": "distance", "directed": True, "distance": d,
                "from": args.genome1, "to": args.genome2})
         return EXIT_OK
-    result = mrca_distance(g1, g2, engine=args.engine, cache_dir=_cache_dir(args))
+    if args.engine == "cayley":
+        # the class tables are built in memory unless --cache-dir names a cache
+        result = table_distance(g1, g2, args.cache_dir)
+    else:
+        result = mrca_distance(g1, g2)
     f1, f2 = result.best_pair
     lines = [
         f"distance {result.total}",
@@ -106,7 +102,7 @@ def cmd_mrca(args) -> int:
     named = dict(load_genomes(args.file))
     g1, g2 = _pick(named, args.genome1, args.max_n), _pick(named, args.genome2, args.max_n)
     check_ancestor_size(g1, g2)
-    result = mrca_distance(g1, g2, engine=args.engine, cache_dir=_cache_dir(args))
+    result = mrca_distance(g1, g2)
     scenario = construct_ancestor(g1, g2, result=result)
     ok, report = verify_scenario_report(scenario, g1, g2, expected=result.total)
     lines = [
@@ -136,8 +132,7 @@ def cmd_matrix(args) -> int:
     if len(named) < 2:
         raise InvdelError("a distance matrix needs at least 2 genomes")
     names = list(named)
-    matrix = distance_matrix(list(named.items()), engine=args.engine,
-                             cache_dir=_cache_dir(args))
+    matrix = distance_matrix(list(named.items()))
     if args.json:
         _emit(args, [], {"command": "matrix", "format": args.format,
                          "names": names, "matrix": matrix})
@@ -154,6 +149,9 @@ def cmd_verify(args) -> int:
     payload: dict = {"command": "verify"}
     failures = 0
     if args.relations:
+        if args.max_n < 2:
+            raise InvdelError("--relations needs --max-n of at least 2: "
+                              "the relation table starts at n = 2")
         checked = 0
         bad = []
         for n in range(2, args.max_n + 1):
@@ -190,8 +188,7 @@ def cmd_simulate(args) -> int:
     ancestor = random_genome(args.size, args.seed)
     scenario = simulate(ancestor, args.deletions1, args.inversions1,
                         args.deletions2, args.inversions2, args.seed)
-    result = mrca_distance(scenario.genome1, scenario.genome2,
-                           engine=args.engine, cache_dir=_cache_dir(args))
+    result = mrca_distance(scenario.genome1, scenario.genome2)
     lines = [
         f"ancestor {scenario.ancestor.canonical}",
         f"branch-1 {format_word(scenario.branch1)}",
@@ -246,6 +243,9 @@ def cmd_reduce_partition(args) -> int:
         if decision != brute:
             _emit(args, lines + ["REDUCTION MISMATCH"], {**payload, "mismatch": True})
             return EXIT_FAIL
+    else:
+        lines.append("balanced-sortable undecided")
+        payload["balanced_sortable"] = None
     _emit(args, lines, payload)
     return EXIT_OK
 
@@ -262,24 +262,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # each subcommand takes only the options it reads: every one --json,
-    # the sized ones --max-n, the ones that align genomes the engine options
+    # the sized ones --max-n, and distance alone the engine options
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--json", action="store_true", help="emit a JSON report")
     sized = argparse.ArgumentParser(add_help=False, parents=[report])
     sized.add_argument("--max-n", type=int, default=8,
                        help=f"largest genome size accepted (default 8, cap {MAX_POSITIONS})")
-    aligning = argparse.ArgumentParser(add_help=False, parents=[sized])
-    aligning.add_argument("--cache-dir", default=None,
-                          help="class-table cache directory (default: $INVDEL_CACHE, else "
-                               "the platform cache directory, ~/.cache/invdel on Linux)")
-    aligning.add_argument("--engine", choices=["onthefly", "cayley"], default="onthefly",
-                          help="alignment engine (default onthefly)")
 
-    p = sub.add_parser("distance", parents=[aligning],
+    p = sub.add_parser("distance", parents=[sized],
                        help="distance between two named genomes")
     p.add_argument("file", help="genome text file")
     p.add_argument("genome1")
     p.add_argument("genome2")
+    p.add_argument("--engine", choices=["onthefly", "cayley"], default="onthefly",
+                   help="alignment engine (default onthefly; cayley reads class tables)")
+    p.add_argument("--cache-dir", default=None,
+                   help="class-table cache directory for the cayley engine "
+                        "(default: none, tables are built in memory)")
     # the one-sided distance has no witness words to print
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--directed", action="store_true",
@@ -288,14 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also print the witnessing inversion words")
     p.set_defaults(func=cmd_distance)
 
-    p = sub.add_parser("mrca", parents=[aligning],
+    p = sub.add_parser("mrca", parents=[sized],
                        help="reconstruct the most recent common ancestor")
     p.add_argument("file")
     p.add_argument("genome1")
     p.add_argument("genome2")
     p.set_defaults(func=cmd_mrca)
 
-    p = sub.add_parser("matrix", parents=[aligning], help="all-pairs distance matrix")
+    p = sub.add_parser("matrix", parents=[sized], help="all-pairs distance matrix")
     p.add_argument("file")
     p.add_argument("--format", choices=["phylip", "tsv"], default="phylip")
     p.set_defaults(func=cmd_matrix)
@@ -306,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enumerate", type=int, default=None, metavar="N")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("simulate", parents=[aligning],
+    p = sub.add_parser("simulate", parents=[sized],
                        help="simulate a pair of genomes from a random ancestor")
     p.add_argument("--size", type=int, required=True, help="ancestor region count")
     p.add_argument("--seed", type=int, default=0)

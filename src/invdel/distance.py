@@ -29,29 +29,19 @@ class DistanceResult:
         assert self.total == self.deletions + self.mu
 
 
-def mrca_distance(
-    g1: Genome,
-    g2: Genome,
-    engine: str = "onthefly",
-    cache_dir=None,
-) -> DistanceResult:
+def mrca_distance(g1: Genome, g2: Genome) -> DistanceResult:
     """Events separating the two genomes through their most recent common
     ancestor: deletions for the symmetric difference plus the minimum
     alignment cost."""
     _, sym_diff, _ = region_set_ops(g1, g2)
-    pair, solution = min_over_reference_pairs(g1, g2, engine=engine, cache_dir=cache_dir)
+    pair, solution = min_over_reference_pairs(g1, g2)
     return DistanceResult(len(sym_diff) + solution.cost, len(sym_diff),
                           solution.cost, pair, solution)
 
 
 # -- one-sided distance --------------------------------------------------------
 
-def directed_distance(
-    g1: Genome,
-    g2: Genome,
-    engine: str = "onthefly",
-    cache_dir=None,
-) -> int:
+def directed_distance(g1: Genome, g2: Genome) -> int:
     """Minimum inversions and deletions transforming the first genome into
     the second; only defined when the second's regions are a subset.
 
@@ -63,8 +53,8 @@ def directed_distance(
     first.  The tests check this against that inversion-sorting search on
     every pair with n <= 5; it also held on every subset pair with n <= 6.
     The survivors and the second genome have the same regions, so the
-    alignment is full rank: the default engine takes the closed form (see
-    align.py), runs no search and meets no state budget, up to 16 regions.
+    alignment is full rank: it takes the closed form (see align.py), runs
+    no search and meets no state budget, up to 16 regions.
     """
     r1, r2 = g1.regions, g2.regions
     if not r2 <= r1:
@@ -74,7 +64,7 @@ def directed_distance(
             f"(missing from source: {missing})"
         )
     survivors = Genome.from_tokens(t for t in g1.canonical.tokens if t in r2)
-    mu = mrca_distance(survivors, g2, engine=engine, cache_dir=cache_dir).mu
+    mu = mrca_distance(survivors, g2).mu
     return len(r1 - r2) + mu
 
 
@@ -232,20 +222,14 @@ def verify_scenario_report(
 
 # -- all-pairs matrices ----------------------------------------------------------
 
-def distance_matrix(
-    named: list[tuple[str, Genome]],
-    engine: str = "onthefly",
-    cache_dir=None,
-) -> list[list[int]]:
+def distance_matrix(named: list[tuple[str, Genome]]) -> list[list[int]]:
     if len(named) < 2:
         raise InvalidArgumentError("a distance matrix needs at least 2 genomes")
     k = len(named)
     out = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            d = mrca_distance(named[i][1], named[j][1], engine=engine,
-                              cache_dir=cache_dir).total
-            out[i][j] = out[j][i] = d
+            out[i][j] = out[j][i] = mrca_distance(named[i][1], named[j][1]).total
     return out
 
 

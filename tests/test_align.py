@@ -11,6 +11,7 @@ from invdel import (CapacityError, InvalidArgumentError, PartialPerm,
                     solve_pair_via_cayley, solve_sources)
 from invdel.align import (_lowered, _rotation_costs, _swap_pairs, _swap_positions,
                           _swap_values, reference_pairs)
+from invdel.cayley import table_distance
 from invdel.pperm import row_is_popi
 
 SIGMA86 = sigma_from_frames("abcdefgh", "eibach")
@@ -209,7 +210,7 @@ def test_fast_mode_pair_count():
 def test_engine_choice_agrees(tmp_path):
     g1, g2 = genomes_from_token_lists("abcde", "adceb")
     _, on_the_fly = min_over_reference_pairs(g1, g2)
-    _, via_cayley = min_over_reference_pairs(g1, g2, engine="cayley", cache_dir=tmp_path)
+    via_cayley = table_distance(g1, g2, cache_dir=tmp_path).solution
     assert on_the_fly.cost == via_cayley.cost
 
 

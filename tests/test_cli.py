@@ -109,19 +109,12 @@ def test_directed_rejects_emit_events(genome_file, capsys):
     assert "not allowed with argument --directed" in capsys.readouterr().err
 
 
-def test_directed_cayley_engine_matches_onthefly(tmp_path, capsys):
-    path = tmp_path / "subset.txt"
-    path.write_text("A: a b c d e f g\nB: c a e g b\n")
-    cache = tmp_path / "cache"
-    code, onthefly, _ = run(capsys, "distance", str(path), "A", "B", "--directed", "--json")
-    assert code == 0
-    code, cayley, _ = run(capsys, "distance", str(path), "A", "B", "--directed", "--json",
-                          "--engine", "cayley", "--cache-dir", str(cache))
-    assert code == 0
-    assert cayley == onthefly
-    assert json.loads(cayley)["distance"] > 2  # two deletions and some inversions
-    # the search saw only the five surviving regions
-    assert [p.name for p in cache.glob("mu_*.bin")] == ["mu_5_5_5.bin"]
+def test_directed_cayley_engine_is_exit_2(genome_file, capsys):
+    # the class tables serve the symmetric distance only
+    code, out, err = run(capsys, "distance", genome_file, "G1", "SUB", "--directed",
+                         "--engine", "cayley")
+    assert (code, out) == (2, "")
+    assert "--directed takes the default engine only" in err
 
 
 def test_directed_no_path_is_exit_2(genome_file, capsys):
@@ -327,14 +320,29 @@ def test_max_n_out_of_range_is_exit_2(genome_file, capsys, max_n):
         assert "--max-n must be 1..16" in err
 
 
+def test_verify_relations_below_the_table_floor_is_exit_2(capsys):
+    # the relation table starts at n = 2, so --max-n 1 would check nothing
+    code, out, err = run(capsys, "verify", "--relations", "--max-n", "1")
+    assert (code, out) == (2, "")
+    assert "--max-n of at least 2" in err
+    assert run(capsys, "verify", "--relations", "--max-n", "2")[0] == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--relations", "--engine", "cayley"],
     ["reduce-partition", "1,1", "--engine", "cayley"],
     ["reduce-partition", "1,1", "--cache-dir", "cache"],
     ["reduce-partition", "1,1", "--max-n", "3"],
     ["distance", "genomes.txt", "G1", "G2", "--full-pairs"],
+    ["mrca", "genomes.txt", "G1", "G2", "--engine", "cayley"],
+    ["mrca", "genomes.txt", "G1", "G2", "--cache-dir", "cache"],
+    ["matrix", "genomes.txt", "--engine", "cayley"],
+    ["matrix", "genomes.txt", "--cache-dir", "cache"],
+    ["simulate", "--size", "5", "--engine", "cayley"],
+    ["simulate", "--size", "5", "--cache-dir", "cache"],
 ], ids=["verify-engine", "reduce-partition-engine", "reduce-partition-cache-dir",
-        "reduce-partition-max-n", "distance-full-pairs"])
+        "reduce-partition-max-n", "distance-full-pairs", "mrca-engine", "mrca-cache-dir",
+        "matrix-engine", "matrix-cache-dir", "simulate-engine", "simulate-cache-dir"])
 def test_subcommands_reject_options_they_do_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -368,6 +376,7 @@ def test_reduce_partition_report(capsys):
     assert lines[0] == "m 16"
     assert lines[1] == "pairs 1<->2 3<->4 5<->7 8<->11 12<->16"
     assert lines[2] == "k 11"
+    assert lines[3:] == ["balanced-sortable undecided"]  # 16 positions, past npc.MAX_BALANCED
 
 
 def test_reduce_partition_small_decision(capsys):
@@ -389,7 +398,7 @@ def test_reduce_partition_decides_up_to_the_cap(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["m"] == 16
-    assert "balanced_sortable" not in payload and "partition" not in payload
+    assert payload["balanced_sortable"] is None and "partition" not in payload
 
 
 def test_reduce_partition_beyond_the_position_cap_is_exit_2(capsys):
@@ -439,50 +448,53 @@ def test_cache_dir_flag(genome_file, tmp_path, capsys):
     assert any(cache.glob("mu_*.bin"))
 
 
-def test_cache_dir_is_resolved_only_for_the_cayley_engine(genome_file, tmp_path,
-                                                           capsys, monkeypatch):
-    import invdel.cli
-
-    def refuse():
-        raise AssertionError("the onthefly engine reads no cache directory")
-
-    monkeypatch.setattr(invdel.cli, "default_cache_dir", refuse)
-    code, out, _ = run(capsys, "distance", genome_file, "G1", "G2")
-    assert code == 0 and out.splitlines()[0] == "distance 8"
-    monkeypatch.undo()
-    monkeypatch.setenv("INVDEL_CACHE", str(tmp_path / "env"))
-    code, _, _ = run(capsys, "distance", genome_file, "G1", "G2", "--engine", "cayley")
-    assert code == 0 and any((tmp_path / "env").glob("mu_*.bin"))
-
-
-SMALL = "P: a b c d e\nQ: a c b e d\nR: b a d c\nS: e a c\n"
+def test_cayley_engine_without_a_cache_dir_writes_nothing(genome_file, tmp_path,
+                                                          capsys, monkeypatch):
+    # with no --cache-dir the tables are built in memory: no platform cache
+    # directory, no environment variable and no working-directory file
+    for var in ("HOME", "XDG_CACHE_HOME", "INVDEL_CACHE"):
+        monkeypatch.setenv(var, str(tmp_path / var.lower()))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    argv = ["distance", genome_file, "ANC1", "ANC2", "--json", "--emit-events"]
+    _, expected, _ = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--engine", "cayley")
+    assert (code, out, err) == (0, expected, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["genomes.txt", "work"]
+    assert not any(work.iterdir())
 
 
-def test_matrix_cayley_engine_matches_onthefly(tmp_path, capsys):
-    path = tmp_path / "small.txt"
-    path.write_text(SMALL)
-    cache = tmp_path / "cache"
-    code, onthefly, _ = run(capsys, "matrix", str(path), "--json")
-    assert code == 0
-    code, cayley, _ = run(capsys, "matrix", str(path), "--json",
-                          "--engine", "cayley", "--cache-dir", str(cache))
-    assert code == 0
-    assert json.loads(cayley) == json.loads(onthefly)
-    assert any(cache.glob("mu_*.bin"))
+def overlapping_pairs(count, seed):
+    """Genome files of two genomes of 2-8 regions each that share at least
+    two regions but not all of them."""
+    rng = random.Random(seed)
+    files = []
+    while len(files) < count:
+        n1, n2 = rng.randint(2, 8), rng.randint(2, 8)
+        shared = rng.randint(2, min(n1, n2))
+        if shared == n1 == n2:
+            continue
+        common = [f"s{i}" for i in range(shared)]
+        a = common + [f"a{i}" for i in range(n1 - shared)]
+        b = common + [f"b{i}" for i in range(n2 - shared)]
+        rng.shuffle(a)
+        rng.shuffle(b)
+        files.append(f"A: {' '.join(a)}\nB: {' '.join(b)}\n")
+    return files
 
 
-def test_mrca_cayley_engine_matches_onthefly(tmp_path, capsys):
-    path = tmp_path / "small.txt"
-    path.write_text(SMALL)
-    cache = tmp_path / "cache"
-    code, onthefly, _ = run(capsys, "mrca", str(path), "P", "Q", "--json")
-    assert code == 0
-    code, cayley, _ = run(capsys, "mrca", str(path), "P", "Q", "--json",
-                          "--engine", "cayley", "--cache-dir", str(cache))
-    assert code == 0
-    assert json.loads(cayley) == json.loads(onthefly)
-    assert json.loads(onthefly)["verify"] == "ok"
-    assert any(cache.glob("mu_*.bin"))
+def test_cayley_engine_keeps_the_tie_rule(tmp_path, capsys):
+    # the table route takes the first reference pair of least cost and the
+    # search's witness, so it prints the default engine's report
+    path = tmp_path / "pair.txt"
+    cache = str(tmp_path / "cache")
+    for text in overlapping_pairs(40, seed=3):
+        path.write_text(text)
+        argv = ["distance", str(path), "A", "B", "--json", "--emit-events"]
+        expected = run(capsys, *argv)
+        assert run(capsys, *argv, "--engine", "cayley", "--cache-dir", cache) == expected, text
+        assert expected[0] == 0
 
 
 def test_cli_imports_only_the_standard_library():
