@@ -319,18 +319,16 @@ def rewrite_deletions_first(w: Word) -> Word:
     trailing frame symmetries.
     """
     letters = list(w.letters)
-    changed = True
-    while changed:
-        changed = False
-        k = 0
-        while k + 1 < len(letters):
-            repl = _rules(letters[k].n).get((letters[k], letters[k + 1]))
-            if repl is not None:
-                letters[k:k + 2] = repl
-                changed = True
-                k = max(0, k - 1)
-            else:
-                k += 1
+    # no rule applies to a pair left of k: a rewrite changes only the pairs
+    # from k - 1 on, so one pass leaves no rule to apply anywhere
+    k = 0
+    while k + 1 < len(letters):
+        repl = _rules(letters[k].n).get((letters[k], letters[k + 1]))
+        if repl is not None:
+            letters[k:k + 2] = repl
+            k = max(0, k - 1)
+        else:
+            k += 1
     return Word(letters, w.src)
 
 

@@ -4,7 +4,9 @@ Given the pairing of shared regions between two frames, the solver looks
 for the cheapest way to multiply on the left (inversions of the first
 genome) and on the right (inversions of the second) until the pairing is
 orientation preserving, i.e. the shared regions sit in the same clockwise
-cyclic order on both circles.
+cyclic order on both circles.  The answer, `AlignmentSolution`, is the
+witness: the move sequence, kept as one inversion word per side, whose
+total length is the cost.  The pairing it ends at is not kept.
 
 The default engine (`solve_sources`, with `solve_pair` its one-source
 case) takes one of two routes.  When the two genomes have the same regions
@@ -133,16 +135,15 @@ MAX_STATES = 1_200_000
 
 @dataclass(frozen=True)
 class AlignmentSolution:
-    """A witnessing minimum: inversion words for each side plus the
-    orientation-preserving pairing they produce."""
+    """A witnessing minimum: the inversion words of each side.  Applied as
+    L * sigma * R they make the pairing sigma orientation preserving."""
 
-    cost: int
     left_inversions: Word
     right_inversions: Word
-    witness: PartialPerm
 
-    def __post_init__(self):
-        assert self.cost == len(self.left_inversions) + len(self.right_inversions)
+    @property
+    def cost(self) -> int:
+        return len(self.left_inversions) + len(self.right_inversions)
 
 
 def _pack(sigma: PartialPerm, width: int) -> int:
@@ -232,12 +233,6 @@ def _rotation_costs(row: ImageRow) -> list[int]:
     return costs
 
 
-@lru_cache(maxsize=None)  # one entry per n
-def _adjacent(n: int) -> tuple[tuple[int, int], ...]:
-    """The pairs of `_swap_pairs(n)` as (i, i + 1 mod n)."""
-    return tuple((a, b) if b == a + 1 else (b, a) for a, b in _swap_pairs(n))
-
-
 def _lowered(row: ImageRow, rotations: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
     """For each move in code order, its code and the rotations among
     `rotations` whose cost it lowers, by one; it raises the others' by one.
@@ -263,7 +258,7 @@ def _lowered(row: ImageRow, rotations: Sequence[int]) -> Iterator[tuple[int, lis
     at = [0] * (n + 1)
     for p, v in enumerate(row):
         at[v] = p
-    pairs = _adjacent(n)
+    pairs = _swap_pairs(n)
     for code, (x, z) in enumerate(chain(pairs, ((at[b + 1], at[a + 1]) for a, b in pairs))):
         dx, dz = d[x], d[z]
         lowered = []
@@ -276,15 +271,14 @@ def _lowered(row: ImageRow, rotations: Sequence[int]) -> Iterator[tuple[int, lis
         yield code, lowered
 
 
-def _solution(m: int, n: int, codes: list[int], row: ImageRow) -> AlignmentSolution:
-    """The words of a move sequence, given in chronological code order, and
-    the goal row it ends at."""
+def _solution(m: int, n: int, codes: list[int]) -> AlignmentSolution:
+    """The words of a move sequence, given in chronological code order."""
     lefts = len(_swap_pairs(m))
     left_chrono = [c + 1 for c in codes if c < lefts]
     right_chrono = [c - lefts + 1 for c in codes if c >= lefts]
     left_word = Word([Generator.inversion(gi, m) for gi in reversed(left_chrono)], m)
     right_word = Word([Generator.inversion(gi, n) for gi in right_chrono], n)
-    return AlignmentSolution(len(codes), left_word, right_word, PartialPerm.from_image(n, row))
+    return AlignmentSolution(left_word, right_word)
 
 
 def _solve_full_rank(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolution]:
@@ -321,7 +315,7 @@ def _solve_full_rank(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolu
         swap, a, b = moves[code]
         row = swap(row, a, b)
         codes.append(code)
-    return index, _solution(n, n, codes, row)
+    return index, _solution(n, n, codes)
 
 
 def _relabelled(values: tuple[int, ...]) -> tuple[int, ...]:
@@ -341,8 +335,8 @@ def _compressed_cost(values: tuple[int, ...]) -> int:
 def _prober(moves, shifts: range, mask: int):
     """A fresh `probe(state, k)` and its memo of the largest k each state
     failed at.  The probe returns None when no goal lies within k moves of
-    the state, and otherwise the first path it found: the goal state, then
-    the codes of the moves to it, last move first."""
+    the state, and otherwise the first path it found: the codes of the
+    moves to a goal, last move first (empty, and so falsy, at a goal)."""
     failed: dict[int, int] = {}
     bounds: dict[tuple[int, ...], int] = {}
     calls = 0
@@ -355,7 +349,7 @@ def _prober(moves, shifts: range, mask: int):
                                 "probes; the pairing is too large to solve exactly")
         drops = _descents(state, shifts, mask)
         if drops <= 1:
-            return [state]
+            return []
         # a move changes the descent count by at most one
         if drops - 1 > k or failed.get(state, -1) >= k:
             return None
@@ -405,9 +399,7 @@ def _search_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolut
         for state, index in starts.items():
             path = probe(state, cost)
             if path is not None:
-                goal, *codes = path
-                row = tuple((goal >> shift) & mask for shift in shifts)
-                return index, _solution(m, n, codes[::-1], row)
+                return index, _solution(m, n, path[::-1])
 
 
 def solve_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolution]:
@@ -427,10 +419,8 @@ def solve_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolutio
     if m > n:
         index, mirror = solve_sources([s.inverse() for s in sources])
         return index, AlignmentSolution(
-            mirror.cost,
             Word(tuple(reversed(mirror.right_inversions.letters)), m),
             Word(tuple(reversed(mirror.left_inversions.letters)), n),
-            mirror.witness.inverse(),
         )
     if m == n and all(s.rank == n for s in sources):
         return _solve_full_rank(sources)

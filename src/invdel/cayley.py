@@ -398,5 +398,4 @@ def table_distance(g1: Genome, g2: Genome, cache_dir=None) -> DistanceResult:
     index = costs.index(min(costs))
     solution = solve_pair(sigmas[index])
     assert solution.cost == costs[index]
-    return DistanceResult(len(sym_diff) + solution.cost, len(sym_diff), solution.cost,
-                          pairs[index], solution)
+    return DistanceResult(len(sym_diff), pairs[index], solution)

@@ -63,6 +63,8 @@ def _pick(named: dict[str, Genome], name: str, max_n: int) -> Genome:
 def cmd_distance(args) -> int:
     if args.directed and args.engine == "cayley":
         raise InvdelError("--directed takes the default engine only; drop --engine cayley")
+    if args.cache_dir is not None and args.engine != "cayley":
+        raise InvdelError("--cache-dir is read by --engine cayley only")
     named = dict(load_genomes(args.file))
     g1, g2 = _pick(named, args.genome1, args.max_n), _pick(named, args.genome2, args.max_n)
     if args.directed:

@@ -128,11 +128,14 @@ def parse_genomes(text: str) -> list[tuple[str, Genome]]:
 
 
 def load_genomes(path) -> list[tuple[str, Genome]]:
-    """Parse a genome file; a file that cannot be read as UTF-8 text raises
-    GenomeParseError naming it."""
+    """Parse a genome file; a leading byte-order mark is skipped, and a
+    file that cannot be read as UTF-8 text raises GenomeParseError naming
+    it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            # the mark goes after decoding, so a bad byte's offset still
+            # counts from the start of the file ("utf-8-sig" would not)
+            text = fh.read().removeprefix("\ufeff")
     except OSError as exc:
         raise GenomeParseError(f"cannot read {str(path)!r}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

@@ -29,12 +29,13 @@ def row_is_popi(row: Sequence[int]) -> bool:
 
 
 def _swap_pairs(n: int) -> list[tuple[int, int]]:
-    """0-based position pairs of the circular adjacent inversions, deduplicated."""
+    """0-based position pairs (i, i + 1 mod n) of the circular adjacent
+    inversions, deduplicated."""
     if n <= 1:
         return []
     if n == 2:
         return [(0, 1)]
-    return [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+    return [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
 
 
 def _swap_positions(row: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:

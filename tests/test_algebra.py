@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from invdel import (Generator, Genome, PartialPerm, ReferenceFrame, Word,
-                    WordTypeError, apply_to_frame,
+from invdel import (Generator, Genome, InvalidArgumentError, PartialPerm, ReferenceFrame,
+                    Word, WordTypeError, apply_to_frame,
                     eval_generator, eval_word, format_word, parse_word,
                     relation_table, rewrite_deletions_first)
-from invdel.algebra import is_deletions_first, inversion_set
+from invdel.algebra import is_deletions_first, inversion_set, parse_generator
 from invdel.align import reference_pairs
 
 
@@ -61,6 +61,25 @@ def test_word_type_checked():
         Word([Generator.deletion(1, 4), Generator.inversion(1, 4)])
     with pytest.raises(WordTypeError):
         apply_to_frame(frame("abc"), parse_word("s1;4"))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Generator("inv", 1, 0), InvalidArgumentError, "size must be >= 1"),
+    (lambda: Generator.inversion(5, 4), InvalidArgumentError, "inversion index 5"),
+    (lambda: Generator.deletion(0, 4), InvalidArgumentError, "deletion index 0"),
+    (lambda: Generator.deletion(1, 1), InvalidArgumentError, "deletions need size >= 2"),
+    (lambda: Generator("rot", 1, 4), InvalidArgumentError, "carries no index"),
+    (lambda: Generator("refl", 2, 4), InvalidArgumentError, "carries no index"),
+    (lambda: Generator("swap", 1, 4), InvalidArgumentError, "unknown generator kind"),
+    (lambda: Word(()), WordTypeError, "explicit source size"),
+    (lambda: parse_word("d1;4") + parse_word("s1;4"), WordTypeError, "cannot join"),
+    (lambda: parse_generator("x1"), WordTypeError, "bad generator token"),
+    (lambda: relation_table(1), InvalidArgumentError, "relations start at size 2"),
+], ids=["size", "inversion-index", "deletion-index", "deletion-at-size-1", "rotation-index",
+        "reflection-index", "kind", "empty-word", "join-across-sizes", "token", "relations-floor"])
+def test_algebra_refuses_bad_input(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 def test_word_serialization_round_trip():

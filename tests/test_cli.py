@@ -94,6 +94,13 @@ def test_unreadable_genome_file_is_exit_2(tmp_path, capsys, kind):
     assert err.startswith("error: ") and str(path) in err
 
 
+def test_byte_order_mark_is_skipped(tmp_path, capsys):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbfA: a b c d\nB: a c b d\n")
+    code, out, _ = run(capsys, "distance", str(path), "A", "B")
+    assert code == 0 and out.splitlines()[0] == "distance 1"
+
+
 def test_directed_distance(genome_file, capsys):
     code, out, _ = run(capsys, "distance", genome_file, "G1", "SUB", "--directed")
     assert code == 0
@@ -115,6 +122,13 @@ def test_directed_cayley_engine_is_exit_2(genome_file, capsys):
                          "--engine", "cayley")
     assert (code, out) == (2, "")
     assert "--directed takes the default engine only" in err
+
+
+def test_cache_dir_without_the_cayley_engine_is_exit_2(genome_file, capsys):
+    # only the class tables read a cache
+    code, out, err = run(capsys, "distance", genome_file, "G1", "G2", "--cache-dir", "cache")
+    assert (code, out) == (2, "")
+    assert "--engine cayley" in err
 
 
 def test_directed_no_path_is_exit_2(genome_file, capsys):
@@ -386,6 +400,14 @@ def test_reduce_partition_small_decision(capsys):
     assert payload["balanced_sortable"] is True
     assert payload["partition"] is True
     assert sum(payload["split"][0]) == sum(payload["split"][1])
+
+
+def test_reduce_partition_even_sum_without_a_split(capsys):
+    code, out, _ = run(capsys, "reduce-partition", "2,4", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["partition"] is False and payload["split"] is None
+    assert payload["balanced_sortable"] is False
 
 
 def test_reduce_partition_decides_up_to_the_cap(capsys):

@@ -215,7 +215,7 @@ def test_verify_rejects_tampered_scenario():
     assert verify_scenario(sc, g1, g2)
     assert sc.event_count > 0
     dropped = AncestorScenario(
-        sc.ancestor, sc.ancestor_frame,
+        sc.ancestor_frame,
         Word(sc.events_to_g1.letters[:-1], sc.events_to_g1.src)
         if len(sc.events_to_g1) else sc.events_to_g1,
         sc.events_to_g2 if len(sc.events_to_g1) else
