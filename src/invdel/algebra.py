@@ -123,10 +123,6 @@ class Word:
         self.letters = letters
         self.src = src
 
-    @classmethod
-    def empty(cls, n: int) -> Word:
-        return cls((), n)
-
     @property
     def tgt(self) -> int:
         return self.letters[-1].tgt if self.letters else self.src
@@ -332,12 +328,7 @@ def rewrite_deletions_first(w: Word) -> Word:
     return Word(letters, w.src)
 
 
-def word_shape(w: Word) -> str:
-    """The word's letters as a category string, e.g. 'ddssc'."""
-    cat = {INV: "s", DEL: "d", ROT: "c", REFL: "a"}
-    return "".join(cat[g.kind] for g in w)
-
-
 def is_deletions_first(w: Word) -> bool:
-    shape = word_shape(w).replace("a", "c")
-    return bool(re.fullmatch(r"d*s*c*", shape))
+    """Whether the word reads deletions, then inversions, then dihedral letters."""
+    cat = {INV: "s", DEL: "d", ROT: "c", REFL: "c"}
+    return bool(re.fullmatch(r"d*s*c*", "".join(cat[g.kind] for g in w)))

@@ -121,7 +121,7 @@ from typing import Iterator, Sequence
 from .errors import CapacityError, InvalidArgumentError
 from .algebra import Generator, Word
 from .genome import Genome, ReferenceFrame
-from .pperm import PartialPerm, _swap_pairs, _swap_positions, _swap_values, sigma_from_frames
+from .pperm import PartialPerm, _swap_pairs, _swap_positions, _swap_values
 
 ImageRow = tuple[int, ...]
 
@@ -491,17 +491,3 @@ def reference_pairs(g1: Genome, g2: Genome) -> list[tuple[ReferenceFrame, Refere
         pairs.append((c1, flipped))
     return pairs
 
-
-def min_over_reference_pairs(
-    g1: Genome,
-    g2: Genome,
-) -> tuple[tuple[ReferenceFrame, ReferenceFrame], AlignmentSolution]:
-    """Minimize the alignment cost over reference pairs of the two genomes.
-
-    Only the pairs of `reference_pairs` are tried; the module docstring
-    says why they reach the minimum over every frame pair.  They are
-    searched at once, and the first pair of least cost wins.
-    """
-    pairs = reference_pairs(g1, g2)
-    index, solution = solve_sources([sigma_from_frames(f1, f2) for f1, f2 in pairs])
-    return pairs[index], solution

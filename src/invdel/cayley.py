@@ -29,6 +29,7 @@ import tempfile
 import zlib
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
 from math import comb, factorial, perm
 from pathlib import Path
@@ -37,7 +38,7 @@ from .errors import CacheIntegrityError, CapacityError, InvalidArgumentError
 from .algebra import inversion_set, eval_generator
 from .align import reference_pairs, solve_pair
 from .distance import DistanceResult
-from .genome import Genome, region_set_ops
+from .genome import Genome
 from .pperm import (PartialPerm, _swap_pairs, _swap_positions, _swap_values, row_is_popi,
                     sigma_from_frames)
 
@@ -99,13 +100,9 @@ class MonoidEnumeration:
         return len(self.elements)
 
 
-_enum_memo: dict[int, MonoidEnumeration] = {}
-
-
+@cache  # one enumeration per n, shared: it is never mutated
 def enumerate_monoid(n: int) -> MonoidEnumeration:
-    if n not in _enum_memo:
-        _enum_memo[n] = MonoidEnumeration(n)
-    return _enum_memo[n]
+    return MonoidEnumeration(n)
 
 
 @dataclass(frozen=True)
@@ -391,11 +388,10 @@ def table_distance(g1: Genome, g2: Genome, cache_dir=None) -> DistanceResult:
     pairs' costs are looked up in their class's table, which is built in
     memory when `cache_dir` is None, the first pair of least cost wins, and
     `solve_pair` gives its witness."""
-    _, sym_diff, _ = region_set_ops(g1, g2)
     pairs = reference_pairs(g1, g2)
     sigmas = [sigma_from_frames(f1, f2) for f1, f2 in pairs]
     costs = class_costs(sigmas, cache_dir)
     index = costs.index(min(costs))
     solution = solve_pair(sigmas[index])
     assert solution.cost == costs[index]
-    return DistanceResult(len(sym_diff), pairs[index], solution)
+    return DistanceResult(len(g1.regions ^ g2.regions), pairs[index], solution)

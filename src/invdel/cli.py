@@ -51,6 +51,8 @@ def _check_size(what: str, n: int, max_n: int) -> None:
 def _pick(named: dict[str, Genome], name: str, max_n: int) -> Genome:
     """The named genome, within the size cap; other genomes in the file
     are not checked."""
+    if not named:
+        raise InvdelError("the file holds no genomes")
     if name not in named:
         known = ", ".join(named)
         raise InvdelError(f"no genome named {name!r} in file (have: {known})")
@@ -134,7 +136,7 @@ def cmd_matrix(args) -> int:
     if len(named) < 2:
         raise InvdelError("a distance matrix needs at least 2 genomes")
     names = list(named)
-    matrix = distance_matrix(list(named.items()))
+    matrix = distance_matrix(list(named.values()))
     if args.json:
         _emit(args, [], {"command": "matrix", "format": args.format,
                          "names": names, "matrix": matrix})
@@ -264,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # each subcommand takes only the options it reads: every one --json,
-    # the sized ones --max-n, and distance alone the engine options
+    # the sized ones --max-n (verify its own, capping the relation table),
+    # and distance alone the engine options
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--json", action="store_true", help="emit a JSON report")
     sized = argparse.ArgumentParser(add_help=False, parents=[report])
@@ -301,8 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["phylip", "tsv"], default="phylip")
     p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("verify", parents=[sized],
+    p = sub.add_parser("verify", parents=[report],
                        help="run the relation suite and/or enumeration counts")
+    p.add_argument("--max-n", type=int, default=8,
+                   help=f"largest n of the relation table (default 8, cap {MAX_POSITIONS})")
     p.add_argument("--relations", action="store_true")
     p.add_argument("--enumerate", type=int, default=None, metavar="N")
     p.set_defaults(func=cmd_verify)

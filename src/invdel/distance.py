@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .errors import CapacityError, InvalidArgumentError, NoPathError
 from .algebra import Generator, Word, apply_to_frame
-from .align import AlignmentSolution, min_over_reference_pairs
-from .genome import Genome, ReferenceFrame, canonicalize, region_set_ops
+from .align import AlignmentSolution, reference_pairs, solve_sources
+from .genome import Genome, ReferenceFrame
 from .pperm import MAX_POSITIONS, sigma_from_frames
 
 
@@ -37,10 +37,12 @@ class DistanceResult:
 def mrca_distance(g1: Genome, g2: Genome) -> DistanceResult:
     """Events separating the two genomes through their most recent common
     ancestor: deletions for the symmetric difference plus the minimum
-    alignment cost."""
-    _, sym_diff, _ = region_set_ops(g1, g2)
-    pair, solution = min_over_reference_pairs(g1, g2)
-    return DistanceResult(len(sym_diff), pair, solution)
+    alignment cost.  The two `align.reference_pairs` reach the minimum
+    over every frame pair; they are searched at once, and the first pair
+    of least cost wins."""
+    pairs = reference_pairs(g1, g2)
+    index, solution = solve_sources([sigma_from_frames(f1, f2) for f1, f2 in pairs])
+    return DistanceResult(len(g1.regions ^ g2.regions), pairs[index], solution)
 
 
 # -- one-sided distance --------------------------------------------------------
@@ -120,7 +122,7 @@ def _stretches(frame: ReferenceFrame, shared: frozenset[str]) -> list[list[str]]
 def check_ancestor_size(g1: Genome, g2: Genome) -> None:
     """Refuse a pair whose ancestor, holding the union of the two region
     sets, has more regions than a partial permutation can address."""
-    _, _, union = region_set_ops(g1, g2)
+    union = g1.regions | g2.regions
     if len(union) > MAX_POSITIONS:
         raise CapacityError(f"the ancestor has {len(union)} regions; "
                             f"partial permutations are capped at {MAX_POSITIONS}")
@@ -189,11 +191,6 @@ def construct_ancestor(
     return AncestorScenario(ancestor_frame, events1, events2, tuple(map(tuple, own2)))
 
 
-def verify_scenario(scenario: AncestorScenario, g1: Genome, g2: Genome) -> bool:
-    ok, _ = verify_scenario_report(scenario, g1, g2)
-    return ok
-
-
 def verify_scenario_report(
     scenario: AncestorScenario,
     g1: Genome,
@@ -205,13 +202,13 @@ def verify_scenario_report(
     report says what diverged."""
     problems = []
     try:
-        landed1 = canonicalize(apply_to_frame(scenario.ancestor_frame, scenario.events_to_g1))
+        landed1 = Genome.from_frame(apply_to_frame(scenario.ancestor_frame, scenario.events_to_g1))
         if landed1 != g1:
             problems.append(f"side 1 lands in {landed1} instead of {g1}")
     except Exception as exc:  # noqa: BLE001 - report, do not crash
         problems.append(f"side 1 replay failed: {exc}")
     try:
-        landed2 = canonicalize(apply_to_frame(scenario.ancestor_frame, scenario.events_to_g2))
+        landed2 = Genome.from_frame(apply_to_frame(scenario.ancestor_frame, scenario.events_to_g2))
         if landed2 != g2:
             problems.append(f"side 2 lands in {landed2} instead of {g2}")
     except Exception as exc:  # noqa: BLE001
@@ -225,14 +222,14 @@ def verify_scenario_report(
 
 # -- all-pairs matrices ----------------------------------------------------------
 
-def distance_matrix(named: list[tuple[str, Genome]]) -> list[list[int]]:
-    if len(named) < 2:
+def distance_matrix(genomes: list[Genome]) -> list[list[int]]:
+    if len(genomes) < 2:
         raise InvalidArgumentError("a distance matrix needs at least 2 genomes")
-    k = len(named)
+    k = len(genomes)
     out = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            out[i][j] = out[j][i] = mrca_distance(named[i][1], named[j][1]).total
+            out[i][j] = out[j][i] = mrca_distance(genomes[i], genomes[j]).total
     return out
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import CapacityError, InvalidArgumentError
 from .algebra import Generator, Word, apply_to_frame
-from .genome import Genome, canonicalize
+from .genome import Genome
 from .pperm import MAX_POSITIONS
 
 
@@ -70,8 +70,8 @@ def simulate(
     branch1 = _random_branch(rng, n, k_del_1, k_inv_1)
     branch2 = _random_branch(rng, n, k_del_2, k_inv_2)
     frame = ancestor.canonical
-    genome1 = canonicalize(apply_to_frame(frame, branch1))
-    genome2 = canonicalize(apply_to_frame(frame, branch2))
+    genome1 = Genome.from_frame(apply_to_frame(frame, branch1))
+    genome2 = Genome.from_frame(apply_to_frame(frame, branch2))
     return EvolutionScenario(ancestor, branch1, branch2, genome1, genome2, seed)
 
 
@@ -79,6 +79,6 @@ def replay(scenario: EvolutionScenario) -> bool:
     """Re-run the stored event words; True iff they reproduce the genomes."""
     frame = scenario.ancestor.canonical
     return (
-        canonicalize(apply_to_frame(frame, scenario.branch1)) == scenario.genome1
-        and canonicalize(apply_to_frame(frame, scenario.branch2)) == scenario.genome2
+        Genome.from_frame(apply_to_frame(frame, scenario.branch1)) == scenario.genome1
+        and Genome.from_frame(apply_to_frame(frame, scenario.branch2)) == scenario.genome2
     )

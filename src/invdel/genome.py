@@ -78,16 +78,6 @@ class Genome:
         return str(self.canonical)
 
 
-def canonicalize(frame: ReferenceFrame) -> Genome:
-    return Genome.from_frame(frame)
-
-
-def region_set_ops(g1: Genome, g2: Genome) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
-    """(intersection, symmetric difference, union) of the two region sets."""
-    r1, r2 = g1.regions, g2.regions
-    return r1 & r2, r1 ^ r2, r1 | r2
-
-
 def genomes_from_token_lists(*token_lists: Sequence[str]) -> list[Genome]:
     """One genome per token list."""
     return [Genome.from_tokens(toks) for toks in token_lists]

@@ -158,8 +158,6 @@ class PartialPerm:
         img = tuple(g[v - 1] if v else 0 for v in self._img)
         return PartialPerm._unchecked(self.m, other.n, img)
 
-    compose = __mul__
-
     def inverse(self) -> PartialPerm:
         img = [0] * self.n
         for i, v in enumerate(self._img):

@@ -46,8 +46,8 @@ def test_word_evaluation_deletion_chain():
 
 def test_empty_word():
     f = frame("abcd")
-    assert apply_to_frame(f, Word.empty(4)) == f
-    assert eval_word(Word.empty(4)) == PartialPerm.identity(4)
+    assert apply_to_frame(f, Word((), 4)) == f
+    assert eval_word(Word((), 4)) == PartialPerm.identity(4)
 
 
 def test_single_swap_on_frame():
@@ -85,7 +85,7 @@ def test_algebra_refuses_bad_input(build, error, message):
 def test_word_serialization_round_trip():
     w = parse_word("d12;12 d7;11 d4;10 a9 c9 s2;9")
     assert parse_word(format_word(w)) == w
-    assert format_word(Word.empty(5)) == ""
+    assert format_word(Word((), 5)) == ""
 
 
 def test_dihedral_letters_generate_dihedral_group():

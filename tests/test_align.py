@@ -6,8 +6,8 @@ import pytest
 
 from invdel import (CapacityError, InvalidArgumentError, PartialPerm,
                     all_partial_perms, class_cost, eval_word,
-                    genomes_from_token_lists, min_over_reference_pairs,
-                    mu_oracle, sigma_from_frames, solve_pair,
+                    genomes_from_token_lists, mrca_distance, mu_oracle,
+                    sigma_from_frames, solve_pair,
                     solve_pair_via_cayley, solve_sources)
 from invdel.align import (_lowered, _rotation_costs, _swap_pairs, _swap_positions,
                           _swap_values, reference_pairs)
@@ -166,22 +166,31 @@ def test_solver_deterministic():
             b.left_inversions, b.right_inversions)
 
 
+@pytest.mark.parametrize("sources, message", [
+    ([], "at least one source pairing"),
+    ([PartialPerm(2, 3), PartialPerm(3, 2)], "one m and n"),
+], ids=["no-source", "mixed-shapes"])
+def test_solve_sources_refuses_bad_input(sources, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        solve_sources(sources)
+
+
 def test_min_over_reference_pairs_trivial():
     g1, g2 = genomes_from_token_lists("abc", "abc")
-    _, sol = min_over_reference_pairs(g1, g2)
+    sol = mrca_distance(g1, g2).solution
     assert sol.cost == 0
 
 
 def test_min_over_reference_pairs_dihedral_equivalents():
     g1, g2 = genomes_from_token_lists("abc", "acb")
     assert g1 == g2
-    _, sol = min_over_reference_pairs(g1, g2)
+    sol = mrca_distance(g1, g2).solution
     assert sol.cost == 0
 
 
 def test_min_over_reference_pairs_one_swap():
     g1, g2 = genomes_from_token_lists("abcd", "abdc")
-    _, sol = min_over_reference_pairs(g1, g2)
+    sol = mrca_distance(g1, g2).solution
     assert sol.cost == 1
     # frozen via the deepening oracle over every frame pair
     assert min(mu_oracle(sigma, 4) for sigma in all_frame_pairs(g1, g2)) == 1
@@ -197,7 +206,7 @@ def test_fast_mode_matches_full_mode():
         t2 = pool[: rng.randint(1, 5)]
         g1, g2 = genomes_from_token_lists(t1, t2)
         _, full = solve_sources(all_frame_pairs(g1, g2))
-        _, fast = min_over_reference_pairs(g1, g2)
+        fast = mrca_distance(g1, g2).solution
         assert full.cost == fast.cost, (t1, t2)
 
 
@@ -209,7 +218,7 @@ def test_fast_mode_pair_count():
 
 def test_engine_choice_agrees(tmp_path):
     g1, g2 = genomes_from_token_lists("abcde", "adceb")
-    _, on_the_fly = min_over_reference_pairs(g1, g2)
+    on_the_fly = mrca_distance(g1, g2).solution
     via_cayley = table_distance(g1, g2, cache_dir=tmp_path).solution
     assert on_the_fly.cost == via_cayley.cost
 
@@ -385,17 +394,17 @@ def test_close_pair_at_ten_regions():
 
 
 def test_mrca_command_searches_once(tmp_path, monkeypatch, capsys):
-    from invdel import align
+    from invdel import distance
     from invdel.cli import main
 
     calls = []
-    core = align.solve_sources
+    core = distance.solve_sources
 
     def counted(sources):
         calls.append(len(sources))
         return core(sources)
 
-    monkeypatch.setattr(align, "solve_sources", counted)
+    monkeypatch.setattr(distance, "solve_sources", counted)
     path = tmp_path / "pair.txt"
     path.write_text("A: a e f b g c d h\nB: i a j k b l c d\n")
     assert main(["mrca", str(path), "A", "B"]) == 0
@@ -415,7 +424,8 @@ def test_sixteen_regions_use_wider_fields():
     # cutting the genome to 11 regions drops the wraparound swap
     for other, cost in ((moved, 2), (moved[:11], 1)):
         g1, g2 = genomes_from_token_lists(tokens, other)
-        pair, sol = min_over_reference_pairs(g1, g2)
+        result = mrca_distance(g1, g2)
+        pair, sol = result.best_pair, result.solution
         sigma = sigma_from_frames(*pair)
         assert sol.cost == cost
         aligned = eval_word(sol.left_inversions) * sigma * eval_word(sol.right_inversions)
@@ -430,7 +440,8 @@ def test_random_ten_region_pair_solves():
     rng.shuffle(a)
     rng.shuffle(b)
     g1, g2 = genomes_from_token_lists(a, b)
-    pair, sol = min_over_reference_pairs(g1, g2)
+    result = mrca_distance(g1, g2)
+    pair, sol = result.best_pair, result.solution
     sigma = sigma_from_frames(*pair)
     assert sol.cost == 10
     assert [g.i for g in sol.left_inversions] == [10, 9, 1, 10, 9, 5, 6, 7, 4, 5]

@@ -282,3 +282,23 @@ def test_failed_store_leaves_no_files(tmp_path, monkeypatch):
         store_table(build_table(3, 3, 2), 3, 3, 2, tmp_path)
     assert list(tmp_path.iterdir()) == []
 
+
+
+@pytest.mark.parametrize("sigmas", [
+    [PartialPerm(3, 3, {1: 1, 2: 2}), PartialPerm(3, 3, {1: 1})],
+    [PartialPerm(3, 3, {1: 1}), PartialPerm(3, 4, {1: 1})],
+], ids=["two-ranks", "two-shapes"])
+def test_class_costs_refuse_two_classes(sigmas):
+    with pytest.raises(InvalidArgumentError, match="one m-by-n rank class"):
+        cayley.class_costs(sigmas)
+
+
+def test_unreadable_cache_path_warns_twice_and_still_returns_the_table(tmp_path, capsys):
+    path = table_path(tmp_path, 3, 3, 3)
+    path.mkdir()
+    assert class_table(3, 3, 3, tmp_path) == build_table(3, 3, 3)
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == 2
+    assert warnings[0].startswith(f"warning: rebuilding cache file {path}: unreadable")
+    assert warnings[1].startswith(f"warning: not caching {path}")
+    assert list(tmp_path.iterdir()) == [path] and list(path.iterdir()) == []

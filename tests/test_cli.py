@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from invdel import Generator, Relation, Word, cli
 from invdel.cli import main
 
 GENOMES = """\
@@ -62,6 +63,14 @@ def test_unknown_genome_is_usage_error(genome_file, capsys):
     code, _, err = run(capsys, "distance", genome_file, "G1", "NOPE")
     assert code == 2
     assert "NOPE" in err
+
+
+def test_file_without_genomes_says_so(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no genomes here\n")
+    for command in ("distance", "mrca"):
+        code, out, err = run(capsys, command, str(empty), "A", "B")
+        assert (code, out, err) == (2, "", "error: the file holds no genomes\n")
 
 
 def test_parse_error_reports_line(tmp_path, capsys):
@@ -319,6 +328,50 @@ def test_verify_relations(capsys):
     code, out, _ = run(capsys, "verify", "--relations", "--max-n", "6")
     assert code == 0
     assert "all relations hold" in out
+
+
+def test_verify_needs_something_to_check(capsys):
+    code, out, err = run(capsys, "verify")
+    assert (code, out) == (2, "")
+    assert "nothing to verify" in err
+
+
+def test_verify_help_describes_max_n_as_the_relation_table_bound(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--max-n MAX_N largest n of the relation table (default 8, cap 16)" in text
+    assert "genome size" not in text
+
+
+def _with_a_false_relation(real):
+    # one more instance per size whose sides differ: s1;n against the empty word
+    return lambda n: real(n) + [Relation("R0", Word([Generator.inversion(1, n)]), Word((), n))]
+
+
+@pytest.mark.parametrize("name, patch, argv, line, field, value", [
+    ("relation_table", _with_a_false_relation, ["verify", "--relations", "--max-n", "3"],
+     "relation FAIL R0@2: s1;2 != ", "relations_failed", 2),
+    ("monoid_size", lambda real: lambda n: real(n) + 1, ["verify", "--enumerate", "3"],
+     "34 MISMATCH (expected 35)", "expected", 35),
+    ("solve_balancedsort", lambda real: lambda inst: not real(inst),
+     ["reduce-partition", "1,1,2"], "REDUCTION MISMATCH", "mismatch", True),
+], ids=["false-relation", "wrong-monoid-size", "reduction-disagrees"])
+def test_failed_check_is_exit_1(capsys, monkeypatch, name, patch, argv, line, field, value):
+    monkeypatch.setattr(cli, name, patch(getattr(cli, name)))
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and line in out.splitlines()
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1 and json.loads(out)[field] == value
+
+
+def test_internal_error_is_exit_1(genome_file, capsys, monkeypatch):
+    def broken(g1, g2):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "mrca_distance", broken)
+    assert run(capsys, "distance", genome_file, "G1", "G2") == (1, "", "internal error: boom\n")
 
 
 def test_verify_enumerate_capacity(capsys):

@@ -1,12 +1,13 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from invdel import (NoPathError, Word, construct_ancestor,
+from invdel import (Generator, NoPathError, Word, construct_ancestor,
                     directed_distance, distance_matrix, format_phylip,
                     format_tsv, genomes_from_token_lists, load_genomes,
                     mrca_distance, mu_oracle, random_genome, sigma_from_frames,
-                    simulate, verify_scenario, verify_scenario_report)
+                    simulate, verify_scenario_report)
 from invdel.errors import InvalidArgumentError
 
 
@@ -133,18 +134,18 @@ def test_directed_bounds_mrca():
 
 
 def test_directed_searches_only_the_survivors(monkeypatch):
-    from invdel import align
+    from invdel import distance
 
     g1, g2 = genomes_from_token_lists("abcdefghijkl", "cahfbedg")
     expected = mrca_distance(g1, g2).total
     sizes = []
-    core = align.solve_sources
+    core = distance.solve_sources
 
     def recorded(sources):
         sizes.extend((s.m, s.n) for s in sources)
         return core(sources)
 
-    monkeypatch.setattr(align, "solve_sources", recorded)
+    monkeypatch.setattr(distance, "solve_sources", recorded)
     assert directed_distance(g1, g2) == expected
     assert sizes == [(8, 8), (8, 8)]  # |R2| positions on both sides, never 12
 
@@ -175,7 +176,7 @@ def test_ancestor_worked_example():
     sc = construct_ancestor(g1, g2)
     assert sc.ancestor_frame.tokens == tuple("iaefjkbglcdh")
     assert sc.gap_sets == (("i",), ("j", "k"), ("l",), (), ())
-    assert verify_scenario(sc, g1, g2)
+    assert verify_scenario_report(sc, g1, g2)[0]
     assert sc.ancestor.regions == g1.regions | g2.regions
 
 
@@ -203,7 +204,7 @@ def test_ancestor_round_trip_random():
 def test_ancestor_disjoint_regions():
     g1, g2 = genomes_from_token_lists("abc", "xyz")
     sc = construct_ancestor(g1, g2)
-    assert verify_scenario(sc, g1, g2)
+    assert verify_scenario_report(sc, g1, g2)[0]
     assert sc.event_count == 6
 
 
@@ -212,7 +213,7 @@ def test_verify_rejects_tampered_scenario():
 
     g1, g2 = genomes_from_token_lists("abcd", "abdc")
     sc = construct_ancestor(g1, g2)
-    assert verify_scenario(sc, g1, g2)
+    assert verify_scenario_report(sc, g1, g2)[0]
     assert sc.event_count > 0
     dropped = AncestorScenario(
         sc.ancestor_frame,
@@ -224,6 +225,18 @@ def test_verify_rejects_tampered_scenario():
     )
     ok, report = verify_scenario_report(dropped, g1, g2)
     assert not ok and report != "ok"
+
+
+@pytest.mark.parametrize("tamper, problem", [
+    (lambda sc: replace(sc, events_to_g2=sc.events_to_g2 + Word([Generator.inversion(1, 4)])),
+     "side 2 lands in"),
+    (lambda sc: replace(sc, events_to_g1=Word((), 3)),
+     "side 1 replay failed: word starts at size 3 but frame has 4 regions"),
+], ids=["side-2-elsewhere", "replay-raises"])
+def test_verify_reports_a_bad_replay(tamper, problem):
+    g1, g2 = genomes_from_token_lists("abcd", "abdc")
+    ok, report = verify_scenario_report(tamper(construct_ancestor(g1, g2)), g1, g2)
+    assert not ok and problem in report
 
 
 def test_events_are_deletions_then_inversions():
@@ -238,22 +251,21 @@ def test_events_are_deletions_then_inversions():
 
 def test_matrix_properties():
     g = genomes_from_token_lists("abcd", "abdc", "acbd")
-    named = [("g1", g[0]), ("g2", g[1]), ("g3", g[2])]
-    m = distance_matrix(named)
+    m = distance_matrix(g)
     assert all(m[i][i] == 0 for i in range(3))
     assert all(m[i][j] == m[j][i] for i in range(3) for j in range(3))
 
 
 def test_matrix_of_identical_genomes():
     g = genomes_from_token_lists("abc", "bca")
-    m = distance_matrix([("x", g[0]), ("y", g[1])])
+    m = distance_matrix(g)
     assert m == [[0, 0], [0, 0]]
 
 
 def test_matrix_needs_two():
     g = genomes_from_token_lists("abc")
     with pytest.raises(InvalidArgumentError):
-        distance_matrix([("only", g[0])])
+        distance_matrix(g)
 
 
 def test_phylip_format():

@@ -55,6 +55,13 @@ def test_simulate_rejects_too_many_deletions():
         simulate(anc, 4, 0, 0, 0, 1)
 
 
+@pytest.mark.parametrize("inversions1, inversions2", [(-1, 0), (0, -1)],
+                         ids=["branch-1", "branch-2"])
+def test_simulate_rejects_negative_inversions(inversions1, inversions2):
+    with pytest.raises(InvalidArgumentError, match="inversion counts must be non-negative"):
+        simulate(random_genome(4, 0), 0, inversions1, 0, inversions2, 1)
+
+
 def test_worked_scenario_replay():
     # ancestor abcdefghijkl; one branch deletes positions 1, 6, 9, 10 then
     # inverts positions 6/7; the other deletes 3, 4, 7, 12 then inverts 2/3.

@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from invdel import (Generator, GenomeParseError,
+from invdel import (Generator, Genome, GenomeParseError,
                     InvalidArgumentError, ReferenceFrame, Word,
-                    apply_to_frame, canonicalize, genomes_from_token_lists,
-                    parse_genomes, region_set_ops)
+                    apply_to_frame, genomes_from_token_lists, parse_genomes)
 
 
 def frame(tokens):
@@ -23,9 +22,9 @@ def test_reflection_matches_figure():
 
 
 def test_canonicalize_examples():
-    assert canonicalize(frame("cdab")).canonical.tokens == tuple("abcd")
-    assert canonicalize(frame("hgfedcba")).canonical.tokens == tuple("abcdefgh")
-    assert canonicalize(frame("a")).canonical.tokens == ("a",)
+    assert Genome.from_frame(frame("cdab")).canonical.tokens == tuple("abcd")
+    assert Genome.from_frame(frame("hgfedcba")).canonical.tokens == tuple("abcdefgh")
+    assert Genome.from_frame(frame("a")).canonical.tokens == ("a",)
 
 
 def test_canonicalize_idempotent_and_orbit_invariant():
@@ -34,26 +33,26 @@ def test_canonicalize_idempotent_and_orbit_invariant():
         n = rng.randint(1, 8)
         toks = rng.sample("abcdefghij", n)
         f = frame(toks)
-        g = canonicalize(f)
-        assert canonicalize(g.canonical) == g
+        g = Genome.from_frame(f)
+        assert Genome.from_frame(g.canonical) == g
         sym = Word([Generator.rotation(n)] * rng.randrange(n)
                    + [Generator.reflection(n)] * rng.randrange(2), n)
-        assert canonicalize(apply_to_frame(f, sym)) == g
+        assert Genome.from_frame(apply_to_frame(f, sym)) == g
 
 
 def test_frames_counts_and_membership():
-    g3 = canonicalize(frame("abc"))
+    g3 = Genome.from_frame(frame("abc"))
     assert {f.tokens for f in g3.frames()} == {
         tuple("abc"), tuple("bca"), tuple("cab"),
         tuple("cba"), tuple("bac"), tuple("acb"),
     }
-    g2 = canonicalize(frame("ab"))
+    g2 = Genome.from_frame(frame("ab"))
     assert {f.tokens for f in g2.frames()} == {("a", "b"), ("b", "a")}
-    g8 = canonicalize(frame("abcdefgh"))
+    g8 = Genome.from_frame(frame("abcdefgh"))
     frames8 = {f.tokens for f in g8.frames()}
     assert len(frames8) == 16
     assert tuple("cdefghab") in frames8 and tuple("hgfedcba") in frames8
-    g1 = canonicalize(frame("a"))
+    g1 = Genome.from_frame(frame("a"))
     assert len(g1.frames()) == 1
 
 
@@ -62,7 +61,7 @@ def test_frames_contains_original():
     for _ in range(50):
         toks = rng.sample("abcdefghij", rng.randint(1, 8))
         f = frame(toks)
-        assert f in canonicalize(f).frames()
+        assert f in Genome.from_frame(f).frames()
 
 
 def test_genome_equality_is_dihedral():
@@ -75,7 +74,8 @@ def test_genome_equality_is_dihedral():
 
 def test_region_set_ops_figure():
     g1, g2 = genomes_from_token_lists("abcdefgh", "eibach")
-    inter, sym, union = region_set_ops(g1, g2)
+    r1, r2 = g1.regions, g2.regions
+    inter, sym, union = r1 & r2, r1 ^ r2, r1 | r2
     assert inter == frozenset("abceh")
     assert sym == frozenset("dfgi")
     assert union == frozenset("abcdefghi")
@@ -83,9 +83,9 @@ def test_region_set_ops_figure():
 
 def test_region_set_ops_trivial():
     g1, g2 = genomes_from_token_lists("abc", "abc")
-    assert region_set_ops(g1, g2)[1] == frozenset()
+    assert g1.regions ^ g2.regions == frozenset()
     g3, g4 = genomes_from_token_lists("abc", "xyz")
-    inter, sym, _ = region_set_ops(g3, g4)
+    inter, sym = g3.regions & g4.regions, g3.regions ^ g4.regions
     assert inter == frozenset() and len(sym) == 6
 
 
@@ -98,7 +98,7 @@ def test_symmetric_difference_identity():
         rng.shuffle(pool)
         t2 = pool[: rng.randint(1, 8)]
         g1, g2 = genomes_from_token_lists(t1, t2)
-        inter, sym, _ = region_set_ops(g1, g2)
+        inter, sym = g1.regions & g2.regions, g1.regions ^ g2.regions
         assert len(sym) == len(t1) + len(t2) - 2 * len(inter)
 
 
@@ -108,7 +108,8 @@ def test_separately_built_genomes_compare():
     (g1,) = genomes_from_token_lists("abc")
     g2, g3 = genomes_from_token_lists("cba", "abdx")
     assert g1 == g2 and len({g1, g2}) == 1
-    assert region_set_ops(g1, g3) == (frozenset("ab"), frozenset("cdx"), frozenset("abcdx"))
+    r1, r3 = g1.regions, g3.regions
+    assert (r1 & r3, r1 ^ r3, r1 | r3) == (frozenset("ab"), frozenset("cdx"), frozenset("abcdx"))
 
 
 def test_frame_validation():

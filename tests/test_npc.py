@@ -47,6 +47,15 @@ def test_reduction_names_positions_beyond_the_cap():
     assert reduce_partition((1, 1, 2, 3, 4)).sigma.m == 16  # exactly at the cap
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: BalancedSortInstance(PartialPerm.identity(2), -1), "budget must be non-negative"),
+    (lambda: partition_brute([0]), "positive integers"),
+], ids=["negative-budget", "zero-element"])
+def test_npc_refuses_bad_input(build, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        build()
+
+
 def test_partition_brute():
     assert partition_brute((1, 1, 2))
     assert not partition_brute((1, 1, 2, 3, 4))  # odd total

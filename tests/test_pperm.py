@@ -146,6 +146,19 @@ def test_injectivity_enforced():
         PartialPerm(3, 3, [(1, 1), (1, 2)])
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: PartialPerm(-1, 3), "sizes must be non-negative"),
+    (lambda: PartialPerm(2, 3, {3: 1}), "domain point 3 outside"),
+    (lambda: PartialPerm(2, 3, {1: 4}), "image point 4 outside"),
+    (lambda: PartialPerm(2, 3, {1: 1})(3), "position 3 outside"),
+    (lambda: sigma_from_frames("aba", "ab"), "first frame has repeated regions"),
+    (lambda: sigma_from_frames("ab", "abb"), "second frame has repeated regions"),
+], ids=["negative-size", "domain-point", "image-point", "call", "first-frame", "second-frame"])
+def test_pperm_refuses_bad_input(build, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        build()
+
+
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         PartialPerm(17, 3, {})
