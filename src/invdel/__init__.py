@@ -12,9 +12,8 @@ from .genome import (Genome, ReferenceFrame, genomes_from_token_lists,
 from .algebra import (Generator, Relation, Word, apply_to_frame,
                       eval_generator, eval_word, format_word, parse_word,
                       relation_table, rewrite_deletions_first)
-from .cayley import (DClassGraph, MonoidEnumeration, class_cost,
-                     enumerate_monoid, get_dclass_graph, monoid_size,
-                     solve_pair_via_cayley)
+from .cayley import (MonoidEnumeration, class_cost, enumerate_monoid,
+                     monoid_size, solve_pair_via_cayley)
 from .align import AlignmentSolution, mu_oracle, solve_pair, solve_sources
 from .distance import (AncestorScenario, DistanceResult, construct_ancestor,
                        directed_distance, distance_matrix, format_phylip,
@@ -25,16 +24,16 @@ from .npc import (BalancedSortInstance, partition_brute, partition_witness,
 
 __all__ = [
     "AlignmentSolution", "AncestorScenario", "BalancedSortInstance",
-    "CacheIntegrityError", "CapacityError", "DClassGraph",
-    "DistanceResult", "EvolutionScenario", "Generator", "Genome",
-    "GenomeParseError", "InvalidArgumentError", "InvdelError",
-    "MonoidEnumeration", "NoPathError", "PartialPerm", "ReferenceFrame",
-    "Relation", "Word", "WordTypeError",
+    "CacheIntegrityError", "CapacityError", "DistanceResult",
+    "EvolutionScenario", "Generator", "Genome", "GenomeParseError",
+    "InvalidArgumentError", "InvdelError", "MonoidEnumeration",
+    "NoPathError", "PartialPerm", "ReferenceFrame", "Relation", "Word",
+    "WordTypeError",
     "all_partial_perms", "apply_to_frame", "class_cost", "construct_ancestor",
     "directed_distance", "distance_matrix", "enumerate_monoid",
     "eval_generator", "eval_word", "format_phylip", "format_tsv",
-    "format_word", "genomes_from_token_lists", "get_dclass_graph",
-    "load_genomes", "monoid_size", "mrca_distance", "mu_oracle",
+    "format_word", "genomes_from_token_lists", "load_genomes",
+    "monoid_size", "mrca_distance", "mu_oracle",
     "parse_genomes", "parse_word", "partition_brute", "partition_witness",
     "random_genome", "reduce_partition", "relation_table", "replay",
     "rewrite_deletions_first", "sigma_from_frames", "simulate", "solve_pair",

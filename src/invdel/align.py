@@ -98,10 +98,11 @@ argument and seeded checks against the reference and the search.
 The class tables of `cayley` hold the same number for every pairing of a
 class (`cayley.class_cost`), filled by their own search over tuple rows;
 only `distance --engine cayley` reads them (`cayley.table_distance`).  Two
-more routes serve as checks: a breadth-first search inside the pairing's
-rank class of the enumerated monoid (`cayley.solve_pair_via_cayley`), and
-an iterative-deepening oracle here with its own traversal and its own
-orientation test.  Tests hold all four together.
+more routes serve as checks: a breadth-first search from the pairing's
+row through its rank class of the monoid, composing inversions on either
+side (`cayley.solve_pair_via_cayley`), and an iterative-deepening oracle
+here with its own traversal and its own orientation test.  Tests hold all
+four together.
 
 Minimizing over reference pairs only needs two of the 4mn frame pairs:
 rotating either frame conjugates the inversion alphabet (rotations

@@ -16,9 +16,10 @@ The square monoid on n points, generated by the circular adjacent
 inversions together with the partial identity on {1..n-1}, is also
 enumerated in full (a breadth-first closure from the identity in fixed
 generator order gives a deterministic indexing) for the enumeration
-counts.  Its rank classes, with an edge for each inversion composed on
-either side that keeps the class, serve the tests as an independent route
-to the same costs (`solve_pair_via_cayley`).
+counts.  The tests check the search against an independent route to the
+same costs, `solve_pair_via_cayley`: a breadth-first search in the Cayley
+graph of the pairing's rank class, walked from the pairing's own row with
+an edge for each inversion composed on either side.
 """
 from __future__ import annotations
 
@@ -27,8 +28,6 @@ import struct
 import sys
 import tempfile
 import zlib
-from collections import deque
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
 from math import comb, factorial, perm
@@ -45,8 +44,6 @@ from .pperm import (PartialPerm, _swap_pairs, _swap_positions, _swap_values, row
 # |I_8| is already 1.4M elements and the largest class table at n = 8,
 # rank 6, has 564,480 states; anything larger is hopeless here.
 MAX_ENUM = 8
-
-LEFT, RIGHT = 0, 1
 
 ImageRow = tuple[int, ...]
 
@@ -105,77 +102,33 @@ def enumerate_monoid(n: int) -> MonoidEnumeration:
     return MonoidEnumeration(n)
 
 
-@dataclass(frozen=True)
-class DClassGraph:
-    """The rank-r class with its rank-preserving inversion edges.
-
-    Vertices are image rows in ascending order; adjacency entries are
-    (side, inversion index, local target).  Partial-identity edges never
-    stay in the class (they are self-loops or drop rank), so only the
-    inversion labels appear.
-    """
-
-    n: int
-    m: int
-    r: int
-    vertices: tuple[ImageRow, ...]
-    adjacency: tuple[tuple[tuple[int, int, int], ...], ...]
-
-    def vertex_index(self) -> dict[ImageRow, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(a) for a in self.adjacency)
-
-
-def get_dclass_graph(n: int, m: int, r: int) -> DClassGraph:
-    """The rank-r class of the monoid on n points, with an edge for each
-    product that stays in the class and moves: LEFT edges multiply by the
-    embedded inversions on m points on the left, RIGHT edges by the
-    inversions on n points on the right."""
-    if m > n:
-        raise InvalidArgumentError(f"a class graph needs m <= n, got m={m}, n={n}")
-    if not 0 <= r <= n:
-        raise InvalidArgumentError(f"rank {r} outside 0..{n}")
-    members = sorted(row for row in enumerate_monoid(n).elements if _rank(row) == r)
-    local = {row: i for i, row in enumerate(members)}
-    lefts = _inversion_rows(m, n)
-    rights = _inversion_rows(n, n)
-    adjacency = []
-    for i, row in enumerate(members):
-        products = [(LEFT, gi, _compose(g, row)) for gi, g in enumerate(lefts, 1)]
-        products += [(RIGHT, gi, _compose(row, g)) for gi, g in enumerate(rights, 1)]
-        adjacency.append(tuple((side, gi, j) for side, gi, y in products
-                               if (j := local.get(y)) is not None and j != i))
-    return DClassGraph(n, m, r, tuple(members), tuple(adjacency))
-
-
 def solve_pair_via_cayley(sigma: PartialPerm) -> int:
-    """The alignment cost of a pairing, by breadth-first search in its
-    rank-class graph (a pairing with m > n is inverted first)."""
+    """The alignment cost of a pairing, by breadth-first search in the
+    Cayley graph of its rank class (a pairing with m > n is inverted first).
+
+    The search starts at the pairing's row in the monoid on n points; a
+    row's neighbours are its products with an inversion on m points on the
+    left and with one on n points on the right.  Inversions are
+    permutations, so every product keeps the rank and leaves the positions
+    beyond m undefined.  The cost is the depth of the first row that reads
+    in a cyclic order.
+    """
     if sigma.m > sigma.n:
         sigma = sigma.inverse()
     m, n = sigma.m, sigma.n
-    graph = get_dclass_graph(n, m, sigma.rank)
-    start_row = sigma.embed(n).image_row
-    start = graph.vertex_index()[start_row]
-
-    def is_target(row: ImageRow) -> bool:
-        return all(v == 0 for v in row[m:]) and row_is_popi(row)
-
-    if is_target(start_row):
-        return 0
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for _side, _gi, v in graph.adjacency[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                if is_target(graph.vertices[v]):
-                    return dist[v]
-                queue.append(v)
+    if n > MAX_ENUM:
+        raise CapacityError(f"the class-graph route supports up to {MAX_ENUM} regions, got {n}")
+    lefts, rights = _inversion_rows(m, n), _inversion_rows(n, n)
+    start = sigma.embed(n).image_row
+    seen, layer = {start}, {start}
+    depth = 0
+    while layer:
+        if any(map(row_is_popi, layer)):
+            return depth
+        depth += 1
+        layer = ({_compose(g, x) for x in layer for g in lefts}
+                 | {_compose(x, g) for x in layer for g in rights}) - seen
+        seen |= layer
     raise AssertionError("every rank class contains orientation-preserving elements")
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -133,8 +134,6 @@ def cmd_matrix(args) -> int:
     named = dict(load_genomes(args.file))
     for name, genome in named.items():
         _check_size(f"genome {name!r}", genome.n, args.max_n)
-    if len(named) < 2:
-        raise InvdelError("a distance matrix needs at least 2 genomes")
     names = list(named)
     matrix = distance_matrix(list(named.values()))
     if args.json:
@@ -336,7 +335,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if "max_n" in args and not 1 <= args.max_n <= MAX_POSITIONS:
             raise CapacityError(f"--max-n must be 1..{MAX_POSITIONS}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull so the
+        # flush at exit cannot fail again, and exit without a report
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_FAIL
     except InvdelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -201,18 +201,13 @@ def verify_scenario_report(
     distance (`expected`, computed here when not given); on failure the
     report says what diverged."""
     problems = []
-    try:
-        landed1 = Genome.from_frame(apply_to_frame(scenario.ancestor_frame, scenario.events_to_g1))
-        if landed1 != g1:
-            problems.append(f"side 1 lands in {landed1} instead of {g1}")
-    except Exception as exc:  # noqa: BLE001 - report, do not crash
-        problems.append(f"side 1 replay failed: {exc}")
-    try:
-        landed2 = Genome.from_frame(apply_to_frame(scenario.ancestor_frame, scenario.events_to_g2))
-        if landed2 != g2:
-            problems.append(f"side 2 lands in {landed2} instead of {g2}")
-    except Exception as exc:  # noqa: BLE001
-        problems.append(f"side 2 replay failed: {exc}")
+    for side, events, genome in ((1, scenario.events_to_g1, g1), (2, scenario.events_to_g2, g2)):
+        try:
+            landed = Genome.from_frame(apply_to_frame(scenario.ancestor_frame, events))
+            if landed != genome:
+                problems.append(f"side {side} lands in {landed} instead of {genome}")
+        except Exception as exc:  # noqa: BLE001 - report, do not crash
+            problems.append(f"side {side} replay failed: {exc}")
     if expected is None:
         expected = mrca_distance(g1, g2).total
     if scenario.event_count != expected:

@@ -1,9 +1,8 @@
 """Acceptance harness: one test per criterion, one PASS line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Criterion 1's n=8 count (1,441,729 elements) and the worked 6x8
-pairing's cost through the n=8 class graph are slow, so they only run
-when INVDEL_LONG_TESTS=1.
+lines.  Criterion 1's n=8 count (1,441,729 elements) is slow, so it only
+runs when INVDEL_LONG_TESTS=1.
 
 Deliberately not reproduced here: wall-clock rows of the timing table
 (hardware-specific), the pairs-of-genomes counting row (ambiguous
@@ -57,11 +56,9 @@ def test_criterion_1_enumeration_count_n8():
     report(1, f"|I(8,8)| = {count}")
 
 
-@pytest.mark.skipif(os.environ.get("INVDEL_LONG_TESTS") != "1",
-                    reason="set INVDEL_LONG_TESTS=1 for the n=8 class graph")
 def test_worked_sigma_class_graph_cost():
-    # the class-graph route enumerates the whole n = 8 monoid for this 6x8
-    # pairing; tests/test_align.py checks its cost on the other routes
+    # the class-graph route walks this 6x8 pairing's class of the n = 8
+    # monoid; tests/test_align.py checks its cost on the other routes
     assert solve_pair_via_cayley(sigma_from_frames("abcdefgh", "eibach")) == 2
 
 

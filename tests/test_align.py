@@ -47,9 +47,8 @@ def test_single_adjacent_swap():
 
 
 def test_worked_sigma_cost():
-    # frozen from the deepening oracle; the class-graph route on this
-    # pairing enumerates the whole n = 8 monoid, so it runs with the long
-    # tests (tests/test_acceptance.py)
+    # frozen from the deepening oracle; tests/test_acceptance.py checks the
+    # class-graph route on this pairing
     assert mu_oracle(SIGMA86, 8) == 2
     sol = solve_pair(SIGMA86)
     assert sol.cost == 2
@@ -101,8 +100,8 @@ def test_three_way_agreement_small(tmp_path):
 
 
 def test_cayley_route_validates_parameters():
-    # the route builds the graph of the pairing's own class, inverting it
-    # when m > n; only a class beyond the enumeration is refused
+    # the route walks the pairing's own class, inverting it when m > n;
+    # only a class beyond the enumeration's size cap is refused
     sigma = PartialPerm(5, 4, {1: 2, 2: 1, 3: 4, 5: 3})
     assert solve_pair_via_cayley(sigma) == solve_pair_via_cayley(sigma.inverse())
     assert solve_pair_via_cayley(sigma) == solve_pair(sigma).cost > 0

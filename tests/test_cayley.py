@@ -1,15 +1,16 @@
+from collections import deque
 from itertools import combinations, permutations
+from math import comb, factorial
 
 import pytest
 
 from invdel import (CacheIntegrityError, CapacityError, InvalidArgumentError,
-                    PartialPerm, class_cost, enumerate_monoid,
-                    get_dclass_graph, monoid_size, solve_pair)
+                    PartialPerm, class_cost, enumerate_monoid, monoid_size,
+                    solve_pair)
 from invdel import cayley
-from invdel.cayley import (FORMAT_VERSION, HEADER, LEFT, RIGHT, _compose,
-                           _inversion_rows, build_table, class_rank,
-                           class_size, class_table, load_table, store_table,
-                           table_path)
+from invdel.cayley import (FORMAT_VERSION, HEADER, _compose, _inversion_rows,
+                           build_table, class_rank, class_size, class_table,
+                           load_table, store_table, table_path)
 
 
 def test_counts_small():
@@ -47,89 +48,92 @@ def test_inversion_products_stay_in_the_closure_and_rank():
                 assert product.count(0) == row.count(0)
 
 
-def test_dclass_graph_requires_m_le_n():
-    with pytest.raises(InvalidArgumentError):
-        get_dclass_graph(3, 4, 2)
-    with pytest.raises(InvalidArgumentError):
-        get_dclass_graph(3, 3, 4)
+# -- the class-graph route's moves -------------------------------------------------
+#
+# `solve_pair_via_cayley` walks the rank class (D-class) of a pairing's
+# row in the monoid on n points: a row's products with each inversion on
+# m points on the left and each on n points on the right.
+
+def _rank_rows(n, r):
+    return sorted(row for row in enumerate_monoid(n).elements if row.count(0) == n - r)
 
 
-def test_dclass_left_labels_follow_m():
-    same = get_dclass_graph(3, 3, 2)
-    mixed = get_dclass_graph(3, 2, 2)
-    assert same.vertices == mixed.vertices
-    # X_2 has the one inversion s_{1;2}; the right edges do not depend on m
-    for full, small in zip(same.adjacency, mixed.adjacency):
-        assert [e for e in full if e[0] == RIGHT] == [e for e in small if e[0] == RIGHT]
-    assert {gi for adj in same.adjacency for side, gi, _ in adj if side == LEFT} == {1, 2, 3}
-    assert {gi for adj in mixed.adjacency for side, gi, _ in adj if side == LEFT} == {1}
+def _products(row, m):
+    """(side, inversion index, product) for every move the route tries."""
+    n = len(row)
+    return ([("left", gi, _compose(g, row)) for gi, g in enumerate(_inversion_rows(m, n), 1)]
+            + [("right", gi, _compose(row, g)) for gi, g in enumerate(_inversion_rows(n, n), 1)])
+
+
+def _moving_labels(row, m, side):
+    return sorted(gi for s, gi, y in _products(row, m) if s == side and y != row)
+
+
+def test_dclass_vertex_counts():
+    assert len(_rank_rows(4, 0)) == 1
+    assert len(_rank_rows(4, 4)) == 24
+    assert len(_rank_rows(4, 2)) == 72
+    for r in range(5):
+        assert len(_rank_rows(4, r)) == comb(4, r) ** 2 * factorial(r)
 
 
 def test_dclass_full_rank_vertices_take_every_inversion():
-    # a move never fixes a full-rank row, so every label leaves the vertex
+    # a move never fixes a full-rank row, so every label moves it
     for n in (3, 4, 5):
-        graph = get_dclass_graph(n, n, n)
-        for adj in graph.adjacency:
-            assert sorted(gi for side, gi, _ in adj if side == LEFT) == list(range(1, n + 1))
-            assert sorted(gi for side, gi, _ in adj if side == RIGHT) == list(range(1, n + 1))
-    graph = get_dclass_graph(4, 3, 3)
+        for row in _rank_rows(n, n):
+            assert _moving_labels(row, n, "left") == list(range(1, n + 1))
+            assert _moving_labels(row, n, "right") == list(range(1, n + 1))
     checked = 0
-    for row, adj in zip(graph.vertices, graph.adjacency):
+    for row in _rank_rows(4, 3):
         if row[3] == 0:  # domain {1, 2, 3}: the left inversions on 3 points all move it
-            assert {gi for side, gi, _ in adj if side == LEFT} == {1, 2, 3}
+            assert _moving_labels(row, 3, "left") == [1, 2, 3]
             checked += 1
     assert checked == 24
 
 
-def test_dclass_vertex_counts():
-    from math import comb, factorial
-
-    assert len(get_dclass_graph(4, 4, 0).vertices) == 1
-    assert len(get_dclass_graph(4, 4, 4).vertices) == 24
-    assert len(get_dclass_graph(4, 4, 2).vertices) == 72
-    for r in range(5):
-        expected = comb(4, r) ** 2 * factorial(r)
-        assert len(get_dclass_graph(4, 4, r).vertices) == expected
+def test_dclass_left_labels_follow_m():
+    # X_2 has the one inversion s_{1;2}; the right products do not depend on m
+    rows = _rank_rows(3, 2)
+    for row in rows:
+        assert ([p for p in _products(row, 3) if p[0] == "right"]
+                == [p for p in _products(row, 2) if p[0] == "right"])
+    assert set().union(*(_moving_labels(row, 3, "left") for row in rows)) == {1, 2, 3}
+    assert set().union(*(_moving_labels(row, 2, "left") for row in rows)) == {1}
 
 
 def test_dclass_rank_zero_has_no_edges():
-    assert get_dclass_graph(4, 4, 0).edge_count == 0
+    (row,) = _rank_rows(4, 0)
+    for m in (3, 4):
+        assert all(y == row for _, _, y in _products(row, m))
 
 
-def test_dclass_edges_preserve_rank_and_skip_self_loops():
-    for r in range(5):
-        graph = get_dclass_graph(4, 3, r)
-        for u, adj in enumerate(graph.adjacency):
-            for side, gi, v in adj:
-                assert side in (LEFT, RIGHT)
-                assert v != u
-                assert sum(1 for x in graph.vertices[v] if x) == r
-                assert 1 <= gi <= (3 if side == LEFT else 4)
+def test_dclass_edges_preserve_rank_and_undefined_tail():
+    # the route's rows of a 3-by-4 class leave position 4 undefined
+    index = enumerate_monoid(4).index
+    for r in range(4):
+        for row in _rank_rows(4, r):
+            if row[3]:
+                continue
+            for side, gi, y in _products(row, 3):
+                assert y in index
+                assert y.count(0) == row.count(0) and y[3] == 0
+                assert 1 <= gi <= (3 if side == "left" else 4)
 
 
 def test_dclass_strongly_connected_when_m_equals_n():
-    from collections import deque
-
+    # the moves are involutions: reaching every row from one is strong connectivity
     for n in (2, 3, 4, 5):
         for r in range(n + 1):
-            graph = get_dclass_graph(n, n, r)
-            size = len(graph.vertices)
-            fwd = [[] for _ in range(size)]
-            bwd = [[] for _ in range(size)]
-            for u, adj in enumerate(graph.adjacency):
-                for _, _, v in adj:
-                    fwd[u].append(v)
-                    bwd[v].append(u)
-            for edges in (fwd, bwd):
-                seen = {0}
-                queue = deque([0])
-                while queue:
-                    u = queue.popleft()
-                    for v in edges[u]:
-                        if v not in seen:
-                            seen.add(v)
-                            queue.append(v)
-                assert len(seen) == size, f"n={n} r={r}"
+            rows = _rank_rows(n, r)
+            seen = {rows[0]}
+            queue = deque([rows[0]])
+            while queue:
+                for _, _, y in _products(queue.popleft(), n):
+                    if y not in seen:
+                        seen.add(y)
+                        queue.append(y)
+            assert seen == set(rows), f"n={n} r={r}"
+            assert len(seen) == comb(n, r) ** 2 * factorial(r)
 
 
 # -- per-class mu tables -----------------------------------------------------------

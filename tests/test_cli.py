@@ -310,6 +310,7 @@ def test_matrix_needs_two(tmp_path, capsys):
     path.write_text("G1: a b c\n")
     code, _, err = run(capsys, "matrix", str(path))
     assert code == 2
+    assert err == "error: a distance matrix needs at least 2 genomes\n"
 
 
 def test_matrix_deterministic(genome_file, capsys):
@@ -572,6 +573,12 @@ def test_cayley_engine_keeps_the_tie_rule(tmp_path, capsys):
         assert expected[0] == 0
 
 
+def _env_with_src():
+    """The environment for a fresh interpreter that imports this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_cli_imports_only_the_standard_library():
     # A fresh interpreter, so modules that site loads count as "before".
     script = (
@@ -580,8 +587,26 @@ def test_cli_imports_only_the_standard_library():
         "import invdel.cli\n"
         "print('\\n'.join(sorted({name.partition('.')[0] for name in set(sys.modules) - before})))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _env_with_src()
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
     assert set(done.stdout.split()) - sys.stdlib_module_names == {"invdel"}
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_quietly(tmp_path, unbuffered):
+    # stdout is a pipe whose reader is already gone, as in `invdel ... | true`
+    path = tmp_path / "pair.txt"
+    path.write_text("A: a b c d\nB: a c b d\n")
+    env = _env_with_src()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "invdel.cli", "distance", str(path), "A", "B",
+                               "--emit-events"], stdout=write, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")

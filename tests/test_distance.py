@@ -232,7 +232,9 @@ def test_verify_rejects_tampered_scenario():
      "side 2 lands in"),
     (lambda sc: replace(sc, events_to_g1=Word((), 3)),
      "side 1 replay failed: word starts at size 3 but frame has 4 regions"),
-], ids=["side-2-elsewhere", "replay-raises"])
+    (lambda sc: replace(sc, events_to_g2=Word((), 5)),
+     "side 2 replay failed: word starts at size 5 but frame has 4 regions"),
+], ids=["side-2-elsewhere", "replay-raises", "side-2-replay-raises"])
 def test_verify_reports_a_bad_replay(tamper, problem):
     g1, g2 = genomes_from_token_lists("abcd", "abdc")
     ok, report = verify_scenario_report(tamper(construct_ancestor(g1, g2)), g1, g2)
