@@ -3,9 +3,8 @@ bacterial genomes, built on partial permutations."""
 
 __version__ = "0.1.0"
 
-from .errors import (CacheIntegrityError, CapacityError, GenomeParseError,
-                     InvalidArgumentError, InvdelError, NoPathError,
-                     WordTypeError)
+from .errors import (CapacityError, GenomeParseError, InvalidArgumentError,
+                     InvdelError, NoPathError, WordTypeError)
 from .pperm import PartialPerm, all_partial_perms, sigma_from_frames
 from .genome import (Genome, ReferenceFrame, genomes_from_token_lists,
                      load_genomes, parse_genomes)
@@ -24,7 +23,7 @@ from .npc import (BalancedSortInstance, partition_brute, partition_witness,
 
 __all__ = [
     "AlignmentSolution", "AncestorScenario", "BalancedSortInstance",
-    "CacheIntegrityError", "CapacityError", "DistanceResult",
+    "CapacityError", "DistanceResult",
     "EvolutionScenario", "Generator", "Genome", "GenomeParseError",
     "InvalidArgumentError", "InvdelError", "MonoidEnumeration",
     "NoPathError", "PartialPerm", "ReferenceFrame", "Relation", "Word",

@@ -8,9 +8,10 @@ cyclic order (`row_is_popi`).
 
 The cayley engine (`table_distance`, which `distance --engine cayley`
 calls) reads the alignment cost `mu` from a table per m-by-n rank-r class
-(m <= n): one breadth-first search from every target state fills it, a
-query is one lookup at the row's arithmetic rank, and finished tables can
-be kept in a small checked binary cache, one file per class.
+(m <= n): one breadth-first search from every target state fills it, and
+a query is one lookup at the row's arithmetic rank.  Each table is built
+once per process and kept in memory, one byte per state: all the classes
+with n <= MAX_ENUM come to 2,153,964 bytes, the largest 564,480.
 
 The square monoid on n points, generated by the circular adjacent
 inversions together with the partial identity on {1..n-1}, is also
@@ -23,17 +24,11 @@ an edge for each inversion composed on either side.
 """
 from __future__ import annotations
 
-import os
-import struct
-import sys
-import tempfile
-import zlib
 from functools import cache
 from itertools import combinations, permutations
 from math import comb, factorial, perm
-from pathlib import Path
 
-from .errors import CacheIntegrityError, CapacityError, InvalidArgumentError
+from .errors import CapacityError, InvalidArgumentError
 from .algebra import inversion_set, eval_generator
 from .align import reference_pairs, solve_pair
 from .distance import DistanceResult
@@ -167,6 +162,7 @@ def class_rank(row: ImageRow, n: int) -> int:
     return subset * perm(n, r) + images
 
 
+@cache  # kept per process: every class with n <= MAX_ENUM is 2,153,964 bytes in all
 def build_table(m: int, n: int, r: int) -> bytes:
     """`mu` of every state of the m-by-n rank-r class, in rank order.
 
@@ -234,116 +230,24 @@ def build_table(m: int, n: int, r: int) -> bytes:
     return bytes(mu)
 
 
-# Cache file layout: the header is magic "IDMU" then little-endian u32
-# format version, m, n, r and the CRC32 of the body; the body is the table.
-MAGIC = b"IDMU"
-FORMAT_VERSION = 1
-HEADER = struct.Struct("<4s5I")
-
-
-def table_path(cache_dir, m: int, n: int, r: int) -> Path:
-    return Path(cache_dir) / f"mu_{m}_{n}_{r}.bin"
-
-
-def store_table(table: bytes, m: int, n: int, r: int, cache_dir) -> Path:
-    """Write the table through a temporary file in the same directory and
-    rename it into place, so a reader never sees it half-written."""
-    path = table_path(cache_dir, m, n, r)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(HEADER.pack(MAGIC, FORMAT_VERSION, m, n, r, zlib.crc32(table)))
-            fh.write(table)
-        os.chmod(tmp, 0o644)  # mkstemp makes it owner-only; a cache may be shared
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return path
-
-
-def load_table(cache_dir, m: int, n: int, r: int) -> bytes | None:
-    """The stored table, None when there is no file; a file that fails any
-    check raises CacheIntegrityError naming the file and the reason."""
-    path = table_path(cache_dir, m, n, r)
-    try:
-        data = path.read_bytes()
-    except (FileNotFoundError, NotADirectoryError):
-        return None
-    except OSError as exc:
-        raise CacheIntegrityError(f"{path}: unreadable ({exc.strerror})") from exc
-    if data[:4] != MAGIC:
-        raise CacheIntegrityError(f"{path}: bad magic")
-    if len(data) < HEADER.size:
-        raise CacheIntegrityError(f"{path}: {len(data)} bytes, shorter than the header")
-    _, version, fm, fn, fr, crc = HEADER.unpack_from(data)
-    if version != FORMAT_VERSION:
-        raise CacheIntegrityError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
-    if (fm, fn, fr) != (m, n, r):
-        raise CacheIntegrityError(f"{path}: header holds class {(fm, fn, fr)}, "
-                                  f"expected {(m, n, r)}")
-    body = data[HEADER.size:]
-    if len(body) != class_size(m, n, r):
-        raise CacheIntegrityError(f"{path}: body is {len(body)} bytes, "
-                                  f"expected {class_size(m, n, r)}")
-    if zlib.crc32(body) != crc:
-        raise CacheIntegrityError(f"{path}: CRC mismatch")
-    return body
-
-
-def class_table(m: int, n: int, r: int, cache_dir=None) -> bytes:
-    """The class's table: loaded from `cache_dir` when a valid file is there,
-    else built (and stored when there is a cache directory).  A file that
-    fails validation is reported on stderr before it is rebuilt, and so is
-    a store that fails: the table is exact without its file."""
-    if cache_dir is None:
-        return build_table(m, n, r)
-    try:
-        table = load_table(cache_dir, m, n, r)
-    except CacheIntegrityError as exc:
-        print(f"warning: rebuilding cache file {exc}", file=sys.stderr)
-        table = None
-    if table is None:
-        table = build_table(m, n, r)
-        try:
-            store_table(table, m, n, r, cache_dir)
-        except OSError as exc:
-            print(f"warning: not caching {table_path(cache_dir, m, n, r)}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
-    return table
-
-
-def class_costs(sigmas, cache_dir=None) -> list[int]:
-    """The alignment costs of pairings of one class, looked up in its
-    table, which is loaded once."""
-    m, n, r = sigmas[0].m, sigmas[0].n, sigmas[0].rank
-    if any((s.m, s.n, s.rank) != (m, n, r) for s in sigmas):
-        raise InvalidArgumentError("pairings must all lie in one m-by-n rank class")
-    if r <= 1:
-        return [0] * len(sigmas)
-    if m > n:
-        m, n = n, m
-        sigmas = [s.inverse() for s in sigmas]
-    if n > MAX_ENUM:
-        raise CapacityError(f"the cayley engine supports up to {MAX_ENUM} regions, got {n}")
-    table = class_table(m, n, r, cache_dir)
-    return [table[class_rank(s.image_row, n)] for s in sigmas]
-
-
-def class_cost(sigma: PartialPerm, cache_dir=None) -> int:
+def class_cost(sigma: PartialPerm) -> int:
     """The alignment cost of a pairing, looked up in its class's table."""
-    return class_costs([sigma], cache_dir)[0]
+    if sigma.rank <= 1:
+        return 0
+    if sigma.m > sigma.n:
+        sigma = sigma.inverse()
+    if sigma.n > MAX_ENUM:
+        raise CapacityError(f"the cayley engine supports up to {MAX_ENUM} regions, got {sigma.n}")
+    return build_table(sigma.m, sigma.n, sigma.rank)[class_rank(sigma.image_row, sigma.n)]
 
 
-def table_distance(g1: Genome, g2: Genome, cache_dir=None) -> DistanceResult:
+def table_distance(g1: Genome, g2: Genome) -> DistanceResult:
     """`distance.mrca_distance` by the class tables: the two reference
-    pairs' costs are looked up in their class's table, which is built in
-    memory when `cache_dir` is None, the first pair of least cost wins, and
-    `solve_pair` gives its witness."""
+    pairs' costs are looked up in their class's table, the first pair of
+    least cost wins, and `solve_pair` gives its witness."""
     pairs = reference_pairs(g1, g2)
     sigmas = [sigma_from_frames(f1, f2) for f1, f2 in pairs]
-    costs = class_costs(sigmas, cache_dir)
+    costs = [class_cost(sigma) for sigma in sigmas]
     index = costs.index(min(costs))
     solution = solve_pair(sigmas[index])
     assert solution.cost == costs[index]

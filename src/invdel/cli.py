@@ -66,8 +66,11 @@ def _pick(named: dict[str, Genome], name: str, max_n: int) -> Genome:
 def cmd_distance(args) -> int:
     if args.directed and args.engine == "cayley":
         raise InvdelError("--directed takes the default engine only; drop --engine cayley")
-    if args.cache_dir is not None and args.engine != "cayley":
-        raise InvdelError("--cache-dir is read by --engine cayley only")
+    if args.cache_dir is not None:
+        if args.engine != "cayley":
+            raise InvdelError("--cache-dir is accepted with --engine cayley only")
+        print("warning: --cache-dir is ignored; class tables are kept in memory",
+              file=sys.stderr)
     named = dict(load_genomes(args.file))
     g1, g2 = _pick(named, args.genome1, args.max_n), _pick(named, args.genome2, args.max_n)
     if args.directed:
@@ -77,8 +80,7 @@ def cmd_distance(args) -> int:
                "from": args.genome1, "to": args.genome2})
         return EXIT_OK
     if args.engine == "cayley":
-        # the class tables are built in memory unless --cache-dir names a cache
-        result = table_distance(g1, g2, args.cache_dir)
+        result = table_distance(g1, g2)
     else:
         result = mrca_distance(g1, g2)
     f1, f2 = result.best_pair
@@ -281,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=["onthefly", "cayley"], default="onthefly",
                    help="alignment engine (default onthefly; cayley reads class tables)")
     p.add_argument("--cache-dir", default=None,
-                   help="class-table cache directory for the cayley engine "
-                        "(default: none, tables are built in memory)")
+                   help="accepted with --engine cayley and ignored: "
+                        "class tables are kept in memory")
     # the one-sided distance has no witness words to print
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--directed", action="store_true",
@@ -329,9 +331,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout() -> None:
+    """The reader is gone: send what is still buffered to devnull, so the
+    flush at exit cannot fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit:
+        # --help and --version print and exit inside the parser, which
+        # ignores a failed write; a failed flush is ignored the same way
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _drop_stdout()
+        raise
     try:
         if "max_n" in args and not 1 <= args.max_n <= MAX_POSITIONS:
             raise CapacityError(f"--max-n must be 1..{MAX_POSITIONS}")
@@ -339,11 +357,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:
-        # the reader is gone: send what is still buffered to devnull so the
-        # flush at exit cannot fail again, and exit without a report
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _drop_stdout()  # and exit without a report
         return EXIT_FAIL
     except InvdelError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,10 +17,6 @@ class WordTypeError(InvdelError):
     """A generator word is not a valid path (sizes do not chain)."""
 
 
-class CacheIntegrityError(InvdelError):
-    """A cache file is corrupt, truncated, or from another format version."""
-
-
 class NoPathError(InvdelError):
     """No inversion/deletion sequence exists between the given genomes."""
 

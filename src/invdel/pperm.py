@@ -105,11 +105,6 @@ class PartialPerm:
         _check_size(m, n)
         return cls._unchecked(m, n, (0,) * m)
 
-    @classmethod
-    def partial_identity(cls, points: Iterable[int], n: int) -> PartialPerm:
-        """The idempotent fixing the given subset of {1..n}."""
-        return cls(n, n, ((i, i) for i in points))
-
     # -- basic queries ------------------------------------------------------
 
     def __call__(self, i: int) -> int | None:
@@ -195,15 +190,6 @@ class PartialPerm:
     def is_orientation_preserving(self) -> bool:
         """True iff the images along the ascending domain are cyclic."""
         return row_is_popi(self._img)
-
-    # -- debug rendering ----------------------------------------------------
-
-    def diagram(self) -> str:
-        """Two-row ASCII rendering; format not stable."""
-        top = " ".join(f"{i:2d}" for i in range(1, self.m + 1))
-        mid = " ".join(f"{v:2d}" if v else " ." for v in self._img)
-        bot = " ".join(f"{j:2d}" for j in range(1, self.n + 1))
-        return f"{top}\n{mid}\n{bot}"
 
 
 def sigma_from_frames(tokens1: Sequence[str], tokens2: Sequence[str]) -> PartialPerm:

@@ -77,7 +77,7 @@ def test_criterion_2_relation_suite():
     report(2, f"all {checked} relation instances hold for n <= 8 ({elapsed:.1f}s)")
 
 
-def test_criterion_3_oracle_equivalence(tmp_path):
+def test_criterion_3_oracle_equivalence():
     start = time.perf_counter()
     checked = 0
     for m in range(1, 5):
@@ -86,7 +86,7 @@ def test_criterion_3_oracle_equivalence(tmp_path):
                 bfs = solve_pair(sigma).cost
                 oracle = mu_oracle(sigma, 8)
                 cayley = solve_pair_via_cayley(sigma)
-                table = class_cost(sigma, tmp_path)
+                table = class_cost(sigma)
                 assert bfs == oracle == cayley == table, (sigma, bfs, oracle, cayley, table)
                 checked += 1
     rng = random.Random(2024)
@@ -98,7 +98,7 @@ def test_criterion_3_oracle_equivalence(tmp_path):
         bfs = solve_pair(sigma).cost
         oracle = mu_oracle(sigma, 8)
         cayley = solve_pair_via_cayley(sigma)
-        table = class_cost(sigma, tmp_path)
+        table = class_cost(sigma)
         assert bfs == oracle == cayley == table, (sigma, bfs, oracle, cayley, table)
         checked += 1
     elapsed = time.perf_counter() - start

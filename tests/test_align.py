@@ -88,7 +88,7 @@ def test_cost_invariant_under_rotations():
         assert solve_pair(sigma * rot_n).cost == base
 
 
-def test_three_way_agreement_small(tmp_path):
+def test_three_way_agreement_small():
     # the search core, the oracle, the class graph and the class table
     for m in range(1, 4):
         for n in range(1, 4):
@@ -96,7 +96,7 @@ def test_three_way_agreement_small(tmp_path):
                 bfs = solve_pair(sigma).cost
                 assert mu_oracle(sigma, 8) == bfs
                 assert solve_pair_via_cayley(sigma) == bfs
-                assert class_cost(sigma, tmp_path) == bfs
+                assert class_cost(sigma) == bfs
 
 
 def test_cayley_route_validates_parameters():
@@ -215,10 +215,10 @@ def test_fast_mode_pair_count():
     assert len(all_frame_pairs(g1, g2)) == 100
 
 
-def test_engine_choice_agrees(tmp_path):
+def test_engine_choice_agrees():
     g1, g2 = genomes_from_token_lists("abcde", "adceb")
     on_the_fly = mrca_distance(g1, g2).solution
-    via_cayley = table_distance(g1, g2, cache_dir=tmp_path).solution
+    via_cayley = table_distance(g1, g2).solution
     assert on_the_fly.cost == via_cayley.cost
 
 
@@ -450,25 +450,27 @@ def test_random_ten_region_pair_solves():
 
 
 def test_full_pairs_cayley_loads_the_class_table_once(tmp_path, monkeypatch):
-    # both reference pairs of one genome pair lie in one class
+    # both reference pairs of one genome pair lie in one class, whose table
+    # is built on the first lookup and kept for the process
     from invdel import cayley
     from invdel.cli import main
 
-    loads = []
-    load = cayley.load_table
+    lookups = []
+    build = cayley.build_table
 
-    def counted(*args):
-        loads.append(args[1:])
-        return load(*args)
+    def counted(*key):
+        lookups.append(key)
+        return build(*key)
 
-    monkeypatch.setattr(cayley, "load_table", counted)
+    monkeypatch.setattr(cayley, "build_table", counted)
+    build.cache_clear()
     path = tmp_path / "pair.txt"
     path.write_text("A: a b c d e f\nB: a c b e d g\n")
     for _ in ("cold", "warm"):
-        loads.clear()
-        assert main(["distance", str(path), "A", "B", "--engine", "cayley",
-                     "--cache-dir", str(tmp_path / "cache")]) == 0
-        assert loads == [(6, 6, 5)]
+        lookups.clear()
+        assert main(["distance", str(path), "A", "B", "--engine", "cayley"]) == 0
+        assert lookups == [(6, 6, 5), (6, 6, 5)]
+        assert build.cache_info().misses == 1
 
 
 # -- the full-rank closed form ---------------------------------------------------

@@ -4,13 +4,9 @@ from math import comb, factorial
 
 import pytest
 
-from invdel import (CacheIntegrityError, CapacityError, InvalidArgumentError,
-                    PartialPerm, class_cost, enumerate_monoid, monoid_size,
-                    solve_pair)
-from invdel import cayley
-from invdel.cayley import (FORMAT_VERSION, HEADER, _compose, _inversion_rows,
-                           build_table, class_rank, class_size, class_table,
-                           load_table, store_table, table_path)
+from invdel import (CapacityError, InvalidArgumentError, PartialPerm, class_cost,
+                    enumerate_monoid, monoid_size, solve_pair)
+from invdel.cayley import _compose, _inversion_rows, build_table, class_rank, class_size
 
 
 def test_counts_small():
@@ -182,127 +178,20 @@ def test_class_cost_capacity():
     assert class_cost(PartialPerm(9, 2, {1: 2})) == 0  # rank <= 1 needs no table
 
 
-def _never_build(*args):
-    raise AssertionError("a valid cache file was rebuilt")
+def test_cold_then_warm_cache():
+    build_table.cache_clear()
+    first = build_table(4, 4, 3)
+    assert build_table.cache_info().misses == 1
+    assert build_table(4, 4, 3) is first  # the second call builds nothing
+    assert build_table.cache_info().misses == 1
 
 
-def test_cache_round_trip(tmp_path):
-    table = build_table(3, 4, 2)
-    path = store_table(table, 3, 4, 2, tmp_path)
-    assert path == table_path(tmp_path, 3, 4, 2)
-    assert path.name == "mu_3_4_2.bin"
-    assert load_table(tmp_path, 3, 4, 2) == table
-    # byte-stable across rebuilds
-    data = path.read_bytes()
-    assert store_table(build_table(3, 4, 2), 3, 4, 2, tmp_path) == path
-    assert path.read_bytes() == data
-    assert load_table(tmp_path, 3, 4, 2) == table
-
-
-def test_cache_rejects_bad_magic(tmp_path, monkeypatch):
-    table = build_table(3, 3, 2)
-    path = store_table(table, 3, 3, 2, tmp_path)
-    raw = bytearray(path.read_bytes())
-    raw[0] ^= 0xFF
-    path.write_bytes(bytes(raw))
-    with pytest.raises(CacheIntegrityError, match="bad magic"):
-        load_table(tmp_path, 3, 3, 2)
-    # the engine rebuilds instead of crashing, and the rebuilt file loads
-    assert class_table(3, 3, 2, tmp_path) == table
-    monkeypatch.setattr(cayley, "build_table", _never_build)
-    assert class_table(3, 3, 2, tmp_path) == table
-
-
-def test_cache_rejects_truncation_and_param_mismatch(tmp_path):
-    table = build_table(4, 4, 3)
-    path = store_table(table, 4, 4, 3, tmp_path)
-    data = path.read_bytes()
-    for cut in (len(data) // 2, 10):  # inside the body, inside the header
-        path.write_bytes(data[:cut])
-        with pytest.raises(CacheIntegrityError, match="bytes"):
-            load_table(tmp_path, 4, 4, 3)
-    # a valid file copied under another class's name
-    table_path(tmp_path, 3, 4, 3).write_bytes(data)
-    with pytest.raises(CacheIntegrityError, match="header"):
-        load_table(tmp_path, 3, 4, 3)
-
-
-def _repack(data, **fields):
-    magic, version, m, n, r, crc = HEADER.unpack_from(data)
-    values = {"version": version, "crc": crc, **fields}
-    return HEADER.pack(magic, values["version"], m, n, r, values["crc"]) + data[HEADER.size:]
-
-
-CORRUPTIONS = {
-    "bad magic": lambda data: b"XXXX" + data[4:],
-    "format version": lambda data: _repack(data, version=FORMAT_VERSION + 1),
-    "header": lambda data: data[:8] + b"\x07" + data[9:],  # the m field
-    "bytes": lambda data: data + b"\x00",
-    "CRC": lambda data: data[:-1] + bytes([data[-1] ^ 1]),
-}
-
-
-@pytest.mark.parametrize("reason", CORRUPTIONS)
-def test_invalid_cache_file_warns_then_rebuilds(tmp_path, capsys, reason):
-    table = build_table(4, 5, 3)
-    path = store_table(table, 4, 5, 3, tmp_path)
-    path.write_bytes(CORRUPTIONS[reason](path.read_bytes()))
-    assert class_table(4, 5, 3, tmp_path) == table
-    warnings = capsys.readouterr().err.splitlines()
-    assert len(warnings) == 1
-    assert str(path) in warnings[0] and reason in warnings[0]
-    assert load_table(tmp_path, 4, 5, 3) == table
-
-
-def test_missing_cache_file_is_a_silent_build(tmp_path, capsys):
-    assert load_table(tmp_path, 4, 5, 3) is None
-    class_table(4, 5, 3, tmp_path)
-    assert capsys.readouterr().err == ""
-
-
-def test_cold_then_warm_cache(tmp_path, monkeypatch):
-    first = class_table(4, 4, 3, tmp_path)
-    assert table_path(tmp_path, 4, 4, 3).exists()
-    monkeypatch.setattr(cayley, "build_table", _never_build)
-    assert class_table(4, 4, 3, tmp_path) == first
-
-
-def test_classes_differing_only_in_m_coexist(tmp_path, monkeypatch):
+def test_classes_differing_only_in_m_coexist():
     small = PartialPerm(5, 6, {1: 2, 2: 1, 3: 4, 5: 3})
     large = PartialPerm(6, 6, {1: 2, 2: 1, 3: 4, 6: 3})
-    costs = [class_cost(small, tmp_path), class_cost(large, tmp_path)]
-    names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == ["mu_5_6_4.bin", "mu_6_6_4.bin"]
-    monkeypatch.setattr(cayley, "build_table", _never_build)
-    assert [class_cost(small, tmp_path), class_cost(large, tmp_path)] == costs
-
-
-def test_failed_store_leaves_no_files(tmp_path, monkeypatch):
-    def fail(src, dst):
-        raise OSError("disk full")
-
-    monkeypatch.setattr(cayley.os, "replace", fail)
-    with pytest.raises(OSError, match="disk full"):
-        store_table(build_table(3, 3, 2), 3, 3, 2, tmp_path)
-    assert list(tmp_path.iterdir()) == []
-
-
-
-@pytest.mark.parametrize("sigmas", [
-    [PartialPerm(3, 3, {1: 1, 2: 2}), PartialPerm(3, 3, {1: 1})],
-    [PartialPerm(3, 3, {1: 1}), PartialPerm(3, 4, {1: 1})],
-], ids=["two-ranks", "two-shapes"])
-def test_class_costs_refuse_two_classes(sigmas):
-    with pytest.raises(InvalidArgumentError, match="one m-by-n rank class"):
-        cayley.class_costs(sigmas)
-
-
-def test_unreadable_cache_path_warns_twice_and_still_returns_the_table(tmp_path, capsys):
-    path = table_path(tmp_path, 3, 3, 3)
-    path.mkdir()
-    assert class_table(3, 3, 3, tmp_path) == build_table(3, 3, 3)
-    warnings = capsys.readouterr().err.splitlines()
-    assert len(warnings) == 2
-    assert warnings[0].startswith(f"warning: rebuilding cache file {path}: unreadable")
-    assert warnings[1].startswith(f"warning: not caching {path}")
-    assert list(tmp_path.iterdir()) == [path] and list(path.iterdir()) == []
+    build_table.cache_clear()
+    costs = [class_cost(small), class_cost(large)]
+    assert build_table.cache_info().currsize == 2
+    assert costs == [solve_pair(small).cost, solve_pair(large).cost]
+    assert [class_cost(small), class_cost(large)] == costs
+    assert build_table.cache_info().misses == 2

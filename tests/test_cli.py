@@ -134,7 +134,7 @@ def test_directed_cayley_engine_is_exit_2(genome_file, capsys):
 
 
 def test_cache_dir_without_the_cayley_engine_is_exit_2(genome_file, capsys):
-    # only the class tables read a cache
+    # the option is accepted, and ignored, with the cayley engine only
     code, out, err = run(capsys, "distance", genome_file, "G1", "G2", "--cache-dir", "cache")
     assert (code, out) == (2, "")
     assert "--engine cayley" in err
@@ -512,33 +512,36 @@ def test_unwritable_cache_dir_warns_once(genome_file, tmp_path, capsys):
     code, out, err = run(capsys, "distance", genome_file, "G1", "G2",
                          "--engine", "cayley", "--cache-dir", str(blocker / "x"))
     assert (code, out) == (0, expected)
-    assert len(err.splitlines()) == 1 and err.startswith("warning: not caching ")
-
-
-def test_cache_dir_flag(genome_file, tmp_path, capsys):
-    cache = tmp_path / "cache"
-    code, out, _ = run(capsys, "distance", genome_file, "G1", "G2",
-                       "--engine", "cayley", "--cache-dir", str(cache))
-    assert code == 0
-    assert out.splitlines()[0] == "distance 8"
-    assert any(cache.glob("mu_*.bin"))
+    assert err == "warning: --cache-dir is ignored; class tables are kept in memory\n"
 
 
 def test_cayley_engine_without_a_cache_dir_writes_nothing(genome_file, tmp_path,
                                                           capsys, monkeypatch):
-    # with no --cache-dir the tables are built in memory: no platform cache
-    # directory, no environment variable and no working-directory file
-    for var in ("HOME", "XDG_CACHE_HOME", "INVDEL_CACHE"):
-        monkeypatch.setenv(var, str(tmp_path / var.lower()))
-    work = tmp_path / "work"
-    work.mkdir()
-    monkeypatch.chdir(work)
-    argv = ["distance", genome_file, "ANC1", "ANC2", "--json", "--emit-events"]
-    _, expected, _ = run(capsys, *argv)
-    code, out, err = run(capsys, *argv, "--engine", "cayley")
-    assert (code, out, err) == (0, expected, "")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["genomes.txt", "work"]
-    assert not any(work.iterdir())
+    # the class tables live in memory and no command writes a file: no
+    # platform cache directory, no home file, no working-directory file,
+    # and a named --cache-dir is never made
+    dirs = [tmp_path / name for name in ("home", "xdg_cache_home", "work")]
+    for path in dirs:
+        path.mkdir()
+    monkeypatch.setenv("HOME", str(dirs[0]))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(dirs[1]))
+    monkeypatch.chdir(dirs[2])
+    cache = tmp_path / "D"
+    events = ["distance", genome_file, "ANC1", "ANC2", "--json", "--emit-events"]
+    _, expected, _ = run(capsys, *events)
+    assert run(capsys, *events, "--engine", "cayley") == (0, expected, "")
+    for argv in [
+        events,
+        events + ["--engine", "cayley", "--cache-dir", str(cache)],
+        ["mrca", genome_file, "ANC1", "ANC2"],
+        ["matrix", genome_file],
+        ["simulate", "--size", "6", "--seed", "3", "--deletions1", "1", "--inversions2", "2"],
+        ["verify", "--relations", "--enumerate", "4"],
+        ["reduce-partition", "1,1,2"],
+    ]:
+        assert run(capsys, *argv)[0] == 0, argv
+        assert [path.name for path in dirs if any(path.iterdir())] == [], argv
+        assert not cache.exists(), argv
 
 
 def overlapping_pairs(count, seed):
@@ -564,12 +567,11 @@ def test_cayley_engine_keeps_the_tie_rule(tmp_path, capsys):
     # the table route takes the first reference pair of least cost and the
     # search's witness, so it prints the default engine's report
     path = tmp_path / "pair.txt"
-    cache = str(tmp_path / "cache")
     for text in overlapping_pairs(40, seed=3):
         path.write_text(text)
         argv = ["distance", str(path), "A", "B", "--json", "--emit-events"]
         expected = run(capsys, *argv)
-        assert run(capsys, *argv, "--engine", "cayley", "--cache-dir", cache) == expected, text
+        assert run(capsys, *argv, "--engine", "cayley") == expected, text
         assert expected[0] == 0
 
 
@@ -593,8 +595,22 @@ def test_cli_imports_only_the_standard_library():
     assert set(done.stdout.split()) - sys.stdlib_module_names == {"invdel"}
 
 
-@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-def test_closed_stdout_exits_quietly(tmp_path, unbuffered):
+# a report that cannot be written exits 1; --help and --version exit 0,
+# as argparse does when its own write fails
+PAIR_EVENTS = ["distance", "{pair}", "A", "B", "--emit-events"]
+
+
+@pytest.mark.parametrize("argv, code, unbuffered", [
+    pytest.param(PAIR_EVENTS, 1, True, id="unbuffered"),
+    pytest.param(PAIR_EVENTS, 1, False, id="buffered"),
+    pytest.param(["--version"], 0, True, id="version-unbuffered"),
+    pytest.param(["--version"], 0, False, id="version-buffered"),
+    pytest.param(["--help"], 0, True, id="help-unbuffered"),
+    pytest.param(["--help"], 0, False, id="help-buffered"),
+    pytest.param(["distance", "--help"], 0, True, id="distance-help-unbuffered"),
+    pytest.param(["distance", "--help"], 0, False, id="distance-help-buffered"),
+])
+def test_closed_stdout_exits_quietly(tmp_path, argv, code, unbuffered):
     # stdout is a pipe whose reader is already gone, as in `invdel ... | true`
     path = tmp_path / "pair.txt"
     path.write_text("A: a b c d\nB: a c b d\n")
@@ -605,8 +621,9 @@ def test_closed_stdout_exits_quietly(tmp_path, unbuffered):
     read, write = os.pipe()
     os.close(read)
     try:
-        done = subprocess.run([sys.executable, "-m", "invdel.cli", "distance", str(path), "A", "B",
-                               "--emit-events"], stdout=write, stderr=subprocess.PIPE, env=env)
+        done = subprocess.run([sys.executable, "-m", "invdel.cli",
+                               *(arg.format(pair=path) for arg in argv)],
+                              stdout=write, stderr=subprocess.PIPE, env=env)
     finally:
         os.close(write)
-    assert (done.returncode, done.stderr) == (1, b"")
+    assert (done.returncode, done.stderr) == (code, b"")

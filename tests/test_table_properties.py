@@ -18,12 +18,7 @@ def pairings(draw):
     return PartialPerm(m, n, zip(domain, images))
 
 
-@pytest.fixture(scope="module")
-def cache_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("mu")
-
-
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(sigma=pairings())
-def test_table_lookup_equals_search(cache_dir, sigma):
-    assert class_cost(sigma, cache_dir) == solve_pair(sigma).cost
+def test_table_lookup_equals_search(sigma):
+    assert class_cost(sigma) == solve_pair(sigma).cost
