@@ -77,6 +77,7 @@ class Generator:
         return format_generator(self)
 
 
+@cache
 def eval_generator(g: Generator) -> PartialPerm:
     n = g.n
     if g.kind == INV:
@@ -165,24 +166,25 @@ class Word:
 
 
 def eval_word(w: Word) -> PartialPerm:
-    out = PartialPerm.identity(w.src)
+    # the identity's size check refuses a word over more than 16 positions;
+    # composing valid maps needs no further check
+    row = PartialPerm.identity(w.src).image_row
     for g in w:
-        out = out * eval_generator(g)
-    return out
+        # entry v of (0, *image) is the image of v, and 0 stays undefined
+        row = tuple(map(((0,) + eval_generator(g).image_row).__getitem__, row))
+    return PartialPerm._unchecked(w.src, w.tgt, row)
 
 
 def apply_to_frame(frame: ReferenceFrame, w: Word) -> ReferenceFrame:
     """Apply the word's events to a frame; deleted regions are dropped."""
     if frame.n != w.src:
         raise WordTypeError(f"word starts at size {w.src} but frame has {frame.n} regions")
-    p = eval_word(w)
-    out = [None] * p.n
-    for i, tok in enumerate(frame.tokens, start=1):
-        j = p(i)
-        if j is not None:
+    out = [None] * w.tgt
+    for tok, j in zip(frame.tokens, eval_word(w).image_row):
+        if j:
             out[j - 1] = tok
     # Words of events always have full image, so every slot is filled.
-    assert all(t is not None for t in out)
+    assert None not in out
     return ReferenceFrame(tuple(out))
 
 

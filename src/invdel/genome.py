@@ -56,7 +56,12 @@ class Genome:
 
     @classmethod
     def from_frame(cls, frame: ReferenceFrame) -> Genome:
-        return cls(ReferenceFrame(min(_orbit(frame.tokens))))
+        # regions are distinct, so the least orbit word starts at the least
+        # region: read forward or backward from there
+        t = frame.tokens
+        k = t.index(min(t))
+        forward = t[k:] + t[:k]
+        return cls(ReferenceFrame(min(forward, forward[:1] + forward[:0:-1])))
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> Genome:
@@ -122,12 +127,15 @@ def load_genomes(path) -> list[tuple[str, Genome]]:
     file that cannot be read as UTF-8 text raises GenomeParseError naming
     it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            # the mark goes after decoding, so a bad byte's offset still
-            # counts from the start of the file ("utf-8-sig" would not)
-            text = fh.read().removeprefix("\ufeff")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise GenomeParseError(f"cannot read {str(path)!r}: {exc.strerror or exc}") from exc
+    try:
+        # the mark goes after decoding, so a bad byte's offset still counts
+        # from the start of the file ("utf-8-sig" would not); `splitlines`
+        # in the parser ends lines at CRLF and lone CR as well as LF
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise GenomeParseError(f"{str(path)!r} is not UTF-8 text: byte {exc.start} "
                                f"cannot be decoded") from exc

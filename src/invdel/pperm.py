@@ -8,7 +8,7 @@ either a value in 1..n or 0 for "undefined".
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import CapacityError, InvalidArgumentError
 
@@ -185,7 +185,14 @@ class PartialPerm:
         return out
 
     def is_order_preserving(self) -> bool:
-        return not self.crossings()
+        """True iff the images rise along the ascending domain (no crossing)."""
+        last = 0
+        for v in self._img:
+            if v:
+                if v < last:
+                    return False
+                last = v
+        return True
 
     def is_orientation_preserving(self) -> bool:
         """True iff the images along the ascending domain are cyclic."""
@@ -206,10 +213,8 @@ def sigma_from_frames(tokens1: Sequence[str], tokens2: Sequence[str]) -> Partial
         raise InvalidArgumentError("second frame has repeated regions")
     if len(set(t1)) != len(t1):
         raise InvalidArgumentError("first frame has repeated regions")
-    return PartialPerm(
-        len(t1), len(t2),
-        ((i + 1, where[tok]) for i, tok in enumerate(t1) if tok in where),
-    )
+    _check_size(len(t1), len(t2))
+    return PartialPerm._unchecked(len(t1), len(t2), tuple(where.get(tok, 0) for tok in t1))
 
 
 def all_partial_perms(m: int, n: int):

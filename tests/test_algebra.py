@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from invdel import (Generator, Genome, InvalidArgumentError, PartialPerm, ReferenceFrame,
-                    Word, WordTypeError, apply_to_frame,
+from invdel import (CapacityError, Generator, Genome, InvalidArgumentError, PartialPerm,
+                    ReferenceFrame, Word, WordTypeError, apply_to_frame,
                     eval_generator, eval_word, format_word, parse_word,
                     relation_table, rewrite_deletions_first)
 from invdel.algebra import is_deletions_first, inversion_set, parse_generator
@@ -157,8 +157,8 @@ def test_rewriter_figure_instances():
         "s1;1 s1;1 c1 a1"
 
 
-def random_word(rng, max_n=8, max_len=12):
-    n = rng.randint(2, max_n)
+def random_word(rng, max_n=8, max_len=12, min_n=2):
+    n = rng.randint(min_n, max_n)
     letters = []
     size = n
     for _ in range(rng.randint(0, max_len)):
@@ -200,3 +200,80 @@ def test_inversion_set_deduplicates_n2():
     assert [format_word(Word([g])) for g in inversion_set(2)] == ["s1;2"]
     assert len(inversion_set(5)) == 5
     assert len(inversion_set(1)) == 1
+
+
+# -- the folded evaluation against the product of generator maps ---------------
+
+def letters_at(size):
+    """Every generator starting at `size`: all inversion indices, the
+    deletions, the rotation and the reflection."""
+    out = [Generator.inversion(i, size) for i in range(1, size + 1)]
+    if size >= 2:
+        out += [Generator.deletion(i, size) for i in range(1, size + 1)]
+    return out + [Generator.rotation(size), Generator.reflection(size)]
+
+
+def all_words(size, length):
+    if length == 0:
+        yield Word((), size)
+        return
+    for g in letters_at(size):
+        for rest in all_words(g.tgt, length - 1):
+            yield Word((g,)) + rest
+
+
+def product_of_maps(w):
+    """The reference evaluation: the checked generator maps, composed one
+    `PartialPerm` product per letter."""
+    out = PartialPerm.identity(w.src)
+    for g in w:
+        out = out * eval_generator.__wrapped__(g)
+    return out
+
+
+def placed_by_position(frame_, w):
+    """The reference replay: each token goes where the word's map sends its
+    position."""
+    p = product_of_maps(w)
+    out = [None] * p.n
+    for i, tok in enumerate(frame_.tokens, start=1):
+        if p(i) is not None:
+            out[p(i) - 1] = tok
+    return tuple(out)
+
+
+def check_word(w):
+    assert eval_word(w) == product_of_maps(w), format_word(w)
+    f = frame("abcdefghi"[:w.src])
+    assert apply_to_frame(f, w).tokens == placed_by_position(f, w), format_word(w)
+
+
+def test_eval_word_matches_the_product_on_every_short_word():
+    count = 0
+    for size in range(1, 5):
+        for length in range(4):
+            for w in all_words(size, length):
+                check_word(w)
+                count += 1
+    assert count == 40 + 175 + 447 + 887  # from sizes 1, 2, 3 and 4
+
+
+def test_eval_word_matches_the_product_on_seeded_words():
+    rng = random.Random(37)
+    for _ in range(2000):
+        check_word(random_word(rng, max_n=9, max_len=12, min_n=5))
+
+
+def test_eval_generator_is_evaluated_once():
+    for size in range(1, 6):
+        for g in letters_at(size):
+            once = eval_generator(g)
+            assert once == eval_generator.__wrapped__(g)
+            assert eval_generator(Generator(g.kind, g.i, g.n)) is once
+
+
+def test_eval_word_keeps_the_size_cap():
+    with pytest.raises(CapacityError):
+        eval_word(Word((), 17))
+    with pytest.raises(CapacityError):
+        eval_word(Word([Generator.deletion(17, 17)]))

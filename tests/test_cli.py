@@ -101,6 +101,8 @@ def test_unreadable_genome_file_is_exit_2(tmp_path, capsys, kind):
     code, out, err = run(capsys, "distance", str(path), "A", "B")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and str(path) in err
+    if kind == "not-utf8":
+        assert err == f"error: {str(path)!r} is not UTF-8 text: byte 7 cannot be decoded\n"
 
 
 def test_byte_order_mark_is_skipped(tmp_path, capsys):

@@ -1,10 +1,13 @@
 import random
+from itertools import permutations
 
 import pytest
 
 from invdel import (Generator, Genome, GenomeParseError,
                     InvalidArgumentError, ReferenceFrame, Word,
-                    apply_to_frame, genomes_from_token_lists, parse_genomes)
+                    apply_to_frame, genomes_from_token_lists, load_genomes,
+                    parse_genomes)
+from invdel.genome import _orbit
 
 
 def frame(tokens):
@@ -25,6 +28,15 @@ def test_canonicalize_examples():
     assert Genome.from_frame(frame("cdab")).canonical.tokens == tuple("abcd")
     assert Genome.from_frame(frame("hgfedcba")).canonical.tokens == tuple("abcdefgh")
     assert Genome.from_frame(frame("a")).canonical.tokens == ("a",)
+
+
+@pytest.mark.parametrize("pool", [tuple("abcdefg"), ("r2", "r10", "geneA", "r1", "b", "a1", "Zed")],
+                         ids=["letters", "multi-character"])
+def test_canonical_frame_is_the_least_orbit_word(pool):
+    # the reference: every rotation of the word and of its reflection
+    for k in range(1, len(pool) + 1):
+        for toks in permutations(pool[:k]):
+            assert Genome.from_frame(frame(toks)).canonical.tokens == min(_orbit(toks))
 
 
 def test_canonicalize_idempotent_and_orbit_invariant():
@@ -153,3 +165,31 @@ def test_parse_errors_carry_line_numbers(text, lineno):
 def test_parse_duplicate_names():
     with pytest.raises(GenomeParseError):
         parse_genomes("G: a b\nG: b a")
+
+
+LF = b"# pair\nA: a b c d\n\nB: a c b d e\n"
+
+
+@pytest.mark.parametrize("data", [
+    LF.replace(b"\n", b"\r\n"),
+    LF.replace(b"\n", b"\r"),
+    b"\xef\xbb\xbf" + LF.replace(b"\n", b"\r\n"),
+    b"\xef\xbb\xbf" + LF,
+], ids=["crlf", "cr", "bom-crlf", "bom-lf"])
+def test_line_endings_and_mark_parse_as_lf(tmp_path, data):
+    (tmp_path / "lf.txt").write_bytes(LF)
+    (tmp_path / "other.txt").write_bytes(data)
+    assert load_genomes(tmp_path / "other.txt") == load_genomes(tmp_path / "lf.txt")
+    # a parse error reports the same line number whatever ends the lines
+    (tmp_path / "bad.txt").write_bytes(data.replace(b"e", b"a"))
+    with pytest.raises(GenomeParseError, match="^line 4: genome 'B' repeats a region$"):
+        load_genomes(tmp_path / "bad.txt")
+
+
+def test_not_utf8_error_names_the_byte(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xef\xbb\xbfA: a b \xff\nB: a b\n")
+    with pytest.raises(GenomeParseError) as exc:
+        load_genomes(path)
+    # the offset counts the byte-order mark: it is taken off after decoding
+    assert str(exc.value) == f"{str(path)!r} is not UTF-8 text: byte 10 cannot be decoded"

@@ -69,6 +69,25 @@ def test_sigma_identity_and_disjoint():
     assert sigma_from_frames("abc", "xyz") == PartialPerm.empty(3, 3)
 
 
+def checked_pairing(t1, t2):
+    """The reference: the pairs of equal regions, through the checked
+    constructor."""
+    where = {tok: j for j, tok in enumerate(t2, start=1)}
+    return PartialPerm(len(t1), len(t2),
+                       ((i, where[tok]) for i, tok in enumerate(t1, start=1) if tok in where))
+
+
+def test_sigma_matches_the_checked_pairing():
+    rng = random.Random(12)
+    pool = ["a", "b", "r2", "r10", "geneA", "x", "y", "z", "w", "v"]
+    for _ in range(500):
+        t1 = rng.sample(pool, rng.randint(1, 10))
+        t2 = rng.sample(pool, rng.randint(1, 10))
+        assert sigma_from_frames(t1, t2) == checked_pairing(t1, t2)
+    with pytest.raises(CapacityError):
+        sigma_from_frames([f"r{i}" for i in range(17)], "ab")
+
+
 def test_sigma_inverse_symmetry():
     rng = random.Random(13)
     pool = list("abcdefgh")
@@ -94,6 +113,13 @@ def test_orientation_preserving():
     for sig in all_partial_perms(3, 3):
         if sig.rank <= 1:
             assert sig.is_orientation_preserving()
+
+
+def test_order_preserving_means_no_crossing():
+    for m in range(5):
+        for n in range(5):
+            for sig in all_partial_perms(m, n):
+                assert sig.is_order_preserving() == (not sig.crossings()), sig
 
 
 def test_order_implies_orientation():
