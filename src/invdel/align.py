@@ -89,20 +89,21 @@ lexicographically least shortest move sequence, the search's answer.
 
 The exhaustive anchor is n <= 8: the kernel equals the plain count (kept
 in the tests as the reference) on every permutation there, and its least
-cost equals the class table.  On every permutation with n <= 7 each move
-changes each rotation's cost by exactly one, lowering just the rotations
-`_lowered` names, and the route returns the search's index and solution
-on every permutation with n <= 6.  Beyond that it rests on Jerrum's
+cost equals the tests' class table.  On every permutation with n <= 7
+each move changes each rotation's cost by exactly one, lowering just the
+rotations `_lowered` names, and the route returns the search's index and
+solution on every permutation with n <= 6.  Beyond that it rests on Jerrum's
 argument and seeded checks against the reference and the search.
 
-The class tables of `cayley` hold the same number for every pairing of a
-class (`cayley.class_cost`), filled by their own search over tuple rows;
-only `distance --engine cayley` reads them (`cayley.table_distance`).  Two
-more routes serve as checks: a breadth-first search from the pairing's
-row through its rank class of the monoid, composing inversions on either
-side (`cayley.solve_pair_via_cayley`), and an iterative-deepening oracle
-here with its own traversal and its own orientation test.  Tests hold all
-four together.
+The default engine is the one route the CLI and the library answer by.
+Other routes to the same number serve as checks: a breadth-first search
+from the pairing's row through its rank class of the monoid, composing
+inversions on either side (`cayley.solve_pair_via_cayley`), and an
+iterative-deepening oracle here with its own traversal and its own
+orientation test (`mu_oracle`).  The tests add two of their own: a table
+per rank class holding the cost of every pairing in it, filled by one
+breadth-first search over tuple rows, and a decomposition into the two
+circles' separate distances.  Tests hold them all together.
 
 Minimizing over reference pairs only needs two of the 4mn frame pairs:
 rotating either frame conjugates the inversion alphabet (rotations

@@ -15,7 +15,7 @@ from functools import cache
 from . import __version__
 from .errors import InvdelError, CapacityError
 from .algebra import eval_word, format_word, relation_table
-from .cayley import MAX_ENUM, enumerate_monoid, monoid_size, table_distance
+from .cayley import MAX_ENUM, enumerate_monoid, monoid_size
 from .distance import (check_ancestor_size, construct_ancestor, directed_distance,
                        distance_matrix, format_phylip, format_tsv, mrca_distance,
                        verify_scenario_report)
@@ -64,13 +64,11 @@ def _pick(named: dict[str, Genome], name: str, max_n: int) -> Genome:
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_distance(args) -> int:
-    if args.directed and args.engine == "cayley":
-        raise InvdelError("--directed takes the default engine only; drop --engine cayley")
-    if args.cache_dir is not None:
-        if args.engine != "cayley":
-            raise InvdelError("--cache-dir is accepted with --engine cayley only")
-        print("warning: --cache-dir is ignored; class tables are kept in memory",
+    if args.engine == "cayley":
+        print("warning: --engine cayley is ignored; distance runs the default search",
               file=sys.stderr)
+    if args.cache_dir is not None:
+        print("warning: --cache-dir is ignored; invdel writes no files", file=sys.stderr)
     named = dict(load_genomes(args.file))
     g1, g2 = _pick(named, args.genome1, args.max_n), _pick(named, args.genome2, args.max_n)
     if args.directed:
@@ -79,10 +77,7 @@ def cmd_distance(args) -> int:
               {"command": "distance", "directed": True, "distance": d,
                "from": args.genome1, "to": args.genome2})
         return EXIT_OK
-    if args.engine == "cayley":
-        result = table_distance(g1, g2)
-    else:
-        result = mrca_distance(g1, g2)
+    result = mrca_distance(g1, g2)
     f1, f2 = result.best_pair
     lines = [
         f"distance {result.total}",
@@ -268,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # each subcommand takes only the options it reads: every one --json,
     # the sized ones --max-n (verify its own, capping the relation table),
-    # and distance alone the engine options
+    # and distance alone the two ignored options
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--json", action="store_true", help="emit a JSON report")
     sized = argparse.ArgumentParser(add_help=False, parents=[report])
@@ -280,11 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="genome text file")
     p.add_argument("genome1")
     p.add_argument("genome2")
-    p.add_argument("--engine", choices=["onthefly", "cayley"], default="onthefly",
-                   help="alignment engine (default onthefly; cayley reads class tables)")
-    p.add_argument("--cache-dir", default=None,
-                   help="accepted with --engine cayley and ignored: "
-                        "class tables are kept in memory")
+    ignored = "ignored; kept until the benchmark's cayley-matrix workload is retired"
+    p.add_argument("--engine", choices=["onthefly", "cayley"], default="onthefly", help=ignored)
+    p.add_argument("--cache-dir", default=None, help=ignored)
     # the one-sided distance has no witness words to print
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--directed", action="store_true",

@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from invdel import (Generator, PartialPerm, Word, all_partial_perms,
-                    apply_to_frame, class_cost, construct_ancestor,
+                    apply_to_frame, construct_ancestor,
                     eval_generator, eval_word, format_word,
                     genomes_from_token_lists,
                     mrca_distance, mu_oracle, parse_word,
@@ -28,6 +28,8 @@ from invdel import (Generator, PartialPerm, Word, all_partial_perms,
 from invdel.algebra import is_deletions_first
 from invdel.cayley import MonoidEnumeration
 from invdel.genome import ReferenceFrame
+
+from class_tables import class_cost
 
 TABLE_COUNTS = {3: 34, 4: 209, 5: 1546, 6: 13327, 7: 130922}
 LONG_COUNTS = {8: 1441729}

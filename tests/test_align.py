@@ -5,14 +5,15 @@ from itertools import combinations, permutations
 import pytest
 
 from invdel import (CapacityError, InvalidArgumentError, PartialPerm,
-                    all_partial_perms, class_cost, eval_word,
+                    all_partial_perms, eval_word,
                     genomes_from_token_lists, mrca_distance, mu_oracle,
                     sigma_from_frames, solve_pair,
                     solve_pair_via_cayley, solve_sources)
 from invdel.align import (_lowered, _rotation_costs, _swap_pairs, _swap_positions,
                           _swap_values, reference_pairs)
-from invdel.cayley import table_distance
 from invdel.pperm import row_is_popi
+
+from class_tables import build_table, class_cost, class_rank
 
 SIGMA86 = sigma_from_frames("abcdefgh", "eibach")
 
@@ -213,13 +214,6 @@ def test_fast_mode_pair_count():
     g1, g2 = genomes_from_token_lists("abcde", "abcde")
     assert len(reference_pairs(g1, g2)) == 2
     assert len(all_frame_pairs(g1, g2)) == 100
-
-
-def test_engine_choice_agrees():
-    g1, g2 = genomes_from_token_lists("abcde", "adceb")
-    on_the_fly = mrca_distance(g1, g2).solution
-    via_cayley = table_distance(g1, g2).solution
-    assert on_the_fly.cost == via_cayley.cost
 
 
 # -- the multi-source search core ------------------------------------------------
@@ -449,30 +443,6 @@ def test_random_ten_region_pair_solves():
     assert aligned.is_orientation_preserving()
 
 
-def test_full_pairs_cayley_loads_the_class_table_once(tmp_path, monkeypatch):
-    # both reference pairs of one genome pair lie in one class, whose table
-    # is built on the first lookup and kept for the process
-    from invdel import cayley
-    from invdel.cli import main
-
-    lookups = []
-    build = cayley.build_table
-
-    def counted(*key):
-        lookups.append(key)
-        return build(*key)
-
-    monkeypatch.setattr(cayley, "build_table", counted)
-    build.cache_clear()
-    path = tmp_path / "pair.txt"
-    path.write_text("A: a b c d e f\nB: a c b e d g\n")
-    for _ in ("cold", "warm"):
-        lookups.clear()
-        assert main(["distance", str(path), "A", "B", "--engine", "cayley"]) == 0
-        assert lookups == [(6, 6, 5), (6, 6, 5)]
-        assert build.cache_info().misses == 1
-
-
 # -- the full-rank closed form ---------------------------------------------------
 
 def _rotation_cost(row, c):
@@ -530,8 +500,6 @@ def children(row):
 def test_closed_form_equals_class_table():
     # the exhaustive anchor: the least rotation cost is `mu` on every
     # permutation with n <= 8 (40,320 at n = 8)
-    from invdel.cayley import build_table, class_rank
-
     for n in range(1, 9):
         table = build_table(n, n, n)
         for row, costs in rotation_costs(n).items():

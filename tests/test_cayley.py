@@ -4,9 +4,11 @@ from math import comb, factorial
 
 import pytest
 
-from invdel import (CapacityError, InvalidArgumentError, PartialPerm, class_cost,
+from invdel import (CapacityError, InvalidArgumentError, PartialPerm,
                     enumerate_monoid, monoid_size, solve_pair)
-from invdel.cayley import _compose, _inversion_rows, build_table, class_rank, class_size
+from invdel.cayley import _compose, _inversion_rows
+
+from class_tables import build_table, class_cost, class_rank, class_size
 
 
 def test_counts_small():
@@ -132,7 +134,7 @@ def test_dclass_strongly_connected_when_m_equals_n():
             assert len(seen) == comb(n, r) ** 2 * factorial(r)
 
 
-# -- per-class mu tables -----------------------------------------------------------
+# -- the tests' per-class mu tables (class_tables.py) --------------------------------
 
 def test_rank_follows_enumeration_order():
     for m in range(7):

@@ -22,6 +22,11 @@ ANC2: i a j k b l c d
 """
 
 
+# `distance --engine cayley` and `--cache-dir` select nothing; each says so
+ENGINE_WARNING = "warning: --engine cayley is ignored; distance runs the default search\n"
+CACHE_DIR_WARNING = "warning: --cache-dir is ignored; invdel writes no files\n"
+
+
 @pytest.fixture()
 def genome_file(tmp_path):
     path = tmp_path / "genomes.txt"
@@ -128,18 +133,21 @@ def test_directed_rejects_emit_events(genome_file, capsys):
 
 
 def test_directed_cayley_engine_is_exit_2(genome_file, capsys):
-    # the class tables serve the symmetric distance only
-    code, out, err = run(capsys, "distance", genome_file, "G1", "SUB", "--directed",
-                         "--engine", "cayley")
-    assert (code, out) == (2, "")
-    assert "--directed takes the default engine only" in err
+    # the directed distance ignores the engine option too
+    argv = ["distance", genome_file, "G1", "SUB", "--directed"]
+    expected = run(capsys, *argv)
+    assert expected[0] == 0 and expected[2] == ""
+    assert run(capsys, *argv, "--engine", "cayley") == (0, expected[1], ENGINE_WARNING)
 
 
-def test_cache_dir_without_the_cayley_engine_is_exit_2(genome_file, capsys):
-    # the option is accepted, and ignored, with the cayley engine only
-    code, out, err = run(capsys, "distance", genome_file, "G1", "G2", "--cache-dir", "cache")
-    assert (code, out) == (2, "")
-    assert "--engine cayley" in err
+def test_cache_dir_without_the_cayley_engine_is_exit_2(genome_file, tmp_path, capsys):
+    # --cache-dir is ignored with or without --engine cayley, and makes no directory
+    argv = ["distance", genome_file, "G1", "G2"]
+    expected = run(capsys, *argv)
+    assert expected[0] == 0 and expected[2] == ""
+    cache = tmp_path / "cache"
+    assert run(capsys, *argv, "--cache-dir", str(cache)) == (0, expected[1], CACHE_DIR_WARNING)
+    assert not cache.exists()
 
 
 def test_directed_no_path_is_exit_2(genome_file, capsys):
@@ -230,12 +238,14 @@ def test_random_full_rank_pairs_solve_without_the_budget(tmp_path, capsys):
 
 
 def test_cayley_engine_capacity_exit_2(tmp_path, capsys):
+    # a 9-region pair within --max-n answers by the default search, whatever the options
     path = tmp_path / "big.txt"
     path.write_text("BIG: " + " ".join(f"r{i}" for i in range(9)) + "\nT: r0 r1 r2\n")
-    code, _, err = run(capsys, "distance", str(path), "BIG", "T", "--max-n", "9",
-                       "--engine", "cayley", "--cache-dir", str(tmp_path / "cache"))
-    assert code == 2
-    assert "cayley engine" in err
+    argv = ["distance", str(path), "BIG", "T", "--max-n", "9"]
+    expected = run(capsys, *argv)
+    assert expected[0] == 0 and expected[2] == ""
+    assert run(capsys, *argv, "--engine", "cayley", "--cache-dir", str(tmp_path / "cache")) \
+        == (0, expected[1], ENGINE_WARNING + CACHE_DIR_WARNING)
 
 
 def test_mrca_fixture(genome_file, capsys):
@@ -499,9 +509,10 @@ def test_parser_is_shared_across_calls(tmp_path, capsys):
     path.write_text("BIG: " + " ".join(f"r{i}" for i in range(9)) + "\nT: r0 r1\n")
     assert run(capsys, "distance", str(path), "BIG", "T", "--max-n", "9")[0] == 0
     assert run(capsys, "distance", str(path), "BIG", "T")[0] == 2
-    with pytest.raises(SystemExit):
-        main(["distance", str(path), "BIG", "--engine", "nope"])
-    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["distance", str(path), "BIG", "T", "--engine", "nope"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
     code, out, _ = run(capsys, "distance", str(path), "BIG", "T", "--max-n", "9", "--json")
     assert code == 0 and json.loads(out)["distance"] == 7
     assert build_parser() is build_parser()
@@ -514,14 +525,13 @@ def test_unwritable_cache_dir_warns_once(genome_file, tmp_path, capsys):
     code, out, err = run(capsys, "distance", genome_file, "G1", "G2",
                          "--engine", "cayley", "--cache-dir", str(blocker / "x"))
     assert (code, out) == (0, expected)
-    assert err == "warning: --cache-dir is ignored; class tables are kept in memory\n"
+    assert err == ENGINE_WARNING + CACHE_DIR_WARNING
 
 
 def test_cayley_engine_without_a_cache_dir_writes_nothing(genome_file, tmp_path,
                                                           capsys, monkeypatch):
-    # the class tables live in memory and no command writes a file: no
-    # platform cache directory, no home file, no working-directory file,
-    # and a named --cache-dir is never made
+    # no command writes a file: no platform cache directory, no home file,
+    # no working-directory file, and a named --cache-dir is never made
     dirs = [tmp_path / name for name in ("home", "xdg_cache_home", "work")]
     for path in dirs:
         path.mkdir()
@@ -531,7 +541,7 @@ def test_cayley_engine_without_a_cache_dir_writes_nothing(genome_file, tmp_path,
     cache = tmp_path / "D"
     events = ["distance", genome_file, "ANC1", "ANC2", "--json", "--emit-events"]
     _, expected, _ = run(capsys, *events)
-    assert run(capsys, *events, "--engine", "cayley") == (0, expected, "")
+    assert run(capsys, *events, "--engine", "cayley") == (0, expected, ENGINE_WARNING)
     for argv in [
         events,
         events + ["--engine", "cayley", "--cache-dir", str(cache)],
@@ -566,15 +576,15 @@ def overlapping_pairs(count, seed):
 
 
 def test_cayley_engine_keeps_the_tie_rule(tmp_path, capsys):
-    # the table route takes the first reference pair of least cost and the
-    # search's witness, so it prints the default engine's report
+    # --engine cayley prints the default engine's report byte for byte,
+    # and only its warning on stderr
     path = tmp_path / "pair.txt"
     for text in overlapping_pairs(40, seed=3):
         path.write_text(text)
         argv = ["distance", str(path), "A", "B", "--json", "--emit-events"]
-        expected = run(capsys, *argv)
-        assert run(capsys, *argv, "--engine", "cayley") == expected, text
-        assert expected[0] == 0
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert run(capsys, *argv, "--engine", "cayley") == (0, out, ENGINE_WARNING), text
 
 
 def _env_with_src():

@@ -1,11 +1,13 @@
-"""Property test: the cayley engine's class-table lookup equals the search
-core's cost on random pairings with m, n <= 6."""
+"""Property test: the tests' class-table lookup equals the search core's
+cost on random pairings with m, n <= 6."""
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from invdel import PartialPerm, class_cost, solve_pair  # noqa: E402
+from invdel import PartialPerm, solve_pair  # noqa: E402
+
+from class_tables import class_cost  # noqa: E402
 
 
 @st.composite
