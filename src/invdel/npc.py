@@ -5,8 +5,10 @@ of disjoint crossing pairs, the j-th spanning a_j positions, with budget
 k = sum(a).  Asking for an order-preserving result using equally many
 adjacent inversions on each side within the budget is then exactly asking
 for an equal-sum split of the multiset.  `solve_balancedsort` decides the
-sorting question by exhaustive search so the reduction can be
-machine-checked in both directions on small instances.
+sorting question exactly, so the reduction can be machine-checked in both
+directions on small instances: it searches the left moves from the pairing
+and the right moves from it (as left moves from its inverse) once each, and
+joins the two on the order they leave the defined pairs in.
 
 The sorting alphabet is the linear adjacent transpositions, without the
 wraparound pair: a crossing then costs exactly its width to remove, which
@@ -112,20 +114,25 @@ def partition_witness(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int
 # undefined positions leaves the row alone, so word lengths are not
 # parity-pure per row, and because every move is an involution a word of
 # length c reaching a row exists exactly when its key was reached at some
-# depth <= c of matching parity.  Left and right moves commute, so every
-# balanced word pair has an all-lefts-then-rights form.  One layered search
-# runs twice: from sigma with left moves, then from the inverses of every
-# key that reached, because a right move on a pairing is a left move on its
-# inverse and a pairing is order preserving exactly when its inverse is.
-# The second run keeps the left-length parity in the low bit, so an
-# order-preserving key with even parity has equally many moves per side.
+# depth <= c of matching parity.
+#
+# Left and right moves commute, and L sigma R is order preserving exactly
+# when L and R put the defined pairs in the same relative order.  So one
+# layered search runs per side, each to depth k // 2: from sigma with left
+# moves, and from the inverse of sigma with left moves, since a right move
+# on a pairing is a left move on its inverse.  Each reached key is read as
+# an order (`_order`): the nonzero nibbles in position order, which on the
+# left side are image values and on the right side are source positions,
+# mapped through sigma to the image values they pair with.  The answer is
+# yes when some order and parity is reached on both sides: two words of the
+# same parity, each at most k // 2 long, are made equally long by repeating
+# one move twice in the shorter.
 #
 # Every linear adjacent move, left or right, changes the number of
-# out-of-order image pairs (the inversion count) by at most one, and
-# that count is 0 exactly on the order-preserving rows.  Both runs drop
-# a key whose count exceeds the moves still allowed: the left run's
-# remaining depth plus the whole right half, the right run's remaining
-# depth.
+# out-of-order image pairs (the inversion count) by at most one, and that
+# count is 0 exactly on the order-preserving rows.  Each search drops a key
+# whose count exceeds the moves still allowed: its own remaining depth plus
+# the other side's whole k // 2.
 
 def _key(row: tuple[int, ...]) -> int:
     x = 0
@@ -144,6 +151,19 @@ def _invert(key: int, m: int) -> int:
     return out
 
 
+def _order(key: int, m: int, relabel: Sequence[int]) -> int:
+    """The defined positions' values in position order, each mapped through
+    `relabel`, packed like a key, with the key's parity bit."""
+    out = key & 1
+    shift = 1
+    for i in range(m):
+        v = (key >> (4 * i + 1)) & 0xF
+        if v:
+            out |= relabel[v] << shift
+            shift += 4
+    return out
+
+
 def _linear_swap_pairs(m: int) -> list[tuple[int, int]]:
     # Deliberately excludes the wraparound pair (1, m): the per-crossing
     # width argument that makes the reduction correct only holds for the
@@ -152,18 +172,21 @@ def _linear_swap_pairs(m: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(m - 1)]
 
 
-def _layers(start: dict[int, int], m: int, depth: int, slack: int):
-    """Yield the layers 0..depth of a left-move search from `start`.
+def _reached(start: int, count: int, m: int, depth: int):
+    """Yield every key a left-move search of depth `depth` reaches from
+    `start`, whose inversion count is `count`, layer by layer.
 
-    Layers map a key to its inversion count.  A key is dropped when its
-    count exceeds the moves left, `depth` minus its own depth plus `slack`.
+    A key is dropped when its count exceeds the moves left on both sides,
+    `depth` minus its own depth plus the other side's `depth`.
     """
-    layer = {x: inv for x, inv in start.items() if inv <= depth + slack}
-    seen = set(layer)
-    yield layer
+    if count > 2 * depth:
+        return
+    layer = {start: count}
+    seen = {start}
+    yield start
     shifts = [(4 * a + 1, 4 * b + 1) for a, b in _linear_swap_pairs(m)]
     for d in range(1, depth + 1):
-        allowed = depth - d + slack
+        allowed = 2 * depth - d
         nxt = {}
         for x, inv in layer.items():
             for sa, sb in shifts:
@@ -177,7 +200,7 @@ def _layers(start: dict[int, int], m: int, depth: int, slack: int):
                     seen.add(y)
                     nxt[y] = c
         layer = nxt
-        yield layer
+        yield from layer
 
 
 def solve_balancedsort(inst: BalancedSortInstance) -> bool:
@@ -185,9 +208,10 @@ def solve_balancedsort(inst: BalancedSortInstance) -> bool:
     budget, can make the pairing order preserving.
 
     Inversions here are the adjacent transpositions of the linear order,
-    without the wraparound (see _linear_swap_pairs).  The search is one
-    parity-keyed layered search run from each side, pruned by the
-    inversion count (see the comment above _key).
+    without the wraparound (see _linear_swap_pairs).  One parity-keyed
+    layered search runs per side, pruned by the inversion count, and the
+    two meet on the order of the defined pairs (see the comment above
+    _key).
     """
     sigma, k = inst.sigma, inst.k
     m = sigma.m
@@ -198,12 +222,9 @@ def solve_balancedsort(inst: BalancedSortInstance) -> bool:
     half = k // 2
     if half == 0:
         return False
-    lefts: dict[int, int] = {}
-    for layer in _layers({_key(sigma.image_row): len(sigma.crossings())}, m, half, half):
-        lefts.update(layer)
-    rights = {_invert(x, m): inv for x, inv in lefts.items()}
-    return any(
-        inv == 0 and not x & 1
-        for layer in _layers(rights, m, half, 0)
-        for x, inv in layer.items()
-    )
+    start = _key(sigma.image_row)
+    count = len(sigma.crossings())
+    lefts = {_order(x, m, range(m + 1)) for x in _reached(start, count, m, half)}
+    relabel = (0, *sigma.image_row)
+    return any(_order(x, m, relabel) in lefts
+               for x in _reached(_invert(start, m), count, m, half))

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
@@ -161,3 +162,32 @@ def test_balancedsort_matches_reference_exhaustively():
             assert solve_balancedsort(BalancedSortInstance(sigma, k)) == want, (row, k)
             cases += 1
     assert cases == 16182
+
+
+def test_balancedsort_is_symmetric_under_inversion():
+    # Inverting the pairing swaps the two sides, so each side's search then
+    # reads the other's order; a join that labels one side's order wrongly
+    # breaks the symmetry even where the involutive reduction instances
+    # (their own inverses) cannot show it.
+    for sigma in _square_partial_perms(5):
+        inverse = sigma.inverse()
+        for k in range(9):
+            assert (solve_balancedsort(BalancedSortInstance(sigma, k))
+                    == solve_balancedsort(BalancedSortInstance(inverse, k))), (sigma.image_row, k)
+
+
+@pytest.mark.parametrize("m", [6, 7])
+def test_balancedsort_matches_reference_past_five_positions(m):
+    rng = random.Random(600 + m)
+    answers = set()
+    for _ in range(40):
+        r = rng.randint(0, m)
+        domain = rng.sample(range(1, m + 1), r)
+        image = rng.sample(range(1, m + 1), r)
+        sigma = PartialPerm(m, m, dict(zip(domain, image)))
+        steps = _reference_balanced_steps(sigma, 4)
+        for k in range(9):
+            want = steps is not None and steps <= k // 2
+            assert solve_balancedsort(BalancedSortInstance(sigma, k)) == want, (sigma.image_row, k)
+            answers.add(want)
+    assert answers == {True, False}
