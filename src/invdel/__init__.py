@@ -11,8 +11,7 @@ from .genome import (Genome, ReferenceFrame, genomes_from_token_lists,
 from .algebra import (Generator, Relation, Word, apply_to_frame,
                       eval_generator, eval_word, format_word, parse_word,
                       relation_table, rewrite_deletions_first)
-from .cayley import (MonoidEnumeration, enumerate_monoid, monoid_size,
-                     solve_pair_via_cayley)
+from .cayley import enumerate_monoid, monoid_size, solve_pair_via_cayley
 from .align import AlignmentSolution, mu_oracle, solve_pair, solve_sources
 from .distance import (AncestorScenario, DistanceResult, construct_ancestor,
                        directed_distance, distance_matrix, format_phylip,
@@ -25,7 +24,7 @@ __all__ = [
     "AlignmentSolution", "AncestorScenario", "BalancedSortInstance",
     "CapacityError", "DistanceResult",
     "EvolutionScenario", "Generator", "Genome", "GenomeParseError",
-    "InvalidArgumentError", "InvdelError", "MonoidEnumeration",
+    "InvalidArgumentError", "InvdelError",
     "NoPathError", "PartialPerm", "ReferenceFrame", "Relation", "Word",
     "WordTypeError",
     "all_partial_perms", "apply_to_frame", "construct_ancestor",

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 from .errors import InvalidArgumentError, WordTypeError
 from .genome import ReferenceFrame
-from .pperm import PartialPerm
+from .pperm import PartialPerm, _compose
 
 INV, DEL, ROT, REFL = "inv", "del", "rot", "refl"
 
@@ -170,8 +170,7 @@ def eval_word(w: Word) -> PartialPerm:
     # composing valid maps needs no further check
     row = PartialPerm.identity(w.src).image_row
     for g in w:
-        # entry v of (0, *image) is the image of v, and 0 stays undefined
-        row = tuple(map(((0,) + eval_generator(g).image_row).__getitem__, row))
+        row = _compose(row, eval_generator(g).image_row)
     return PartialPerm._unchecked(w.src, w.tgt, row)
 
 

@@ -235,9 +235,10 @@ def _rotation_costs(row: ImageRow) -> list[int]:
     return costs
 
 
-def _lowered(row: ImageRow, rotations: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
-    """For each move in code order, its code and the rotations among
-    `rotations` whose cost it lowers, by one; it raises the others' by one.
+def _lowered(row: ImageRow, rotations: Sequence[int]) -> Iterator[tuple[int, int, int, list[int]]]:
+    """For each move in code order, its code, the positions x and z of its
+    two tokens, and the rotations among `rotations` whose cost it lowers,
+    by one; it raises the others' by one.
 
     The move's two tokens x and z are adjacent at their starts (a left
     move: x starts one behind z) or at their ends (a right move: x ends
@@ -270,7 +271,7 @@ def _lowered(row: ImageRow, rotations: Sequence[int]) -> Iterator[tuple[int, lis
             # x forced backwards and z forced forwards
             if (bx <= bot and bz >= top) if bx <= bz else (bx <= bot or bz >= top):
                 lowered.append(c)
-        yield code, lowered
+        yield code, x, z, lowered
 
 
 def _solution(m: int, n: int, codes: list[int]) -> AlignmentSolution:
@@ -303,19 +304,17 @@ def _solve_full_rank(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolu
         if best is None or cost < best[0]:
             best = cost, index, row, [c for c in range(n) if costs[c] == cost]
     cost, index, row, kept = best
-    pairs = _swap_pairs(n)
-    moves = ([(_swap_positions, a, b) for a, b in pairs]
-             + [(_swap_values, a + 1, b + 1) for a, b in pairs])
     codes = []
     for _ in range(cost):
-        for code, lowered in _lowered(row, kept):
+        for code, x, z, lowered in _lowered(row, kept):
             if lowered:
                 break
         else:
             raise AssertionError("a move always lowers some cheapest rotation")
         kept = lowered
-        swap, a, b = moves[code]
-        row = swap(row, a, b)
+        # a right move swaps two values: the same as swapping the two
+        # positions that hold them
+        row = _swap_positions(row, x, z)
         codes.append(code)
     return index, _solution(n, n, codes)
 

@@ -1,14 +1,14 @@
-"""Cayley graphs of partial permutations: the monoid enumeration and the
-class-graph route to the alignment cost.
+"""Cayley graphs of partial permutations: the count of the monoid and the
+Cayley-graph route to the alignment cost.
 
-Elements are represented internally as image rows: tuples whose entry for
-position i is the image of i, or 0 when i is undefined.  A row is a
-target when its defined images read in a cyclic order (`row_is_popi`).
+Elements are image rows: tuples whose entry for position i is the image
+of i, or 0 when i is undefined.  A row is a target when its defined
+images read in a cyclic order (`row_is_popi`).
 
-The square monoid on n points, generated by the circular adjacent
-inversions together with the partial identity on {1..n-1}, is enumerated
-in full (a breadth-first closure from the identity in fixed generator
-order gives a deterministic indexing) for the enumeration counts.
+`enumerate_monoid(n)` counts the square monoid on n points, generated by
+the circular adjacent inversions together with the partial identity on
+{1..n-1}: the number of rows a breadth-first closure from the identity
+reaches, checked against the closed form `monoid_size(n)`.
 
 `solve_pair_via_cayley` is one of the routes to the alignment cost `mu`:
 a breadth-first search in the Cayley graph of the pairing's rank class,
@@ -26,7 +26,7 @@ from math import comb, factorial
 
 from .errors import CapacityError
 from .algebra import inversion_set, eval_generator
-from .pperm import PartialPerm, row_is_popi
+from .pperm import PartialPerm, _compose, row_is_popi
 
 # |I_8| is already 1.4M elements; anything larger is hopeless here.
 MAX_ENUM = 8
@@ -39,69 +39,49 @@ def monoid_size(n: int) -> int:
     return sum(comb(n, r) ** 2 * factorial(r) for r in range(n + 1))
 
 
-def _compose(f: ImageRow, g: ImageRow) -> ImageRow:
-    # image row of f then g
-    return tuple(g[v - 1] if v else 0 for v in f)
+def _inversion_rows(m: int) -> list[ImageRow]:
+    """The inversions on m points in index order, as image rows."""
+    return [eval_generator(g).image_row for g in inversion_set(m)]
 
 
-def _inversion_rows(m: int, size: int) -> list[ImageRow]:
-    """The inversions on m points in index order, as elements of the
-    monoid on `size` points (undefined beyond m)."""
-    pad = (0,) * (size - m)
-    return [eval_generator(g).image_row + pad for g in inversion_set(m)]
-
-
-class MonoidEnumeration:
-    """All elements of the partial-permutation monoid on n points, indexed
-    in the order a breadth-first closure from the identity finds them.
-
-    Never mutated after construction; safe to share across threads.
-    """
-
-    def __init__(self, n: int):
-        if not 1 <= n <= MAX_ENUM:
-            raise CapacityError(f"monoid enumeration supports 1 <= n <= {MAX_ENUM}, got {n}")
-        self.n = n
-        gen_rows = _inversion_rows(n, n) + [tuple(range(1, n)) + (0,)]
-        identity = tuple(range(1, n + 1))
-        elements: list[ImageRow] = [identity]
-        index: dict[ImageRow, int] = {identity: 0}
-        for x in elements:  # the list grows while it is read: a queue
+@cache  # one count per n: a second `verify --enumerate` in a process is free
+def enumerate_monoid(n: int) -> int:
+    """The number of elements of the partial-permutation monoid on n
+    points that a breadth-first closure from the identity reaches."""
+    if not 1 <= n <= MAX_ENUM:
+        raise CapacityError(f"monoid enumeration supports 1 <= n <= {MAX_ENUM}, got {n}")
+    gen_rows = _inversion_rows(n) + [tuple(range(1, n)) + (0,)]
+    identity = tuple(range(1, n + 1))
+    seen, layer = {identity}, [identity]
+    while layer:
+        new = []
+        for x in layer:
             for g in gen_rows:
                 y = _compose(x, g)
-                if y not in index:
-                    index[y] = len(elements)
-                    elements.append(y)
-        self.elements = elements
-        self.index = index
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-@cache  # one enumeration per n, shared: it is never mutated
-def enumerate_monoid(n: int) -> MonoidEnumeration:
-    return MonoidEnumeration(n)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        layer = new
+    return len(seen)
 
 
 def solve_pair_via_cayley(sigma: PartialPerm) -> int:
     """The alignment cost of a pairing, by breadth-first search in the
     Cayley graph of its rank class (a pairing with m > n is inverted first).
 
-    The search starts at the pairing's row in the monoid on n points; a
-    row's neighbours are its products with an inversion on m points on the
-    left and with one on n points on the right.  Inversions are
-    permutations, so every product keeps the rank and leaves the positions
-    beyond m undefined.  The cost is the depth of the first row that reads
-    in a cyclic order.
+    The search starts at the pairing's own m-by-n row; a row's neighbours
+    are its products with an inversion on m points on the left and with
+    one on n points on the right.  Inversions are permutations, so every
+    product keeps the rank.  The cost is the depth of the first row that
+    reads in a cyclic order.
     """
     if sigma.m > sigma.n:
         sigma = sigma.inverse()
     m, n = sigma.m, sigma.n
     if n > MAX_ENUM:
         raise CapacityError(f"the class-graph route supports up to {MAX_ENUM} regions, got {n}")
-    lefts, rights = _inversion_rows(m, n), _inversion_rows(n, n)
-    start = sigma.embed(n).image_row
+    lefts, rights = _inversion_rows(m), _inversion_rows(n)
+    start = sigma.image_row
     seen, layer = {start}, {start}
     depth = 0
     while layer:
@@ -112,4 +92,3 @@ def solve_pair_via_cayley(sigma: PartialPerm) -> int:
                  | {_compose(x, g) for x in layer for g in rights}) - seen
         seen |= layer
     raise AssertionError("every rank class contains orientation-preserving elements")
-

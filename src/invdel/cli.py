@@ -170,7 +170,7 @@ def cmd_verify(args) -> int:
         n = args.enumerate
         if not 1 <= n <= MAX_ENUM:
             raise CapacityError(f"--enumerate supports 1..{MAX_ENUM}, got {n}")
-        count = len(enumerate_monoid(n))
+        count = enumerate_monoid(n)
         expected = monoid_size(n)
         ok = count == expected
         if not ok:

@@ -28,6 +28,12 @@ def row_is_popi(row: Sequence[int]) -> bool:
     return sum(1 for t in range(k) if images[t] > images[(t + 1) % k]) <= 1
 
 
+def _compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """The image row of f then g: entry v of (0, *g) is the image of v,
+    and 0 stays undefined."""
+    return tuple(map(((0,) + g).__getitem__, f))
+
+
 def _swap_pairs(n: int) -> list[tuple[int, int]]:
     """0-based position pairs (i, i + 1 mod n) of the circular adjacent
     inversions, deduplicated."""
@@ -149,9 +155,7 @@ class PartialPerm:
             raise InvalidArgumentError(
                 f"cannot compose {self.m}x{self.n} with {other.m}x{other.n}"
             )
-        g = other._img
-        img = tuple(g[v - 1] if v else 0 for v in self._img)
-        return PartialPerm._unchecked(self.m, other.n, img)
+        return PartialPerm._unchecked(self.m, other.n, _compose(self._img, other._img))
 
     def inverse(self) -> PartialPerm:
         img = [0] * self.n
@@ -159,16 +163,6 @@ class PartialPerm:
             if v:
                 img[v - 1] = i + 1
         return PartialPerm._unchecked(self.n, self.m, tuple(img))
-
-    def embed(self, size: int) -> PartialPerm:
-        """The same pairs viewed inside the square monoid on `size` points."""
-        if size < max(self.m, self.n):
-            raise InvalidArgumentError(
-                f"cannot embed {self.m}x{self.n} into {size}x{size}"
-            )
-        _check_size(size, size)
-        img = self._img + (0,) * (size - self.m)
-        return PartialPerm._unchecked(size, size, img)
 
     # -- order structure ----------------------------------------------------
 

@@ -546,8 +546,8 @@ def test_lowered_moves_match_the_reference():
         costs = rotation_costs(n)
         for row, before in costs.items():
             lowered = list(_lowered(row, range(n)))
-            assert [code for code, _ in lowered] == list(range(2 * len(_swap_pairs(n))))
-            for (_, rotations), child in zip(lowered, children(row), strict=True):
+            assert [code for code, *_ in lowered] == list(range(2 * len(_swap_pairs(n))))
+            for (*_, rotations), child in zip(lowered, children(row), strict=True):
                 after = costs[child]
                 assert rotations == [c for c in range(n) if after[c] < before[c]], (row, child)
 

@@ -5,22 +5,23 @@ from math import comb, factorial
 import pytest
 
 from invdel import (CapacityError, InvalidArgumentError, PartialPerm,
-                    enumerate_monoid, monoid_size, solve_pair)
-from invdel.cayley import _compose, _inversion_rows
+                    all_partial_perms, enumerate_monoid, monoid_size, solve_pair)
+from invdel.cayley import _inversion_rows
+from invdel.pperm import _compose
 
 from class_tables import build_table, class_cost, class_rank, class_size
 
 
 def test_counts_small():
-    assert len(enumerate_monoid(1)) == 2
-    assert len(enumerate_monoid(2)) == 7
-    assert len(enumerate_monoid(3)) == 34
-    assert len(enumerate_monoid(4)) == 209
+    assert enumerate_monoid(1) == 2
+    assert enumerate_monoid(2) == 7
+    assert enumerate_monoid(3) == 34
+    assert enumerate_monoid(4) == 209
 
 
 def test_counts_match_formula():
     for n in range(1, 5):
-        assert len(enumerate_monoid(n)) == monoid_size(n)
+        assert enumerate_monoid(n) == monoid_size(n)
 
 
 def test_capacity_guard():
@@ -28,93 +29,92 @@ def test_capacity_guard():
         enumerate_monoid(9)
 
 
-def test_deterministic_indexing():
-    from invdel.cayley import MonoidEnumeration
-
-    a = MonoidEnumeration(4)
-    b = MonoidEnumeration(4)
-    assert a.elements == b.elements
-    assert a.index == b.index == {row: i for i, row in enumerate(a.elements)}
+def test_second_count_is_a_cache_hit():
+    # `verify --enumerate N` run twice in one process closes the monoid once
+    enumerate_monoid.cache_clear()
+    assert enumerate_monoid(5) == 1546
+    assert enumerate_monoid(5) == 1546
+    info = enumerate_monoid.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_inversion_products_stay_in_the_closure_and_rank():
-    enum = enumerate_monoid(4)
-    for g in _inversion_rows(4, 4):
-        for row in enum.elements:
+    # the closure reaches every row of I_4, and an inversion on either side
+    # keeps a row in it and keeps its rank
+    rows = {p.image_row for p in all_partial_perms(4, 4)}
+    assert len(rows) == enumerate_monoid(4)
+    for g in _inversion_rows(4):
+        for row in rows:
             for product in (_compose(g, row), _compose(row, g)):
-                assert product in enum.index
+                assert product in rows
                 assert product.count(0) == row.count(0)
 
 
 # -- the class-graph route's moves -------------------------------------------------
 #
 # `solve_pair_via_cayley` walks the rank class (D-class) of a pairing's
-# row in the monoid on n points: a row's products with each inversion on
-# m points on the left and each on n points on the right.
+# own m-by-n row: a row's products with each inversion on m points on the
+# left and each on n points on the right.
 
-def _rank_rows(n, r):
-    return sorted(row for row in enumerate_monoid(n).elements if row.count(0) == n - r)
-
-
-def _products(row, m):
-    """(side, inversion index, product) for every move the route tries."""
-    n = len(row)
-    return ([("left", gi, _compose(g, row)) for gi, g in enumerate(_inversion_rows(m, n), 1)]
-            + [("right", gi, _compose(row, g)) for gi, g in enumerate(_inversion_rows(n, n), 1)])
+def _rank_rows(m, n, r):
+    return sorted(p.image_row for p in all_partial_perms(m, n) if p.rank == r)
 
 
-def _moving_labels(row, m, side):
-    return sorted(gi for s, gi, y in _products(row, m) if s == side and y != row)
+def _products(row, n):
+    """(side, inversion index, product) for every move the route tries on
+    an m-by-n row."""
+    return ([("left", gi, _compose(g, row)) for gi, g in enumerate(_inversion_rows(len(row)), 1)]
+            + [("right", gi, _compose(row, g)) for gi, g in enumerate(_inversion_rows(n), 1)])
+
+
+def _moving_labels(row, n, side):
+    return sorted(gi for s, gi, y in _products(row, n) if s == side and y != row)
 
 
 def test_dclass_vertex_counts():
-    assert len(_rank_rows(4, 0)) == 1
-    assert len(_rank_rows(4, 4)) == 24
-    assert len(_rank_rows(4, 2)) == 72
+    assert len(_rank_rows(4, 4, 0)) == 1
+    assert len(_rank_rows(4, 4, 4)) == 24
+    assert len(_rank_rows(4, 4, 2)) == 72
     for r in range(5):
-        assert len(_rank_rows(4, r)) == comb(4, r) ** 2 * factorial(r)
+        assert len(_rank_rows(4, 4, r)) == comb(4, r) ** 2 * factorial(r)
 
 
 def test_dclass_full_rank_vertices_take_every_inversion():
     # a move never fixes a full-rank row, so every label moves it
     for n in (3, 4, 5):
-        for row in _rank_rows(n, n):
+        for row in _rank_rows(n, n, n):
             assert _moving_labels(row, n, "left") == list(range(1, n + 1))
             assert _moving_labels(row, n, "right") == list(range(1, n + 1))
     checked = 0
-    for row in _rank_rows(4, 3):
-        if row[3] == 0:  # domain {1, 2, 3}: the left inversions on 3 points all move it
-            assert _moving_labels(row, 3, "left") == [1, 2, 3]
-            checked += 1
+    for row in _rank_rows(3, 4, 3):  # the left inversions on 3 points all move it
+        assert _moving_labels(row, 4, "left") == [1, 2, 3]
+        checked += 1
     assert checked == 24
 
 
 def test_dclass_left_labels_follow_m():
     # X_2 has the one inversion s_{1;2}; the right products do not depend on m
-    rows = _rank_rows(3, 2)
-    for row in rows:
-        assert ([p for p in _products(row, 3) if p[0] == "right"]
-                == [p for p in _products(row, 2) if p[0] == "right"])
-    assert set().union(*(_moving_labels(row, 3, "left") for row in rows)) == {1, 2, 3}
-    assert set().union(*(_moving_labels(row, 2, "left") for row in rows)) == {1}
+    for row in _rank_rows(2, 3, 2):
+        assert ([(s, gi, y + (0,)) for s, gi, y in _products(row, 3) if s == "right"]
+                == [p for p in _products(row + (0,), 3) if p[0] == "right"])
+    for m, labels in ((3, {1, 2, 3}), (2, {1})):
+        rows = _rank_rows(m, 3, 2)
+        assert set().union(*(_moving_labels(row, 3, "left") for row in rows)) == labels
 
 
 def test_dclass_rank_zero_has_no_edges():
-    (row,) = _rank_rows(4, 0)
     for m in (3, 4):
-        assert all(y == row for _, _, y in _products(row, m))
+        (row,) = _rank_rows(m, 4, 0)
+        assert all(y == row for _, _, y in _products(row, 4))
 
 
-def test_dclass_edges_preserve_rank_and_undefined_tail():
-    # the route's rows of a 3-by-4 class leave position 4 undefined
-    index = enumerate_monoid(4).index
+def test_route_moves_stay_in_the_rank_class():
+    # every product of a 3-by-4 row is a 3-by-4 row of the same rank
     for r in range(4):
-        for row in _rank_rows(4, r):
-            if row[3]:
-                continue
-            for side, gi, y in _products(row, 3):
-                assert y in index
-                assert y.count(0) == row.count(0) and y[3] == 0
+        rows = set(_rank_rows(3, 4, r))
+        for row in rows:
+            for side, gi, y in _products(row, 4):
+                assert y in rows
                 assert 1 <= gi <= (3 if side == "left" else 4)
 
 
@@ -122,7 +122,7 @@ def test_dclass_strongly_connected_when_m_equals_n():
     # the moves are involutions: reaching every row from one is strong connectivity
     for n in (2, 3, 4, 5):
         for r in range(n + 1):
-            rows = _rank_rows(n, r)
+            rows = _rank_rows(n, n, r)
             seen = {rows[0]}
             queue = deque([rows[0]])
             while queue:

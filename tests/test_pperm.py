@@ -156,15 +156,6 @@ def test_crossing_count_is_inversion_number_for_full_perms():
         assert len(f.crossings()) == inv
 
 
-def test_embed():
-    d25 = PartialPerm(5, 4, {1: 1, 3: 2, 4: 3, 5: 4})
-    assert d25.embed(5) == PartialPerm(5, 5, {1: 1, 3: 2, 4: 3, 5: 4})
-    assert PartialPerm.identity(3).embed(5) == PartialPerm(5, 5, {1: 1, 2: 2, 3: 3})
-    assert SIGMA86.embed(8).pairs() == SIGMA86.pairs()
-    with pytest.raises(InvalidArgumentError):
-        SIGMA86.embed(7)
-
-
 def test_injectivity_enforced():
     with pytest.raises(InvalidArgumentError):
         PartialPerm(3, 3, {1: 2, 2: 2})
