@@ -103,9 +103,9 @@ def cmd_distance(args) -> int:
 def cmd_mrca(args) -> int:
     named = dict(load_genomes(args.file))
     g1, g2 = _pick(named, args.genome1, args.max_n), _pick(named, args.genome2, args.max_n)
-    check_ancestor_size(g1, g2)
+    check_ancestor_size(g1.regions, g2.regions)
     result = mrca_distance(g1, g2)
-    scenario = construct_ancestor(g1, g2, result=result)
+    scenario = construct_ancestor(result)
     ok, report = verify_scenario_report(scenario, g1, g2, expected=result.total)
     lines = [
         f"ancestor {scenario.ancestor_frame}",

@@ -2,9 +2,10 @@
 
 The symmetric distance between two genomes counts one deletion per region
 outside the shared set plus the minimum alignment cost over reference
-pairs.  The ancestor construction replays the witnessing inversions, lines
-the two intermediate frames up so the shared regions read in the same
-order, and interleaves the private regions of each side into one circle.
+pairs.  The ancestor is read off a distance result alone: the witnessing
+inversions are replayed on its best reference pair, the second frame is
+rotated so the shared regions read in one linear order on both, and the
+private regions of each side are interleaved into one circle.
 """
 from __future__ import annotations
 
@@ -119,70 +120,60 @@ def _stretches(frame: ReferenceFrame, shared: frozenset[str]) -> list[list[str]]
     return out
 
 
-def check_ancestor_size(g1: Genome, g2: Genome) -> None:
+def check_ancestor_size(regions1: frozenset[str], regions2: frozenset[str]) -> None:
     """Refuse a pair whose ancestor, holding the union of the two region
     sets, has more regions than a partial permutation can address."""
-    union = g1.regions | g2.regions
+    union = regions1 | regions2
     if len(union) > MAX_POSITIONS:
         raise CapacityError(f"the ancestor has {len(union)} regions; "
                             f"partial permutations are capped at {MAX_POSITIONS}")
 
 
-def construct_ancestor(
-    g1: Genome,
-    g2: Genome,
-    result: DistanceResult | None = None,
-) -> AncestorScenario:
-    """Build an ancestor realizing the minimum event count.
+def construct_ancestor(result: DistanceResult) -> AncestorScenario:
+    """Build an ancestor realizing the result's event count from the result
+    alone: its best reference pair holds frames of the two genomes.
 
-    The witnessing inversions are applied to the best reference pair; the
-    second frame is then rotated so the last shared region sits at its
-    final position, which makes the pairing order preserving and pins a
-    deterministic circular cut for the ancestor.  The ancestor merges the
-    two frames' private stretches: first the second frame's stretch before
-    the first shared region, then the first frame's, then each shared
-    region in order followed by the first frame's stretch after it and
-    then the second frame's.  A `result` already computed by
-    `mrca_distance` for these genomes is reused instead of searching again.
-    An ancestor beyond `pperm.MAX_POSITIONS` regions raises CapacityError
-    before any search.
+    The witnessing inversions, applied to the best reference pair, leave
+    the shared regions in one cyclic order on both frames.  The second
+    frame is then rotated so the last shared region sits at its final
+    position, which makes that order linear and pins a deterministic
+    circular cut for the ancestor.  The ancestor merges the two frames'
+    private stretches: first the second frame's stretch before the first
+    shared region, then the first frame's, then each shared region in
+    order followed by the first frame's stretch after it and then the
+    second frame's.  An ancestor beyond `pperm.MAX_POSITIONS` regions
+    raises CapacityError.
     """
-    check_ancestor_size(g1, g2)
-    if result is None:
-        result = mrca_distance(g1, g2)
     (f1, f2), solution = result.best_pair, result.solution
+    regions1, regions2 = frozenset(f1.tokens), frozenset(f2.tokens)
+    check_ancestor_size(regions1, regions2)
     m, n = f1.n, f2.n
 
     g1p = apply_to_frame(f1, Word(reversed(solution.left_inversions.letters), m))
     g2p = apply_to_frame(f2, solution.right_inversions)
     right_chrono = [g.i for g in solution.right_inversions]
 
-    witness = sigma_from_frames(g1p, g2p)
-    assert witness.is_orientation_preserving()
-
-    dom = witness.domain()
-    if dom:
+    shared = regions1 & regions2
+    order = [t for t in g1p.tokens if t in shared]
+    if order:
         # Rotate the second frame k places on (k letters c_n) so the last
-        # shared region lands at position n; for an orientation-preserving
-        # pairing this always yields an order-preserving one.
-        k = (n - witness(dom[-1])) % n
+        # shared region lands at position n.
+        k = n - 1 - g2p.tokens.index(order[-1])
         if k:
             f2 = ReferenceFrame(f2.tokens[-k:] + f2.tokens[:-k])
             g2p = ReferenceFrame(g2p.tokens[-k:] + g2p.tokens[:-k])
             right_chrono = [(i - 1 + k) % n + 1 for i in right_chrono]
-            witness = sigma_from_frames(g1p, g2p)
-    assert witness.is_order_preserving()
+    assert [t for t in g2p.tokens if t in shared] == order
 
-    shared = g1.regions & g2.regions
     own1, own2 = _stretches(g1p, shared), _stretches(g2p, shared)
     ancestor_tokens = own2[0] + own1[0]
-    for r, mine, theirs in zip((t for t in g1p.tokens if t in shared), own1[1:], own2[1:]):
+    for r, mine, theirs in zip(order, own1[1:], own2[1:]):
         ancestor_tokens += [r] + mine + theirs
 
     ancestor_frame = ReferenceFrame(tuple(ancestor_tokens))
 
-    del1 = _deletion_word(ancestor_frame, g2.regions - g1.regions)
-    del2 = _deletion_word(ancestor_frame, g1.regions - g2.regions)
+    del1 = _deletion_word(ancestor_frame, regions2 - regions1)
+    del2 = _deletion_word(ancestor_frame, regions1 - regions2)
     events1 = del1 + solution.left_inversions
     events2 = del2 + Word([Generator.inversion(i, n) for i in reversed(right_chrono)], n)
 

@@ -123,9 +123,6 @@ class PartialPerm:
     def image_row(self) -> tuple[int, ...]:
         return self._img
 
-    def domain(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, v in enumerate(self._img) if v)
-
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((i + 1, v) for i, v in enumerate(self._img) if v)
 

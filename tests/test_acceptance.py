@@ -126,7 +126,7 @@ def test_criterion_4_worked_fixtures():
     assert apply_to_frame(frame, word).tokens == tuple("aebfhijk")
     # ancestor reconstruction from the two intermediate frames
     g1, g2 = genomes_from_token_lists("aefbgcdh", "iajkblcd")
-    scenario = construct_ancestor(g1, g2)
+    scenario = construct_ancestor(mrca_distance(g1, g2))
     assert scenario.ancestor_frame.tokens == tuple("iaefjkbglcdh")
     # the hardness reduction instance
     inst = reduce_partition((1, 1, 2, 3, 4))
@@ -157,7 +157,7 @@ def test_criterion_5_mrca_round_trip(simulated_pairs):
     start = time.perf_counter()
     for scenario in simulated_pairs:
         g1, g2 = scenario.genome1, scenario.genome2
-        built = construct_ancestor(g1, g2)
+        built = construct_ancestor(mrca_distance(g1, g2))
         ok, why = verify_scenario_report(built, g1, g2)
         assert ok, why
         assert mrca_distance(g1, g2).total <= scenario.event_count

@@ -175,20 +175,20 @@ def test_solve_sources_refuses_bad_input(sources, message):
         solve_sources(sources)
 
 
-def test_min_over_reference_pairs_trivial():
+def test_reference_pairs_trivial():
     g1, g2 = genomes_from_token_lists("abc", "abc")
     sol = mrca_distance(g1, g2).solution
     assert sol.cost == 0
 
 
-def test_min_over_reference_pairs_dihedral_equivalents():
+def test_reference_pairs_dihedral_equivalents():
     g1, g2 = genomes_from_token_lists("abc", "acb")
     assert g1 == g2
     sol = mrca_distance(g1, g2).solution
     assert sol.cost == 0
 
 
-def test_min_over_reference_pairs_one_swap():
+def test_reference_pairs_one_swap():
     g1, g2 = genomes_from_token_lists("abcd", "abdc")
     sol = mrca_distance(g1, g2).solution
     assert sol.cost == 1

@@ -1,14 +1,15 @@
 import random
 from dataclasses import replace
+from itertools import permutations
 
 import pytest
 
-from invdel import (Generator, NoPathError, Word, construct_ancestor,
-                    directed_distance, distance_matrix, format_phylip,
+from invdel import (Generator, Genome, NoPathError, Word, apply_to_frame,
+                    construct_ancestor, directed_distance, distance_matrix, format_phylip,
                     format_tsv, genomes_from_token_lists, load_genomes,
                     mrca_distance, mu_oracle, random_genome, sigma_from_frames,
                     simulate, verify_scenario_report)
-from invdel.errors import InvalidArgumentError
+from invdel.errors import CapacityError, InvalidArgumentError
 
 
 def test_distance_zero_for_equal_genomes():
@@ -173,7 +174,7 @@ def test_directed_capacity(monkeypatch):
 
 def test_ancestor_worked_example():
     g1, g2 = genomes_from_token_lists("aefbgcdh", "iajkblcd")
-    sc = construct_ancestor(g1, g2)
+    sc = construct_ancestor(mrca_distance(g1, g2))
     assert sc.ancestor_frame.tokens == tuple("iaefjkbglcdh")
     assert sc.gap_sets == (("i",), ("j", "k"), ("l",), (), ())
     assert verify_scenario_report(sc, g1, g2)[0]
@@ -182,7 +183,7 @@ def test_ancestor_worked_example():
 
 def test_ancestor_of_identical_genomes():
     g, _ = genomes_from_token_lists("abcd", "abcd")
-    sc = construct_ancestor(g, g)
+    sc = construct_ancestor(mrca_distance(g, g))
     assert sc.ancestor == g
     assert sc.event_count == 0
 
@@ -195,7 +196,7 @@ def test_ancestor_round_trip_random():
         sc = simulate(ancestor, rng.randint(0, min(3, n - 1)), rng.randint(0, 3),
                       rng.randint(0, min(3, n - 1)), rng.randint(0, 3),
                       rng.randrange(1 << 30))
-        built = construct_ancestor(sc.genome1, sc.genome2)
+        built = construct_ancestor(mrca_distance(sc.genome1, sc.genome2))
         ok, report = verify_scenario_report(built, sc.genome1, sc.genome2)
         assert ok, report
         assert built.event_count == mrca_distance(sc.genome1, sc.genome2).total
@@ -203,16 +204,44 @@ def test_ancestor_round_trip_random():
 
 def test_ancestor_disjoint_regions():
     g1, g2 = genomes_from_token_lists("abc", "xyz")
-    sc = construct_ancestor(g1, g2)
+    sc = construct_ancestor(mrca_distance(g1, g2))
     assert verify_scenario_report(sc, g1, g2)[0]
     assert sc.event_count == 6
+
+
+def test_ancestor_round_trip_every_small_pair():
+    # every genome of 1-4 regions from five letters, against every one
+    genomes = list(dict.fromkeys(
+        Genome.from_tokens(p) for k in range(1, 5) for p in permutations("abcde", k)))
+    assert len(genomes) == 40
+    turned = disjoint = 0
+    for g1 in genomes:
+        for g2 in genomes:
+            result = mrca_distance(g1, g2)
+            sc = construct_ancestor(result)
+            # ok also means event_count == result.total
+            ok, report = verify_scenario_report(sc, g1, g2, expected=result.total)
+            assert ok, (str(g1), str(g2), report)
+            # the second frame was rotated when the ancestor does not land on it
+            turned += apply_to_frame(sc.ancestor_frame, sc.events_to_g2) != result.best_pair[1]
+            disjoint += not g1.regions & g2.regions
+    assert (turned, disjoint) == (616, 200)
+
+
+def test_ancestor_beyond_the_position_cap_is_refused():
+    # 9 + 9 regions sharing one: the distance is found, but the ancestor
+    # needs one position more than a partial permutation can address
+    g1, g2 = genomes_from_token_lists("abcdefghi", "ijklmnopq")
+    result = mrca_distance(g1, g2)
+    with pytest.raises(CapacityError, match="the ancestor has 17 regions"):
+        construct_ancestor(result)
 
 
 def test_verify_rejects_tampered_scenario():
     from invdel.distance import AncestorScenario
 
     g1, g2 = genomes_from_token_lists("abcd", "abdc")
-    sc = construct_ancestor(g1, g2)
+    sc = construct_ancestor(mrca_distance(g1, g2))
     assert verify_scenario_report(sc, g1, g2)[0]
     assert sc.event_count > 0
     dropped = AncestorScenario(
@@ -237,13 +266,13 @@ def test_verify_rejects_tampered_scenario():
 ], ids=["side-2-elsewhere", "replay-raises", "side-2-replay-raises"])
 def test_verify_reports_a_bad_replay(tamper, problem):
     g1, g2 = genomes_from_token_lists("abcd", "abdc")
-    ok, report = verify_scenario_report(tamper(construct_ancestor(g1, g2)), g1, g2)
+    ok, report = verify_scenario_report(tamper(construct_ancestor(mrca_distance(g1, g2))), g1, g2)
     assert not ok and problem in report
 
 
 def test_events_are_deletions_then_inversions():
     g1, g2 = genomes_from_token_lists("abcdef", "abdcfe")
-    sc = construct_ancestor(g1, g2)
+    sc = construct_ancestor(mrca_distance(g1, g2))
     for word in (sc.events_to_g1, sc.events_to_g2):
         kinds = [g.kind for g in word]
         assert kinds == sorted(kinds, key=lambda k: 0 if k == "del" else 1)
