@@ -37,14 +37,16 @@ at once.  Every answer is exact: the prunes are lower bounds, and a state
 that failed at k is more than k moves from a goal.  No goal is listed.
 
 The tie rule is fixed: sources are probed in the order given (repeats
-dropped, the first copy kept), and moves go in code order, left moves
-before right ones, then by generator index.  The first source of least
-cost wins, and its witness is the path its successful probe found.  The
-probe takes the first child in code order that succeeds, and k is exact,
-so that path is the source's lexicographically least shortest move
-sequence: the answer of solving every source alone and keeping the first
-strict minimum, and that of a layered breadth-first search seeded with
-the sources in order (the tests' reference).  Probe calls, revisits
+dropped, the first copy kept), and moves go in code order, the moves of
+the side with fewer positions before the other side's (the left side's
+when m = n; an m > n pairing is solved as its inverse), then by
+generator index.  The first source of least cost wins, and its witness
+is the path its successful probe found.  The probe takes the first child
+in code order that succeeds, and k is exact, so that path is the
+source's lexicographically least shortest move sequence: the answer of
+solving every source alone and keeping the first strict minimum, and
+that of a layered breadth-first search seeded with the sources in order
+(the tests' reference).  Probe calls, revisits
 included, count against `MAX_STATES`; beyond it the search raises
 CapacityError, so the budget bounds time, not just memory.
 
@@ -408,8 +410,9 @@ def solve_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolutio
 
     Returns the index of the winning source and its solution: the first
     source of least cost, with its lexicographically least shortest move
-    sequence (left moves order before right, then by index), exactly what
-    solving each source alone and keeping the first strict minimum gives.
+    sequence (the side with fewer positions moves first, the left one when
+    m = n, then by index), exactly what solving each source alone and
+    keeping the first strict minimum gives.
     A repeated source can only win under its first index.
     """
     if not sources:
@@ -431,7 +434,8 @@ def solve_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolutio
 def solve_pair(sigma: PartialPerm) -> AlignmentSolution:
     """Minimum inversions (left on the m side, right on the n side) making
     the pairing orientation preserving, with a lexicographically least
-    shortest move sequence (left moves order before right, then by index).
+    shortest move sequence (the side with fewer positions moves first, the
+    left one when m = n, then by index).
     """
     return solve_sources([sigma])[1]
 

@@ -1,6 +1,6 @@
 import random
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -13,7 +13,7 @@ from invdel.align import (_lowered, _rotation_costs, _swap_pairs, _swap_position
                           _swap_values, reference_pairs)
 from invdel.pperm import row_is_popi
 
-from class_tables import build_table, class_cost, class_rank
+from class_tables import class_cost, class_costs
 
 SIGMA86 = sigma_from_frames("abcdefgh", "eibach")
 
@@ -89,17 +89,6 @@ def test_cost_invariant_under_rotations():
         assert solve_pair(sigma * rot_n).cost == base
 
 
-def test_three_way_agreement_small():
-    # the search core, the oracle, the class graph and the class table
-    for m in range(1, 4):
-        for n in range(1, 4):
-            for sigma in all_partial_perms(m, n):
-                bfs = solve_pair(sigma).cost
-                assert mu_oracle(sigma, 8) == bfs
-                assert solve_pair_via_cayley(sigma) == bfs
-                assert class_cost(sigma) == bfs
-
-
 def test_cayley_route_validates_parameters():
     # the route walks the pairing's own class, inverting it when m > n;
     # only a class beyond the enumeration's size cap is refused
@@ -122,27 +111,26 @@ def test_oracle_contract():
         mu_oracle(sigma, -1)
 
 
+def least_words(sigma, cost, right_first=False):
+    """Brute-force the lex-least move sequence of the given cost (one
+    side's moves sort before the other's, then by index) and return the
+    word pair it induces."""
+    lefts = [(0, gi, ab) for gi, ab in enumerate(_swap_pairs(sigma.m), start=1)]
+    rights = [(1, gi, (ab[0] + 1, ab[1] + 1))
+              for gi, ab in enumerate(_swap_pairs(sigma.n), start=1)]
+    for seq in product(rights + lefts if right_first else lefts + rights, repeat=cost):
+        row = sigma.image_row
+        for side, _gi, (a, b) in seq:
+            row = _swap_positions(row, a, b) if side == 0 else _swap_values(row, a, b)
+        if row_is_popi(row):
+            left = [gi for side, gi, _ in seq if side == 0]
+            right = [gi for side, gi, _ in seq if side == 1]
+            return list(reversed(left)), right
+    raise AssertionError("no sequence of the claimed cost")
+
+
 def test_lexicographically_least_word():
-    # Brute-force the lex-least minimal move sequence (left moves sort
-    # before right, then by index) and compare the word pair it induces.
-    from itertools import product
-
-    from invdel.align import _swap_pairs, _swap_positions, _swap_values
-
-    def brute_words(sigma, cost):
-        lefts = [(0, gi, ab) for gi, ab in enumerate(_swap_pairs(sigma.m), start=1)]
-        rights = [(1, gi, (ab[0] + 1, ab[1] + 1))
-                  for gi, ab in enumerate(_swap_pairs(sigma.n), start=1)]
-        for seq in product(lefts + rights, repeat=cost):
-            row = sigma.image_row
-            for side, _gi, (a, b) in seq:
-                row = _swap_positions(row, a, b) if side == 0 else _swap_values(row, a, b)
-            if row_is_popi(row):
-                left = [gi for side, gi, _ in seq if side == 0]
-                right = [gi for side, gi, _ in seq if side == 1]
-                return list(reversed(left)), right
-        raise AssertionError("no sequence of the claimed cost")
-
+    # with m = n the witness is the least sequence with left moves first
     rng = random.Random(43)
     checked = 0
     for _ in range(60):
@@ -151,10 +139,26 @@ def test_lexicographically_least_word():
         if not 0 < sol.cost <= 3:
             continue
         checked += 1
-        left, right = brute_words(sigma, sol.cost)
+        left, right = least_words(sigma, sol.cost)
         assert [g.i for g in sol.left_inversions] == left
         assert [g.i for g in sol.right_inversions] == right
     assert checked >= 8
+
+
+def test_lexicographically_least_word_when_m_exceeds_n():
+    # an m > n pairing is solved as its inverse, so the n side, the right
+    # one, moves first: the side with fewer positions moves first
+    checked = 0
+    for m, n in ((4, 3), (5, 3)):
+        for sigma in all_partial_perms(m, n):
+            sol = solve_pair(sigma)
+            if not 0 < sol.cost <= 3:
+                continue
+            checked += 1
+            left, right = least_words(sigma, sol.cost, right_first=True)
+            assert [g.i for g in sol.left_inversions] == left, sigma
+            assert [g.i for g in sol.right_inversions] == right, sigma
+    assert checked == 42
 
 
 def test_solver_deterministic():
@@ -501,9 +505,9 @@ def test_closed_form_equals_class_table():
     # the exhaustive anchor: the least rotation cost is `mu` on every
     # permutation with n <= 8 (40,320 at n = 8)
     for n in range(1, 9):
-        table = build_table(n, n, n)
+        table = class_costs(n, n, n)
         for row, costs in rotation_costs(n).items():
-            assert min(costs) == table[class_rank(row, n)], row
+            assert min(costs) == table[row], row
 
 
 def test_kernel_equals_the_reference():
