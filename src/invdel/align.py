@@ -327,12 +327,12 @@ def _relabelled(values: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(rank.__getitem__, values))
 
 
-def _compressed_cost(values: tuple[int, ...]) -> int:
-    """The compressed closed form of the defined images, in position
-    order: the least of the r rotation costs of their relabelled row (0
-    when r <= 2).  It is a lower bound on the moves to a goal (module
-    docstring)."""
-    return min(_rotation_costs(_relabelled(values))) if len(values) > 2 else 0
+def _compressed_cost(row: ImageRow) -> int:
+    """The compressed closed form of a pairing, given the `_relabelled`
+    row of its defined images in position order: the least of the r
+    rotation costs of that row (0 when r <= 2).  It is a lower bound on
+    the moves to a goal (module docstring)."""
+    return min(_rotation_costs(row)) if len(row) > 2 else 0
 
 
 def _prober(moves, shifts: range, mask: int):

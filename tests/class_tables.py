@@ -1,13 +1,16 @@
 """The tests' class tables: `mu` of every pairing of a rank class, filled by
-their own breadth-first search over tuple image rows.
+their own breadth-first search over tuple image rows, and the move list
+that search and the tests' tie-rule reference share.
 
 An oracle that shares no search code with the solver's routes.  The
 states of the m-by-n rank-r class (m <= n) are its image rows: r defined
 positions, read in position order, with an r-permutation of 1..n as
-their images.  One breadth-first search from every orientation-preserving
-row fills the class's table; the moves are involutions, so it runs
-outward from the targets.  A pairing with m > n is looked up as its
-inverse.
+their images.  A move swaps two circularly adjacent positions (the left
+side) or two circularly adjacent values (the right side); `moves` lists
+them in code order.  One breadth-first search from every
+orientation-preserving row fills the class's table; the moves are
+involutions, so it runs outward from the targets.  A pairing with m > n
+is looked up as its inverse.
 """
 from collections import deque
 from functools import cache
@@ -20,6 +23,17 @@ from invdel.pperm import _swap_pairs, _swap_positions, _swap_values, row_is_popi
 ImageRow = tuple[int, ...]
 
 
+def moves(row: ImageRow, n: int) -> list[tuple[int, int, ImageRow]]:
+    """(side, index, child) for every move of an m-by-n image row, in code
+    order: the side with fewer positions first (the left side, 0, when
+    m = n), then by 1-based generator index."""
+    left = [(0, i, _swap_positions(row, a, b))
+            for i, (a, b) in enumerate(_swap_pairs(len(row)), 1)]
+    right = [(1, i, _swap_values(row, a + 1, b + 1))
+             for i, (a, b) in enumerate(_swap_pairs(n), 1)]
+    return right + left if len(row) > n else left + right
+
+
 @cache  # each class is searched once per test process
 def class_costs(m: int, n: int, r: int) -> dict[ImageRow, int]:
     """`mu` of every image row of the m-by-n rank-r class."""
@@ -30,15 +44,11 @@ def class_costs(m: int, n: int, r: int) -> dict[ImageRow, int]:
             for p, v in zip(subset, images):
                 row[p] = v
             rows.append(tuple(row))
-    positions = _swap_pairs(m)
-    values = [(a + 1, b + 1) for a, b in _swap_pairs(n)]
     queue = deque(row for row in rows if row_is_popi(row))
     mu = dict.fromkeys(queue, 0)
     while queue:
         row = queue.popleft()
-        children = ([_swap_positions(row, a, b) for a, b in positions]
-                    + [_swap_values(row, a, b) for a, b in values])
-        for child in children:
+        for _, _, child in moves(row, n):
             if child not in mu:
                 mu[child] = mu[row] + 1
                 queue.append(child)

@@ -1,6 +1,6 @@
 import random
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 import pytest
 
@@ -9,11 +9,10 @@ from invdel import (CapacityError, InvalidArgumentError, PartialPerm,
                     genomes_from_token_lists, mrca_distance, mu_oracle,
                     sigma_from_frames, solve_pair,
                     solve_pair_via_cayley, solve_sources)
-from invdel.align import (_lowered, _rotation_costs, _swap_pairs, _swap_positions,
-                          _swap_values, reference_pairs)
+from invdel.align import _lowered, _rotation_costs, _swap_pairs, reference_pairs
 from invdel.pperm import row_is_popi
 
-from class_tables import class_cost, class_costs
+from class_tables import class_cost, class_costs, moves
 
 SIGMA86 = sigma_from_frames("abcdefgh", "eibach")
 
@@ -111,22 +110,40 @@ def test_oracle_contract():
         mu_oracle(sigma, -1)
 
 
-def least_words(sigma, cost, right_first=False):
-    """Brute-force the lex-least move sequence of the given cost (one
-    side's moves sort before the other's, then by index) and return the
-    word pair it induces."""
-    lefts = [(0, gi, ab) for gi, ab in enumerate(_swap_pairs(sigma.m), start=1)]
-    rights = [(1, gi, (ab[0] + 1, ab[1] + 1))
-              for gi, ab in enumerate(_swap_pairs(sigma.n), start=1)]
-    for seq in product(rights + lefts if right_first else lefts + rights, repeat=cost):
-        row = sigma.image_row
-        for side, _gi, (a, b) in seq:
-            row = _swap_positions(row, a, b) if side == 0 else _swap_values(row, a, b)
-        if row_is_popi(row):
-            left = [gi for side, gi, _ in seq if side == 0]
-            right = [gi for side, gi, _ in seq if side == 1]
-            return list(reversed(left)), right
-    raise AssertionError("no sequence of the claimed cost")
+def reference_search(sources):
+    """The reference for the tie rule: a plain layered breadth-first search
+    over image rows.
+
+    Sources are seeded in order (repeats dropped, the first copy kept),
+    every row tries its `moves` in code order, and the first goal
+    discovered wins.  Returns the winning index, the left generator
+    indices (last move first), the right ones (first move first) and the
+    goal row.
+    """
+    n = sources[0].n
+    # a seed maps to its index, any other row to (parent, side, index)
+    parent = {}
+    for index, sigma in enumerate(sources):
+        parent.setdefault(sigma.image_row, index)
+
+    def discovered():
+        layer = list(parent)
+        yield from layer
+        while layer:
+            frontier, layer = layer, []
+            for row in frontier:
+                for side, i, child in moves(row, n):
+                    if child not in parent:
+                        parent[child] = row, side, i
+                        layer.append(child)
+                        yield child
+
+    goal = next(row for row in discovered() if row_is_popi(row))
+    words, at = ([], []), goal
+    while isinstance(parent[at], tuple):
+        at, side, i = parent[at]
+        words[side].append(i)
+    return parent[at], words[0], words[1][::-1], goal
 
 
 def test_lexicographically_least_word():
@@ -136,10 +153,10 @@ def test_lexicographically_least_word():
     for _ in range(60):
         sigma = random_pperm(rng, 4, 4)
         sol = solve_pair(sigma)
-        if not 0 < sol.cost <= 3:
+        if not sol.cost:
             continue
         checked += 1
-        left, right = least_words(sigma, sol.cost)
+        _, left, right, _ = reference_search([sigma])
         assert [g.i for g in sol.left_inversions] == left
         assert [g.i for g in sol.right_inversions] == right
     assert checked >= 8
@@ -152,10 +169,10 @@ def test_lexicographically_least_word_when_m_exceeds_n():
     for m, n in ((4, 3), (5, 3)):
         for sigma in all_partial_perms(m, n):
             sol = solve_pair(sigma)
-            if not 0 < sol.cost <= 3:
+            if not sol.cost:
                 continue
             checked += 1
-            left, right = least_words(sigma, sol.cost, right_first=True)
+            _, left, right, _ = reference_search([sigma])
             assert [g.i for g in sol.left_inversions] == left, sigma
             assert [g.i for g in sol.right_inversions] == right, sigma
     assert checked == 42
@@ -200,7 +217,7 @@ def test_reference_pairs_one_swap():
     assert min(mu_oracle(sigma, 4) for sigma in all_frame_pairs(g1, g2)) == 1
 
 
-def test_fast_mode_matches_full_mode():
+def test_reference_pairs_match_every_frame_pair():
     rng = random.Random(44)
     pool = list("abcdefg")
     for _ in range(80):
@@ -214,63 +231,13 @@ def test_fast_mode_matches_full_mode():
         assert full.cost == fast.cost, (t1, t2)
 
 
-def test_fast_mode_pair_count():
+def test_reference_pairs_count():
     g1, g2 = genomes_from_token_lists("abcde", "abcde")
     assert len(reference_pairs(g1, g2)) == 2
     assert len(all_frame_pairs(g1, g2)) == 100
 
 
 # -- the multi-source search core ------------------------------------------------
-
-def reference_search(sources):
-    """The reference for the search core: a plain forward-only layered BFS.
-
-    Sources are seeded in order (repeats dropped, the first copy kept),
-    every state tries its moves in code order (left before right, then by
-    generator index), and the first goal discovered wins.  Returns the
-    winning index, the left and right generator indices and the witness
-    row.  Pairings with m > n are solved through their inverses.
-    """
-    from invdel.align import _apply, _descents, _moves, _pack, _swap_pairs
-
-    m, n = sources[0].m, sources[0].n
-    if m > n:
-        index, left, right, row = reference_search([s.inverse() for s in sources])
-        return index, right[::-1], left[::-1], PartialPerm.from_image(m, row).inverse().image_row
-    moves, shifts = _moves(m, n, 4), range(0, 4 * m, 4)
-
-    def first_goal():
-        parent, layer = {}, []
-        for index, sigma in enumerate(sources):
-            state = _pack(sigma, 4)
-            if state not in parent:
-                parent[state] = -1 - index
-                layer.append(state)
-        for state in layer:
-            if _descents(state, shifts, 15) <= 1:
-                return state, parent
-        while layer:
-            frontier, layer = layer, []
-            for state in frontier:
-                for move in moves:
-                    nxt = _apply(state, move, 15)
-                    if nxt not in parent:
-                        parent[nxt] = move[0]
-                        if _descents(nxt, shifts, 15) <= 1:
-                            return nxt, parent
-                        layer.append(nxt)
-        raise AssertionError("no goal reachable")
-
-    goal, parent = first_goal()
-    codes, at = [], goal
-    while parent[at] >= 0:
-        codes.append(parent[at])
-        at = _apply(at, moves[parent[at]], 15)
-    lefts = len(_swap_pairs(m))
-    left = [c + 1 for c in codes if c < lefts]  # reversed chronological order
-    right = [c - lefts + 1 for c in reversed(codes) if c >= lefts]
-    return -1 - parent[at], left, right, tuple((goal >> s) & 15 for s in shifts)
-
 
 def _check_multi_source(sources, single):
     # single holds reference_search of each source alone
@@ -289,18 +256,15 @@ def _check_multi_source(sources, single):
 def test_packed_moves_match_row_moves():
     # the search core prunes on this: a move changes the cyclic descent
     # count of the defined images by at most one
-    from invdel.align import (_apply, _descents, _moves, _pack, _swap_pairs,
-                              _swap_positions, _swap_values)
+    from invdel.align import _apply, _descents, _moves, _pack
 
     for m in range(1, 5):
         for n in range(m, 5):
-            moves = _moves(m, n, 4)
+            packed = _moves(m, n, 4)
             shifts = range(0, 4 * m, 4)
             for sigma in all_partial_perms(m, n):
                 state = _pack(sigma, 4)
-                rows = [_swap_positions(sigma.image_row, a, b) for a, b in _swap_pairs(m)]
-                rows += [_swap_values(sigma.image_row, a + 1, b + 1) for a, b in _swap_pairs(n)]
-                for move, row in zip(moves, rows, strict=True):
+                for move, (_, _, row) in zip(packed, moves(sigma.image_row, n), strict=True):
                     moved = _apply(state, move, 15)
                     assert moved == _pack(PartialPerm.from_image(n, row), 4)
                     assert _apply(moved, move, 15) == state
@@ -312,7 +276,7 @@ def least_bound(sources):
     """The least k at which the probe looks past some source: below it,
     every source is pruned at once, by its descent count or, from k = 2
     on, by the compressed closed form."""
-    from invdel.align import _compressed_cost
+    from invdel.align import _compressed_cost, _relabelled
 
     bounds = []
     for s in sources:
@@ -320,7 +284,7 @@ def least_bound(sources):
         drops = sum(map(int.__gt__, values, values[1:] + values[:1]))
         # with two descents, k = 1 passes the descent test and is below 2
         bounds.append(0 if drops <= 1 else 1 if drops == 2
-                      else max(drops - 1, _compressed_cost(values)))
+                      else max(drops - 1, _compressed_cost(_relabelled(values))))
     return min(bounds)
 
 
@@ -351,8 +315,8 @@ def test_multi_source_matches_single_sources(monkeypatch):
                     check([a, b], single)
     rng = random.Random(46)
     for n in range(1, 9):
-        for m in range(1, n + 1):
-            for r in range(m + 1):
+        for m in range(1, 9):
+            for r in range(min(m, n) + 1):
                 for _ in range(2):
                     sources = [PartialPerm(m, n, zip(rng.sample(range(1, m + 1), r),
                                                      rng.sample(range(1, n + 1), r)))
@@ -362,7 +326,7 @@ def test_multi_source_matches_single_sources(monkeypatch):
     assert any(memos) and True in above
 
 
-def test_full_mode_winner_is_first_minimum():
+def test_first_minimum_wins_over_every_frame_pair():
     # repeated pairings (symmetric genomes) and ties over 4mn frame pairs
     rng = random.Random(47)
     pool = list("abcdef")
@@ -494,13 +458,6 @@ def rotation_costs(n):
             for row in permutations(range(1, n + 1))}
 
 
-def children(row):
-    """The row after each move, in code order."""
-    pairs = _swap_pairs(len(row))
-    return ([_swap_positions(row, a, b) for a, b in pairs]
-            + [_swap_values(row, a + 1, b + 1) for a, b in pairs])
-
-
 def test_closed_form_equals_class_table():
     # the exhaustive anchor: the least rotation cost is `mu` on every
     # permutation with n <= 8 (40,320 at n = 8)
@@ -538,7 +495,7 @@ def test_rotation_cost_moves_by_exactly_one():
     for n in range(2, 8):
         costs = rotation_costs(n)
         for row, before in costs.items():
-            for child in children(row):
+            for _, _, child in moves(row, n):
                 assert all(abs(x - y) == 1 for x, y in zip(costs[child], before)), (row, child)
 
 
@@ -551,7 +508,7 @@ def test_lowered_moves_match_the_reference():
         for row, before in costs.items():
             lowered = list(_lowered(row, range(n)))
             assert [code for code, *_ in lowered] == list(range(2 * len(_swap_pairs(n))))
-            for (*_, rotations), child in zip(lowered, children(row), strict=True):
+            for (*_, rotations), (_, _, child) in zip(lowered, moves(row, n), strict=True):
                 after = costs[child]
                 assert rotations == [c for c in range(n) if after[c] < before[c]], (row, child)
 
@@ -582,13 +539,11 @@ def test_full_rank_route_matches_the_search():
 # -- the probe's lower bound -----------------------------------------------------
 
 def _bound_properties(check):
-    """Run `check(state, moves, shifts, mask)` on drawn m-by-n pairings with
-    9 <= m <= n <= 16 of rank 3..n-1, half of them orientation preserving,
-    where no exhaustive check reaches."""
+    """Run `check(row, n)` on drawn m-by-n pairings with 9 <= m <= n <= 16
+    of rank 3..n-1, half of them orientation preserving, where no
+    exhaustive check reaches."""
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
-
-    from invdel.align import _moves, _pack
 
     @st.composite
     def pairings(draw):
@@ -607,39 +562,33 @@ def _bound_properties(check):
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(sigma=pairings())
     def run(sigma):
-        width = 4 if sigma.n < 16 else 5
-        check(_pack(sigma, width), _moves(sigma.m, sigma.n, width),
-              range(0, width * sigma.m, width), (1 << width) - 1)
+        check(sigma.image_row, sigma.n)
 
     run()
 
 
-def _bound(state, shifts, mask):
-    from invdel.align import _compressed_cost
+def _bound(row):
+    from invdel.align import _compressed_cost, _relabelled
 
-    return _compressed_cost(tuple(v for s in shifts if (v := (state >> s) & mask)))
+    return _compressed_cost(_relabelled(tuple(v for v in row if v)))
 
 
 def test_compressed_bound_moves_by_at_most_one():
     # with the next test, this makes the bound admissible: it is 0 on every
     # goal and a move lowers it by at most one
-    from invdel.align import _apply
-
-    def check(state, moves, shifts, mask):
-        bound = _bound(state, shifts, mask)
-        for move in moves:
-            assert abs(_bound(_apply(state, move, mask), shifts, mask) - bound) <= 1
+    def check(row, n):
+        bound = _bound(row)
+        for _, _, child in moves(row, n):
+            assert abs(_bound(child) - bound) <= 1
 
     _bound_properties(check)
 
 
 def test_compressed_bound_is_zero_exactly_on_goals():
     # checked on the drawn pairing and on each of its children, which
-    # include the states next to a goal
-    from invdel.align import _apply, _descents
-
-    def check(state, moves, shifts, mask):
-        for at in [state] + [_apply(state, move, mask) for move in moves]:
-            assert (_bound(at, shifts, mask) == 0) == (_descents(at, shifts, mask) <= 1)
+    # include the rows next to a goal
+    def check(row, n):
+        for at in [row] + [child for _, _, child in moves(row, n)]:
+            assert (_bound(at) == 0) == row_is_popi(at)
 
     _bound_properties(check)

@@ -94,26 +94,6 @@ def test_directed_one_inversion():
     g1, g2 = genomes_from_token_lists("abcd", "bacd")
     assert g1 != g2
     assert directed_distance(g1, g2) == 1
-    # independent deepening check over the inversion-only moves
-    frames2 = {f.tokens for f in g2.frames()}
-
-    def deepen(tokens, depth):
-        if tokens in frames2:
-            return 0
-        if depth == 0:
-            return None
-        k = len(tokens)
-        pairs = [(i, (i + 1) % k) for i in range(k)]
-        best = None
-        for a, b in pairs:
-            lst = list(tokens)
-            lst[a], lst[b] = lst[b], lst[a]
-            sub = deepen(tuple(lst), depth - 1)
-            if sub is not None:
-                best = sub + 1 if best is None else min(best, sub + 1)
-        return best
-
-    assert deepen(g1.canonical.tokens, 2) == 1
 
 
 def test_directed_requires_subset():
