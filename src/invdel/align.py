@@ -95,7 +95,11 @@ cost equals the tests' class table.  On every permutation with n <= 7
 each move changes each rotation's cost by exactly one, lowering just the
 rotations `_lowered` names, and the route returns the search's index and
 solution on every permutation with n <= 6.  Beyond that it rests on Jerrum's
-argument and seeded checks against the reference and the search.
+argument and seeded checks against the reference and the search.  The
+solver as a whole, full and partial rank, is anchored to the tests' class
+tables: its cost and words equal a table's cost and the greedy descent
+read off it on every pairing with m, n <= 6, both ways round, and, in a
+long test, on every pairing with m <= n = 7.
 
 The default engine is the one route the CLI and the library answer by.
 Other routes to the same number serve as checks: a breadth-first search
@@ -104,8 +108,9 @@ inversions on either side (`cayley.solve_pair_via_cayley`), and an
 iterative-deepening oracle here with its own traversal and its own
 orientation test (`mu_oracle`).  The tests add two of their own: a table
 per rank class holding the cost of every pairing in it, filled by one
-breadth-first search over tuple rows, and a decomposition into the two
-circles' separate distances.  Tests hold them all together.
+breadth-first search over tuple rows, with the witness read off it by a
+greedy descent, and a decomposition into the two circles' separate
+distances.  Tests hold them all together.
 
 Minimizing over reference pairs only needs two of the 4mn frame pairs:
 rotating either frame conjugates the inversion alphabet (rotations

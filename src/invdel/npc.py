@@ -217,13 +217,13 @@ def solve_balancedsort(inst: BalancedSortInstance) -> bool:
     m = sigma.m
     if m > MAX_BALANCED:
         raise CapacityError(f"balanced search is capped at {MAX_BALANCED} positions, got {m}")
-    if sigma.is_order_preserving():
+    count = len(sigma.crossings())
+    if count == 0:
         return True
     half = k // 2
     if half == 0:
         return False
     start = _key(sigma.image_row)
-    count = len(sigma.crossings())
     lefts = {_order(x, m, range(m + 1)) for x in _reached(start, count, m, half)}
     relabel = (0, *sigma.image_row)
     return any(_order(x, m, relabel) in lefts

@@ -1,6 +1,7 @@
 """The tests' class tables: `mu` of every pairing of a rank class, filled by
-their own breadth-first search over tuple image rows, and the move list
-that search and the tests' tie-rule reference share.
+their own breadth-first search over tuple image rows, the witness read
+off them by a greedy descent, and the move list that search and the
+tests' tie-rule reference share.
 
 An oracle that shares no search code with the solver's routes.  The
 states of the m-by-n rank-r class (m <= n) are its image rows: r defined
@@ -11,6 +12,10 @@ them in code order.  One breadth-first search from every
 orientation-preserving row fills the class's table; the moves are
 involutions, so it runs outward from the targets.  A pairing with m > n
 is looked up as its inverse.
+
+The costs are exact, so the lexicographically least shortest move
+sequence is a greedy descent: from each row, the first move in `moves`
+order whose child costs one less (`descent`).
 """
 from collections import deque
 from functools import cache
@@ -66,3 +71,34 @@ def class_cost(sigma: PartialPerm) -> int:
     if sigma.n > MAX_ENUM:
         raise CapacityError(f"the class tables support up to {MAX_ENUM} regions, got {sigma.n}")
     return class_costs(sigma.m, sigma.n, sigma.rank)[sigma.image_row]
+
+
+def descent(row: ImageRow, n: int) -> tuple[list[int], list[int]]:
+    """The least shortest witness of an m-by-n image row, read off its
+    class's table: the left generator indices (last move first) and the
+    right ones (first move first), as `solve_pair` words them.  With
+    m > n each row is looked up as its inverse."""
+    m, r = len(row), len(row) - row.count(0)
+    if m <= n:
+        cost = class_costs(m, n, r).__getitem__
+    else:
+        table = class_costs(n, m, r)
+
+        def cost(row: ImageRow) -> int:
+            inverse = [0] * n
+            for p, v in enumerate(row, 1):
+                if v:
+                    inverse[v - 1] = p
+            return table[tuple(inverse)]
+
+    words: tuple[list[int], list[int]] = ([], [])
+    for below in range(cost(row) - 1, -1, -1):
+        step = next(((side, i, child) for side, i, child in moves(row, n)
+                     if cost(child) == below), None)
+        if step is None:
+            raise AssertionError(f"no move lowers the cost of {row}")
+        side, i, row = step
+        words[side].append(i)
+    if not row_is_popi(row):
+        raise AssertionError(f"the descent ends on {row}, which is not orientation preserving")
+    return words[0][::-1], words[1]

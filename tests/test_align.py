@@ -29,23 +29,6 @@ def random_pperm(rng, m, n):
                                  rng.sample(range(1, n + 1), r)))
 
 
-def test_identity_costs_zero():
-    sol = solve_pair(PartialPerm.identity(4))
-    assert sol.cost == 0
-    assert len(sol.left_inversions) == 0 and len(sol.right_inversions) == 0
-
-
-def test_rank_two_swap_is_cyclic():
-    assert solve_pair(PartialPerm(2, 2, {1: 2, 2: 1})).cost == 0
-
-
-def test_single_adjacent_swap():
-    sigma = PartialPerm(4, 4, {1: 2, 2: 1, 3: 3, 4: 4})
-    sol = solve_pair(sigma)
-    assert sol.cost == 1
-    assert mu_oracle(sigma, 3) == 1
-
-
 def test_worked_sigma_cost():
     # frozen from the deepening oracle; tests/test_acceptance.py checks the
     # class-graph route on this pairing
@@ -64,28 +47,6 @@ def test_solution_invariants():
         aligned = eval_word(sol.left_inversions) * sigma * eval_word(sol.right_inversions)
         assert aligned.is_orientation_preserving()
         assert len(sol.left_inversions) + len(sol.right_inversions) == sol.cost
-
-
-def test_cost_zero_iff_orientation_preserving():
-    for sigma in all_partial_perms(4, 4):
-        cost = solve_pair(sigma).cost
-        assert (cost == 0) == sigma.is_orientation_preserving()
-
-
-def test_cost_symmetric_under_inverse():
-    for sigma in all_partial_perms(3, 4):
-        assert solve_pair(sigma).cost == solve_pair(sigma.inverse()).cost
-
-
-def test_cost_invariant_under_rotations():
-    rng = random.Random(42)
-    rot_m = PartialPerm(4, 4, {1: 2, 2: 3, 3: 4, 4: 1})
-    rot_n = PartialPerm(4, 4, {1: 2, 2: 3, 3: 4, 4: 1})
-    for _ in range(60):
-        sigma = random_pperm(rng, 4, 4)
-        base = solve_pair(sigma).cost
-        assert solve_pair(rot_m * sigma).cost == base
-        assert solve_pair(sigma * rot_n).cost == base
 
 
 def test_cayley_route_validates_parameters():
@@ -144,38 +105,6 @@ def reference_search(sources):
         at, side, i = parent[at]
         words[side].append(i)
     return parent[at], words[0], words[1][::-1], goal
-
-
-def test_lexicographically_least_word():
-    # with m = n the witness is the least sequence with left moves first
-    rng = random.Random(43)
-    checked = 0
-    for _ in range(60):
-        sigma = random_pperm(rng, 4, 4)
-        sol = solve_pair(sigma)
-        if not sol.cost:
-            continue
-        checked += 1
-        _, left, right, _ = reference_search([sigma])
-        assert [g.i for g in sol.left_inversions] == left
-        assert [g.i for g in sol.right_inversions] == right
-    assert checked >= 8
-
-
-def test_lexicographically_least_word_when_m_exceeds_n():
-    # an m > n pairing is solved as its inverse, so the n side, the right
-    # one, moves first: the side with fewer positions moves first
-    checked = 0
-    for m, n in ((4, 3), (5, 3)):
-        for sigma in all_partial_perms(m, n):
-            sol = solve_pair(sigma)
-            if not sol.cost:
-                continue
-            checked += 1
-            _, left, right, _ = reference_search([sigma])
-            assert [g.i for g in sol.left_inversions] == left, sigma
-            assert [g.i for g in sol.right_inversions] == right, sigma
-    assert checked == 42
 
 
 def test_solver_deterministic():
@@ -255,21 +184,28 @@ def _check_multi_source(sources, single):
 
 def test_packed_moves_match_row_moves():
     # the search core prunes on this: a move changes the cyclic descent
-    # count of the defined images by at most one
+    # count of the defined images by at most one; every pairing with
+    # m <= n <= 4 in 4-bit fields, and seeded m-by-16 ones in 5-bit fields
     from invdel.align import _apply, _descents, _moves, _pack
+
+    def check(sigma, width):
+        m, n, mask = sigma.m, sigma.n, (1 << width) - 1
+        shifts = range(0, width * m, width)
+        state = _pack(sigma, width)
+        for move, (_, _, row) in zip(_moves(m, n, width), moves(sigma.image_row, n), strict=True):
+            moved = _apply(state, move, mask)
+            assert moved == _pack(PartialPerm.from_image(n, row), width)
+            assert _apply(moved, move, mask) == state
+            assert abs(_descents(moved, shifts, mask) - _descents(state, shifts, mask)) <= 1
+            assert (_descents(moved, shifts, mask) <= 1) == row_is_popi(row)
 
     for m in range(1, 5):
         for n in range(m, 5):
-            packed = _moves(m, n, 4)
-            shifts = range(0, 4 * m, 4)
             for sigma in all_partial_perms(m, n):
-                state = _pack(sigma, 4)
-                for move, (_, _, row) in zip(packed, moves(sigma.image_row, n), strict=True):
-                    moved = _apply(state, move, 15)
-                    assert moved == _pack(PartialPerm.from_image(n, row), 4)
-                    assert _apply(moved, move, 15) == state
-                    assert abs(_descents(moved, shifts, 15) - _descents(state, shifts, 15)) <= 1
-                    assert (_descents(moved, shifts, 15) <= 1) == row_is_popi(row)
+                check(sigma, 4)
+    rng = random.Random(49)
+    for _ in range(200):
+        check(random_pperm(rng, rng.randint(1, 16), 16), 5)
 
 
 def least_bound(sources):

@@ -1,3 +1,4 @@
+import os
 from collections import deque
 from math import comb, factorial, perm
 
@@ -8,7 +9,7 @@ from invdel import (CapacityError, PartialPerm, all_partial_perms, enumerate_mon
 from invdel.cayley import _inversion_rows
 from invdel.pperm import _compose
 
-from class_tables import class_cost, class_costs
+from class_tables import class_cost, class_costs, descent
 
 
 def test_counts_small():
@@ -135,15 +136,35 @@ def test_rank_class_connected_when_m_equals_n():
 
 # -- the tests' per-class mu tables (class_tables.py) --------------------------------
 
+def _check_words(m, n, both_ways):
+    """`solve_pair`'s cost and words against the table and its descent on
+    every m-by-n pairing (m <= n) and, if both_ways, on every n-by-m one;
+    returns the number of pairings checked."""
+    checked = 0
+    for r in range(m + 1):
+        table = class_costs(m, n, r)
+        assert len(table) == comb(m, r) * perm(n, r), (m, n, r)
+        for row, cost in table.items():
+            sigma = PartialPerm.from_image(n, row)
+            for s in (sigma, sigma.inverse()) if both_ways and m < n else (sigma,):
+                sol = solve_pair(s)
+                words = [g.i for g in sol.left_inversions], [g.i for g in sol.right_inversions]
+                assert (sol.cost, words) == (cost, descent(s.image_row, s.n)), s
+                checked += 1
+    return checked
+
+
 def test_table_equals_search_core_on_every_small_class():
-    # every row of every class with m <= n <= 6
-    for m in range(1, 7):
-        for n in range(m, 7):
-            for r in range(m + 1):
-                table = class_costs(m, n, r)
-                assert len(table) == comb(m, r) * perm(n, r), (m, n, r)
-                for row, cost in table.items():
-                    assert solve_pair(PartialPerm.from_image(n, row)).cost == cost, (m, n, row)
+    # cost and words of every pairing with m, n <= 6, both ways round
+    checked = sum(_check_words(m, n, True) for m in range(1, 7) for n in range(m, 7))
+    assert checked == 27461
+
+
+@pytest.mark.skipif(os.environ.get("INVDEL_LONG_TESTS") != "1",
+                    reason="set INVDEL_LONG_TESTS=1 for the n=7 words")
+def test_table_equals_search_core_at_seven_regions():
+    # cost and words of every pairing with m <= n = 7
+    assert sum(_check_words(m, 7, False) for m in range(1, 8)) == 180215
 
 
 def test_class_cost_capacity():
