@@ -7,8 +7,10 @@ images read in a cyclic order (`row_is_popi`).
 
 `enumerate_monoid(n)` counts the square monoid on n points, generated by
 the circular adjacent inversions together with the partial identity on
-{1..n-1}: the number of rows a breadth-first closure from the identity
-reaches, checked against the closed form `monoid_size(n)`.
+{1..n-1}: the number of elements a breadth-first closure from the
+identity reaches, checked against the closed form `monoid_size(n)`.  The
+closure walks inverse rows packed 4 bits to a value into one int, where
+each generator's right product is a swap or a clear of fields.
 
 `solve_pair_via_cayley` is one of the routes to the alignment cost `mu`:
 a breadth-first search in the Cayley graph of the pairing's rank class,
@@ -26,7 +28,7 @@ from math import comb, factorial
 
 from .errors import CapacityError
 from .algebra import inversion_set, eval_generator
-from .pperm import PartialPerm, _compose, row_is_popi
+from .pperm import PartialPerm, _compose, _swap_pairs, row_is_popi
 
 # |I_8| is already 1.4M elements; anything larger is hopeless here.
 MAX_ENUM = 8
@@ -44,25 +46,48 @@ def _inversion_rows(m: int) -> list[ImageRow]:
     return [eval_generator(g).image_row for g in inversion_set(m)]
 
 
-@cache  # one count per n: a second `verify --enumerate` in a process is free
-def enumerate_monoid(n: int) -> int:
-    """The number of elements of the partial-permutation monoid on n
-    points that a breadth-first closure from the identity reaches."""
-    if not 1 <= n <= MAX_ENUM:
-        raise CapacityError(f"monoid enumeration supports 1 <= n <= {MAX_ENUM}, got {n}")
-    gen_rows = _inversion_rows(n) + [tuple(range(1, n)) + (0,)]
-    identity = tuple(range(1, n + 1))
+def _inverse_rows(n: int) -> set[int]:
+    """The packed inverse rows (see `enumerate_monoid`) that a
+    breadth-first closure from the identity reaches under right products
+    by the generators of the monoid on n points."""
+    moves = [(4 * a, 4 * b, 1 << 4 * a | 1 << 4 * b) for a, b in _swap_pairs(n)]
+    keep = ~(15 << 4 * (n - 1))
+    identity = sum(v << 4 * (v - 1) for v in range(1, n + 1))
     seen, layer = {identity}, [identity]
     while layer:
         new = []
         for x in layer:
-            for g in gen_rows:
-                y = _compose(x, g)
+            y = x & keep
+            if y not in seen:
+                seen.add(y)
+                new.append(y)
+            for sa, sb, both in moves:
+                # the xor of the two fields, written back into both, swaps them
+                y = x ^ ((x >> sa ^ x >> sb) & 15) * both
                 if y not in seen:
                     seen.add(y)
                     new.append(y)
         layer = new
-    return len(seen)
+    return seen
+
+
+@cache  # one count per n: a second `verify --enumerate` in a process is free
+def enumerate_monoid(n: int) -> int:
+    """The number of elements of the partial-permutation monoid on n
+    points that a breadth-first closure from the identity reaches.
+
+    The closure walks inverse rows, not image rows.  An element is
+    determined by its inverse, and inversion is a bijection on the monoid,
+    so the two sets have the same size.  An inverse row is packed into one
+    int: field v - 1 (4 bits) holds the position that maps to v, or 0 when
+    nothing does.  A right product by the inversion on (a, b) exchanges
+    the values a and b of the image row, so it swaps fields a - 1 and
+    b - 1.  A right product by the partial identity on {1..n-1} undefines
+    the value n, so it clears field n - 1.
+    """
+    if not 1 <= n <= MAX_ENUM:
+        raise CapacityError(f"monoid enumeration supports 1 <= n <= {MAX_ENUM}, got {n}")
+    return len(_inverse_rows(n))
 
 
 def solve_pair_via_cayley(sigma: PartialPerm) -> int:

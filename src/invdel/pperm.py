@@ -51,7 +51,16 @@ def _swap_positions(row: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
 
 
 def _swap_values(row: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    return tuple(b if v == a else a if v == b else v for v in row)
+    """The row with the values a and b exchanged.  Either may be absent
+    from a partial row; then the one present is rewritten to the other."""
+    if a in row and b in row:
+        return _swap_positions(row, row.index(a), row.index(b))
+    lst = list(row)
+    if a in lst:
+        lst[lst.index(a)] = b
+    elif b in lst:
+        lst[lst.index(b)] = a
+    return tuple(lst)
 
 
 def _check_size(m: int, n: int) -> None:

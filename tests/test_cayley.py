@@ -6,7 +6,7 @@ import pytest
 
 from invdel import (CapacityError, PartialPerm, all_partial_perms, enumerate_monoid,
                     monoid_size, solve_pair)
-from invdel.cayley import _inversion_rows
+from invdel.cayley import _inverse_rows, _inversion_rows
 from invdel.pperm import _compose
 
 from class_tables import class_cost, class_costs, descent
@@ -36,6 +36,13 @@ def test_second_count_is_a_cache_hit():
     assert enumerate_monoid(5) == 1546
     info = enumerate_monoid.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def test_closure_reaches_exactly_the_inverse_rows():
+    # field v - 1 of a packed row is the position that maps to v, or 0
+    for n in range(1, 5):
+        unpacked = {tuple(x >> 4 * v & 15 for v in range(n)) for x in _inverse_rows(n)}
+        assert unpacked == {p.inverse().image_row for p in all_partial_perms(n, n)}
 
 
 def test_inversion_products_stay_in_the_closure_and_rank():

@@ -4,6 +4,7 @@ import pytest
 
 from invdel import (CapacityError, InvalidArgumentError, PartialPerm,
                     all_partial_perms, sigma_from_frames)
+from invdel.pperm import _swap_pairs, _swap_values
 
 # The worked composition example: f in I_{5,5}, g in I_{5,4}.
 F = PartialPerm(5, 5, {1: 4, 2: 2, 4: 3, 5: 5})
@@ -190,3 +191,20 @@ def test_counts_match_closed_formula():
         for n in range(0, 5):
             expected = sum(comb(m, r) * comb(n, r) * factorial(r) for r in range(min(m, n) + 1))
             assert sum(1 for _ in all_partial_perms(m, n)) == expected
+
+
+def test_swap_values_matches_the_per_entry_rewrite():
+    # every row with m, n <= 6 and every value pair a right move exchanges;
+    # on a partial row one or both values may be absent
+    def rewrite(row, a, b):
+        return tuple(b if v == a else a if v == b else v for v in row)
+
+    checked = 0
+    for m in range(1, 7):
+        for n in range(1, 7):
+            pairs = [(a + 1, b + 1) for a, b in _swap_pairs(n)]
+            for p in all_partial_perms(m, n):
+                for a, b in pairs:
+                    assert _swap_values(p.image_row, a, b) == rewrite(p.image_row, a, b)
+                    checked += 1
+    assert checked == 152_568
