@@ -108,94 +108,60 @@ def partition_witness(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int
 
 # -- exact balanced search -------------------------------------------------------
 #
-# A key is the nibble-packed image row (4 bits per source position) shifted
-# left once, with the parity of the word length so far in the low bit.  A
-# left move swaps two adjacent nibbles and flips that bit; swapping two
+# A state is an image row with the parity of the word length so far.  A left
+# move swaps two adjacent entries and flips the parity; swapping two
 # undefined positions leaves the row alone, so word lengths are not
 # parity-pure per row, and because every move is an involution a word of
-# length c reaching a row exists exactly when its key was reached at some
-# depth <= c of matching parity.
+# length c reaching a row exists exactly when the row was reached with the
+# matching parity at some depth <= c.
+#
+# The moves are the linear adjacent transpositions only.  The wraparound pair
+# (1, m) is left out on purpose: the per-crossing width argument that makes
+# the reduction correct holds only for the linear ones, since a crossing that
+# spans the line would collapse in one wraparound move.  With it available,
+# the instance built from {8} is balanced-sortable in one move per side.
 #
 # Left and right moves commute, and L sigma R is order preserving exactly
 # when L and R put the defined pairs in the same relative order.  So one
 # layered search runs per side, each to depth k // 2: from sigma with left
 # moves, and from the inverse of sigma with left moves, since a right move
-# on a pairing is a left move on its inverse.  Each reached key is read as
-# an order (`_order`): the nonzero nibbles in position order, which on the
-# left side are image values and on the right side are source positions,
-# mapped through sigma to the image values they pair with.  The answer is
-# yes when some order and parity is reached on both sides: two words of the
-# same parity, each at most k // 2 long, are made equally long by repeating
-# one move twice in the shorter.
+# on a pairing is a left move on its inverse.  Each reached row is read as
+# an order: its nonzero entries in position order, which on the left side
+# are image values and on the right side are source positions, mapped
+# through sigma to the image values they pair with.  The answer is yes when
+# some order and parity is reached on both sides: two words of the same
+# parity, each at most k // 2 long, are made equally long by repeating one
+# move twice in the shorter.
 #
 # Every linear adjacent move, left or right, changes the number of
 # out-of-order image pairs (the inversion count) by at most one, and that
-# count is 0 exactly on the order-preserving rows.  Each search drops a key
+# count is 0 exactly on the order-preserving rows.  Each search drops a row
 # whose count exceeds the moves still allowed: its own remaining depth plus
 # the other side's whole k // 2.
 
-def _key(row: tuple[int, ...]) -> int:
-    x = 0
-    for i, v in enumerate(row):
-        x |= v << (4 * i + 1)
-    return x
+def _reached(start: tuple[int, ...], count: int, depth: int):
+    """Yield every (row, parity) a left-move search of depth `depth` reaches
+    from `start`, whose inversion count is `count`, layer by layer.
 
-
-def _invert(key: int, m: int) -> int:
-    """The key of the inverse row, with the same parity bit."""
-    out = key & 1
-    for i in range(m):
-        v = (key >> (4 * i + 1)) & 0xF
-        if v:
-            out |= (i + 1) << (4 * v - 3)
-    return out
-
-
-def _order(key: int, m: int, relabel: Sequence[int]) -> int:
-    """The defined positions' values in position order, each mapped through
-    `relabel`, packed like a key, with the key's parity bit."""
-    out = key & 1
-    shift = 1
-    for i in range(m):
-        v = (key >> (4 * i + 1)) & 0xF
-        if v:
-            out |= relabel[v] << shift
-            shift += 4
-    return out
-
-
-def _linear_swap_pairs(m: int) -> list[tuple[int, int]]:
-    # Deliberately excludes the wraparound pair (1, m): the per-crossing
-    # width argument that makes the reduction correct only holds for the
-    # linear adjacent transpositions.  With the wraparound available, the
-    # instance built from {8} is balanced-sortable in one move per side.
-    return [(i, i + 1) for i in range(m - 1)]
-
-
-def _reached(start: int, count: int, m: int, depth: int):
-    """Yield every key a left-move search of depth `depth` reaches from
-    `start`, whose inversion count is `count`, layer by layer.
-
-    A key is dropped when its count exceeds the moves left on both sides,
+    A row is dropped when its count exceeds the moves left on both sides,
     `depth` minus its own depth plus the other side's `depth`.
     """
     if count > 2 * depth:
         return
-    layer = {start: count}
-    seen = {start}
-    yield start
-    shifts = [(4 * a + 1, 4 * b + 1) for a, b in _linear_swap_pairs(m)]
+    first = (start, 0)
+    layer = {first: count}
+    seen = {first}
+    yield first
     for d in range(1, depth + 1):
         allowed = 2 * depth - d
         nxt = {}
-        for x, inv in layer.items():
-            for sa, sb in shifts:
-                na = (x >> sa) & 0xF
-                nb = (x >> sb) & 0xF
-                y = x ^ ((na ^ nb) << sa) ^ ((na ^ nb) << sb) ^ 1
+        for (row, parity), inv in layer.items():
+            for i in range(len(row) - 1):
+                a, b = row[i], row[i + 1]
+                y = (row[:i] + (b, a) + row[i + 2:], 1 - parity)
                 if y in seen:
                     continue
-                c = inv + (1 if na < nb else -1) if na and nb else inv
+                c = inv + (1 if a < b else -1) if a and b else inv
                 if c <= allowed:
                     seen.add(y)
                     nxt[y] = c
@@ -208,10 +174,9 @@ def solve_balancedsort(inst: BalancedSortInstance) -> bool:
     budget, can make the pairing order preserving.
 
     Inversions here are the adjacent transpositions of the linear order,
-    without the wraparound (see _linear_swap_pairs).  One parity-keyed
-    layered search runs per side, pruned by the inversion count, and the
-    two meet on the order of the defined pairs (see the comment above
-    _key).
+    without the wraparound.  One layered search over (image row, parity)
+    runs per side, pruned by the inversion count, and the two meet on the
+    order of the defined pairs (see the comment above _reached).
     """
     sigma, k = inst.sigma, inst.k
     m = sigma.m
@@ -223,8 +188,8 @@ def solve_balancedsort(inst: BalancedSortInstance) -> bool:
     half = k // 2
     if half == 0:
         return False
-    start = _key(sigma.image_row)
-    lefts = {_order(x, m, range(m + 1)) for x in _reached(start, count, m, half)}
+    lefts = {(tuple(v for v in row if v), parity)
+             for row, parity in _reached(sigma.image_row, count, half)}
     relabel = (0, *sigma.image_row)
-    return any(_order(x, m, relabel) in lefts
-               for x in _reached(_invert(start, m), count, m, half))
+    return any((tuple(relabel[v] for v in row if v), parity) in lefts
+               for row, parity in _reached(sigma.inverse().image_row, count, half))

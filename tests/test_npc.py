@@ -74,6 +74,22 @@ def test_partition_witness():
             partition_witness(values)
 
 
+def test_partition_witness_agrees_with_brute_force():
+    # The CLI reports the decision as "a witness exists"; partition_brute
+    # stays the independent reference it is held to.
+    checked = 0
+    for size in range(1, 6):
+        for values in combinations_with_replacement(range(1, 10), size):
+            witness = partition_witness(values)
+            assert (witness is not None) == partition_brute(values), values
+            if witness is not None:
+                x, y = witness
+                assert sum(x) == sum(y), (values, witness)
+                assert sorted(x + y) == list(values), (values, witness)
+            checked += 1
+    assert checked == 2001
+
+
 def test_balancedsort_trivial_cases():
     assert solve_balancedsort(BalancedSortInstance(PartialPerm.identity(4), 0))
     assert solve_balancedsort(reduce_partition((1, 1)))
