@@ -13,11 +13,10 @@ case) takes one of two routes.  When the two genomes have the same regions
 (every source is n by n of rank n) it needs no search; see "Full rank"
 below.  Otherwise it deepens (Korf, 1985): for k = 0, 1, 2, ... it probes
 the sources in the order given, and the first source within k moves of a
-goal, an orientation-preserving pairing, wins at cost k.  States are ints
-packing the image row and then its inverse, 4 bits per field (5 at
-n = 16), so a move is a few shifts and xors.
+goal, an orientation-preserving pairing, wins at cost k.  States are
+image rows: a left move swaps two positions, a right move two values.
 
-`probe(state, k)` finds a path to a goal within k moves.  A state is
+`probe(row, k)` finds a path to a goal within k moves.  A state is
 a goal when its defined images, read in position order, have at most one
 cyclic descent; a move changes that count by at most one, so a state with
 d descents is at least d - 1 moves away.  From k = 2 on the probe also
@@ -123,7 +122,6 @@ the full product as the reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, combinations, count
 from typing import Iterator, Sequence
 
@@ -137,8 +135,8 @@ ImageRow = tuple[int, ...]
 # Most probe calls one partial-rank search may make, revisits included,
 # before it gives up with CapacityError; full rank has a closed form.
 # Random pairings of 12 regions sharing 10 or 11 stay well inside it, while
-# some random 16-region pairs sharing 12 reach it, after 15-20 s on a
-# 2-core Xeon VM.
+# some random 16-region pairs sharing 12 to 15 reach it, after 8-31 s on
+# a 2-core Xeon VM.
 MAX_STATES = 1_200_000
 
 
@@ -155,56 +153,9 @@ class AlignmentSolution:
         return len(self.left_inversions) + len(self.right_inversions)
 
 
-def _pack(sigma: PartialPerm, width: int) -> int:
-    """The image row followed by the inverse row, `width` bits per field."""
-    state = 0
-    for i, v in enumerate(sigma.image_row + sigma.inverse().image_row):
-        state |= v << (width * i)
-    return state
-
-
-@lru_cache(maxsize=None)  # at most one entry per (m, n) up to MAX_POSITIONS
-def _moves(m: int, n: int, width: int) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
-    """(code, shift, shift, xor table) per move, left moves first.
-
-    A move swaps the two fields at the given shifts; the table then fixes
-    the other half of the state: for a left move (swap two positions) it
-    relabels the moved values' entries in the inverse row, for a right
-    move (swap two values) the moved positions' entries in the image row.
-    Entry 0 of a table is 0, so an empty endpoint needs no fix.
-    """
-    moves = []
-    for a, b in _swap_pairs(m):
-        diff = (a + 1) ^ (b + 1)
-        fix = (0,) + tuple(diff << (width * (m + v - 1)) for v in range(1, n + 1))
-        moves.append((len(moves), width * a, width * b, fix))
-    for a, b in _swap_pairs(n):
-        diff = (a + 1) ^ (b + 1)
-        fix = (0,) + tuple(diff << (width * (p - 1)) for p in range(1, m + 1))
-        moves.append((len(moves), width * (m + a), width * (m + b), fix))
-    return tuple(moves)
-
-
-def _apply(state: int, move, mask: int) -> int:
-    _code, sa, sb, fix = move
-    x = (state >> sa) & mask
-    y = (state >> sb) & mask
-    t = x ^ y
-    return state ^ (t << sa) ^ (t << sb) ^ fix[x] ^ fix[y]
-
-
-def _descents(state: int, shifts: range, mask: int) -> int:
-    """Cyclic descents of the defined images, read off the packed row."""
-    first = last = drops = 0
-    for shift in shifts:
-        v = (state >> shift) & mask
-        if v:
-            if last > v:
-                drops += 1
-            elif not first:
-                first = v
-            last = v
-    return drops + (last > first)
+def _descents(values: tuple[int, ...]) -> int:
+    """Cyclic descents of the defined images, in position order."""
+    return sum(map(int.__gt__, values, values[1:] + values[:1]))
 
 
 def _lift(row: ImageRow) -> tuple[list[int], list[int], int]:
@@ -340,51 +291,57 @@ def _compressed_cost(row: ImageRow) -> int:
     return min(_rotation_costs(row)) if len(row) > 2 else 0
 
 
-def _prober(moves, shifts: range, mask: int):
-    """A fresh `probe(state, k)` and its memo of the largest k each state
-    failed at.  The probe returns None when no goal lies within k moves of
-    the state, and otherwise the first path it found: the codes of the
-    moves to a goal, last move first (empty, and so falsy, at a goal)."""
-    failed: dict[int, int] = {}
+def _prober(m: int, n: int):
+    """A fresh `probe(row, k)` for m-by-n image rows and its memo of the
+    largest k each row failed at.  The probe returns None when no goal
+    lies within k moves of the row, and otherwise the first path it found:
+    the codes of the moves to a goal, last move first (empty, and so
+    falsy, at a goal)."""
+    lefts = list(enumerate(_swap_pairs(m)))
+    rights = list(enumerate(((a + 1, b + 1) for a, b in _swap_pairs(n)), len(lefts)))
+    failed: dict[ImageRow, int] = {}
     bounds: dict[tuple[int, ...], int] = {}
     calls = 0
 
-    def probe(state: int, k: int) -> list[int] | None:
+    def probe(row: ImageRow, k: int) -> list[int] | None:
         nonlocal calls
         calls += 1
         if calls > MAX_STATES:
             raise CapacityError(f"the alignment search reached its budget of {MAX_STATES:,} "
                                 "probes; the pairing is too large to solve exactly")
-        drops = _descents(state, shifts, mask)
+        values = tuple(filter(None, row))
+        drops = _descents(values)
         if drops <= 1:
             return []
         # a move changes the descent count by at most one
-        if drops - 1 > k or failed.get(state, -1) >= k:
+        if drops - 1 > k or failed.get(row, -1) >= k:
             return None
         if k >= 2:
-            values = tuple(v for shift in shifts if (v := (state >> shift) & mask))
             bound = bounds.get(values)
             if bound is None:
                 # keyed by both tuples: defined images in the same
                 # relative order share a relabelled row, hence a bound
-                row = _relabelled(values)
-                bound = bounds.get(row)
+                relabelled = _relabelled(values)
+                bound = bounds.get(relabelled)
                 if bound is None:
-                    bound = bounds[row] = _compressed_cost(row)
+                    bound = bounds[relabelled] = _compressed_cost(relabelled)
                 bounds[values] = bound
             if bound > k:
                 return None
-        for code, sa, sb, fix in moves:  # `_apply`, inlined on the hot path
-            x = (state >> sa) & mask
-            y = (state >> sb) & mask
-            if x == y:  # both endpoints empty: the move fixes the state
-                continue
-            t = x ^ y
-            path = probe(state ^ (t << sa) ^ (t << sb) ^ fix[x] ^ fix[y], k - 1)
-            if path is not None:
-                path.append(code)
-                return path
-        failed[state] = k
+        # a move with both endpoints empty fixes the row
+        for code, (a, b) in lefts:
+            if row[a] or row[b]:
+                path = probe(_swap_positions(row, a, b), k - 1)
+                if path is not None:
+                    path.append(code)
+                    return path
+        for code, (u, v) in rights:
+            if u in row or v in row:
+                path = probe(_swap_values(row, u, v), k - 1)
+                if path is not None:
+                    path.append(code)
+                    return path
+        failed[row] = k
         return None
 
     return probe, failed
@@ -395,17 +352,14 @@ def _search_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolut
     the first source whose probe succeeds at the least k wins, and the
     path that probe found is the witness."""
     m, n = sources[0].m, sources[0].n
-    width = 4 if n < 16 else 5
-    mask = (1 << width) - 1
-    shifts = range(0, width * m, width)
-    probe, _ = _prober(_moves(m, n, width), shifts, mask)
-    # each distinct source state with the index of its first copy
-    starts: dict[int, int] = {}
+    probe, _ = _prober(m, n)
+    # each distinct source row with the index of its first copy
+    starts: dict[ImageRow, int] = {}
     for index, sigma in enumerate(sources):
-        starts.setdefault(_pack(sigma, width), index)
+        starts.setdefault(sigma.image_row, index)
     for cost in count():
-        for state, index in starts.items():
-            path = probe(state, cost)
+        for row, index in starts.items():
+            path = probe(row, cost)
             if path is not None:
                 return index, _solution(m, n, path[::-1])
 

@@ -182,42 +182,54 @@ def _check_multi_source(sources, single):
     return sol
 
 
-def test_packed_moves_match_row_moves():
-    # the search core prunes on this: a move changes the cyclic descent
-    # count of the defined images by at most one; every pairing with
-    # m <= n <= 4 in 4-bit fields, and seeded m-by-16 ones in 5-bit fields
-    from invdel.align import _apply, _descents, _moves, _pack
+def test_moves_change_descents_by_at_most_one():
+    # the probe prunes on this: a move changes the cyclic descent count of
+    # the defined images by at most one, and a row is a goal exactly when
+    # it has at most one.  Each move is also an involution, as the class
+    # tables' outward search assumes.  Every pairing with m <= n <= 4, and
+    # seeded m-by-16 ones
+    from invdel.align import _descents
 
-    def check(sigma, width):
-        m, n, mask = sigma.m, sigma.n, (1 << width) - 1
-        shifts = range(0, width * m, width)
-        state = _pack(sigma, width)
-        for move, (_, _, row) in zip(_moves(m, n, width), moves(sigma.image_row, n), strict=True):
-            moved = _apply(state, move, mask)
-            assert moved == _pack(PartialPerm.from_image(n, row), width)
-            assert _apply(moved, move, mask) == state
-            assert abs(_descents(moved, shifts, mask) - _descents(state, shifts, mask)) <= 1
-            assert (_descents(moved, shifts, mask) <= 1) == row_is_popi(row)
+    def descents(row):
+        return _descents(tuple(filter(None, row)))
+
+    def check(sigma):
+        row, n = sigma.image_row, sigma.n
+        for code, (_, _, child) in enumerate(moves(row, n)):
+            assert moves(child, n)[code][2] == row
+            assert abs(descents(child) - descents(row)) <= 1
+            assert (descents(child) <= 1) == row_is_popi(child)
 
     for m in range(1, 5):
         for n in range(m, 5):
             for sigma in all_partial_perms(m, n):
-                check(sigma, 4)
+                check(sigma)
     rng = random.Random(49)
     for _ in range(200):
-        check(random_pperm(rng, rng.randint(1, 16), 16), 5)
+        check(random_pperm(rng, rng.randint(1, 16), 16))
+
+
+def test_right_move_with_one_empty_value():
+    # on every pairing with m, n <= 6 a probe that skipped right moves with
+    # one empty endpoint would still find the least words; this 7-by-7
+    # pairing needs one: s1 renames the image 2 to the empty value 1
+    sigma = PartialPerm.from_image(7, (4, 5, 2, 0, 0, 7, 3))
+    sol = solve_pair(sigma)
+    assert sol.cost == mu_oracle(sigma, 3) == 2
+    assert not sol.left_inversions
+    assert [g.i for g in sol.right_inversions] == [1, 7]
 
 
 def least_bound(sources):
     """The least k at which the probe looks past some source: below it,
     every source is pruned at once, by its descent count or, from k = 2
     on, by the compressed closed form."""
-    from invdel.align import _compressed_cost, _relabelled
+    from invdel.align import _compressed_cost, _descents, _relabelled
 
     bounds = []
     for s in sources:
         values = tuple(v for v in (s if s.m <= s.n else s.inverse()).image_row if v)
-        drops = sum(map(int.__gt__, values, values[1:] + values[:1]))
+        drops = _descents(values)
         # with two descents, k = 1 passes the descent test and is below 2
         bounds.append(0 if drops <= 1 else 1 if drops == 2
                       else max(drops - 1, _compressed_cost(_relabelled(values))))
@@ -309,9 +321,9 @@ def test_mrca_command_searches_once(tmp_path, monkeypatch, capsys):
     assert calls == [2]
 
 
-def test_sixteen_regions_use_wider_fields():
-    # 16 does not fit a 4-bit field, so the packed states widen to 5 bits;
-    # the full-rank pair takes the closed form, the 11-region cut is searched
+def test_sixteen_region_pairs_solve():
+    # 16 regions, the most a pairing holds: the full-rank pair takes the
+    # closed form, the 11-region cut is searched
     from string import ascii_lowercase
 
     tokens = list(ascii_lowercase[:16])
