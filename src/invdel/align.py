@@ -4,9 +4,9 @@ Given the pairing of shared regions between two frames, the solver looks
 for the cheapest way to multiply on the left (inversions of the first
 genome) and on the right (inversions of the second) until the pairing is
 orientation preserving, i.e. the shared regions sit in the same clockwise
-cyclic order on both circles.  The answer, `AlignmentSolution`, is the
-witness: the move sequence, kept as one inversion word per side, whose
-total length is the cost.  The pairing it ends at is not kept.
+cyclic order on both circles.  The answer, `AlignmentSolution`, holds the
+cost; its witness, the move sequence kept as one inversion word per side,
+is built when first read.  The pairing it ends at is not kept.
 
 The default engine (`solve_sources`, with `solve_pair` its one-source
 case) takes one of two routes.  When the two genomes have the same regions
@@ -70,11 +70,11 @@ crossing).  So from c to c + 1 every end moves up by one, which changes
 no crossing either, except the next token in order, which also goes back
 by n: only its n - 1 terms change, each by one.
 
-The witness comes from a greedy descent that keeps the tie rule.  A move
-swaps two tokens that are adjacent at their starts (a left move) or at
-their ends (a right move).  Carried over to the child, a lift changes
-only that pair's term, by one; and every move is a transposition, which
-flips the parity of every rotation's cost.  So a move changes each
+The witness, built on first read, is a greedy descent that keeps the tie
+rule.  A move swaps two tokens that are adjacent at their starts (a left
+move) or at their ends (a right move).  Carried over to the child, a lift
+changes only that pair's term, by one; and every move is a transposition,
+which flips the parity of every rotation's cost.  So a move changes each
 rotation's cost by exactly one, and it lowers rotation c's cost when the
 pair's term drops in an optimal lift of the parent.  Any choice among the
 tokens tied at the k-th largest b gives an optimal lift, and these lifts
@@ -121,9 +121,10 @@ the full product as the reference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import chain, combinations, count
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import CapacityError, InvalidArgumentError
 from .algebra import Generator, Word
@@ -140,17 +141,29 @@ ImageRow = tuple[int, ...]
 MAX_STATES = 1_200_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlignmentSolution:
-    """A witnessing minimum: the inversion words of each side.  Applied as
-    L * sigma * R they make the pairing sigma orientation preserving."""
+    """A minimum alignment: its cost, and its witness, built on first read:
+    inversion words L and R with L * sigma * R orientation preserving."""
 
-    left_inversions: Word
-    right_inversions: Word
+    cost: int
+    witness: Callable[[], tuple[Word, Word]] = field(repr=False)
 
-    @property
-    def cost(self) -> int:
-        return len(self.left_inversions) + len(self.right_inversions)
+    @cached_property
+    def _words(self) -> tuple[Word, Word]:
+        return self.witness()
+
+    left_inversions = property(lambda self: self._words[0])
+    right_inversions = property(lambda self: self._words[1])
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, AlignmentSolution) and self._words == other._words
+
+    def __hash__(self) -> int:
+        return hash(self._words)
+
+    def __reduce__(self):  # a pickle holds the words, not the function that builds them
+        return AlignmentSolution, (self.cost, partial(tuple, self._words))
 
 
 def _descents(values: tuple[int, ...]) -> int:
@@ -232,26 +245,26 @@ def _lowered(row: ImageRow, rotations: Sequence[int]) -> Iterator[tuple[int, int
         yield code, x, z, lowered
 
 
-def _solution(m: int, n: int, codes: list[int]) -> AlignmentSolution:
+def _solution(m: int, n: int, codes: list[int]) -> tuple[Word, Word]:
     """The words of a move sequence, given in chronological code order."""
     lefts = len(_swap_pairs(m))
     left_chrono = [c + 1 for c in codes if c < lefts]
     right_chrono = [c - lefts + 1 for c in codes if c >= lefts]
     left_word = Word([Generator.inversion(gi, m) for gi in reversed(left_chrono)], m)
     right_word = Word([Generator.inversion(gi, n) for gi in right_chrono], n)
-    return AlignmentSolution(left_word, right_word)
+    return left_word, right_word
 
 
 def _solve_full_rank(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolution]:
     """`solve_sources` for n-by-n rank-n sources, without a search.
 
-    A source costs the least of its n rotation costs, all found in one
-    pass, and the first source of least cost wins.  Its witness descends
-    greedily: each step takes the first move in code order that lowers a
-    rotation still at the minimum, and keeps only the rotations it
-    lowered.  Every move lowers or raises each rotation's cost by exactly
-    one, and `_lowered` tells which in O(1) per rotation, so no child's
-    cost is counted again (module docstring).
+    A source costs the least of its n rotation costs, all found in one pass,
+    and the first source of least cost wins.  Its witness, built when first
+    read, descends greedily: each step takes the first move in code order
+    that lowers a rotation still at the minimum, and keeps only the
+    rotations it lowered.  Every move lowers or raises each rotation's cost
+    by exactly one, and `_lowered` tells which in O(1) per rotation, so no
+    child's cost is counted again (module docstring).
     """
     n = sources[0].n
     best = None
@@ -261,20 +274,23 @@ def _solve_full_rank(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolu
         cost = min(costs)
         if best is None or cost < best[0]:
             best = cost, index, row, [c for c in range(n) if costs[c] == cost]
-    cost, index, row, kept = best
-    codes = []
-    for _ in range(cost):
-        for code, x, z, lowered in _lowered(row, kept):
-            if lowered:
-                break
-        else:
-            raise AssertionError("a move always lowers some cheapest rotation")
-        kept = lowered
-        # a right move swaps two values: the same as swapping the two
-        # positions that hold them
-        row = _swap_positions(row, x, z)
-        codes.append(code)
-    return index, _solution(n, n, codes)
+    cost, index, start, cheapest = best
+
+    def witness() -> tuple[Word, Word]:
+        codes, row, kept = [], start, cheapest
+        for _ in range(cost):
+            for code, x, z, lowered in _lowered(row, kept):
+                if lowered:
+                    break
+            else:
+                raise AssertionError("a move always lowers some cheapest rotation")
+            kept = lowered
+            # a right move swaps two values: the same as swapping the two
+            # positions that hold them
+            row = _swap_positions(row, x, z)
+            codes.append(code)
+        return _solution(n, n, codes)
+    return index, AlignmentSolution(cost, witness)
 
 
 def _relabelled(values: tuple[int, ...]) -> tuple[int, ...]:
@@ -361,7 +377,7 @@ def _search_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolut
         for row, index in starts.items():
             path = probe(row, cost)
             if path is not None:
-                return index, _solution(m, n, path[::-1])
+                return index, AlignmentSolution(cost, partial(_solution, m, n, path[::-1]))
 
 
 def solve_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolution]:
@@ -381,10 +397,9 @@ def solve_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolutio
         raise InvalidArgumentError("source pairings must all be m-by-n for one m and n")
     if m > n:
         index, mirror = solve_sources([s.inverse() for s in sources])
-        return index, AlignmentSolution(
-            Word(tuple(reversed(mirror.right_inversions.letters)), m),
-            Word(tuple(reversed(mirror.left_inversions.letters)), n),
-        )
+        return index, AlignmentSolution(mirror.cost, lambda: (
+            Word(reversed(mirror.right_inversions.letters), m),
+            Word(reversed(mirror.left_inversions.letters), n)))
     if m == n and all(s.rank == n for s in sources):
         return _solve_full_rank(sources)
     return _search_sources(sources)

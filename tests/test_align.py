@@ -484,6 +484,49 @@ def test_full_rank_route_matches_the_search():
             check([a, b])
 
 
+def test_words_read_later_are_the_words_read_at_once():
+    # the full-rank route holds the cost and runs its descent when the words
+    # are first read.  On every permutation with n <= 7, alone and with the
+    # pairing of the reflected second frame as the other reference source:
+    # the cost read first is the two word lengths read later, the words are
+    # those of a fresh solve read words first, and == and hash follow the
+    # words (checked also against the previous permutation's solution)
+    previous = None
+    for n in range(1, 8):
+        for row in permutations(range(1, n + 1)):
+            sigma = PartialPerm.from_image(n, row)
+            reflected = PartialPerm.from_image(n, tuple(n + 1 - v for v in row))
+            for sources in ([sigma], [sigma, reflected]):
+                _, later = solve_sources(sources)
+                cost = later.cost
+                _, at_once = solve_sources(sources)
+                words = at_once.left_inversions, at_once.right_inversions
+                assert at_once.cost == cost == sum(map(len, words))
+                assert (later.left_inversions, later.right_inversions) == words
+                assert later == at_once and hash(later) == hash(at_once)
+                if previous is not None:
+                    other, other_words = previous
+                    assert (later == other) == (words == other_words)
+                    assert (hash(later) == hash(other)) >= (words == other_words)
+                previous = later, words
+
+
+def test_solutions_pickle_with_their_words():
+    # a pickle holds the words, not the function that builds them: full
+    # rank, partial rank, and m > n, both before and after the words are read
+    import pickle
+
+    for sigma in (PartialPerm.from_image(5, (3, 5, 1, 4, 2)), SIGMA86.inverse(), SIGMA86):
+        for read in (False, True):
+            sol = solve_pair(sigma)
+            if read:
+                sol.left_inversions
+            back = pickle.loads(pickle.dumps(sol))
+            assert back == sol and back.cost == sol.cost > 0
+            assert (back.left_inversions, back.right_inversions) == (
+                sol.left_inversions, sol.right_inversions)
+
+
 # -- the probe's lower bound -----------------------------------------------------
 
 def _bound_properties(check):

@@ -237,6 +237,35 @@ def test_random_full_rank_pairs_solve_without_the_budget(tmp_path, capsys):
     assert code == 0 and "verify ok" in out
 
 
+def test_only_the_commands_that_print_words_run_the_descent(tmp_path, capsys, monkeypatch):
+    # the full-rank route runs its greedy descent, one `_lowered` call per
+    # move, only when the words are read: never for a command that prints
+    # the cost alone, once for `distance --emit-events` and for `mrca`
+    from invdel import align
+
+    calls = []
+    lowered = align._lowered
+
+    def counted(row, rotations):
+        calls.append(row)
+        return lowered(row, rotations)
+
+    monkeypatch.setattr(align, "_lowered", counted)
+    path = tmp_path / "pair.txt"
+    path.write_text(random_pair(16, 16))
+    pair = ("distance", str(path), "A", "B", "--max-n", "16")
+    simulated = ("simulate", "--size", "8", "--seed", "3", "--inversions1", "3",
+                 "--inversions2", "2")
+    for argv in (pair, pair + ("--json",), pair + ("--directed",),
+                 ("matrix", str(path), "--max-n", "16"), simulated):
+        assert run(capsys, *argv)[0] == 0
+        assert calls == [], argv
+    for argv in (pair + ("--emit-events",), ("mrca", str(path), "A", "B", "--max-n", "16")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(calls) == 25, argv
+        calls.clear()
+
+
 def test_cayley_engine_capacity_exit_2(tmp_path, capsys):
     # a 9-region pair within --max-n answers by the default search, whatever the options
     path = tmp_path / "big.txt"
