@@ -77,7 +77,7 @@ def cmd_distance(args) -> int:
                "from": args.genome1, "to": args.genome2})
         return EXIT_OK
     result = mrca_distance(g1, g2)
-    f1, f2 = result.best_pair
+    f1, f2 = map(str, result.best_pair)
     lines = [
         f"distance {result.total}",
         f"deletions {result.deletions}",
@@ -88,13 +88,13 @@ def cmd_distance(args) -> int:
         "command": "distance", "directed": False,
         "genomes": [args.genome1, args.genome2],
         "distance": result.total, "deletions": result.deletions, "mu": result.mu,
-        "best_pair": [str(f1), str(f2)],
+        "best_pair": [f1, f2],
     }
     if args.emit_events:
-        lines.append(f"left-inversions {format_word(result.solution.left_inversions)}")
-        lines.append(f"right-inversions {format_word(result.solution.right_inversions)}")
-        payload["left_inversions"] = format_word(result.solution.left_inversions)
-        payload["right_inversions"] = format_word(result.solution.right_inversions)
+        left = format_word(result.solution.left_inversions)
+        right = format_word(result.solution.right_inversions)
+        lines += [f"left-inversions {left}", f"right-inversions {right}"]
+        payload["left_inversions"], payload["right_inversions"] = left, right
     _emit(args, lines, payload)
     return EXIT_OK
 

@@ -8,7 +8,9 @@ for an equal-sum split of the multiset.  `solve_balancedsort` decides the
 sorting question exactly, so the reduction can be machine-checked in both
 directions on small instances: it searches the left moves from the pairing
 and the right moves from it (as left moves from its inverse) once each, and
-joins the two on the order they leave the defined pairs in.
+joins the two on the order they leave the defined pairs in.  A pairing that
+is its own inverse, as every reduction instance is, has one search for both
+sides, each reached row read once as a left order and once as a right order.
 
 The sorting alphabet is the linear adjacent transpositions, without the
 wraparound pair: a crossing then costs exactly its width to remove, which
@@ -131,7 +133,10 @@ def partition_witness(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int
 # through sigma to the image values they pair with.  The answer is yes when
 # some order and parity is reached on both sides: two words of the same
 # parity, each at most k // 2 long, are made equally long by repeating one
-# move twice in the shorter.
+# move twice in the shorter.  When sigma is its own inverse the two searches
+# start from the same row with the same count and depth, so they reach the
+# same rows: the one search serves both sides, its orders read once as they
+# are and once relabelled.
 #
 # Every linear adjacent move, left or right, changes the number of
 # out-of-order image pairs (the inversion count) by at most one, and that
@@ -176,7 +181,8 @@ def solve_balancedsort(inst: BalancedSortInstance) -> bool:
     Inversions here are the adjacent transpositions of the linear order,
     without the wraparound.  One layered search over (image row, parity)
     runs per side, pruned by the inversion count, and the two meet on the
-    order of the defined pairs (see the comment above _reached).
+    order of the defined pairs (see the comment above _reached); a pairing
+    that is its own inverse is searched once for both sides.
     """
     sigma, k = inst.sigma, inst.k
     m = sigma.m
@@ -188,8 +194,13 @@ def solve_balancedsort(inst: BalancedSortInstance) -> bool:
     half = k // 2
     if half == 0:
         return False
-    lefts = {(tuple(v for v in row if v), parity)
-             for row, parity in _reached(sigma.image_row, count, half)}
-    relabel = (0, *sigma.image_row)
-    return any((tuple(relabel[v] for v in row if v), parity) in lefts
-               for row, parity in _reached(sigma.inverse().image_row, count, half))
+
+    def orders(start):
+        return ((tuple(filter(None, row)), parity) for row, parity in _reached(start, count, half))
+
+    start, inverse = sigma.image_row, sigma.inverse().image_row
+    lefts = set(orders(start))
+    rights = lefts if inverse == start else orders(inverse)
+    relabel = (0, *start)
+    return any((tuple(map(relabel.__getitem__, order)), parity) in lefts
+               for order, parity in rights)

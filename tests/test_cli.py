@@ -266,6 +266,27 @@ def test_only_the_commands_that_print_words_run_the_descent(tmp_path, capsys, mo
         calls.clear()
 
 
+def test_distance_formats_each_frame_once(tmp_path, capsys, monkeypatch):
+    # the best pair's two frames feed both the text line and the JSON list
+    from invdel.genome import ReferenceFrame
+
+    calls = []
+    fmt = ReferenceFrame.__str__
+
+    def counted(frame):
+        calls.append(frame)
+        return fmt(frame)
+
+    monkeypatch.setattr(ReferenceFrame, "__str__", counted)
+    path = tmp_path / "pair.txt"
+    path.write_text(random_pair(8, 8))
+    pair = ("distance", str(path), "A", "B")
+    for argv in (pair, pair + ("--json",), pair + ("--emit-events",)):
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 2, argv
+        calls.clear()
+
+
 def test_cayley_engine_capacity_exit_2(tmp_path, capsys):
     # a 9-region pair within --max-n answers by the default search, whatever the options
     path = tmp_path / "big.txt"

@@ -1,3 +1,4 @@
+import os
 import random
 from itertools import combinations, combinations_with_replacement, permutations
 
@@ -6,6 +7,7 @@ import pytest
 from invdel import (CapacityError, InvalidArgumentError, PartialPerm,
                     partition_brute, partition_witness, reduce_partition,
                     solve_balancedsort)
+from invdel import npc
 from invdel.npc import BalancedSortInstance
 
 
@@ -178,6 +180,71 @@ def test_balancedsort_matches_reference_exhaustively():
             assert solve_balancedsort(BalancedSortInstance(sigma, k)) == want, (row, k)
             cases += 1
     assert cases == 16182
+
+
+def _partial_involutions(m):
+    """Every square partial permutation on 1..m that is its own inverse:
+    each position is undefined, fixed, or swapped with a later one."""
+    def pairings(free):
+        if not free:
+            yield {}
+            return
+        p, rest = free[0], free[1:]
+        for tail in pairings(rest):
+            yield tail
+            yield {**tail, p: p}
+        for q in rest:
+            for tail in pairings([r for r in rest if r != q]):
+                yield {**tail, p: q, q: p}
+
+    for mapping in pairings(list(range(1, m + 1))):
+        yield PartialPerm(m, m, mapping)
+
+
+@pytest.mark.skipif(os.environ.get("INVDEL_LONG_TESTS") != "1",
+                    reason="set INVDEL_LONG_TESTS=1 for the m=6 and m=7 involutions")
+@pytest.mark.parametrize("m", [6, 7])
+def test_balancedsort_matches_reference_on_every_partial_involution(m):
+    # the pairings the reduction builds are their own inverses, and those
+    # are searched once for both sides; the step search takes about 4 s of
+    # CPU at m = 6 and 2 min at m = 7
+    cases = 0
+    for sigma in _partial_involutions(m):
+        assert sigma == sigma.inverse()
+        steps = _reference_balanced_steps(sigma, 4)
+        for k in range(9):
+            want = steps is not None and steps <= k // 2
+            assert solve_balancedsort(BalancedSortInstance(sigma, k)) == want, (sigma.image_row, k)
+        cases += 1
+    assert cases == {6: 499, 7: 1850}[m]
+
+
+def test_one_search_serves_both_sides_of_a_self_inverse_pairing(monkeypatch):
+    calls = []
+    reached = npc._reached
+
+    def counted(start, count, depth):
+        calls.append(start)
+        return reached(start, count, depth)
+
+    monkeypatch.setattr(npc, "_reached", counted)
+    searched = 0
+    for size in range(1, 5):
+        for values in combinations_with_replacement(range(1, 9), size):
+            if sum(values) > 8:
+                continue
+            inst = reduce_partition(values)
+            assert solve_balancedsort(inst) == partition_brute(values), values
+            # every reduction instance has one crossing per element and k >= 1
+            assert len(calls) == (inst.k // 2 > 0), values
+            searched += len(calls)
+            calls.clear()
+    assert searched == 51
+    # a pairing that is not its own inverse searches each side from its own row
+    sigma = PartialPerm(3, 3, {1: 3, 2: 1})
+    assert sigma.inverse() != sigma and sigma.crossings()
+    solve_balancedsort(BalancedSortInstance(sigma, 4))
+    assert calls == [sigma.image_row, sigma.inverse().image_row]
 
 
 def test_balancedsort_is_symmetric_under_inversion():
