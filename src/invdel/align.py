@@ -129,7 +129,7 @@ from typing import Callable, Iterator, Sequence
 from .errors import CapacityError, InvalidArgumentError
 from .algebra import Generator, Word
 from .genome import Genome, ReferenceFrame
-from .pperm import PartialPerm, _swap_pairs, _swap_positions, _swap_values
+from .pperm import PartialPerm, _descents, _swap_pairs, _swap_positions, _swap_values
 
 ImageRow = tuple[int, ...]
 
@@ -164,11 +164,6 @@ class AlignmentSolution:
 
     def __reduce__(self):  # a pickle holds the words, not the function that builds them
         return AlignmentSolution, (self.cost, partial(tuple, self._words))
-
-
-def _descents(values: tuple[int, ...]) -> int:
-    """Cyclic descents of the defined images, in position order."""
-    return sum(map(int.__gt__, values, values[1:] + values[:1]))
 
 
 def _lift(row: ImageRow) -> tuple[list[int], list[int], int]:

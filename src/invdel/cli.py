@@ -21,7 +21,7 @@ from .distance import (check_ancestor_size, construct_ancestor, directed_distanc
                        verify_scenario_report)
 from .evolve import random_genome, simulate
 from .genome import Genome, load_genomes
-from .npc import MAX_BALANCED, partition_witness, reduce_partition, solve_balancedsort
+from .npc import partition_witness, reduce_partition, solve_balancedsort
 from .pperm import MAX_POSITIONS
 
 JSON_SCHEMA_VERSION = 1
@@ -218,33 +218,27 @@ def cmd_reduce_partition(args) -> int:
         raise InvdelError(f"bad multiset {args.multiset!r}: {exc}") from exc
     inst = reduce_partition(values)
     pairs = sorted((i, j) for i, j in inst.sigma.pairs() if i < j)
+    decision = solve_balancedsort(inst)
+    witness = partition_witness(values)
+    partition = witness is not None
     lines = [
         f"m {inst.sigma.m}",
         f"pairs {' '.join(f'{i}<->{j}' for i, j in pairs)}",
         f"k {inst.k}",
+        f"balanced-sortable {'yes' if decision else 'no'}",
+        f"partition {'yes' if partition else 'no'}",
     ]
+    if witness:
+        lines.append(f"split {' | '.join(','.join(map(str, side)) for side in witness)}")
     payload = {
         "command": "reduce-partition", "multiset": list(values),
         "m": inst.sigma.m, "pairs": pairs, "k": inst.k,
+        "balanced_sortable": decision, "partition": partition,
+        "split": [list(side) for side in witness] if witness else None,
     }
-    if inst.sigma.m <= MAX_BALANCED:
-        decision = solve_balancedsort(inst)
-        witness = partition_witness(values)
-        partition = witness is not None
-        lines.append(f"balanced-sortable {'yes' if decision else 'no'}")
-        lines.append(f"partition {'yes' if partition else 'no'}")
-        if witness:
-            x, y = witness
-            lines.append(f"split {','.join(map(str, x))} | {','.join(map(str, y))}")
-        payload["balanced_sortable"] = decision
-        payload["partition"] = partition
-        payload["split"] = [list(witness[0]), list(witness[1])] if witness else None
-        if decision != partition:
-            _emit(args, lines + ["REDUCTION MISMATCH"], {**payload, "mismatch": True})
-            return EXIT_FAIL
-    else:
-        lines.append("balanced-sortable undecided")
-        payload["balanced_sortable"] = None
+    if decision != partition:
+        _emit(args, lines + ["REDUCTION MISMATCH"], {**payload, "mismatch": True})
+        return EXIT_FAIL
     _emit(args, lines, payload)
     return EXIT_OK
 

@@ -17,15 +17,16 @@ from .errors import CapacityError, InvalidArgumentError
 MAX_POSITIONS = 16
 
 
+def _descents(values: tuple[int, ...]) -> int:
+    """Cyclic descents of the defined images, in position order."""
+    return sum(map(int.__gt__, values, values[1:] + values[:1]))
+
+
 def row_is_popi(row: Sequence[int]) -> bool:
     """True iff the defined images of an image row read in a cyclic order:
     at most one descent, counting the wraparound comparison between the
     last and first image."""
-    images = [v for v in row if v]
-    k = len(images)
-    if k <= 1:
-        return True
-    return sum(1 for t in range(k) if images[t] > images[(t + 1) % k]) <= 1
+    return _descents(tuple(filter(None, row))) <= 1
 
 
 def _compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:

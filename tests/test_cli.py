@@ -506,7 +506,8 @@ def test_reduce_partition_report(capsys):
     assert lines[0] == "m 16"
     assert lines[1] == "pairs 1<->2 3<->4 5<->7 8<->11 12<->16"
     assert lines[2] == "k 11"
-    assert lines[3:] == ["balanced-sortable undecided"]  # 16 positions, past npc.MAX_BALANCED
+    # the paper's worked instance: the sum, 11, is odd, so no split
+    assert lines[3:] == ["balanced-sortable no", "partition no"]
 
 
 def test_reduce_partition_small_decision(capsys):
@@ -526,17 +527,18 @@ def test_reduce_partition_even_sum_without_a_split(capsys):
     assert payload["balanced_sortable"] is False
 
 
-def test_reduce_partition_decides_up_to_the_cap(capsys):
-    code, out, _ = run(capsys, "reduce-partition", "2,2,2,2", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["m"] == 12  # the largest decided size, npc.MAX_BALANCED
-    assert payload["balanced_sortable"] is True
-    code, out, _ = run(capsys, "reduce-partition", "1,1,2,3,4", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["m"] == 16
-    assert payload["balanced_sortable"] is None and "partition" not in payload
+def test_reduce_partition_decides_every_size(capsys):
+    for multiset, m, split in [
+        ("2,2,2,2", 12, [[2, 2], [2, 2]]),
+        ("3,3,3,3", 16, [[3, 3], [3, 3]]),  # the largest walk of any reduction instance
+        ("1,1,2,3,4", 16, None),
+    ]:
+        code, out, _ = run(capsys, "reduce-partition", multiset, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["m"] == m
+        assert payload["partition"] is payload["balanced_sortable"] is (split is not None)
+        assert payload["split"] == split
 
 
 def test_reduce_partition_beyond_the_position_cap_is_exit_2(capsys):

@@ -98,9 +98,48 @@ def test_balancedsort_trivial_cases():
     assert not solve_balancedsort(reduce_partition((1, 2)))
 
 
-def test_balancedsort_capacity():
-    with pytest.raises(CapacityError):
-        solve_balancedsort(reduce_partition((1, 1, 2, 3, 4)))  # m = 16
+def _reversal(m):
+    """The reversal of m positions at k = m(m - 1): each side may undo all
+    m(m - 1)/2 crossings, so every one of its m! rows is within reach."""
+    return BalancedSortInstance(PartialPerm(m, m, {i: m + 1 - i for i in range(1, m + 1)}),
+                                m * (m - 1))
+
+
+def test_balancedsort_capacity(monkeypatch):
+    # the search is bounded by the rows it reaches, not by the positions
+    monkeypatch.setattr(npc, "MAX_ROWS", 1_000)
+    with pytest.raises(CapacityError, match="budget of 1,000 rows"):
+        solve_balancedsort(_reversal(12))
+    assert solve_balancedsort(_reversal(5))  # 120 rows
+
+
+def test_budget_covers_the_largest_reduction_walk(monkeypatch):
+    rows = []
+    reached = npc._reached
+
+    def counted(start, count, depth):
+        rows.extend(reached(start, count, depth))
+        return iter(rows)
+
+    monkeypatch.setattr(npc, "_reached", counted)
+    assert solve_balancedsort(reduce_partition((3, 3, 3, 3)))
+    assert len(rows) == 16_814
+    assert npc.MAX_ROWS >= 10 * len(rows)
+
+
+@pytest.mark.skipif(os.environ.get("INVDEL_LONG_TESTS") != "1",
+                    reason="set INVDEL_LONG_TESTS=1 for every reduction of 13-16 positions")
+def test_reduction_decides_every_instance_past_twelve_positions():
+    # the 154 multisets needing 13 to 16 positions, the most the reduction
+    # can encode; together about 3 s of CPU.  Tier-1 keeps two of them,
+    # {1, 1, 2, 3, 4} and {3, 3, 3, 3}, in tests/test_cli.py
+    cases = 0
+    for size in range(1, 9):
+        for values in combinations_with_replacement(range(1, 18 - 2 * size), size):
+            if 12 < size + sum(values) <= 16:
+                assert solve_balancedsort(reduce_partition(values)) == partition_brute(values), values
+                cases += 1
+    assert cases == 154
 
 
 def test_balancedsort_requires_square():
