@@ -151,18 +151,14 @@ def construct_ancestor(result: DistanceResult) -> AncestorScenario:
 
     g1p = apply_to_frame(f1, Word(reversed(solution.left_inversions.letters), m))
     g2p = apply_to_frame(f2, solution.right_inversions)
-    right_chrono = [g.i for g in solution.right_inversions]
 
     shared = regions1 & regions2
     order = [t for t in g1p.tokens if t in shared]
-    if order:
-        # Rotate the second frame k places on (k letters c_n) so the last
-        # shared region lands at position n.
-        k = n - 1 - g2p.tokens.index(order[-1])
-        if k:
-            f2 = ReferenceFrame(f2.tokens[-k:] + f2.tokens[:-k])
-            g2p = ReferenceFrame(g2p.tokens[-k:] + g2p.tokens[:-k])
-            right_chrono = [(i - 1 + k) % n + 1 for i in right_chrono]
+    # Rotate the second frame k places on (k letters c_n) so the last shared
+    # region lands at position n; with no shared region k is 0.
+    k = n - 1 - g2p.tokens.index(order[-1]) if order else 0
+    f2 = ReferenceFrame(f2.tokens[-k:] + f2.tokens[:-k])
+    g2p = ReferenceFrame(g2p.tokens[-k:] + g2p.tokens[:-k])
     assert [t for t in g2p.tokens if t in shared] == order
 
     own1, own2 = _stretches(g1p, shared), _stretches(g2p, shared)
@@ -175,7 +171,8 @@ def construct_ancestor(result: DistanceResult) -> AncestorScenario:
     del1 = _deletion_word(ancestor_frame, regions2 - regions1)
     del2 = _deletion_word(ancestor_frame, regions1 - regions2)
     events1 = del1 + solution.left_inversions
-    events2 = del2 + Word([Generator.inversion(i, n) for i in reversed(right_chrono)], n)
+    events2 = del2 + Word([Generator.inversion((g.i - 1 + k) % n + 1, n)
+                           for g in reversed(solution.right_inversions.letters)], n)
 
     assert apply_to_frame(ancestor_frame, events1) == f1
     assert apply_to_frame(ancestor_frame, events2) == f2

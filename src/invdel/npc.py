@@ -7,10 +7,11 @@ adjacent inversions on each side within the budget is then exactly asking
 for an equal-sum split of the multiset.  `solve_balancedsort` decides the
 sorting question exactly, so the reduction can be machine-checked in both
 directions on small instances: it searches the left moves from the pairing
-and the right moves from it (as left moves from its inverse) once each, and
-joins the two on the order they leave the defined pairs in.  A pairing that
-is its own inverse, as every reduction instance is, has one search for both
-sides, each reached row read once as a left order and once as a right order.
+and the right moves from it (as left moves from its inverse) once each,
+holding only the layers next to the one it expands, and joins the two on
+the order they leave the defined pairs in.  A pairing that is its own
+inverse, as every reduction instance is, has one search for both sides, each
+reached row read once as a left order and once as a right order.
 Every instance the reduction builds is decided; a search past `MAX_ROWS`
 rows raises CapacityError.
 
@@ -26,7 +27,7 @@ from typing import Sequence
 from .errors import CapacityError, InvalidArgumentError
 from .pperm import MAX_POSITIONS, PartialPerm
 
-MAX_ROWS = 400_000  # (row, parity) states one balanced search may reach
+MAX_ROWS = 400_000  # rows one balanced search may add to its layers
 
 
 @dataclass(frozen=True)
@@ -112,12 +113,18 @@ def partition_witness(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int
 
 # -- exact balanced search -------------------------------------------------------
 #
-# A state is an image row with the parity of the word length so far.  A left
+# A state is an image row, its parity that of its layer's word length.  A left
 # move swaps two adjacent entries and flips the parity; swapping two
 # undefined positions leaves the row alone, so word lengths are not
 # parity-pure per row, and because every move is an involution a word of
 # length c reaching a row exists exactly when the row was reached with the
 # matching parity at some depth <= c.
+#
+# The search holds the layer it expands and its two neighbours, not every
+# state it reached: every move flips the parity, so the (row, parity) graph
+# is bipartite, and the prune below only tightens with depth, so a state is
+# first met at its breadth-first depth and its neighbours lie one layer
+# before or after it.  A row met again is in one of those two layers.
 #
 # The moves are the linear adjacent transpositions only.  The wraparound pair
 # (1, m) is left out on purpose: the per-crossing width argument that makes
@@ -148,40 +155,42 @@ def partition_witness(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int
 #
 # The rows reached grow as the factorial of the defined positions, so the
 # work is bounded, not the size: each row is expanded only while at most
-# `MAX_ROWS` rows are seen.  The largest reduction walk, from {3, 3, 3, 3},
-# reaches 16,814 rows; the reversal of 9 positions reaches 9!.
+# `MAX_ROWS` states were added.  The largest reduction walk, from
+# {3, 3, 3, 3}, reaches 16,814 rows; the reversal of 9 positions reaches 9!.
 
 def _reached(start: tuple[int, ...], count: int, depth: int):
-    """Yield every (row, parity) a left-move search of depth `depth` reaches
-    from `start`, whose inversion count is `count`, layer by layer.
+    """Yield the order and parity of every row a left-move search of depth
+    `depth` reaches from `start`, whose inversion count is `count`, layer
+    by layer: the row's nonzero entries in position order, and its layer's
+    parity.
 
     A row is dropped when its count exceeds the moves left on both sides,
     `depth` minus its own depth plus the other side's `depth`.
     """
     if count > 2 * depth:
         return
-    first = (start, 0)
-    layer = {first: count}
-    seen = {first}
-    yield first
+    before, layer = {}, {start: count}
+    states = 1
+    yield tuple(filter(None, start)), 0
     for d in range(1, depth + 1):
         allowed = 2 * depth - d
         nxt = {}
-        for (row, parity), inv in layer.items():
-            if len(seen) > MAX_ROWS:
+        for row, inv in layer.items():
+            if states > MAX_ROWS:
                 raise CapacityError(f"the balanced search reached its budget of {MAX_ROWS:,} "
                                     "rows; the pairing is too large to decide exactly")
             for i in range(len(row) - 1):
                 a, b = row[i], row[i + 1]
-                y = (row[:i] + (b, a) + row[i + 2:], 1 - parity)
-                if y in seen:
+                y = row[:i] + (b, a) + row[i + 2:]
+                if y in before or y in nxt:
                     continue
                 c = inv + (1 if a < b else -1) if a and b else inv
                 if c <= allowed:
-                    seen.add(y)
+                    states += 1
                     nxt[y] = c
-        layer = nxt
-        yield from layer
+        before, layer = layer, nxt
+        for row in layer:
+            yield tuple(filter(None, row)), d % 2
 
 
 def solve_balancedsort(inst: BalancedSortInstance) -> bool:
@@ -189,10 +198,11 @@ def solve_balancedsort(inst: BalancedSortInstance) -> bool:
     budget, can make the pairing order preserving.
 
     Inversions here are the adjacent transpositions of the linear order,
-    without the wraparound.  One layered search over (image row, parity)
-    runs per side, pruned by the inversion count, and the two meet on the
-    order of the defined pairs (see the comment above _reached); a pairing
-    that is its own inverse is searched once for both sides.
+    without the wraparound.  One layered search over image rows, a
+    layer's parity its depth's, runs per side, pruned by the inversion
+    count, and the two meet on the order of the defined pairs (see the
+    comment above _reached); a pairing that is its own inverse is searched
+    once for both sides.
     """
     sigma, k = inst.sigma, inst.k
     count = len(sigma.crossings())
@@ -202,12 +212,9 @@ def solve_balancedsort(inst: BalancedSortInstance) -> bool:
     if half == 0:
         return False
 
-    def orders(start):
-        return ((tuple(filter(None, row)), parity) for row, parity in _reached(start, count, half))
-
     start, inverse = sigma.image_row, sigma.inverse().image_row
-    lefts = set(orders(start))
-    rights = lefts if inverse == start else orders(inverse)
+    lefts = set(_reached(start, count, half))
+    rights = lefts if inverse == start else _reached(inverse, count, half)
     relabel = (0, *start)
     return any((tuple(map(relabel.__getitem__, order)), parity) in lefts
                for order, parity in rights)

@@ -287,6 +287,36 @@ def test_distance_formats_each_frame_once(tmp_path, capsys, monkeypatch):
         calls.clear()
 
 
+def test_mrca_and_simulate_format_each_value_once(tmp_path, capsys, monkeypatch):
+    # each frame and event word feeds both the text line and the JSON field
+    from invdel import cli
+    from invdel.genome import ReferenceFrame
+
+    calls = []
+    fmt, word = ReferenceFrame.__str__, cli.format_word
+
+    def counted_frame(frame):
+        calls.append("frame")
+        return fmt(frame)
+
+    def counted_word(w):
+        calls.append("word")
+        return word(w)
+
+    monkeypatch.setattr(ReferenceFrame, "__str__", counted_frame)
+    monkeypatch.setattr(cli, "format_word", counted_word)
+    path = tmp_path / "pair.txt"
+    path.write_text(random_pair(8, 6))
+    mrca = ("mrca", str(path), "A", "B")
+    simulate = ("simulate", "--size", "7", "--seed", "42", "--deletions1", "2",
+                "--inversions1", "3", "--inversions2", "1")
+    for argv, frames in ((mrca, 1), (simulate, 3)):
+        for extra in ((), ("--json",)):
+            assert run(capsys, *argv, *extra)[0] == 0
+            assert sorted(calls) == ["frame"] * frames + ["word"] * 2, argv + extra
+            calls.clear()
+
+
 def test_cayley_engine_capacity_exit_2(tmp_path, capsys):
     # a 9-region pair within --max-n answers by the default search, whatever the options
     path = tmp_path / "big.txt"

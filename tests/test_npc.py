@@ -286,6 +286,53 @@ def test_one_search_serves_both_sides_of_a_self_inverse_pairing(monkeypatch):
     assert calls == [sigma.image_row, sigma.inverse().image_row]
 
 
+def _reference_reached(start, count, depth):
+    """The layered search with a set of every (row, parity) state it
+    reached, read as orders: what npc._reached must yield, in this order."""
+    if count > 2 * depth:
+        return
+    first = (start, 0)
+    layer = {first: count}
+    seen = {first}
+    yield tuple(filter(None, start)), 0
+    for d in range(1, depth + 1):
+        allowed = 2 * depth - d
+        nxt = {}
+        for (row, parity), inv in layer.items():
+            for i in range(len(row) - 1):
+                a, b = row[i], row[i + 1]
+                y = (row[:i] + (b, a) + row[i + 2:], 1 - parity)
+                if y in seen:
+                    continue
+                c = inv + (1 if a < b else -1) if a and b else inv
+                if c <= allowed:
+                    seen.add(y)
+                    nxt[y] = c
+        layer = nxt
+        yield from ((tuple(filter(None, row)), parity) for row, parity in layer)
+
+
+def test_two_layers_reach_what_every_state_reaches():
+    # a row is met again only in the layer before the one expanded or in
+    # the one being built, so keeping those two loses no state and adds none
+    rng = random.Random(33)
+    seeded = []
+    for _ in range(60):
+        m = rng.randint(6, 9)
+        r = rng.randint(0, m)
+        seeded.append(PartialPerm(m, m, dict(zip(rng.sample(range(1, m + 1), r),
+                                                 rng.sample(range(1, m + 1), r)))))
+    cases = 0
+    for sigma, depths in [*((s, range(5)) for s in _square_partial_perms(5)),
+                          *((s, (3, 5)) for s in seeded)]:
+        row, count = sigma.image_row, len(sigma.crossings())
+        for depth in depths:
+            assert (list(npc._reached(row, count, depth))
+                    == list(_reference_reached(row, count, depth))), (row, depth)
+            cases += 1
+    assert cases == 9_110
+
+
 def test_balancedsort_is_symmetric_under_inversion():
     # Inverting the pairing swaps the two sides, so each side's search then
     # reads the other's order; a join that labels one side's order wrongly
