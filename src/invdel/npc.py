@@ -9,9 +9,12 @@ sorting question exactly, so the reduction can be machine-checked in both
 directions on small instances: it searches the left moves from the pairing
 and the right moves from it (as left moves from its inverse) once each,
 holding only the layers next to the one it expands, and joins the two on
-the order they leave the defined pairs in.  A pairing that is its own
-inverse, as every reduction instance is, has one search for both sides, each
-reached row read once as a left order and once as a right order.
+the order they leave the defined pairs in.  Its rows are bytes, each
+stored with its inversion count and its order, and a move's child row is
+built only after the count prune has let it through.  A pairing that is
+its own inverse, as every reduction instance is, has one search for both
+sides, each reached row read once as a left order and once as a right
+order.
 Every instance the reduction builds is decided; a search past `MAX_ROWS`
 rows raises CapacityError.
 
@@ -153,44 +156,68 @@ def partition_witness(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int
 # whose count exceeds the moves still allowed: its own remaining depth plus
 # the other side's whole k // 2.
 #
+# A row is a bytes object, one byte per position holding its image or 0
+# (images are at most MAX_POSITIONS = 16), so it hashes once for the two
+# membership tests and the store.  Each layer maps a row to its count and
+# its order, and a move's effect on both is known before its row is built:
+# a swap of two values moves the count by one and is the only move that
+# changes the order; a swap of a value and a blank keeps both; a swap of two
+# blanks is the row itself.  So the prune is tested first and a dropped
+# child is never built, and an order is built only by a swap of two values.
+#
 # The rows reached grow as the factorial of the defined positions, so the
 # work is bounded, not the size: each row is expanded only while at most
 # `MAX_ROWS` states were added.  The largest reduction walk, from
 # {3, 3, 3, 3}, reaches 16,814 rows; the reversal of 9 positions reaches 9!.
 
+# _SWAPPED[a][b] is the pair (a, b) of adjacent entries after their swap.
+_SWAPPED = [[bytes((b, a)) for b in range(MAX_POSITIONS + 1)] for a in range(MAX_POSITIONS + 1)]
+
+
 def _reached(start: tuple[int, ...], count: int, depth: int):
     """Yield the order and parity of every row a left-move search of depth
     `depth` reaches from `start`, whose inversion count is `count`, layer
-    by layer: the row's nonzero entries in position order, and its layer's
-    parity.
+    by layer: the row's nonzero entries in position order, as bytes, and
+    its layer's parity.
 
     A row is dropped when its count exceeds the moves left on both sides,
     `depth` minus its own depth plus the other side's `depth`.
     """
     if count > 2 * depth:
         return
-    before, layer = {}, {start: count}
+    row = bytes(start)
+    order = row.replace(b"\0", b"")
+    before, layer = {}, {row: (count, order)}
     states = 1
-    yield tuple(filter(None, start)), 0
+    yield order, 0
     for d in range(1, depth + 1):
-        allowed = 2 * depth - d
+        allowed, parity = 2 * depth - d, d % 2
         nxt = {}
-        for row, inv in layer.items():
+        for row, (inv, order) in layer.items():
             if states > MAX_ROWS:
                 raise CapacityError(f"the balanced search reached its budget of {MAX_ROWS:,} "
                                     "rows; the pairing is too large to decide exactly")
             for i in range(len(row) - 1):
                 a, b = row[i], row[i + 1]
-                y = row[:i] + (b, a) + row[i + 2:]
-                if y in before or y in nxt:
+                if a and b:
+                    c = inv + 1 if a < b else inv - 1
+                    if c > allowed:
+                        continue
+                    y = row[:i] + _SWAPPED[a][b] + row[i + 2:]
+                    if y in before or y in nxt:
+                        continue
+                    o = y.replace(b"\0", b"")
+                elif inv > allowed:
                     continue
-                c = inv + (1 if a < b else -1) if a and b else inv
-                if c <= allowed:
-                    states += 1
-                    nxt[y] = c
+                else:
+                    y = row[:i] + _SWAPPED[a][b] + row[i + 2:] if a or b else row
+                    if y in before or y in nxt:
+                        continue
+                    c, o = inv, order
+                states += 1
+                nxt[y] = c, o
+                yield o, parity
         before, layer = layer, nxt
-        for row in layer:
-            yield tuple(filter(None, row)), d % 2
 
 
 def solve_balancedsort(inst: BalancedSortInstance) -> bool:
@@ -215,6 +242,5 @@ def solve_balancedsort(inst: BalancedSortInstance) -> bool:
     start, inverse = sigma.image_row, sigma.inverse().image_row
     lefts = set(_reached(start, count, half))
     rights = lefts if inverse == start else _reached(inverse, count, half)
-    relabel = (0, *start)
-    return any((tuple(map(relabel.__getitem__, order)), parity) in lefts
-               for order, parity in rights)
+    relabel = bytes((0, *start)).ljust(256, b"\0")
+    return any((order.translate(relabel), parity) in lefts for order, parity in rights)

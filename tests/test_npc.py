@@ -174,9 +174,14 @@ def _left_moves(row):
 
 def _right_moves(row):
     """Rows after one linear adjacent transposition of values."""
+    where = {v: p for p, v in enumerate(row) if v}
     for u in range(1, len(row)):
-        swap = {u: u + 1, u + 1: u}
-        yield tuple(swap.get(v, v) for v in row)
+        out = list(row)
+        if u in where:
+            out[where[u]] = u + 1
+        if u + 1 in where:
+            out[where[u + 1]] = u
+        yield tuple(out)
 
 
 def _reference_balanced_steps(sigma, max_steps):
@@ -186,15 +191,20 @@ def _reference_balanced_steps(sigma, max_steps):
     Left and right moves commute, so c moves on each side are c such steps.
     Repeating a step undoes it, so a row reached after c steps is reached
     after c + 2 too; the search therefore keys on (image row, step parity).
+    A halfway state expanded at an earlier step is not expanded again: its
+    right children are already seen.
     """
     start = (sigma.image_row, 0)
     seen = {start}
     layer = [start]
+    expanded = set()
     for steps in range(max_steps + 1):
         for row, _ in layer:
             if PartialPerm.from_image(sigma.n, row).is_order_preserving():
                 return steps
         halfway = {(left, parity) for row, parity in layer for left in _left_moves(row)}
+        halfway -= expanded
+        expanded |= halfway
         nxt = []
         for left, parity in halfway:
             for both in _right_moves(left):
@@ -286,6 +296,19 @@ def test_one_search_serves_both_sides_of_a_self_inverse_pairing(monkeypatch):
     assert calls == [sigma.image_row, sigma.inverse().image_row]
 
 
+def _near_sorted(rng, m, swaps):
+    """A square pairing on m positions whose image holds m, `swaps` random
+    adjacent swaps of its row away from order preserving."""
+    r = rng.randint(m // 2, m)
+    domain = set(rng.sample(range(m), r))
+    image = iter(sorted(rng.sample(range(1, m), r - 1) + [m]))
+    row = [next(image) if p in domain else 0 for p in range(m)]
+    for _ in range(swaps):
+        i = rng.randrange(m - 1)
+        row[i], row[i + 1] = row[i + 1], row[i]
+    return PartialPerm.from_image(m, row)
+
+
 def _reference_reached(start, count, depth):
     """The layered search with a set of every (row, parity) state it
     reached, read as orders: what npc._reached must yield, in this order."""
@@ -327,10 +350,21 @@ def test_two_layers_reach_what_every_state_reaches():
                           *((s, (3, 5)) for s in seeded)]:
         row, count = sigma.image_row, len(sigma.crossings())
         for depth in depths:
-            assert (list(npc._reached(row, count, depth))
+            assert ([(tuple(o), p) for o, p in npc._reached(row, count, depth)]
                     == list(_reference_reached(row, count, depth))), (row, depth)
             cases += 1
     assert cases == 9_110
+    # values up to 16, the top of npc's swap table, on pairings a few swaps
+    # from order preserving, so that most walks go past their start
+    walked = 0
+    for _ in range(40):
+        sigma = _near_sorted(rng, rng.randint(10, 16), rng.randint(0, 6))
+        row, count = sigma.image_row, len(sigma.crossings())
+        for depth in (2, 3):
+            got = [(tuple(o), p) for o, p in npc._reached(row, count, depth)]
+            assert got == list(_reference_reached(row, count, depth)), (row, depth)
+            walked += len(got) > 1
+    assert walked >= 60
 
 
 def test_balancedsort_is_symmetric_under_inversion():
@@ -338,11 +372,19 @@ def test_balancedsort_is_symmetric_under_inversion():
     # reads the other's order; a join that labels one side's order wrongly
     # breaks the symmetry even where the involutive reduction instances
     # (their own inverses) cannot show it.
-    for sigma in _square_partial_perms(5):
+    rng = random.Random(35)
+    wide = [sigma for sigma in (_near_sorted(rng, 16, rng.randint(1, 7)) for _ in range(30))
+            if sigma != sigma.inverse()]
+    answers = set()
+    for sigma, budgets in [*((s, range(9)) for s in _square_partial_perms(5)),
+                           *((s, range(7)) for s in wide)]:
         inverse = sigma.inverse()
-        for k in range(9):
-            assert (solve_balancedsort(BalancedSortInstance(sigma, k))
-                    == solve_balancedsort(BalancedSortInstance(inverse, k))), (sigma.image_row, k)
+        for k in budgets:
+            got = solve_balancedsort(BalancedSortInstance(sigma, k))
+            assert got == solve_balancedsort(BalancedSortInstance(inverse, k)), (sigma.image_row, k)
+            if sigma.m == 16 and sigma.crossings():
+                answers.add(got)
+    assert len(wide) >= 20 and answers == {True, False}
 
 
 @pytest.mark.parametrize("m", [6, 7])
