@@ -5,6 +5,11 @@ inversions, rotations and reflections keep the size n, a deletion drops it
 to n-1.  Evaluation turns a word into the partial permutation it composes
 to (left to right), and the rewriter normalizes any word into the shape
 (deletions)(inversions)(dihedral) without changing its evaluation.
+
+`eval_generator` defines each letter's map.  `eval_word` and
+`apply_to_frame` build no map per letter: both move the entries of one
+list the way the letters move positions (`_move`), the positions
+themselves or a frame's tokens.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ from typing import Iterable, Iterator
 
 from .errors import InvalidArgumentError, WordTypeError
 from .genome import ReferenceFrame
-from .pperm import PartialPerm, _compose
+from .pperm import PartialPerm, _check_size
 
 INV, DEL, ROT, REFL = "inv", "del", "rot", "refl"
 
@@ -79,6 +84,8 @@ class Generator:
 
 @cache
 def eval_generator(g: Generator) -> PartialPerm:
+    """The partial permutation of one letter, checked, built once per
+    letter in a process."""
     n = g.n
     if g.kind == INV:
         # s_{i;n} swaps i and i+1; s_{n;n} is the wraparound pair (1, n).
@@ -165,26 +172,56 @@ class Word:
         return format_word(self)
 
 
+def _move(entries: list, w: Word) -> None:
+    """Move the list's entries in place the way the word's letters move
+    positions: the entry at position i ends at the position the word sends
+    i to, and an entry whose position is deleted is dropped.
+
+    An inversion s_{i;n} swaps entries i - 1 and i % n (0-based), a deletion
+    drops one, c_n turns the list one place right and a_n reverses it.
+    """
+    for g in w.letters:
+        kind = g.kind
+        if kind == INV:
+            a, b = g.i - 1, g.i % g.n
+            entries[a], entries[b] = entries[b], entries[a]
+        elif kind == DEL:
+            del entries[g.i - 1]
+        elif kind == ROT:
+            entries.insert(0, entries.pop())
+        else:
+            entries.reverse()
+
+
 def eval_word(w: Word) -> PartialPerm:
-    # the identity's size check refuses a word over more than 16 positions;
-    # composing valid maps needs no further check
-    row = PartialPerm.identity(w.src).image_row
-    for g in w:
-        row = _compose(row, eval_generator(g).image_row)
-    return PartialPerm._unchecked(w.src, w.tgt, row)
+    """The partial permutation the word composes to.
+
+    `_move` carries the positions themselves, so entry k - 1 of the moved
+    list is the position that lands on k, and the list's length is the
+    target size; the image row is that list inverted.  A word over more
+    than 16 positions is refused.
+    """
+    _check_size(w.src, w.src)
+    landed = list(range(1, w.src + 1))
+    _move(landed, w)
+    row = [0] * w.src
+    for k, i in enumerate(landed, start=1):
+        row[i - 1] = k
+    return PartialPerm._unchecked(w.src, len(landed), tuple(row))
 
 
 def apply_to_frame(frame: ReferenceFrame, w: Word) -> ReferenceFrame:
-    """Apply the word's events to a frame; deleted regions are dropped."""
+    """Apply the word's events to a frame; deleted regions are dropped.
+
+    `_move` carries the frame's tokens, so no map is built.  A word over
+    more than 16 positions is refused, as `eval_word` refuses it.
+    """
     if frame.n != w.src:
         raise WordTypeError(f"word starts at size {w.src} but frame has {frame.n} regions")
-    out = [None] * w.tgt
-    for tok, j in zip(frame.tokens, eval_word(w).image_row):
-        if j:
-            out[j - 1] = tok
-    # Words of events always have full image, so every slot is filled.
-    assert None not in out
-    return ReferenceFrame(tuple(out))
+    _check_size(w.src, w.src)
+    tokens = list(frame.tokens)
+    _move(tokens, w)
+    return ReferenceFrame(tuple(tokens))
 
 
 # -- serialization -----------------------------------------------------------
@@ -254,37 +291,40 @@ def relation_table(n: int) -> list[Relation]:
     """
     if n < 2:
         raise InvalidArgumentError("relations start at size 2")
-    s = lambda i, size=n: Generator.inversion(i, size)
-    d = lambda i, size=n: Generator.deletion(i, size)
-    c = lambda size=n: Generator.rotation(size)
-    a = lambda size=n: Generator.reflection(size)
+    # each letter is built once: s[i] and d[i] at size n, t[i] at n - 1
+    # (index 0 unused), and the dihedral letters at both sizes
+    s = [None] + [Generator.inversion(i, n) for i in range(1, n + 1)]
+    t = [None] + [Generator.inversion(i, n - 1) for i in range(1, n)]
+    d = [None] + [Generator.deletion(i, n) for i in range(1, n + 1)]
+    c, c1 = Generator.rotation(n), Generator.rotation(n - 1)
+    a, a1 = Generator.reflection(n), Generator.reflection(n - 1)
     out: list[Relation] = []
 
     for j in range(2, n):  # R1: i = n, 1 < j < n
-        out.append(Relation("R1", _w(s(n), d(j)), _w(d(j), s(n - 1, n - 1))))
-    out.append(Relation("R2", _w(s(n), d(n)), _w(d(1), c(n - 1))))
-    out.append(Relation("R3", _w(s(n), d(1)), Word((d(n),) + (c(n - 1),) * (n - 2), n)))
+        out.append(Relation("R1", _w(s[n], d[j]), _w(d[j], t[n - 1])))
+    out.append(Relation("R2", _w(s[n], d[n]), _w(d[1], c1)))
+    out.append(Relation("R3", _w(s[n], d[1]), Word((d[n],) + (c1,) * (n - 2), n)))
     for i in range(1, n):
         for j in range(1, n + 1):
             if i > j:  # R4
-                out.append(Relation("R4", _w(s(i), d(j)), _w(d(j), s(i - 1, n - 1))))
+                out.append(Relation("R4", _w(s[i], d[j]), _w(d[j], t[i - 1])))
             elif i + 1 < j:  # R5
-                out.append(Relation("R5", _w(s(i), d(j)), _w(d(j), s(i, n - 1))))
+                out.append(Relation("R5", _w(s[i], d[j]), _w(d[j], t[i])))
             elif i == j:  # R6
-                out.append(Relation("R6", _w(s(i), d(i)), _w(d(i + 1))))
+                out.append(Relation("R6", _w(s[i], d[i]), _w(d[i + 1])))
             else:  # R7: j = i + 1
-                out.append(Relation("R7", _w(s(i), d(i + 1)), _w(d(i))))
+                out.append(Relation("R7", _w(s[i], d[i + 1]), _w(d[i])))
     for i in range(2, n + 1):  # R8
-        out.append(Relation("R8", _w(c(), s(i)), _w(s(i - 1), c())))
-    out.append(Relation("R9", _w(c(), s(1)), _w(s(n), c())))
+        out.append(Relation("R8", _w(c, s[i]), _w(s[i - 1], c)))
+    out.append(Relation("R9", _w(c, s[1]), _w(s[n], c)))
     for i in range(2, n + 1):  # R10
-        out.append(Relation("R10", _w(c(), d(i)), _w(d(i - 1), c(n - 1))))
-    out.append(Relation("R11", _w(c(), d(1)), _w(d(n))))
+        out.append(Relation("R10", _w(c, d[i]), _w(d[i - 1], c1)))
+    out.append(Relation("R11", _w(c, d[1]), _w(d[n])))
     for i in range(1, n + 1):  # R12
-        out.append(Relation("R12", _w(a(), d(i)), _w(d(n - i + 1), a(n - 1))))
+        out.append(Relation("R12", _w(a, d[i]), _w(d[n - i + 1], a1)))
     for i in range(1, n):  # R13
-        out.append(Relation("R13", _w(a(), s(i)), _w(s(n - i), a())))
-    out.append(Relation("R14", _w(a(), s(n)), _w(s(n), a())))
+        out.append(Relation("R13", _w(a, s[i]), _w(s[n - i], a)))
+    out.append(Relation("R14", _w(a, s[n]), _w(s[n], a)))
     return out
 
 

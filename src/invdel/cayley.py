@@ -9,8 +9,8 @@ images read in a cyclic order (`row_is_popi`).
 the circular adjacent inversions together with the partial identity on
 {1..n-1}: the number of elements a breadth-first closure from the
 identity reaches, checked against the closed form `monoid_size(n)`.  The
-closure walks inverse rows packed 4 bits to a value into one int, where
-each generator's right product is a swap or a clear of fields.
+closure walks image rows as bytes, where each generator's right product
+rewrites values: one `bytes.translate` per product.
 
 `solve_pair_via_cayley` is one of the routes to the alignment cost `mu`:
 a breadth-first search in the Cayley graph of the pairing's rank class,
@@ -46,24 +46,23 @@ def _inversion_rows(m: int) -> list[ImageRow]:
     return [eval_generator(g).image_row for g in inversion_set(m)]
 
 
-def _inverse_rows(n: int) -> set[int]:
-    """The packed inverse rows (see `enumerate_monoid`) that a
-    breadth-first closure from the identity reaches under right products
-    by the generators of the monoid on n points."""
-    moves = [(4 * a, 4 * b, 1 << 4 * a | 1 << 4 * b) for a, b in _swap_pairs(n)]
-    keep = ~(15 << 4 * (n - 1))
-    identity = sum(v << 4 * (v - 1) for v in range(1, n + 1))
+def _image_rows(n: int) -> set[bytes]:
+    """The byte image rows (see `enumerate_monoid`) that a breadth-first
+    closure from the identity reaches under right products by the
+    generators of the monoid on n points."""
+    tables = []
+    for a, b in _swap_pairs(n):
+        table = bytearray(range(256))
+        table[a + 1], table[b + 1] = b + 1, a + 1
+        tables.append(bytes(table))
+    tables.append(bytes(range(n)) + b"\0" + bytes(range(n + 1, 256)))
+    identity = bytes(range(1, n + 1))
     seen, layer = {identity}, [identity]
     while layer:
         new = []
         for x in layer:
-            y = x & keep
-            if y not in seen:
-                seen.add(y)
-                new.append(y)
-            for sa, sb, both in moves:
-                # the xor of the two fields, written back into both, swaps them
-                y = x ^ ((x >> sa ^ x >> sb) & 15) * both
+            for table in tables:
+                y = x.translate(table)
                 if y not in seen:
                     seen.add(y)
                     new.append(y)
@@ -76,18 +75,14 @@ def enumerate_monoid(n: int) -> int:
     """The number of elements of the partial-permutation monoid on n
     points that a breadth-first closure from the identity reaches.
 
-    The closure walks inverse rows, not image rows.  An element is
-    determined by its inverse, and inversion is a bijection on the monoid,
-    so the two sets have the same size.  An inverse row is packed into one
-    int: field v - 1 (4 bits) holds the position that maps to v, or 0 when
-    nothing does.  A right product by the inversion on (a, b) exchanges
-    the values a and b of the image row, so it swaps fields a - 1 and
-    b - 1.  A right product by the partial identity on {1..n-1} undefines
-    the value n, so it clears field n - 1.
+    The closure walks image rows as bytes.  A right product by a generator
+    rewrites the row's values, so each product is one `bytes.translate`
+    with a 256-byte table: the inversion on (a, b) exchanges the values a
+    and b, and the partial identity on {1..n-1} maps n to 0 (undefined).
     """
     if not 1 <= n <= MAX_ENUM:
         raise CapacityError(f"monoid enumeration supports 1 <= n <= {MAX_ENUM}, got {n}")
-    return len(_inverse_rows(n))
+    return len(_image_rows(n))
 
 
 def solve_pair_via_cayley(sigma: PartialPerm) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -118,6 +119,16 @@ def test_relation_table_contains_figure_instances():
     assert ("R4", "s3;5 d2;5", "d2;5 s2;4") in rels
 
 
+def test_relation_table_is_pinned():
+    # every instance for n = 2..8, in order: the 343 that `verify --relations`
+    # checks by default
+    lines = [f"{r.rule}: {format_word(r.lhs)} = {format_word(r.rhs)}"
+             for n in range(2, 9) for r in relation_table(n)]
+    assert len(lines) == 343
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "3837a067fa649b62fe8d5431ea052ee799bacb843ae1e9d355e01ecd7067bf27"
+
+
 def test_relation_table_small_sizes_evaluate_equal():
     for n in (2, 3, 4, 5):
         rels = relation_table(n)
@@ -202,7 +213,7 @@ def test_inversion_set_deduplicates_n2():
     assert len(inversion_set(1)) == 1
 
 
-# -- the folded evaluation against the product of generator maps ---------------
+# -- the in-place evaluation against the product of generator maps -------------
 
 def letters_at(size):
     """Every generator starting at `size`: all inversion indices, the
@@ -277,3 +288,10 @@ def test_eval_word_keeps_the_size_cap():
         eval_word(Word((), 17))
     with pytest.raises(CapacityError):
         eval_word(Word([Generator.deletion(17, 17)]))
+
+
+def test_apply_to_frame_keeps_the_size_cap():
+    f = frame([f"r{i}" for i in range(17)])
+    for w in (Word((), 17), Word([Generator.deletion(17, 17)]), Word([Generator.rotation(17)])):
+        with pytest.raises(CapacityError):
+            apply_to_frame(f, w)

@@ -6,7 +6,7 @@ import pytest
 
 from invdel import (CapacityError, PartialPerm, all_partial_perms, enumerate_monoid,
                     monoid_size, solve_pair)
-from invdel.cayley import _inverse_rows, _inversion_rows
+from invdel.cayley import _image_rows, _inversion_rows
 from invdel.pperm import _compose
 
 from class_tables import class_cost, class_costs, descent
@@ -38,11 +38,10 @@ def test_second_count_is_a_cache_hit():
     assert (info.misses, info.hits) == (1, 1)
 
 
-def test_closure_reaches_exactly_the_inverse_rows():
-    # field v - 1 of a packed row is the position that maps to v, or 0
-    for n in range(1, 5):
-        unpacked = {tuple(x >> 4 * v & 15 for v in range(n)) for x in _inverse_rows(n)}
-        assert unpacked == {p.inverse().image_row for p in all_partial_perms(n, n)}
+def test_closure_reaches_exactly_the_image_rows():
+    # byte i - 1 of a row is the image of i, or 0
+    for n in range(1, 6):
+        assert _image_rows(n) == {bytes(p.image_row) for p in all_partial_perms(n, n)}
 
 
 def test_inversion_products_stay_in_the_closure_and_rank():

@@ -200,7 +200,8 @@ def _reference_balanced_steps(sigma, max_steps):
     expanded = set()
     for steps in range(max_steps + 1):
         for row, _ in layer:
-            if PartialPerm.from_image(sigma.n, row).is_order_preserving():
+            defined = [v for v in row if v]
+            if defined == sorted(defined):
                 return steps
         halfway = {(left, parity) for row, parity in layer for left in _left_moves(row)}
         halfway -= expanded
