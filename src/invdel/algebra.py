@@ -14,41 +14,43 @@ themselves or a frame's tokens.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import cache
-from typing import Iterable, Iterator
 
 from .errors import InvalidArgumentError, WordTypeError
 from .genome import ReferenceFrame
-from .pperm import PartialPerm, _check_size
+from .pperm import PartialPerm, _ReadOnly, _check_size
 
 INV, DEL, ROT, REFL = "inv", "del", "rot", "refl"
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(namedtuple("Generator", "kind i n")):
     """One event symbol: inversion s, deletion d, rotation c, reflection a."""
 
-    kind: str
-    i: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidArgumentError(f"generator size must be >= 1, got {self.n}")
-        if self.kind == INV:
-            if not 1 <= self.i <= self.n:
-                raise InvalidArgumentError(f"inversion index {self.i} outside 1..{self.n}")
-        elif self.kind == DEL:
-            if self.n < 2:
+    def __new__(cls, kind: str, i: int, n: int) -> Generator:
+        if n < 1:
+            raise InvalidArgumentError(f"generator size must be >= 1, got {n}")
+        if kind == INV:
+            if not 1 <= i <= n:
+                raise InvalidArgumentError(f"inversion index {i} outside 1..{n}")
+        elif kind == DEL:
+            if n < 2:
                 raise InvalidArgumentError("deletions need size >= 2")
-            if not 1 <= self.i <= self.n:
-                raise InvalidArgumentError(f"deletion index {self.i} outside 1..{self.n}")
-        elif self.kind in (ROT, REFL):
-            if self.i != 0:
+            if not 1 <= i <= n:
+                raise InvalidArgumentError(f"deletion index {i} outside 1..{n}")
+        elif kind in (ROT, REFL):
+            if i != 0:
                 raise InvalidArgumentError("rotation/reflection carries no index")
         else:
-            raise InvalidArgumentError(f"unknown generator kind {self.kind!r}")
+            raise InvalidArgumentError(f"unknown generator kind {kind!r}")
+        return tuple.__new__(cls, (kind, i, n))
+
+    @classmethod
+    def _make(cls, values: Iterable) -> Generator:  # so `_replace` checks too
+        return cls(*values)
 
     @classmethod
     def inversion(cls, i: int, n: int) -> Generator:
@@ -107,7 +109,7 @@ def eval_generator(g: Generator) -> PartialPerm:
     return PartialPerm.from_image(n, [n + 1 - j for j in range(1, n + 1)])
 
 
-class Word:
+class Word(_ReadOnly):
     """A composable sequence of generators, with its source size.
 
     The source size is explicit so the empty word is well-typed.
@@ -120,16 +122,20 @@ class Word:
         if src is None:
             if not letters:
                 raise WordTypeError("empty word needs an explicit source size")
-            src = letters[0].src
+            src = letters[0].n
         size = src
         for g in letters:
-            if g.src != size:
-                raise WordTypeError(
-                    f"generator {g} expects size {g.src} but the word is at size {size}"
-                )
-            size = g.tgt
-        self.letters = letters
-        self.src = src
+            # `Generator.src` and `tgt` read from the fields: a letter starts
+            # at size n, and ends there too unless it deletes
+            n = g.n
+            if n != size:
+                raise WordTypeError(f"generator {g} expects size {n} but the word is at size {size}")
+            size = n - 1 if g.kind == DEL else n
+        _set_letters(self, letters)
+        _set_src(self, src)
+
+    def __reduce__(self):  # the slots cannot be set on a bare instance
+        return Word, (self.letters, self.src)
 
     @property
     def tgt(self) -> int:
@@ -170,6 +176,12 @@ class Word:
 
     def __str__(self) -> str:
         return format_word(self)
+
+
+# the slots' own setters, which assignment on a Word cannot reach; they
+# cost half what `object.__setattr__` does, and words are built by the
+# thousand
+_set_letters, _set_src = Word.letters.__set__, Word.src.__set__
 
 
 def _move(entries: list, w: Word) -> None:
@@ -271,11 +283,7 @@ def inversion_set(n: int) -> list[Generator]:
 
 # -- the relation table R1..R14 ----------------------------------------------
 
-@dataclass(frozen=True)
-class Relation:
-    rule: str
-    lhs: Word
-    rhs: Word
+Relation = namedtuple("Relation", "rule lhs rhs")
 
 
 def _w(*gens: Generator) -> Word:

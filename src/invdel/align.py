@@ -121,15 +121,15 @@ the full product as the reference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from functools import cached_property, partial
 from itertools import chain, combinations, count
-from typing import Callable, Iterator, Sequence
 
 from .errors import CapacityError, InvalidArgumentError
 from .algebra import Generator, Word
 from .genome import Genome, ReferenceFrame
-from .pperm import PartialPerm, _descents, _swap_pairs, _swap_positions, _swap_values
+from .pperm import PartialPerm, _ReadOnly, _descents, _swap_pairs, _swap_positions, _swap_values
 
 ImageRow = tuple[int, ...]
 
@@ -141,13 +141,13 @@ ImageRow = tuple[int, ...]
 MAX_STATES = 1_200_000
 
 
-@dataclass(frozen=True, eq=False)
-class AlignmentSolution:
+class AlignmentSolution(namedtuple("AlignmentSolution", "cost witness"), _ReadOnly):
     """A minimum alignment: its cost, and its witness, built on first read:
-    inversion words L and R with L * sigma * R orientation preserving."""
+    inversion words L and R with L * sigma * R orientation preserving.
 
-    cost: int
-    witness: Callable[[], tuple[Word, Word]] = field(repr=False)
+    `witness` is a function of no arguments returning the two words.  The
+    class keeps an instance dict, where `cached_property` stores them, so
+    `_ReadOnly`, not `__slots__`, refuses assignment."""
 
     @cached_property
     def _words(self) -> tuple[Word, Word]:
@@ -159,11 +159,17 @@ class AlignmentSolution:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, AlignmentSolution) and self._words == other._words
 
+    def __ne__(self, other: object) -> bool:  # not tuple's, which compares the fields
+        return not self == other
+
     def __hash__(self) -> int:
         return hash(self._words)
 
     def __reduce__(self):  # a pickle holds the words, not the function that builds them
         return AlignmentSolution, (self.cost, partial(tuple, self._words))
+
+    def __repr__(self) -> str:
+        return f"AlignmentSolution(cost={self.cost!r})"
 
 
 def _lift(row: ImageRow) -> tuple[list[int], list[int], int]:

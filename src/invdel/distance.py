@@ -9,22 +9,20 @@ private regions of each side are interleaved into one circle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CapacityError, InvalidArgumentError, NoPathError
 from .algebra import Generator, Word, apply_to_frame
-from .align import AlignmentSolution, reference_pairs, solve_sources
+from .align import reference_pairs, solve_sources
 from .genome import Genome, ReferenceFrame
 from .pperm import MAX_POSITIONS, sigma_from_frames
 
 
-@dataclass(frozen=True)
-class DistanceResult:
-    """Deletions plus the alignment cost `mu` of the best reference pair."""
+class DistanceResult(namedtuple("DistanceResult", "deletions best_pair solution")):
+    """Deletions plus the alignment cost `mu` of the best reference pair
+    (two reference frames), whose `solution` is an AlignmentSolution."""
 
-    deletions: int
-    best_pair: tuple[ReferenceFrame, ReferenceFrame]
-    solution: AlignmentSolution
+    __slots__ = ()
 
     @property
     def mu(self) -> int:
@@ -77,15 +75,13 @@ def directed_distance(g1: Genome, g2: Genome) -> int:
 
 # -- ancestor construction -------------------------------------------------------
 
-@dataclass(frozen=True)
-class AncestorScenario:
+class AncestorScenario(namedtuple("AncestorScenario",
+                                  "ancestor_frame events_to_g1 events_to_g2 gap_sets")):
     """A most recent common ancestor with one fixed frame and the event
-    words leading to each descendant."""
+    words leading to each descendant; `gap_sets` holds tuples of region
+    labels."""
 
-    ancestor_frame: ReferenceFrame
-    events_to_g1: Word
-    events_to_g2: Word
-    gap_sets: tuple[tuple[str, ...], ...]
+    __slots__ = ()
 
     @property
     def ancestor(self) -> Genome:

@@ -8,8 +8,7 @@ across platforms, so scenarios are reproducible fixtures.
 from __future__ import annotations
 
 import random
-import string
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CapacityError, InvalidArgumentError
 from .algebra import Generator, Word, apply_to_frame
@@ -17,14 +16,12 @@ from .genome import Genome
 from .pperm import MAX_POSITIONS
 
 
-@dataclass(frozen=True)
-class EvolutionScenario:
-    ancestor: Genome
-    branch1: Word
-    branch2: Word
-    genome1: Genome
-    genome2: Genome
-    seed: int
+class EvolutionScenario(namedtuple("EvolutionScenario",
+                                   "ancestor branch1 branch2 genome1 genome2 seed")):
+    """A simulated pair: the ancestor genome, the two branch words, the
+    genomes they lead to, and the seed that drew them."""
+
+    __slots__ = ()
 
     @property
     def event_count(self) -> int:
@@ -35,7 +32,7 @@ def random_genome(n: int, seed: int) -> Genome:
     """A uniformly random circular arrangement of the first n letters."""
     if not 1 <= n <= MAX_POSITIONS:
         raise CapacityError(f"genome size must be 1..{MAX_POSITIONS}, got {n}")
-    tokens = list(string.ascii_lowercase[:n])
+    tokens = list("abcdefghijklmnopqrstuvwxyz"[:n])
     random.Random(seed).shuffle(tokens)
     return Genome.from_tokens(tokens)
 

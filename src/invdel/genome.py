@@ -9,24 +9,28 @@ or list they came from; no universe of all regions is kept.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import GenomeParseError, InvalidArgumentError
 
 
-@dataclass(frozen=True)
-class ReferenceFrame:
+class ReferenceFrame(namedtuple("ReferenceFrame", "tokens")):
     """One concrete clockwise reading of a circular genome: its region
     labels, distinct, from position 1 on."""
 
-    tokens: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.tokens:
+    def __new__(cls, tokens: tuple[str, ...]) -> ReferenceFrame:
+        if not tokens:
             raise InvalidArgumentError("a reference frame needs at least one region")
-        if len(set(self.tokens)) != len(self.tokens):
+        if len(set(tokens)) != len(tokens):
             raise InvalidArgumentError("regions in a frame must be distinct")
+        return tuple.__new__(cls, (tokens,))
+
+    @classmethod
+    def _make(cls, values: Iterable) -> ReferenceFrame:  # so `_replace` checks too
+        return cls(*values)
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> ReferenceFrame:
@@ -47,12 +51,11 @@ def _orbit(tokens: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
             yield word[k:] + word[:k]
 
 
-@dataclass(frozen=True)
-class Genome:
+class Genome(namedtuple("Genome", "canonical")):
     """A dihedral equivalence class of frames, keyed by its least frame:
     genomes with the same labels in the same circular order are equal."""
 
-    canonical: ReferenceFrame
+    __slots__ = ()
 
     @classmethod
     def from_frame(cls, frame: ReferenceFrame) -> Genome:

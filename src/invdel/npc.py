@@ -24,8 +24,8 @@ is what makes the encoding faithful.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .errors import CapacityError, InvalidArgumentError
 from .pperm import MAX_POSITIONS, PartialPerm
@@ -33,16 +33,19 @@ from .pperm import MAX_POSITIONS, PartialPerm
 MAX_ROWS = 400_000  # rows one balanced search may add to its layers
 
 
-@dataclass(frozen=True)
-class BalancedSortInstance:
-    sigma: PartialPerm
-    k: int
+class BalancedSortInstance(namedtuple("BalancedSortInstance", "sigma k")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sigma.m != self.sigma.n:
+    def __new__(cls, sigma: PartialPerm, k: int) -> BalancedSortInstance:
+        if sigma.m != sigma.n:
             raise InvalidArgumentError("balanced sorting is defined on square partial permutations")
-        if self.k < 0:
+        if k < 0:
             raise InvalidArgumentError("budget must be non-negative")
+        return tuple.__new__(cls, (sigma, k))
+
+    @classmethod
+    def _make(cls, values: Iterable) -> BalancedSortInstance:  # so `_replace` checks too
+        return cls(*values)
 
 
 def reduce_partition(values: Sequence[int]) -> BalancedSortInstance:

@@ -73,7 +73,20 @@ def _check_size(m: int, n: int) -> None:
         )
 
 
-class PartialPerm:
+class _ReadOnly:
+    """Refuses assigning or deleting any attribute; a constructor that sets
+    fields does so through the slots' own setters, such as `_set_m`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PartialPerm(_ReadOnly):
     """An injective partial map from {1..m} to {1..n}."""
 
     __slots__ = ("m", "n", "_img")
@@ -94,9 +107,9 @@ class PartialPerm:
                 raise InvalidArgumentError(f"image point {j} hit twice (not injective)")
             seen.add(j)
             img[i - 1] = j
-        self.m = m
-        self.n = n
-        self._img = tuple(img)
+        _set_m(self, m)
+        _set_n(self, n)
+        _set_img(self, tuple(img))
 
     @classmethod
     def from_image(cls, n: int, image: Sequence[int]) -> PartialPerm:
@@ -106,10 +119,13 @@ class PartialPerm:
     @classmethod
     def _unchecked(cls, m: int, n: int, img: tuple[int, ...]) -> PartialPerm:
         self = object.__new__(cls)
-        self.m = m
-        self.n = n
-        self._img = img
+        _set_m(self, m)
+        _set_n(self, n)
+        _set_img(self, img)
         return self
+
+    def __reduce__(self):  # the slots cannot be set on a bare instance
+        return PartialPerm, (self.m, self.n, self.pairs())
 
     @classmethod
     def identity(cls, n: int) -> PartialPerm:
@@ -198,6 +214,12 @@ class PartialPerm:
     def is_orientation_preserving(self) -> bool:
         """True iff the images along the ascending domain are cyclic."""
         return row_is_popi(self._img)
+
+
+# the slots' own setters, which assignment on an instance cannot reach;
+# they cost half what `object.__setattr__` does, and `_unchecked` runs in
+# every product and word evaluation
+_set_m, _set_n, _set_img = PartialPerm.m.__set__, PartialPerm.n.__set__, PartialPerm._img.__set__
 
 
 def sigma_from_frames(tokens1: Sequence[str], tokens2: Sequence[str]) -> PartialPerm:

@@ -689,6 +689,16 @@ def test_cli_imports_only_the_standard_library():
     assert set(done.stdout.split()) - sys.stdlib_module_names == {"invdel"}
 
 
+def test_cli_leaves_the_slow_standard_modules_unloaded():
+    # -S keeps site out, so a module in sys.modules was loaded by invdel
+    script = ("import sys, invdel.cli\n"
+              "print(' '.join(sorted({'dataclasses', 'inspect', 'typing', 'string'} & set(sys.modules))))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == []
+
+
 # a report that cannot be written exits 1; --help and --version exit 0,
 # as argparse does when its own write fails
 PAIR_EVENTS = ["distance", "{pair}", "A", "B", "--emit-events"]

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -237,11 +236,11 @@ def test_verify_rejects_tampered_scenario():
 
 
 @pytest.mark.parametrize("tamper, problem", [
-    (lambda sc: replace(sc, events_to_g2=sc.events_to_g2 + Word([Generator.inversion(1, 4)])),
+    (lambda sc: sc._replace(events_to_g2=sc.events_to_g2 + Word([Generator.inversion(1, 4)])),
      "side 2 lands in"),
-    (lambda sc: replace(sc, events_to_g1=Word((), 3)),
+    (lambda sc: sc._replace(events_to_g1=Word((), 3)),
      "side 1 replay failed: word starts at size 3 but frame has 4 regions"),
-    (lambda sc: replace(sc, events_to_g2=Word((), 5)),
+    (lambda sc: sc._replace(events_to_g2=Word((), 5)),
      "side 2 replay failed: word starts at size 5 but frame has 4 regions"),
 ], ids=["side-2-elsewhere", "replay-raises", "side-2-replay-raises"])
 def test_verify_reports_a_bad_replay(tamper, problem):
