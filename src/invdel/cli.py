@@ -3,14 +3,21 @@
 Exit codes: 0 success, 1 internal or verification failure, 2 user-input
 error.  Every command accepts --json for a machine-readable mirror of its
 report (schema versioned; changes are additive).
+
+Each command's grammar is written once, in COMMANDS.  `main` reads a
+well-formed argv from that table itself; argparse, whose parser is made
+from the same table, is imported only for every other argv: help,
+--version, the spellings only argparse reads ("--opt=value",
+abbreviations, "--") and every usage error, so those print and exit as
+argparse does.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from functools import cache
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import InvdelError, CapacityError
@@ -239,77 +246,136 @@ def cmd_reduce_partition(args) -> int:
     return EXIT_OK
 
 
-# -- parser ------------------------------------------------------------------------
+# -- grammar ----------------------------------------------------------------------
+
+# Each command's grammar, written once: its help, its arguments in the order
+# argparse adds them (a name, then the keywords of `add_argument`), and the
+# options that exclude each other.  `main` reads a well-formed argv against
+# it; `build_parser` makes the argparse parser from it for every other argv.
+# Each command takes only the options it reads: every one --json, the sized
+# ones --max-n (verify its own, capping the relation table), and distance
+# alone the two ignored options.
+_JSON = ("--json", {"action": "store_true", "help": "emit a JSON report"})
+_MAX_N = ("--max-n", {"type": int, "default": 8,
+                      "help": f"largest genome size accepted (default 8, cap {MAX_POSITIONS})"})
+_IGNORED = "ignored; kept until the benchmark's cayley-matrix workload is retired"
+
+COMMANDS = {
+    "distance": ("distance between two named genomes", [
+        _JSON, _MAX_N,
+        ("file", {"help": "genome text file"}), ("genome1", {}), ("genome2", {}),
+        ("--engine", {"choices": ["onthefly", "cayley"], "default": "onthefly",
+                      "help": _IGNORED}),
+        ("--cache-dir", {"default": None, "help": _IGNORED}),
+        ("--directed", {"action": "store_true",
+                        "help": "one-sided inversion/deletion distance (needs R2 within R1)"}),
+        ("--emit-events", {"action": "store_true",
+                           "help": "also print the witnessing inversion words"}),
+    ], ("--directed", "--emit-events")),  # the one-sided distance has no witness words
+    "mrca": ("reconstruct the most recent common ancestor", [
+        _JSON, _MAX_N, ("file", {}), ("genome1", {}), ("genome2", {}),
+    ], ()),
+    "matrix": ("all-pairs distance matrix", [
+        _JSON, _MAX_N, ("file", {}),
+        ("--format", {"choices": ["phylip", "tsv"], "default": "phylip"}),
+    ], ()),
+    "verify": ("run the relation suite and/or enumeration counts", [
+        _JSON,
+        ("--max-n", {"type": int, "default": 8,
+                     "help": f"largest n of the relation table (default 8, cap {MAX_POSITIONS})"}),
+        ("--relations", {"action": "store_true"}),
+        ("--enumerate", {"type": int, "default": None, "metavar": "N"}),
+    ], ()),
+    "simulate": ("simulate a pair of genomes from a random ancestor", [
+        _JSON, _MAX_N,
+        ("--size", {"type": int, "required": True, "help": "ancestor region count"}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--deletions1", {"type": int, "default": 0}),
+        ("--inversions1", {"type": int, "default": 0}),
+        ("--deletions2", {"type": int, "default": 0}),
+        ("--inversions2", {"type": int, "default": 0}),
+    ], ()),
+    "reduce-partition": ("encode a multiset as a balanced sorting instance", [
+        _JSON, ("multiset", {"help": "comma-separated positive integers, e.g. 1,1,2,3,4"}),
+    ], ()),
+}
+
+
+def _command(name: str):
+    """The function that runs a command, looked up when an argv is read, so
+    a rebound `cmd_*` name is the one called."""
+    return globals()["cmd_" + name.replace("-", "_")]
+
+
+def _read_argv(argv) -> SimpleNamespace | None:
+    """The namespace argparse gives `argv`, read from COMMANDS, when `argv`
+    is a command name, then exact option spellings, each value not starting
+    with "-" and passing its option's type and choices, and exactly the
+    command's positionals, in any order; otherwise None.  Help, --version,
+    "--opt=value", abbreviations, "--" and every usage error are None."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, arguments, exclusive = COMMANDS[argv[0]]
+    values = {"command": argv[0]}
+    options, positionals = {}, []
+    for name, kwargs in arguments:
+        if name[0] == "-":
+            dest = name[2:].replace("-", "_")
+            options[name] = dest, kwargs
+            values[dest] = kwargs.get("default", False if "action" in kwargs else None)
+        else:
+            positionals.append(name)
+            values[name] = None
+    given, seen = [], set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            given.append(token)
+            continue
+        if token not in options:
+            return None
+        dest, kwargs = options[token]
+        seen.add(token)
+        if "action" in kwargs:  # store_true
+            values[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value[:1] == "-":
+            return None
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except ValueError:
+                return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        values[dest] = value
+    if (len(given) != len(positionals) or exclusive and seen.issuperset(exclusive)
+            or any(kwargs.get("required") and name not in seen for name, kwargs in arguments)):
+        return None
+    values.update(zip(positionals, given))
+    values["func"] = _command(argv[0])
+    return SimpleNamespace(**values)
+
 
 @cache  # built on the first call, then shared: parsing leaves it unchanged
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of COMMANDS, which reads every argv that
+    `_read_argv` leaves: help, version and usage errors are argparse's."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="invdel",
         description="Inversion/deletion distances and ancestors for circular genomes.",
     )
     parser.add_argument("--version", action="version", version=f"invdel {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # each subcommand takes only the options it reads: every one --json,
-    # the sized ones --max-n (verify its own, capping the relation table),
-    # and distance alone the two ignored options
-    report = argparse.ArgumentParser(add_help=False)
-    report.add_argument("--json", action="store_true", help="emit a JSON report")
-    sized = argparse.ArgumentParser(add_help=False, parents=[report])
-    sized.add_argument("--max-n", type=int, default=8,
-                       help=f"largest genome size accepted (default 8, cap {MAX_POSITIONS})")
-
-    p = sub.add_parser("distance", parents=[sized],
-                       help="distance between two named genomes")
-    p.add_argument("file", help="genome text file")
-    p.add_argument("genome1")
-    p.add_argument("genome2")
-    ignored = "ignored; kept until the benchmark's cayley-matrix workload is retired"
-    p.add_argument("--engine", choices=["onthefly", "cayley"], default="onthefly", help=ignored)
-    p.add_argument("--cache-dir", default=None, help=ignored)
-    # the one-sided distance has no witness words to print
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--directed", action="store_true",
-                      help="one-sided inversion/deletion distance (needs R2 within R1)")
-    mode.add_argument("--emit-events", action="store_true",
-                      help="also print the witnessing inversion words")
-    p.set_defaults(func=cmd_distance)
-
-    p = sub.add_parser("mrca", parents=[sized],
-                       help="reconstruct the most recent common ancestor")
-    p.add_argument("file")
-    p.add_argument("genome1")
-    p.add_argument("genome2")
-    p.set_defaults(func=cmd_mrca)
-
-    p = sub.add_parser("matrix", parents=[sized], help="all-pairs distance matrix")
-    p.add_argument("file")
-    p.add_argument("--format", choices=["phylip", "tsv"], default="phylip")
-    p.set_defaults(func=cmd_matrix)
-
-    p = sub.add_parser("verify", parents=[report],
-                       help="run the relation suite and/or enumeration counts")
-    p.add_argument("--max-n", type=int, default=8,
-                   help=f"largest n of the relation table (default 8, cap {MAX_POSITIONS})")
-    p.add_argument("--relations", action="store_true")
-    p.add_argument("--enumerate", type=int, default=None, metavar="N")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("simulate", parents=[sized],
-                       help="simulate a pair of genomes from a random ancestor")
-    p.add_argument("--size", type=int, required=True, help="ancestor region count")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--deletions1", type=int, default=0)
-    p.add_argument("--inversions1", type=int, default=0)
-    p.add_argument("--deletions2", type=int, default=0)
-    p.add_argument("--inversions2", type=int, default=0)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("reduce-partition", parents=[report],
-                       help="encode a multiset as a balanced sorting instance")
-    p.add_argument("multiset", help="comma-separated positive integers, e.g. 1,1,2,3,4")
-    p.set_defaults(func=cmd_reduce_partition)
-
+    for command, (summary, arguments, exclusive) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        group = p.add_mutually_exclusive_group() if exclusive else p
+        for name, kwargs in arguments:
+            (group if name in exclusive else p).add_argument(name, **kwargs)
+        p.set_defaults(func=_command(command))
     return parser
 
 
@@ -322,18 +388,22 @@ def _drop_stdout() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit:
-        # --help and --version print and exit inside the parser, which
-        # ignores a failed write; a failed flush is ignored the same way
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
         try:
-            sys.stdout.flush()
-        except BrokenPipeError:
-            _drop_stdout()
-        raise
+            args = build_parser().parse_args(argv)
+        except SystemExit:
+            # --help and --version print and exit inside the parser, which
+            # ignores a failed write; a failed flush is ignored the same way
+            try:
+                sys.stdout.flush()
+            except BrokenPipeError:
+                _drop_stdout()
+            raise
     try:
-        if "max_n" in args and not 1 <= args.max_n <= MAX_POSITIONS:
+        if hasattr(args, "max_n") and not 1 <= args.max_n <= MAX_POSITIONS:
             raise CapacityError(f"--max-n must be 1..{MAX_POSITIONS}")
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

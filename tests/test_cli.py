@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -34,8 +37,21 @@ def genome_file(tmp_path):
     return str(path)
 
 
+def checked(argv):
+    """argv, once the grammar table has left it to argparse or read it as
+    argparse does; every argv these tests pass to `main` goes through here."""
+    args = cli._read_argv(argv)
+    if args is not None:
+        try:
+            expected = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the table read {argv}, which argparse refuses")
+        assert vars(args) == vars(expected), argv
+    return argv
+
+
 def run(capsys, *argv):
-    code = main(list(argv))
+    code = main(checked(list(argv)))
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -127,7 +143,7 @@ def test_directed_rejects_emit_events(genome_file, capsys):
     # the one-sided distance has no witness words, so asking for them is
     # refused rather than silently dropped
     with pytest.raises(SystemExit) as exc:
-        main(["distance", genome_file, "G1", "SUB", "--directed", "--emit-events"])
+        main(checked(["distance", genome_file, "G1", "SUB", "--directed", "--emit-events"]))
     assert exc.value.code == 2
     assert "not allowed with argument --directed" in capsys.readouterr().err
 
@@ -162,7 +178,7 @@ def test_capacity_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "distance", str(path), "BIG", "T")
     assert code == 2
     assert "--max-n" in err
-    assert main(["distance", str(path), "BIG", "T", "--max-n", "9"]) == 0
+    assert main(checked(["distance", str(path), "BIG", "T", "--max-n", "9"])) == 0
 
 
 def test_max_n_checks_only_the_named_genomes(tmp_path, capsys):
@@ -431,7 +447,7 @@ def test_verify_needs_something_to_check(capsys):
 
 def test_verify_help_describes_max_n_as_the_relation_table_bound(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--help"])
+        main(checked(["verify", "--help"]))
     assert exc.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
     assert "--max-n MAX_N largest n of the relation table (default 8, cap 16)" in text
@@ -505,7 +521,7 @@ def test_verify_relations_below_the_table_floor_is_exit_2(capsys):
         "matrix-engine", "matrix-cache-dir", "simulate-engine", "simulate-cache-dir"])
 def test_subcommands_reject_options_they_do_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(checked(argv))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -592,12 +608,96 @@ def test_parser_is_shared_across_calls(tmp_path, capsys):
     assert run(capsys, "distance", str(path), "BIG", "T", "--max-n", "9")[0] == 0
     assert run(capsys, "distance", str(path), "BIG", "T")[0] == 2
     with pytest.raises(SystemExit) as exc:
-        main(["distance", str(path), "BIG", "T", "--engine", "nope"])
+        main(checked(["distance", str(path), "BIG", "T", "--engine", "nope"]))
     assert exc.value.code == 2
     assert "invalid choice: 'nope'" in capsys.readouterr().err
     code, out, _ = run(capsys, "distance", str(path), "BIG", "T", "--max-n", "9", "--json")
     assert code == 0 and json.loads(out)["distance"] == 7
     assert build_parser() is build_parser()
+
+
+# the op shapes of the benchmark's four workloads, in perfbench/inputs.py
+BENCHMARK_ARGVS = [
+    ["distance", "{file}", "A", "B", "--json"],
+    ["mrca", "{file}", "A", "B", "--json"],
+    ["distance", "{file}", "G0", "G1", "--engine", "cayley", "--cache-dir", "cache", "--json"],
+    ["reduce-partition", "1,1,2,3,4", "--json"],
+    ["verify", "--relations", "--max-n", "8", "--json"],
+    ["verify", "--enumerate", "6", "--json"],
+]
+
+# argv around the table's edge: help and version, the spellings only
+# argparse reads ("--opt=value", abbreviations, "--", a value starting with
+# "-"), and each usage error, beside well-formed argv in unusual orders
+EDGE_ARGVS = [
+    [], ["-h"], ["--help"], ["--version"], ["nope"], ["--json", "distance", "{file}", "A", "B"],
+    ["distance"], ["distance", "-h"], ["distance", "{file}", "A", "B", "--help"],
+    ["distance", "{file}", "A"], ["distance", "{file}", "A", "B", "C"],
+    ["distance", "--json", "{file}", "--emit-events", "A", "--max-n", "9", "B"],
+    ["distance", "{file}", "A", "B", "--json", "--json", "--max-n", "3", "--max-n", "9"],
+    ["distance", "{file}", "A", "B", "--max-n=9", "--json"],
+    ["distance", "{file}", "A", "B", "--max", "9"],
+    ["distance", "{file}", "A", "B", "--emit"], ["distance", "{file}", "A", "B", "--e"],
+    ["distance", "--", "{file}", "A", "B"], ["distance", "{file}", "A", "B", "--"],
+    ["distance", "{file}", "A", "B", "--max-n"], ["distance", "{file}", "A", "B", "--max-n", "x"],
+    ["distance", "{file}", "A", "B", "--max-n", "-1"], ["distance", "{file}", "A", "B", "--max-n", " 9 "],
+    ["distance", "{file}", "A", "B", "--max-n", "+9"], ["distance", "{file}", "A", "B", "--max-n", ""],
+    ["distance", "{file}", "A", "B", "--engine", "nope"], ["distance", "{file}", "A", "B", "--engine="],
+    ["distance", "{file}", "A", "B", "--cache-dir", ""], ["distance", "{file}", "A", "B", "--cache-dir", "--json"],
+    ["distance", "{file}", "A", "B", "--directed", "--emit-events"],
+    ["distance", "{file}", "A", "B", "--emit-events", "--directed"],
+    ["distance", "{file}", "A", "B", "--directed", "--directed"],
+    ["distance", "{file}", "-", "B"], ["distance", "{file}", "", "B"], ["distance", "{file}", "A B", "-x y"],
+    ["distance", "{file}", "A", "B", "--format", "tsv"], ["distance", "{file}", "A", "B", "--full-pairs"],
+    ["mrca", "{file}", "A", "B", "--emit-events"], ["mrca", "--max-n", "12", "{file}", "A", "B"],
+    ["matrix", "{file}", "--format", "csv"], ["matrix", "--format", "tsv", "{file}"],
+    ["matrix", "{file}", "{file}"], ["matrix", "{file}", "--format"],
+    ["verify"], ["verify", "--relations", "--enumerate", "4", "--max-n", "3"],
+    ["verify", "--enumerate", "N"], ["verify", "--enumerate", "-3"], ["verify", "--enum", "3"],
+    ["verify", "extra"], ["verify", "--relations", "--max-n", "1_0"],
+    ["simulate"], ["simulate", "--seed", "3"], ["simulate", "--size", "5"], ["simulate", "--size=5"],
+    ["simulate", "--size", "5", "--seed", "-1"], ["simulate", "--seed", "4", "--size", "6", "--json"],
+    ["simulate", "--size", "5", "--deletions1", "1", "--inversions1", "2", "--deletions2", "0",
+     "--inversions2", "1", "--max-n", "9"],
+    ["simulate", "--size", "5", "--seed", "1.5"], ["simulate", "--size", "5", "--seed", "\u0663"],
+    ["reduce-partition"], ["reduce-partition", "1,2", "3"], ["reduce-partition", "-1,2"],
+    ["reduce-partition", "--json", "1,2"], ["reduce-partition", "1,2", "--max-n", "3"],
+]
+
+
+def readme_argvs():
+    """The argv of each `invdel` line in README's command examples."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return [shlex.split(line, comments=True)[1:] for line in text.splitlines()
+            if line.startswith("invdel ")]
+
+
+def argparse_reading(argv):
+    """vars of argparse's namespace for argv, or its exit status."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+def test_grammar_table_reads_argv_as_argparse_does(genome_file, monkeypatch):
+    # the table reads the benchmark's ops and README's examples itself;
+    # any other argv it reads as argparse does, or leaves to argparse
+    readme = readme_argvs()
+    assert readme, "README's command examples were not found"
+    own = [[arg.format(file=genome_file) for arg in argv] for argv in BENCHMARK_ARGVS] + readme
+    edge = [[arg.format(file=genome_file) for arg in argv] for argv in EDGE_ARGVS]
+    for argv in own + edge:
+        args = cli._read_argv(argv)
+        if args is None:
+            assert argv not in own, argv
+        else:
+            assert vars(args) == argparse_reading(argv), argv
+    # a command is looked up by name, so a rebound `cmd_*` is the one run
+    ran = []
+    monkeypatch.setattr(cli, "cmd_distance", lambda args: ran.append(args.file) or 0)
+    assert main(own[0]) == 0 and ran == [genome_file]
 
 
 def test_unwritable_cache_dir_warns_once(genome_file, tmp_path, capsys):
@@ -689,14 +789,22 @@ def test_cli_imports_only_the_standard_library():
     assert set(done.stdout.split()) - sys.stdlib_module_names == {"invdel"}
 
 
-def test_cli_leaves_the_slow_standard_modules_unloaded():
-    # -S keeps site out, so a module in sys.modules was loaded by invdel
+def test_cli_leaves_the_slow_standard_modules_unloaded(tmp_path):
+    # -S keeps site out, so a module in sys.modules was loaded by invdel;
+    # argparse (and its gettext) loads only for help, version and errors
+    path = tmp_path / "pair.txt"
+    path.write_text("A: a b c d\nB: a c b d\n")
+    slow = "{'dataclasses', 'inspect', 'typing', 'string', 'argparse', 'gettext'}"
     script = ("import sys, invdel.cli\n"
-              "print(' '.join(sorted({'dataclasses', 'inspect', 'typing', 'string'} & set(sys.modules))))\n")
+              f"print(' '.join(sorted({slow} & set(sys.modules))))\n"
+              f"code = invdel.cli.main(['distance', {str(path)!r}, 'A', 'B', '--json'])\n"
+              f"print(code, ' '.join(sorted({slow} & set(sys.modules))))\n")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.split() == []
+    imported, report, ran = done.stdout.split("\n")[:3]
+    assert (imported, ran.strip()) == ("", "0")
+    assert json.loads(report)["distance"] == 1
 
 
 # a report that cannot be written exits 1; --help and --version exit 0,
