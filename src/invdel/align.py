@@ -14,7 +14,9 @@ case) takes one of two routes.  When the two genomes have the same regions
 below.  Otherwise it deepens (Korf, 1985): for k = 0, 1, 2, ... it probes
 the sources in the order given, and the first source within k moves of a
 goal, an orientation-preserving pairing, wins at cost k.  States are
-image rows: a left move swaps two positions, a right move two values.
+byte rows (`pperm`): a left move swaps two positions, and a right move,
+which swaps two values, is one `bytes.translate` with a `_value_swaps`
+table.
 
 `probe(row, k)` finds a path to a goal within k moves.  A state is
 a goal when its defined images, read in position order, have at most one
@@ -28,7 +30,7 @@ on goals, and a move changes it by at most one, because a move with two
 defined endpoints is a move of the compressed row, and one with an empty
 endpoint leaves that row as it is or turns it cyclically (only across the
 wraparound), which changes no least rotation cost.  A search memoises the
-bound by the tuple of defined images and by its relabelled row.  Past the
+bound by the defined images and by its relabelled row.  Past the
 prunes the probe tries the children in code order, skipping a move whose
 endpoints are both empty (it fixes the state), and on failure records k
 as the largest bound the state failed at, so a revisit within it fails
@@ -129,9 +131,7 @@ from itertools import chain, combinations, count
 from .errors import CapacityError, InvalidArgumentError
 from .algebra import Generator, Word
 from .genome import Genome, ReferenceFrame
-from .pperm import PartialPerm, _ReadOnly, _descents, _swap_pairs, _swap_positions, _swap_values
-
-ImageRow = tuple[int, ...]
+from .pperm import PartialPerm, _ReadOnly, _descents, _swap_pairs, _swap_positions, _value_swaps
 
 # Most probe calls one partial-rank search may make, revisits included,
 # before it gives up with CapacityError; full rank has a closed form.
@@ -172,7 +172,7 @@ class AlignmentSolution(namedtuple("AlignmentSolution", "cost witness"), _ReadOn
         return f"AlignmentSolution(cost={self.cost!r})"
 
 
-def _lift(row: ImageRow) -> tuple[list[int], list[int], int]:
+def _lift(row: Sequence[int]) -> tuple[list[int], list[int], int]:
     """The shape of every rotation's lift of a full-rank row (module
     docstring): each token's displacement d_p at rotation 0, the tokens by
     d descending with ties by position, and k, the number sent backwards
@@ -182,7 +182,7 @@ def _lift(row: ImageRow) -> tuple[list[int], list[int], int]:
     return d, sorted(range(n), key=d.__getitem__, reverse=True), sum(d) // n
 
 
-def _rotation_costs(row: ImageRow) -> list[int]:
+def _rotation_costs(row: Sequence[int]) -> list[int]:
     """Fewest cyclic adjacent swaps taking a full-rank row to each of its
     n rotations, in one O(n^2) pass (module docstring)."""
     n = len(row)
@@ -207,7 +207,7 @@ def _rotation_costs(row: ImageRow) -> list[int]:
     return costs
 
 
-def _lowered(row: ImageRow, rotations: Sequence[int]) -> Iterator[tuple[int, int, int, list[int]]]:
+def _lowered(row: Sequence[int], rotations: Sequence[int]) -> Iterator[tuple[int, int, int, list[int]]]:
     """For each move in code order, its code, the positions x and z of its
     two tokens, and the rotations among `rotations` whose cost it lowers,
     by one; it raises the others' by one.
@@ -270,7 +270,7 @@ def _solve_full_rank(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolu
     n = sources[0].n
     best = None
     for index, sigma in enumerate(sources):
-        row = sigma.image_row
+        row = bytes(sigma.image_row)
         costs = _rotation_costs(row)
         cost = min(costs)
         if best is None or cost < best[0]:
@@ -294,13 +294,13 @@ def _solve_full_rank(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolu
     return index, AlignmentSolution(cost, witness)
 
 
-def _relabelled(values: tuple[int, ...]) -> tuple[int, ...]:
+def _relabelled(values: Sequence[int]) -> bytes:
     """Distinct values replaced by their ranks 1..r, in the same order."""
     rank = dict(zip(sorted(values), range(1, len(values) + 1)))
-    return tuple(map(rank.__getitem__, values))
+    return bytes(map(rank.__getitem__, values))
 
 
-def _compressed_cost(row: ImageRow) -> int:
+def _compressed_cost(row: bytes) -> int:
     """The compressed closed form of a pairing, given the `_relabelled`
     row of its defined images in position order: the least of the r
     rotation costs of that row (0 when r <= 2).  It is a lower bound on
@@ -315,18 +315,19 @@ def _prober(m: int, n: int):
     the codes of the moves to a goal, last move first (empty, and so
     falsy, at a goal)."""
     lefts = list(enumerate(_swap_pairs(m)))
-    rights = list(enumerate(((a + 1, b + 1) for a, b in _swap_pairs(n)), len(lefts)))
-    failed: dict[ImageRow, int] = {}
-    bounds: dict[tuple[int, ...], int] = {}
+    rights = list(enumerate(zip(((a + 1, b + 1) for a, b in _swap_pairs(n)), _value_swaps(n)),
+                            len(lefts)))
+    failed: dict[bytes, int] = {}
+    bounds: dict[bytes, int] = {}
     calls = 0
 
-    def probe(row: ImageRow, k: int) -> list[int] | None:
+    def probe(row: bytes, k: int) -> list[int] | None:
         nonlocal calls
         calls += 1
         if calls > MAX_STATES:
             raise CapacityError(f"the alignment search reached its budget of {MAX_STATES:,} "
                                 "probes; the pairing is too large to solve exactly")
-        values = tuple(filter(None, row))
+        values = row.replace(b"\0", b"")
         drops = _descents(values)
         if drops <= 1:
             return []
@@ -336,7 +337,7 @@ def _prober(m: int, n: int):
         if k >= 2:
             bound = bounds.get(values)
             if bound is None:
-                # keyed by both tuples: defined images in the same
+                # keyed by both rows: defined images in the same
                 # relative order share a relabelled row, hence a bound
                 relabelled = _relabelled(values)
                 bound = bounds.get(relabelled)
@@ -352,9 +353,9 @@ def _prober(m: int, n: int):
                 if path is not None:
                     path.append(code)
                     return path
-        for code, (u, v) in rights:
+        for code, ((u, v), table) in rights:
             if u in row or v in row:
-                path = probe(_swap_values(row, u, v), k - 1)
+                path = probe(row.translate(table), k - 1)
                 if path is not None:
                     path.append(code)
                     return path
@@ -371,9 +372,9 @@ def _search_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolut
     m, n = sources[0].m, sources[0].n
     probe, _ = _prober(m, n)
     # each distinct source row with the index of its first copy
-    starts: dict[ImageRow, int] = {}
+    starts: dict[bytes, int] = {}
     for index, sigma in enumerate(sources):
-        starts.setdefault(sigma.image_row, index)
+        starts.setdefault(bytes(sigma.image_row), index)
     for cost in count():
         for row, index in starts.items():
             path = probe(row, cost)
@@ -426,11 +427,10 @@ def mu_oracle(sigma: PartialPerm, depth_cap: int) -> int | None:
     if depth_cap < 0:
         raise InvalidArgumentError("depth cap must be >= 0")
     m, n = sigma.m, sigma.n
-    start = sigma.image_row
-    left_pairs = _swap_pairs(m)
-    right_values = [(a + 1, b + 1) for a, b in _swap_pairs(n)]
+    start = bytes(sigma.image_row)
+    left_pairs, right_tables = _swap_pairs(m), _value_swaps(n)
 
-    def cyclic(row: ImageRow) -> bool:
+    def cyclic(row: bytes) -> bool:
         images = [v for v in row if v]
         k = len(images)
         if k <= 1:
@@ -443,12 +443,12 @@ def mu_oracle(sigma: PartialPerm, depth_cap: int) -> int | None:
                     return False
         return True
 
-    def rights(row: ImageRow, b: int) -> bool:
+    def rights(row: bytes, b: int) -> bool:
         if b == 0:
             return cyclic(row)
-        return any(rights(_swap_values(row, u, v), b - 1) for u, v in right_values)
+        return any(rights(row.translate(table), b - 1) for table in right_tables)
 
-    def lefts(row: ImageRow, a: int, b: int) -> bool:
+    def lefts(row: bytes, a: int, b: int) -> bool:
         if a == 0:
             return rights(row, b)
         return any(lefts(_swap_positions(row, p, q), a - 1, b) for p, q in left_pairs)

@@ -1,16 +1,17 @@
 """Cayley graphs of partial permutations: the count of the monoid and the
 Cayley-graph route to the alignment cost.
 
-Elements are image rows: tuples whose entry for position i is the image
-of i, or 0 when i is undefined.  A row is a target when its defined
-images read in a cyclic order (`row_is_popi`).
+Elements are byte rows (`pperm`): byte i - 1 is the image of i, or 0
+when i is undefined.  A row is a target when its defined images read in
+a cyclic order (`row_is_popi`).  A product with an inversion on the left
+swaps two positions (`_swap_positions`); one on the right rewrites
+values, one `bytes.translate` with a `_value_swaps` table.
 
 `enumerate_monoid(n)` counts the square monoid on n points, generated by
 the circular adjacent inversions together with the partial identity on
 {1..n-1}: the number of elements a breadth-first closure from the
-identity reaches, checked against the closed form `monoid_size(n)`.  The
-closure walks image rows as bytes, where each generator's right product
-rewrites values: one `bytes.translate` per product.
+identity reaches under right products, checked against the closed form
+`monoid_size(n)`.
 
 `solve_pair_via_cayley` is one of the routes to the alignment cost `mu`:
 a breadth-first search in the Cayley graph of the pairing's rank class,
@@ -27,13 +28,10 @@ from functools import cache
 from math import comb, factorial
 
 from .errors import CapacityError
-from .algebra import inversion_set, eval_generator
-from .pperm import PartialPerm, _compose, _swap_pairs, row_is_popi
+from .pperm import PartialPerm, _swap_pairs, _swap_positions, _value_swaps, row_is_popi
 
 # |I_8| is already 1.4M elements; anything larger is hopeless here.
 MAX_ENUM = 8
-
-ImageRow = tuple[int, ...]
 
 
 def monoid_size(n: int) -> int:
@@ -41,21 +39,12 @@ def monoid_size(n: int) -> int:
     return sum(comb(n, r) ** 2 * factorial(r) for r in range(n + 1))
 
 
-def _inversion_rows(m: int) -> list[ImageRow]:
-    """The inversions on m points in index order, as image rows."""
-    return [eval_generator(g).image_row for g in inversion_set(m)]
-
-
 def _image_rows(n: int) -> set[bytes]:
-    """The byte image rows (see `enumerate_monoid`) that a breadth-first
-    closure from the identity reaches under right products by the
-    generators of the monoid on n points."""
-    tables = []
-    for a, b in _swap_pairs(n):
-        table = bytearray(range(256))
-        table[a + 1], table[b + 1] = b + 1, a + 1
-        tables.append(bytes(table))
-    tables.append(bytes(range(n)) + b"\0" + bytes(range(n + 1, 256)))
+    """The byte rows that a breadth-first closure from the identity reaches
+    under right products by the generators of the monoid on n points:
+    the inversions, and the partial identity on {1..n-1}, which maps the
+    value n to 0 (undefined)."""
+    tables = _value_swaps(n) + (bytes(range(n)) + b"\0" + bytes(range(n + 1, 256)),)
     identity = bytes(range(1, n + 1))
     seen, layer = {identity}, [identity]
     while layer:
@@ -73,13 +62,7 @@ def _image_rows(n: int) -> set[bytes]:
 @cache  # one count per n: a second `verify --enumerate` in a process is free
 def enumerate_monoid(n: int) -> int:
     """The number of elements of the partial-permutation monoid on n
-    points that a breadth-first closure from the identity reaches.
-
-    The closure walks image rows as bytes.  A right product by a generator
-    rewrites the row's values, so each product is one `bytes.translate`
-    with a 256-byte table: the inversion on (a, b) exchanges the values a
-    and b, and the partial identity on {1..n-1} maps n to 0 (undefined).
-    """
+    points that a breadth-first closure from the identity reaches."""
     if not 1 <= n <= MAX_ENUM:
         raise CapacityError(f"monoid enumeration supports 1 <= n <= {MAX_ENUM}, got {n}")
     return len(_image_rows(n))
@@ -100,15 +83,15 @@ def solve_pair_via_cayley(sigma: PartialPerm) -> int:
     m, n = sigma.m, sigma.n
     if n > MAX_ENUM:
         raise CapacityError(f"the class-graph route supports up to {MAX_ENUM} regions, got {n}")
-    lefts, rights = _inversion_rows(m), _inversion_rows(n)
-    start = sigma.image_row
+    lefts, rights = _swap_pairs(m), _value_swaps(n)
+    start = bytes(sigma.image_row)
     seen, layer = {start}, {start}
     depth = 0
     while layer:
         if any(map(row_is_popi, layer)):
             return depth
         depth += 1
-        layer = ({_compose(g, x) for x in layer for g in lefts}
-                 | {_compose(x, g) for x in layer for g in rights}) - seen
+        layer = ({_swap_positions(x, a, b) for x in layer for a, b in lefts}
+                 | {x.translate(table) for x in layer for table in rights}) - seen
         seen |= layer
     raise AssertionError("every rank class contains orientation-preserving elements")

@@ -5,10 +5,16 @@ A partial permutation maps a subset of {1, ..., m} injectively into
 ``(f * g)(i) == g(f(i))``.  All positions are 1-based at the interface;
 internally the image is a tuple of length m whose entry for position i is
 either a value in 1..n or 0 for "undefined".
+
+The alignment searches and the monoid closure walk the same row as bytes,
+one byte per position, and move it with two helpers: `_swap_positions`,
+the product with an inversion on the left, and the `_value_swaps`
+tables, the product with one on the right.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from functools import cache
 
 from .errors import CapacityError, InvalidArgumentError
 
@@ -17,7 +23,7 @@ from .errors import CapacityError, InvalidArgumentError
 MAX_POSITIONS = 16
 
 
-def _descents(values: tuple[int, ...]) -> int:
+def _descents(values: Sequence[int]) -> int:
     """Cyclic descents of the defined images, in position order."""
     return sum(map(int.__gt__, values, values[1:] + values[:1]))
 
@@ -27,12 +33,6 @@ def row_is_popi(row: Sequence[int]) -> bool:
     at most one descent, counting the wraparound comparison between the
     last and first image."""
     return _descents(tuple(filter(None, row))) <= 1
-
-
-def _compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    """The image row of f then g: entry v of (0, *g) is the image of v,
-    and 0 stays undefined."""
-    return tuple(map(((0,) + g).__getitem__, f))
 
 
 def _swap_pairs(n: int) -> list[tuple[int, int]]:
@@ -45,23 +45,24 @@ def _swap_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
 
 
-def _swap_positions(row: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    lst = list(row)
-    lst[a], lst[b] = lst[b], lst[a]
-    return tuple(lst)
+def _swap_positions(row: bytes, a: int, b: int) -> bytes:
+    """The byte row with the entries at positions a and b exchanged."""
+    swapped = bytearray(row)
+    swapped[a], swapped[b] = row[b], row[a]
+    return bytes(swapped)
 
 
-def _swap_values(row: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    """The row with the values a and b exchanged.  Either may be absent
-    from a partial row; then the one present is rewritten to the other."""
-    if a in row and b in row:
-        return _swap_positions(row, row.index(a), row.index(b))
-    lst = list(row)
-    if a in lst:
-        lst[lst.index(a)] = b
-    elif b in lst:
-        lst[lst.index(b)] = a
-    return tuple(lst)
+@cache  # the searches on n points share one set of tables
+def _value_swaps(n: int) -> tuple[bytes, ...]:
+    """One `bytes.translate` table per circular inversion on n points, in
+    `_swap_pairs(n)` order.  Each exchanges its two values; on a row that
+    holds only one of them, it rewrites that one to the other."""
+    tables = []
+    for a, b in _swap_pairs(n):
+        table = bytearray(range(256))
+        table[a + 1], table[b + 1] = b + 1, a + 1
+        tables.append(bytes(table))
+    return tuple(tables)
 
 
 def _check_size(m: int, n: int) -> None:
@@ -178,7 +179,9 @@ class PartialPerm(_ReadOnly):
             raise InvalidArgumentError(
                 f"cannot compose {self.m}x{self.n} with {other.m}x{other.n}"
             )
-        return PartialPerm._unchecked(self.m, other.n, _compose(self._img, other._img))
+        # entry v of (0, *other) is the image of v, and 0 stays undefined
+        return PartialPerm._unchecked(self.m, other.n,
+                                      tuple(map(((0,) + other._img).__getitem__, self._img)))
 
     def inverse(self) -> PartialPerm:
         img = [0] * self.n

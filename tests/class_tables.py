@@ -23,18 +23,31 @@ from itertools import combinations, permutations
 
 from invdel import CapacityError, PartialPerm
 from invdel.cayley import MAX_ENUM
-from invdel.pperm import _swap_pairs, _swap_positions, _swap_values, row_is_popi
+from invdel.pperm import _swap_pairs, row_is_popi
 
 ImageRow = tuple[int, ...]
+
+
+def swap_positions(row: ImageRow, a: int, b: int) -> ImageRow:
+    """The row with its entries at the 0-based positions a and b exchanged."""
+    swapped = list(row)
+    swapped[a], swapped[b] = row[b], row[a]
+    return tuple(swapped)
+
+
+def swap_values(row: ImageRow, a: int, b: int) -> ImageRow:
+    """The row with every entry a rewritten to b and every b to a: on a
+    partial row one or both values may be absent."""
+    return tuple(b if v == a else a if v == b else v for v in row)
 
 
 def moves(row: ImageRow, n: int) -> list[tuple[int, int, ImageRow]]:
     """(side, index, child) for every move of an m-by-n image row, in code
     order: the side with fewer positions first (the left side, 0, when
     m = n), then by 1-based generator index."""
-    left = [(0, i, _swap_positions(row, a, b))
+    left = [(0, i, swap_positions(row, a, b))
             for i, (a, b) in enumerate(_swap_pairs(len(row)), 1)]
-    right = [(1, i, _swap_values(row, a + 1, b + 1))
+    right = [(1, i, swap_values(row, a + 1, b + 1))
              for i, (a, b) in enumerate(_swap_pairs(n), 1)]
     return right + left if len(row) > n else left + right
 

@@ -6,8 +6,9 @@ import pytest
 
 from invdel import (CapacityError, PartialPerm, all_partial_perms, enumerate_monoid,
                     monoid_size, solve_pair)
-from invdel.cayley import _image_rows, _inversion_rows
-from invdel.pperm import _compose
+from invdel.algebra import eval_generator, inversion_set
+from invdel.cayley import _image_rows
+from invdel.pperm import _swap_pairs, _swap_positions, _value_swaps
 
 from class_tables import class_cost, class_costs, descent
 
@@ -47,30 +48,63 @@ def test_closure_reaches_exactly_the_image_rows():
 def test_inversion_products_stay_in_the_closure_and_rank():
     # the closure reaches every row of I_4, and an inversion on either side
     # keeps a row in it and keeps its rank
-    rows = {p.image_row for p in all_partial_perms(4, 4)}
+    elements = list(all_partial_perms(4, 4))
+    rows = {p.image_row for p in elements}
     assert len(rows) == enumerate_monoid(4)
-    for g in _inversion_rows(4):
-        for row in rows:
-            for product in (_compose(g, row), _compose(row, g)):
-                assert product in rows
-                assert product.count(0) == row.count(0)
+    for g in map(eval_generator, inversion_set(4)):
+        for p in elements:
+            for product in (g * p, p * g):
+                assert product.image_row in rows
+                assert product.rank == p.rank
 
 
 # -- the class-graph route's moves -------------------------------------------------
 #
 # `solve_pair_via_cayley` walks the rank class (D-class) of a pairing's
-# own m-by-n row: a row's products with each inversion on m points on the
-# left and each on n points on the right.
+# own m-by-n byte row: a row's products with each inversion on m points on
+# the left (`_swap_positions`) and each on n points on the right (a
+# `_value_swaps` table).
+
+def _kit_inversions(k):
+    """The inversions on k points in index order, as the kit moves by
+    them: the one inversion on one point is the identity, and the kit
+    lists no move for it."""
+    if k == 1:
+        assert eval_generator(inversion_set(1)[0]) == PartialPerm.identity(1)
+        return []
+    return inversion_set(k)
+
+
+def test_route_moves_are_products_with_the_inversions():
+    # on every m-by-n row with m, n <= 5 and for each inversion index i, a
+    # left move is the row of s_{i;m} * sigma and a right move that of
+    # sigma * s_{i;n}, evaluated from the model's definition
+    checked = 0
+    for m in range(1, 6):
+        for n in range(1, 6):
+            lefts = list(zip(map(eval_generator, _kit_inversions(m)), _swap_pairs(m), strict=True))
+            rights = list(zip(map(eval_generator, _kit_inversions(n)), _value_swaps(n),
+                              strict=True))
+            for sigma in all_partial_perms(m, n):
+                row = bytes(sigma.image_row)
+                for g, (a, b) in lefts:
+                    assert _swap_positions(row, a, b) == bytes((g * sigma).image_row)
+                for g, table in rights:
+                    assert row.translate(table) == bytes((sigma * g).image_row)
+                checked += len(lefts) + len(rights)
+    assert checked == 30_382
+
 
 def _rank_rows(m, n, r):
-    return sorted(p.image_row for p in all_partial_perms(m, n) if p.rank == r)
+    return sorted(bytes(p.image_row) for p in all_partial_perms(m, n) if p.rank == r)
 
 
 def _products(row, n):
     """(side, inversion index, product) for every move the route tries on
-    an m-by-n row."""
-    return ([("left", gi, _compose(g, row)) for gi, g in enumerate(_inversion_rows(len(row)), 1)]
-            + [("right", gi, _compose(row, g)) for gi, g in enumerate(_inversion_rows(n), 1)])
+    an m-by-n byte row."""
+    return ([("left", gi, _swap_positions(row, a, b))
+             for gi, (a, b) in enumerate(_swap_pairs(len(row)), 1)]
+            + [("right", gi, row.translate(table)) for gi, table in enumerate(_value_swaps(n), 1)])
 
 
 def _moving_labels(row, n, side):
@@ -101,8 +135,8 @@ def test_route_moves_every_full_rank_row():
 def test_route_left_moves_follow_m():
     # X_2 has the one inversion s_{1;2}; the right products do not depend on m
     for row in _rank_rows(2, 3, 2):
-        assert ([(s, gi, y + (0,)) for s, gi, y in _products(row, 3) if s == "right"]
-                == [p for p in _products(row + (0,), 3) if p[0] == "right"])
+        assert ([(s, gi, y + b"\0") for s, gi, y in _products(row, 3) if s == "right"]
+                == [p for p in _products(row + b"\0", 3) if p[0] == "right"])
     for m, labels in ((3, {1, 2, 3}), (2, {1})):
         rows = _rank_rows(m, 3, 2)
         assert set().union(*(_moving_labels(row, 3, "left") for row in rows)) == labels

@@ -218,13 +218,24 @@ def test_search_budget_exit_2(tmp_path, capsys):
 
 def test_random_twelve_region_partial_rank_pair_solves(tmp_path, capsys):
     # a random 12-region pair sharing 11 regions: partial rank, searched
-    # within the budget, and its ancestor replays onto both genomes
+    # within the budget, with its cost, pairing and words as they were
+    # frozen, and its ancestor replays onto both genomes
     path = tmp_path / "pair.txt"
     path.write_text(random_pair(12, 11))
-    code, out, _ = run(capsys, "distance", str(path), "A", "B", "--max-n", "12")
-    assert code == 0 and "distance" in out
-    code, out, _ = run(capsys, "mrca", str(path), "A", "B", "--max-n", "12")
-    assert code == 0 and "verify ok" in out
+    code, out, _ = run(capsys, "distance", str(path), "A", "B", "--max-n", "12",
+                       "--json", "--emit-events")
+    assert code == 0
+    report = json.loads(out)
+    assert report["mu"] == 14
+    assert report["best_pair"] == ["r0 r11 r6 r1 r9 r8 r5 r10 r2 r3 r7 r4",
+                                   "r1 r4 r8 r7 r12 r10 r2 r11 r5 r3 r9 r6"]
+    assert report["left_inversions"] == "s7;12 s8;12 s9;12 s10;12 s8;12 s7;12 s3;12 s4;12"
+    assert report["right_inversions"] == "s1;12 s8;12 s9;12 s12;12 s11;12 s10;12"
+    code, out, _ = run(capsys, "mrca", str(path), "A", "B", "--max-n", "12", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["ancestor"] == "r0 r11 r9 r6 r1 r8 r7 r12 r10 r2 r5 r3 r4"
+    assert report["verify"] == "ok"
 
 
 def test_random_full_rank_pairs_solve_without_the_budget(tmp_path, capsys):

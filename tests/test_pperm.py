@@ -4,7 +4,7 @@ import pytest
 
 from invdel import (CapacityError, InvalidArgumentError, PartialPerm,
                     all_partial_perms, sigma_from_frames)
-from invdel.pperm import _swap_pairs, _swap_values
+from invdel.pperm import _swap_pairs, _value_swaps
 
 # The worked composition example: f in I_{5,5}, g in I_{5,4}.
 F = PartialPerm(5, 5, {1: 4, 2: 2, 4: 3, 5: 5})
@@ -193,18 +193,31 @@ def test_counts_match_closed_formula():
             assert sum(1 for _ in all_partial_perms(m, n)) == expected
 
 
-def test_swap_values_matches_the_per_entry_rewrite():
+def test_value_swaps_match_the_per_entry_rewrite():
     # every row with m, n <= 6 and every value pair a right move exchanges;
     # on a partial row one or both values may be absent
     def rewrite(row, a, b):
         return tuple(b if v == a else a if v == b else v for v in row)
 
+    def check(row, n):
+        for (a, b), table in zip(_swap_pairs(n), _value_swaps(n), strict=True):
+            assert bytes(row).translate(table) == bytes(rewrite(row, a + 1, b + 1))
+
     checked = 0
     for m in range(1, 7):
         for n in range(1, 7):
-            pairs = [(a + 1, b + 1) for a, b in _swap_pairs(n)]
             for p in all_partial_perms(m, n):
-                for a, b in pairs:
-                    assert _swap_values(p.image_row, a, b) == rewrite(p.image_row, a, b)
-                    checked += 1
+                check(p.image_row, n)
+                checked += len(_swap_pairs(n))
     assert checked == 152_568
+    # 16-position rows holding 16, the highest value a table rewrites, with
+    # and without 1, its partner in the wraparound pair (16, 1)
+    assert _swap_pairs(16)[-1] == (15, 0)
+    rng = random.Random(39)
+    with_one = 0
+    for _ in range(200):
+        r = rng.randint(1, 16)
+        values = [16] + rng.sample(range(1, 16), r - 1)
+        check(PartialPerm(16, 16, zip(rng.sample(range(1, 17), r), values)).image_row, 16)
+        with_one += 1 in values
+    assert 0 < with_one < 200
