@@ -84,10 +84,8 @@ class Generator(namedtuple("Generator", "kind i n")):
         return format_generator(self)
 
 
-@cache
 def eval_generator(g: Generator) -> PartialPerm:
-    """The partial permutation of one letter, checked, built once per
-    letter in a process."""
+    """The partial permutation of one letter, checked."""
     n = g.n
     if g.kind == INV:
         # s_{i;n} swaps i and i+1; s_{n;n} is the wraparound pair (1, n).

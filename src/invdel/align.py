@@ -24,18 +24,19 @@ cyclic descent; a move changes that count by at most one, so a state with
 d descents is at least d - 1 moves away.  From k = 2 on the probe also
 prunes by the compressed closed form: drop the empty positions and
 values, relabel the r shared values 1..r, and take the least of the r
-rotation costs of "Full rank" below (0 when r <= 2).  This is the
-admissible bound of A* (Hart, Nilsson and Raphael, 1968): it is 0 exactly
-on goals, and a move changes it by at most one, because a move with two
-defined endpoints is a move of the compressed row, and one with an empty
-endpoint leaves that row as it is or turns it cyclically (only across the
-wraparound), which changes no least rotation cost.  A search memoises the
-bound by the defined images and by its relabelled row.  Past the
-prunes the probe tries the children in code order, skipping a move whose
-endpoints are both empty (it fixes the state), and on failure records k
-as the largest bound the state failed at, so a revisit within it fails
-at once.  Every answer is exact: the prunes are lower bounds, and a state
-that failed at k is more than k moves from a goal.  No goal is listed.
+rotation costs of "Full rank" below (r >= 3 past the descent prune).
+This is the admissible bound of A* (Hart, Nilsson and Raphael, 1968): it
+is 0 exactly on goals, and a move changes it by at most one, because a
+move with two defined endpoints is a move of the compressed row, and one
+with an empty endpoint leaves that row as it is or turns it cyclically
+(only across the wraparound), which changes no least rotation cost.  A
+search memoises the bound by the defined images and by its relabelled
+row.  Past the prunes the probe tries the children in code order,
+skipping a move whose endpoints are both empty (it fixes the state), and
+on failure records k as the largest bound the state failed at, so a
+revisit within it fails at once.  Every answer is exact: the prunes are
+lower bounds, and a state that failed at k is more than k moves from a
+goal.  No goal is listed.
 
 The tie rule is fixed: sources are probed in the order given (repeats
 dropped, the first copy kept), and moves go in code order, the moves of
@@ -95,12 +96,15 @@ in the tests as the reference) on every permutation there, and its least
 cost equals the tests' class table.  On every permutation with n <= 7
 each move changes each rotation's cost by exactly one, lowering just the
 rotations `_lowered` names, and the route returns the search's index and
-solution on every permutation with n <= 6.  Beyond that it rests on Jerrum's
-argument and seeded checks against the reference and the search.  The
-solver as a whole, full and partial rank, is anchored to the tests' class
-tables: its cost and words equal a table's cost and the greedy descent
-read off it on every pairing with m, n <= 6, both ways round, and, in a
-long test, on every pairing with m <= n = 7.
+solution on every permutation with n <= 6.  Beyond that it rests on
+Jerrum's argument and on drawn checks: the kernel against the reference
+at n = 9..16, and the words against a plain greedy descent on the least
+rotation cost, on 20 seeded permutations each for n = 8..16
+(`test_full_rank_words_descend_past_seven_regions`).  The solver as a
+whole, full and partial rank, is anchored to the tests' class tables:
+its cost and words equal a table's cost and the greedy descent read off
+it on every pairing with m, n <= 6, both ways round, and, in a long
+test, on every pairing with m <= n = 7.
 
 The default engine is the one route the CLI and the library answer by.
 Other routes to the same number serve as checks: a breadth-first search
@@ -300,14 +304,6 @@ def _relabelled(values: Sequence[int]) -> bytes:
     return bytes(map(rank.__getitem__, values))
 
 
-def _compressed_cost(row: bytes) -> int:
-    """The compressed closed form of a pairing, given the `_relabelled`
-    row of its defined images in position order: the least of the r
-    rotation costs of that row (0 when r <= 2).  It is a lower bound on
-    the moves to a goal (module docstring)."""
-    return min(_rotation_costs(row)) if len(row) > 2 else 0
-
-
 def _prober(m: int, n: int):
     """A fresh `probe(row, k)` for m-by-n image rows and its memo of the
     largest k each row failed at.  The probe returns None when no goal
@@ -342,7 +338,7 @@ def _prober(m: int, n: int):
                 relabelled = _relabelled(values)
                 bound = bounds.get(relabelled)
                 if bound is None:
-                    bound = bounds[relabelled] = _compressed_cost(relabelled)
+                    bound = bounds[relabelled] = min(_rotation_costs(relabelled))
                 bounds[values] = bound
             if bound > k:
                 return None

@@ -70,7 +70,7 @@ def enumerate_monoid(n: int) -> int:
 
 def solve_pair_via_cayley(sigma: PartialPerm) -> int:
     """The alignment cost of a pairing, by breadth-first search in the
-    Cayley graph of its rank class (a pairing with m > n is inverted first).
+    Cayley graph of its rank class.
 
     The search starts at the pairing's own m-by-n row; a row's neighbours
     are its products with an inversion on m points on the left and with
@@ -78,11 +78,10 @@ def solve_pair_via_cayley(sigma: PartialPerm) -> int:
     product keeps the rank.  The cost is the depth of the first row that
     reads in a cyclic order.
     """
-    if sigma.m > sigma.n:
-        sigma = sigma.inverse()
     m, n = sigma.m, sigma.n
-    if n > MAX_ENUM:
-        raise CapacityError(f"the class-graph route supports up to {MAX_ENUM} regions, got {n}")
+    if max(m, n) > MAX_ENUM:
+        raise CapacityError(f"the class-graph route supports up to {MAX_ENUM} regions, "
+                            f"got {max(m, n)}")
     lefts, rights = _swap_pairs(m), _value_swaps(n)
     start = bytes(sigma.image_row)
     seen, layer = {start}, {start}

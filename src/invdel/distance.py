@@ -179,11 +179,10 @@ def verify_scenario_report(
     scenario: AncestorScenario,
     g1: Genome,
     g2: Genome,
-    expected: int | None = None,
+    expected: int,
 ) -> tuple[bool, str]:
     """Replay the scenario and compare against the claimed genomes and the
-    distance (`expected`, computed here when not given); on failure the
-    report says what diverged."""
+    distance `expected`; on failure the report says what diverged."""
     problems = []
     for side, events, genome in ((1, scenario.events_to_g1, g1), (2, scenario.events_to_g2, g2)):
         try:
@@ -192,8 +191,6 @@ def verify_scenario_report(
                 problems.append(f"side {side} lands in {landed} instead of {genome}")
         except Exception as exc:  # noqa: BLE001 - report, do not crash
             problems.append(f"side {side} replay failed: {exc}")
-    if expected is None:
-        expected = mrca_distance(g1, g2).total
     if scenario.event_count != expected:
         problems.append(f"event count {scenario.event_count} != distance {expected}")
     return (not problems, "ok" if not problems else "; ".join(problems))

@@ -157,10 +157,11 @@ def test_criterion_5_mrca_round_trip(simulated_pairs):
     start = time.perf_counter()
     for scenario in simulated_pairs:
         g1, g2 = scenario.genome1, scenario.genome2
-        built = construct_ancestor(mrca_distance(g1, g2))
-        ok, why = verify_scenario_report(built, g1, g2)
+        result = mrca_distance(g1, g2)
+        built = construct_ancestor(result)
+        ok, why = verify_scenario_report(built, g1, g2, expected=result.total)
         assert ok, why
-        assert mrca_distance(g1, g2).total <= scenario.event_count
+        assert result.total <= scenario.event_count
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
     report(5, f"500 simulated pairs verified, parsimony bound held ({elapsed:.1f}s)")

@@ -50,8 +50,8 @@ def test_solution_invariants():
 
 
 def test_cayley_route_validates_parameters():
-    # the route walks the pairing's own class, inverting it when m > n;
-    # only a class beyond the enumeration's size cap is refused
+    # the route walks the pairing's own m-by-n class, whichever side is
+    # larger; only a class beyond the enumeration's size cap is refused
     sigma = PartialPerm(5, 4, {1: 2, 2: 1, 3: 4, 5: 3})
     assert solve_pair_via_cayley(sigma) == solve_pair_via_cayley(sigma.inverse())
     assert solve_pair_via_cayley(sigma) == solve_pair(sigma).cost > 0
@@ -224,7 +224,7 @@ def least_bound(sources):
     """The least k at which the probe looks past some source: below it,
     every source is pruned at once, by its descent count or, from k = 2
     on, by the compressed closed form."""
-    from invdel.align import _compressed_cost, _descents, _relabelled
+    from invdel.align import _descents, _relabelled
 
     bounds = []
     for s in sources:
@@ -232,7 +232,7 @@ def least_bound(sources):
         drops = _descents(values)
         # with two descents, k = 1 passes the descent test and is below 2
         bounds.append(0 if drops <= 1 else 1 if drops == 2
-                      else max(drops - 1, _compressed_cost(_relabelled(values))))
+                      else max(drops - 1, min(_rotation_costs(_relabelled(values)))))
     return min(bounds)
 
 
@@ -423,7 +423,6 @@ def test_kernel_equals_the_reference():
 
 
 def test_kernel_equals_the_reference_beyond_the_exhaustive_range():
-    pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -484,6 +483,28 @@ def test_full_rank_route_matches_the_search():
             check([a, b])
 
 
+def test_full_rank_words_descend_past_seven_regions():
+    # `_lowered` is checked on every move only up to n = 7.  Past that, on 20
+    # seeded permutations each for n = 8..16, the words equal a greedy
+    # descent on the closed form's cost: at each step the first move in
+    # code order whose child costs one less
+    rng = random.Random(40)
+    for n in range(8, 17):
+        for _ in range(20):
+            row = tuple(rng.sample(range(1, n + 1), n))
+            sol = solve_pair(PartialPerm.from_image(n, row))
+            cost = min(_rotation_costs(row))
+            words = ([], [])
+            for below in range(cost - 1, -1, -1):
+                side, i, row = next(step for step in moves(row, n)
+                                    if min(_rotation_costs(step[2])) == below)
+                words[side].append(i)
+            assert row_is_popi(row)
+            assert sol.cost == cost
+            assert ([g.i for g in sol.left_inversions],
+                    [g.i for g in sol.right_inversions]) == (words[0][::-1], words[1])
+
+
 def test_words_read_later_are_the_words_read_at_once():
     # the full-rank route holds the cost and runs its descent when the words
     # are first read.  On every permutation with n <= 7, alone and with the
@@ -533,7 +554,6 @@ def _bound_properties(check):
     """Run `check(row, n)` on drawn m-by-n pairings with 9 <= m <= n <= 16
     of rank 3..n-1, half of them orientation preserving, where no
     exhaustive check reaches."""
-    pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
     @st.composite
@@ -559,9 +579,9 @@ def _bound_properties(check):
 
 
 def _bound(row):
-    from invdel.align import _compressed_cost, _relabelled
+    from invdel.align import _relabelled
 
-    return _compressed_cost(_relabelled(tuple(v for v in row if v)))
+    return min(_rotation_costs(_relabelled(tuple(v for v in row if v))))
 
 
 def test_compressed_bound_moves_by_at_most_one():

@@ -10,8 +10,6 @@ blanks.  Circle 1 puts label sigma(i) at position i, circle 2 label j at
 position j.  The moves are written out here; nothing comes from
 `invdel.align` or `invdel.cayley`.
 """
-import pytest
-
 from invdel import PartialPerm, all_partial_perms, solve_pair
 
 BLANK = 0
@@ -77,7 +75,6 @@ def test_decomposition_matches_the_solver_on_every_small_pairing():
 
 
 def test_decomposition_matches_the_solver_at_six_and_seven_regions():
-    pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
     @st.composite

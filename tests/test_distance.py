@@ -153,10 +153,11 @@ def test_directed_capacity(monkeypatch):
 
 def test_ancestor_worked_example():
     g1, g2 = genomes_from_token_lists("aefbgcdh", "iajkblcd")
-    sc = construct_ancestor(mrca_distance(g1, g2))
+    result = mrca_distance(g1, g2)
+    sc = construct_ancestor(result)
     assert sc.ancestor_frame.tokens == tuple("iaefjkbglcdh")
     assert sc.gap_sets == (("i",), ("j", "k"), ("l",), (), ())
-    assert verify_scenario_report(sc, g1, g2)[0]
+    assert verify_scenario_report(sc, g1, g2, expected=result.total)[0]
     assert sc.ancestor.regions == g1.regions | g2.regions
 
 
@@ -175,16 +176,18 @@ def test_ancestor_round_trip_random():
         sc = simulate(ancestor, rng.randint(0, min(3, n - 1)), rng.randint(0, 3),
                       rng.randint(0, min(3, n - 1)), rng.randint(0, 3),
                       rng.randrange(1 << 30))
-        built = construct_ancestor(mrca_distance(sc.genome1, sc.genome2))
-        ok, report = verify_scenario_report(built, sc.genome1, sc.genome2)
+        result = mrca_distance(sc.genome1, sc.genome2)
+        built = construct_ancestor(result)
+        ok, report = verify_scenario_report(built, sc.genome1, sc.genome2, expected=result.total)
         assert ok, report
-        assert built.event_count == mrca_distance(sc.genome1, sc.genome2).total
+        assert built.event_count == result.total
 
 
 def test_ancestor_disjoint_regions():
     g1, g2 = genomes_from_token_lists("abc", "xyz")
-    sc = construct_ancestor(mrca_distance(g1, g2))
-    assert verify_scenario_report(sc, g1, g2)[0]
+    result = mrca_distance(g1, g2)
+    sc = construct_ancestor(result)
+    assert verify_scenario_report(sc, g1, g2, expected=result.total)[0]
     assert sc.event_count == 6
 
 
@@ -220,8 +223,9 @@ def test_verify_rejects_tampered_scenario():
     from invdel.distance import AncestorScenario
 
     g1, g2 = genomes_from_token_lists("abcd", "abdc")
-    sc = construct_ancestor(mrca_distance(g1, g2))
-    assert verify_scenario_report(sc, g1, g2)[0]
+    result = mrca_distance(g1, g2)
+    sc = construct_ancestor(result)
+    assert verify_scenario_report(sc, g1, g2, expected=result.total)[0]
     assert sc.event_count > 0
     dropped = AncestorScenario(
         sc.ancestor_frame,
@@ -231,7 +235,7 @@ def test_verify_rejects_tampered_scenario():
         Word(sc.events_to_g2.letters[:-1], sc.events_to_g2.src),
         sc.gap_sets,
     )
-    ok, report = verify_scenario_report(dropped, g1, g2)
+    ok, report = verify_scenario_report(dropped, g1, g2, expected=result.total)
     assert not ok and report != "ok"
 
 
@@ -245,7 +249,9 @@ def test_verify_rejects_tampered_scenario():
 ], ids=["side-2-elsewhere", "replay-raises", "side-2-replay-raises"])
 def test_verify_reports_a_bad_replay(tamper, problem):
     g1, g2 = genomes_from_token_lists("abcd", "abdc")
-    ok, report = verify_scenario_report(tamper(construct_ancestor(mrca_distance(g1, g2))), g1, g2)
+    result = mrca_distance(g1, g2)
+    ok, report = verify_scenario_report(tamper(construct_ancestor(result)), g1, g2,
+                                        expected=result.total)
     assert not ok and problem in report
 
 

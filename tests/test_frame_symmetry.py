@@ -5,13 +5,10 @@ orientations unchanged (the two-reference-pair argument in align.py).
 Full rank is drawn at 9 to 12 regions, where no exhaustive check reaches;
 partial rank at 5 to 7 regions with 3 or more shared, where it is the
 search, not the closed form, that answers."""
-import pytest
+from hypothesis import given, settings, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from invdel import genomes_from_token_lists, sigma_from_frames, solve_pair  # noqa: E402
-from invdel.align import reference_pairs  # noqa: E402
+from invdel import genomes_from_token_lists, sigma_from_frames, solve_pair
+from invdel.align import reference_pairs
 
 
 def cost(f1, f2):

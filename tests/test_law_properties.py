@@ -5,12 +5,9 @@ symmetric and zero from a genome to itself, on genomes of up to 8
 regions that share some of them."""
 import string
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from invdel import Generator, Genome, PartialPerm, Word, eval_word, mrca_distance  # noqa: E402
+from invdel import Generator, Genome, PartialPerm, Word, eval_word, mrca_distance
 
 
 @st.composite

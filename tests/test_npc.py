@@ -1,12 +1,12 @@
 import os
 import random
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 
 import pytest
 
 from invdel import (CapacityError, InvalidArgumentError, PartialPerm,
-                    partition_brute, partition_witness, reduce_partition,
-                    solve_balancedsort)
+                    all_partial_perms, partition_brute, partition_witness,
+                    reduce_partition, solve_balancedsort)
 from invdel import npc
 from invdel.npc import BalancedSortInstance
 
@@ -156,14 +156,6 @@ def test_reduction_agrees_with_subset_sum_small():
             assert got == partition_brute(values), values
 
 
-def _square_partial_perms(max_m):
-    for m in range(1, max_m + 1):
-        for r in range(m + 1):
-            for domain in combinations(range(1, m + 1), r):
-                for image in permutations(range(1, m + 1), r):
-                    yield PartialPerm(m, m, dict(zip(domain, image)))
-
-
 def _left_moves(row):
     """Rows after one linear adjacent transposition of positions."""
     for i in range(len(row) - 1):
@@ -219,7 +211,7 @@ def _reference_balanced_steps(sigma, max_steps):
 
 def test_balancedsort_matches_reference_exhaustively():
     cases = 0
-    for sigma in _square_partial_perms(5):
+    for sigma in (s for m in range(1, 6) for s in all_partial_perms(m, m)):
         row = sigma.image_row
         count = len(sigma.crossings())
         for moved in [*_left_moves(row), *_right_moves(row)]:
@@ -347,7 +339,7 @@ def test_two_layers_reach_what_every_state_reaches():
         seeded.append(PartialPerm(m, m, dict(zip(rng.sample(range(1, m + 1), r),
                                                  rng.sample(range(1, m + 1), r)))))
     cases = 0
-    for sigma, depths in [*((s, range(5)) for s in _square_partial_perms(5)),
+    for sigma, depths in [*((s, range(5)) for m in range(1, 6) for s in all_partial_perms(m, m)),
                           *((s, (3, 5)) for s in seeded)]:
         row, count = sigma.image_row, len(sigma.crossings())
         for depth in depths:
@@ -377,7 +369,7 @@ def test_balancedsort_is_symmetric_under_inversion():
     wide = [sigma for sigma in (_near_sorted(rng, 16, rng.randint(1, 7)) for _ in range(30))
             if sigma != sigma.inverse()]
     answers = set()
-    for sigma, budgets in [*((s, range(9)) for s in _square_partial_perms(5)),
+    for sigma, budgets in [*((s, range(9)) for m in range(1, 6) for s in all_partial_perms(m, m)),
                            *((s, range(7)) for s in wide)]:
         inverse = sigma.inverse()
         for k in budgets:

@@ -2,13 +2,10 @@
 relations R1..R14 read left to right, keeps a word's evaluation, reaches
 the (deletions)(inversions)(dihedral) shape and never adds events, on
 words starting at sizes 1 to 8."""
-import pytest
+from hypothesis import given, settings, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from invdel import Generator, Word, eval_word, rewrite_deletions_first  # noqa: E402
-from invdel.algebra import is_deletions_first  # noqa: E402
+from invdel import Generator, Word, eval_word, rewrite_deletions_first
+from invdel.algebra import is_deletions_first
 
 
 @st.composite
