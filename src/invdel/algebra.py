@@ -20,7 +20,7 @@ from functools import cache
 
 from .errors import InvalidArgumentError, WordTypeError
 from .genome import ReferenceFrame
-from .pperm import PartialPerm, _ReadOnly, _check_size
+from .pperm import PartialPerm, _ReadOnly, _check_int, _check_size
 
 INV, DEL, ROT, REFL = "inv", "del", "rot", "refl"
 
@@ -31,6 +31,8 @@ class Generator(namedtuple("Generator", "kind i n")):
     __slots__ = ()
 
     def __new__(cls, kind: str, i: int, n: int) -> Generator:
+        _check_int("generator index", i)
+        _check_int("generator size", n)
         if n < 1:
             raise InvalidArgumentError(f"generator size must be >= 1, got {n}")
         if kind == INV:
@@ -121,6 +123,7 @@ class Word(_ReadOnly):
             if not letters:
                 raise WordTypeError("empty word needs an explicit source size")
             src = letters[0].n
+        _check_int("word source size", src)
         size = src
         for g in letters:
             # `Generator.src` and `tgt` read from the fields: a letter starts
@@ -214,10 +217,10 @@ def eval_word(w: Word) -> PartialPerm:
     _check_size(w.src, w.src)
     landed = list(range(1, w.src + 1))
     _move(landed, w)
-    row = [0] * w.src
+    row = bytearray(w.src)
     for k, i in enumerate(landed, start=1):
         row[i - 1] = k
-    return PartialPerm._unchecked(w.src, len(landed), tuple(row))
+    return PartialPerm._unchecked(len(landed), bytes(row))
 
 
 def apply_to_frame(frame: ReferenceFrame, w: Word) -> ReferenceFrame:

@@ -81,7 +81,7 @@ which flips the parity of every rotation's cost.  So a move changes each
 rotation's cost by exactly one, and it lowers rotation c's cost when the
 pair's term drops in an optimal lift of the parent.  Any choice among the
 tokens tied at the k-th largest b gives an optimal lift, and these lifts
-catch every lowering move (on every move with n <= 7; Jerrum's argument
+catch every lowering move (on every move with n <= 8; Jerrum's argument
 gives only that they are optimal).  `_lowered` tests them all at once in
 O(1) per move and rotation, from the two tokens' b and the k-th and
 (k+1)-th largest b.  Testing the tie-rule lift alone would be sound but
@@ -93,7 +93,7 @@ lexicographically least shortest move sequence, the search's answer.
 
 The exhaustive anchor is n <= 8: the kernel equals the plain count (kept
 in the tests as the reference) on every permutation there, and its least
-cost equals the tests' class table.  On every permutation with n <= 7
+cost equals the tests' class table.  On every permutation with n <= 8
 each move changes each rotation's cost by exactly one, lowering just the
 rotations `_lowered` names, and the route returns the search's index and
 solution on every permutation with n <= 6.  Beyond that it rests on
@@ -274,11 +274,10 @@ def _solve_full_rank(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolu
     n = sources[0].n
     best = None
     for index, sigma in enumerate(sources):
-        row = bytes(sigma.image_row)
-        costs = _rotation_costs(row)
+        costs = _rotation_costs(sigma.image_row)
         cost = min(costs)
         if best is None or cost < best[0]:
-            best = cost, index, row, [c for c in range(n) if costs[c] == cost]
+            best = cost, index, sigma.image_row, [c for c in range(n) if costs[c] == cost]
     cost, index, start, cheapest = best
 
     def witness() -> tuple[Word, Word]:
@@ -370,7 +369,7 @@ def _search_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolut
     # each distinct source row with the index of its first copy
     starts: dict[bytes, int] = {}
     for index, sigma in enumerate(sources):
-        starts.setdefault(bytes(sigma.image_row), index)
+        starts.setdefault(sigma.image_row, index)
     for cost in count():
         for row, index in starts.items():
             path = probe(row, cost)
@@ -423,7 +422,6 @@ def mu_oracle(sigma: PartialPerm, depth_cap: int) -> int | None:
     if depth_cap < 0:
         raise InvalidArgumentError("depth cap must be >= 0")
     m, n = sigma.m, sigma.n
-    start = bytes(sigma.image_row)
     left_pairs, right_tables = _swap_pairs(m), _value_swaps(n)
 
     def cyclic(row: bytes) -> bool:
@@ -451,7 +449,7 @@ def mu_oracle(sigma: PartialPerm, depth_cap: int) -> int | None:
 
     for total in range(depth_cap + 1):
         for a in range(total + 1):
-            if lefts(start, a, total - a):
+            if lefts(sigma.image_row, a, total - a):
                 return total
     return None
 

@@ -83,8 +83,7 @@ def solve_pair_via_cayley(sigma: PartialPerm) -> int:
         raise CapacityError(f"the class-graph route supports up to {MAX_ENUM} regions, "
                             f"got {max(m, n)}")
     lefts, rights = _swap_pairs(m), _value_swaps(n)
-    start = bytes(sigma.image_row)
-    seen, layer = {start}, {start}
+    seen, layer = {sigma.image_row}, {sigma.image_row}
     depth = 0
     while layer:
         if any(map(row_is_popi, layer)):

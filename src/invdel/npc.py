@@ -28,7 +28,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 from .errors import CapacityError, InvalidArgumentError
-from .pperm import MAX_POSITIONS, PartialPerm
+from .pperm import MAX_POSITIONS, PartialPerm, _check_int
 
 MAX_ROWS = 400_000  # rows one balanced search may add to its layers
 
@@ -39,6 +39,7 @@ class BalancedSortInstance(namedtuple("BalancedSortInstance", "sigma k")):
     def __new__(cls, sigma: PartialPerm, k: int) -> BalancedSortInstance:
         if sigma.m != sigma.n:
             raise InvalidArgumentError("balanced sorting is defined on square partial permutations")
+        _check_int("budget", k)
         if k < 0:
             raise InvalidArgumentError("budget must be non-negative")
         return tuple.__new__(cls, (sigma, k))
@@ -177,7 +178,7 @@ def partition_witness(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int
 _SWAPPED = [[bytes((b, a)) for b in range(MAX_POSITIONS + 1)] for a in range(MAX_POSITIONS + 1)]
 
 
-def _reached(start: tuple[int, ...], count: int, depth: int):
+def _reached(start: bytes, count: int, depth: int):
     """Yield the order and parity of every row a left-move search of depth
     `depth` reaches from `start`, whose inversion count is `count`, layer
     by layer: the row's nonzero entries in position order, as bytes, and
@@ -188,9 +189,8 @@ def _reached(start: tuple[int, ...], count: int, depth: int):
     """
     if count > 2 * depth:
         return
-    row = bytes(start)
-    order = row.replace(b"\0", b"")
-    before, layer = {}, {row: (count, order)}
+    order = start.replace(b"\0", b"")
+    before, layer = {}, {start: (count, order)}
     states = 1
     yield order, 0
     for d in range(1, depth + 1):
@@ -245,5 +245,5 @@ def solve_balancedsort(inst: BalancedSortInstance) -> bool:
     start, inverse = sigma.image_row, sigma.inverse().image_row
     lefts = set(_reached(start, count, half))
     rights = lefts if inverse == start else _reached(inverse, count, half)
-    relabel = bytes((0, *start)).ljust(256, b"\0")
+    relabel = (b"\0" + start).ljust(256, b"\0")
     return any((order.translate(relabel), parity) in lefts for order, parity in rights)

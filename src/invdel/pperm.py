@@ -2,14 +2,14 @@
 
 A partial permutation maps a subset of {1, ..., m} injectively into
 {1, ..., n}.  Maps are written on the right and composed left to right:
-``(f * g)(i) == g(f(i))``.  All positions are 1-based at the interface;
-internally the image is a tuple of length m whose entry for position i is
-either a value in 1..n or 0 for "undefined".
+``(f * g)(i) == g(f(i))``.  All positions are 1-based at the interface.
+The map is stored as its image row, a bytes object of length m whose
+entry for position i is either a value in 1..n or 0 for "undefined";
+`image_row` returns it as it is.
 
-The alignment searches and the monoid closure walk the same row as bytes,
-one byte per position, and move it with two helpers: `_swap_positions`,
-the product with an inversion on the left, and the `_value_swaps`
-tables, the product with one on the right.
+The alignment searches and the monoid closure move that row with two
+helpers: `_swap_positions`, the product with an inversion on the left,
+and the `_value_swaps` tables, the product with one on the right.
 """
 from __future__ import annotations
 
@@ -65,7 +65,16 @@ def _value_swaps(n: int) -> tuple[bytes, ...]:
     return tuple(tables)
 
 
+def _check_int(what: str, value: object) -> None:
+    """Refuse a size, point, index or budget that is not an int, such as
+    2.5 or True, which a range check alone lets through."""
+    if type(value) is not int:
+        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
+
+
 def _check_size(m: int, n: int) -> None:
+    _check_int("size", m)
+    _check_int("size", n)
     if m < 0 or n < 0:
         raise InvalidArgumentError(f"sizes must be non-negative, got {m}, {n}")
     if m > MAX_POSITIONS or n > MAX_POSITIONS:
@@ -76,7 +85,7 @@ def _check_size(m: int, n: int) -> None:
 
 class _ReadOnly:
     """Refuses assigning or deleting any attribute; a constructor that sets
-    fields does so through the slots' own setters, such as `_set_m`."""
+    fields does so through the slots' own setters, such as `_set_n`."""
 
     __slots__ = ()
 
@@ -90,14 +99,16 @@ class _ReadOnly:
 class PartialPerm(_ReadOnly):
     """An injective partial map from {1..m} to {1..n}."""
 
-    __slots__ = ("m", "n", "_img")
+    __slots__ = ("n", "_img")
 
     def __init__(self, m: int, n: int, mapping: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         _check_size(m, n)
-        img = [0] * m
+        img = bytearray(m)
         items = mapping.items() if isinstance(mapping, Mapping) else mapping
         seen = set()
         for i, j in items:
+            _check_int("domain point", i)
+            _check_int("image point", j)
             if not 1 <= i <= m:
                 raise InvalidArgumentError(f"domain point {i} outside 1..{m}")
             if not 1 <= j <= n:
@@ -108,9 +119,8 @@ class PartialPerm(_ReadOnly):
                 raise InvalidArgumentError(f"image point {j} hit twice (not injective)")
             seen.add(j)
             img[i - 1] = j
-        _set_m(self, m)
         _set_n(self, n)
-        _set_img(self, tuple(img))
+        _set_img(self, bytes(img))
 
     @classmethod
     def from_image(cls, n: int, image: Sequence[int]) -> PartialPerm:
@@ -118,9 +128,8 @@ class PartialPerm(_ReadOnly):
         return cls(len(image), n, ((i + 1, v) for i, v in enumerate(image) if v))
 
     @classmethod
-    def _unchecked(cls, m: int, n: int, img: tuple[int, ...]) -> PartialPerm:
+    def _unchecked(cls, n: int, img: bytes) -> PartialPerm:
         self = object.__new__(cls)
-        _set_m(self, m)
         _set_n(self, n)
         _set_img(self, img)
         return self
@@ -131,14 +140,18 @@ class PartialPerm(_ReadOnly):
     @classmethod
     def identity(cls, n: int) -> PartialPerm:
         _check_size(n, n)
-        return cls._unchecked(n, n, tuple(range(1, n + 1)))
+        return cls._unchecked(n, bytes(range(1, n + 1)))
 
     @classmethod
     def empty(cls, m: int, n: int) -> PartialPerm:
         _check_size(m, n)
-        return cls._unchecked(m, n, (0,) * m)
+        return cls._unchecked(n, bytes(m))
 
     # -- basic queries ------------------------------------------------------
+
+    @property
+    def m(self) -> int:
+        return len(self._img)
 
     def __call__(self, i: int) -> int | None:
         if not 1 <= i <= self.m:
@@ -147,7 +160,7 @@ class PartialPerm(_ReadOnly):
         return v if v else None
 
     @property
-    def image_row(self) -> tuple[int, ...]:
+    def image_row(self) -> bytes:
         return self._img
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -155,15 +168,15 @@ class PartialPerm(_ReadOnly):
 
     @property
     def rank(self) -> int:
-        return sum(1 for v in self._img if v)
+        return len(self._img) - self._img.count(0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PartialPerm):
             return NotImplemented
-        return self.m == other.m and self.n == other.n and self._img == other._img
+        return self.n == other.n and self._img == other._img
 
     def __hash__(self) -> int:
-        return hash((self.m, self.n, self._img))
+        return hash((self.n, self._img))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{i}: {j}" for i, j in self.pairs())
@@ -179,16 +192,16 @@ class PartialPerm(_ReadOnly):
             raise InvalidArgumentError(
                 f"cannot compose {self.m}x{self.n} with {other.m}x{other.n}"
             )
-        # entry v of (0, *other) is the image of v, and 0 stays undefined
-        return PartialPerm._unchecked(self.m, other.n,
-                                      tuple(map(((0,) + other._img).__getitem__, self._img)))
+        # entry v of the table is the image of v, and 0 stays undefined
+        return PartialPerm._unchecked(
+            other.n, self._img.translate((b"\0" + other._img).ljust(256, b"\0")))
 
     def inverse(self) -> PartialPerm:
-        img = [0] * self.n
-        for i, v in enumerate(self._img):
+        img = bytearray(self.n)
+        for i, v in enumerate(self._img, start=1):
             if v:
-                img[v - 1] = i + 1
-        return PartialPerm._unchecked(self.n, self.m, tuple(img))
+                img[v - 1] = i
+        return PartialPerm._unchecked(self.m, bytes(img))
 
     # -- order structure ----------------------------------------------------
 
@@ -222,7 +235,7 @@ class PartialPerm(_ReadOnly):
 # the slots' own setters, which assignment on an instance cannot reach;
 # they cost half what `object.__setattr__` does, and `_unchecked` runs in
 # every product and word evaluation
-_set_m, _set_n, _set_img = PartialPerm.m.__set__, PartialPerm.n.__set__, PartialPerm._img.__set__
+_set_n, _set_img = PartialPerm.n.__set__, PartialPerm._img.__set__
 
 
 def sigma_from_frames(tokens1: Sequence[str], tokens2: Sequence[str]) -> PartialPerm:
@@ -240,7 +253,7 @@ def sigma_from_frames(tokens1: Sequence[str], tokens2: Sequence[str]) -> Partial
     if len(set(t1)) != len(t1):
         raise InvalidArgumentError("first frame has repeated regions")
     _check_size(len(t1), len(t2))
-    return PartialPerm._unchecked(len(t1), len(t2), tuple(where.get(tok, 0) for tok in t1))
+    return PartialPerm._unchecked(len(t2), bytes(where.get(tok, 0) for tok in t1))
 
 
 def all_partial_perms(m: int, n: int):

@@ -83,7 +83,7 @@ def class_cost(sigma: PartialPerm) -> int:
         sigma = sigma.inverse()
     if sigma.n > MAX_ENUM:
         raise CapacityError(f"the class tables support up to {MAX_ENUM} regions, got {sigma.n}")
-    return class_costs(sigma.m, sigma.n, sigma.rank)[sigma.image_row]
+    return class_costs(sigma.m, sigma.n, sigma.rank)[tuple(sigma.image_row)]
 
 
 def descent(row: ImageRow, n: int) -> tuple[list[int], list[int]]:

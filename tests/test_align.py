@@ -1,3 +1,4 @@
+import os
 import random
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -85,7 +86,7 @@ def reference_search(sources):
     # a seed maps to its index, any other row to (parent, side, index)
     parent = {}
     for index, sigma in enumerate(sources):
-        parent.setdefault(sigma.image_row, index)
+        parent.setdefault(tuple(sigma.image_row), index)
 
     def discovered():
         layer = list(parent)
@@ -178,7 +179,7 @@ def _check_multi_source(sources, single):
     assert [g.i for g in sol.left_inversions] == left
     assert [g.i for g in sol.right_inversions] == right
     aligned = eval_word(sol.left_inversions) * sources[index] * eval_word(sol.right_inversions)
-    assert aligned.image_row == row
+    assert tuple(aligned.image_row) == row
     return sol
 
 
@@ -194,7 +195,7 @@ def test_moves_change_descents_by_at_most_one():
         return _descents(tuple(filter(None, row)))
 
     def check(sigma):
-        row, n = sigma.image_row, sigma.n
+        row, n = tuple(sigma.image_row), sigma.n
         for code, (_, _, child) in enumerate(moves(row, n)):
             assert moves(child, n)[code][2] == row
             assert abs(descents(child) - descents(row)) <= 1
@@ -434,30 +435,51 @@ def test_kernel_equals_the_reference_beyond_the_exhaustive_range():
     check()
 
 
+def _check_moves_change_costs_by_one(row, n, costs):
+    before = costs[row]
+    for _, _, child in moves(row, n):
+        assert all(abs(x - y) == 1 for x, y in zip(costs[child], before)), (row, child)
+
+
+def _check_lowered_moves(row, n, costs):
+    before = costs[row]
+    lowered = list(_lowered(row, range(n)))
+    assert [code for code, *_ in lowered] == list(range(2 * len(_swap_pairs(n))))
+    for (*_, rotations), (_, _, child) in zip(lowered, moves(row, n), strict=True):
+        after = costs[child]
+        assert rotations == [c for c in range(n) if after[c] < before[c]], (row, child)
+
+
 def test_rotation_cost_moves_by_exactly_one():
     # the greedy descent rests on this: a move changes every rotation's
     # cost by one, up or down (at most one by the lift, and every move is
     # a transposition, which flips the parity of every rotation's cost),
-    # so only a cheapest rotation can reach the goal in fewer steps
+    # so only a cheapest rotation can reach the goal in fewer steps; n = 8
+    # is the long test below
     for n in range(2, 8):
         costs = rotation_costs(n)
-        for row, before in costs.items():
-            for _, _, child in moves(row, n):
-                assert all(abs(x - y) == 1 for x, y in zip(costs[child], before)), (row, child)
+        for row in costs:
+            _check_moves_change_costs_by_one(row, n, costs)
 
 
 def test_lowered_moves_match_the_reference():
     # the descent's O(1) test, on every (row, rotation, move) with n <= 7:
     # the rotations a move lowers are exactly those whose reference cost
-    # is lower on the child
+    # is lower on the child; n = 8 is the long test below
     for n in range(1, 8):
         costs = rotation_costs(n)
-        for row, before in costs.items():
-            lowered = list(_lowered(row, range(n)))
-            assert [code for code, *_ in lowered] == list(range(2 * len(_swap_pairs(n))))
-            for (*_, rotations), (_, _, child) in zip(lowered, moves(row, n), strict=True):
-                after = costs[child]
-                assert rotations == [c for c in range(n) if after[c] < before[c]], (row, child)
+        for row in costs:
+            _check_lowered_moves(row, n, costs)
+
+
+@pytest.mark.skipif(os.environ.get("INVDEL_LONG_TESTS") != "1",
+                    reason="set INVDEL_LONG_TESTS=1 for the n=8 moves")
+def test_rotation_moves_at_eight_regions():
+    # the two tests above at n = 8, in one loop: all 645,120 moves
+    costs = rotation_costs(8)
+    for row in costs:
+        _check_moves_change_costs_by_one(row, 8, costs)
+        _check_lowered_moves(row, 8, costs)
 
 
 def test_full_rank_route_matches_the_search():

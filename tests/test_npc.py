@@ -186,7 +186,7 @@ def _reference_balanced_steps(sigma, max_steps):
     A halfway state expanded at an earlier step is not expanded again: its
     right children are already seen.
     """
-    start = (sigma.image_row, 0)
+    start = (tuple(sigma.image_row), 0)
     seen = {start}
     layer = [start]
     expanded = set()
@@ -307,7 +307,7 @@ def _reference_reached(start, count, depth):
     reached, read as orders: what npc._reached must yield, in this order."""
     if count > 2 * depth:
         return
-    first = (start, 0)
+    first = (tuple(start), 0)
     layer = {first: count}
     seen = {first}
     yield tuple(filter(None, start)), 0

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from invdel import (CapacityError, InvalidArgumentError, PartialPerm,
-                    all_partial_perms, sigma_from_frames)
+from invdel import (CapacityError, Generator, InvalidArgumentError, PartialPerm, Word,
+                    all_partial_perms, eval_generator, eval_word, sigma_from_frames)
 from invdel.pperm import _swap_pairs, _value_swaps
 
 # The worked composition example: f in I_{5,5}, g in I_{5,4}.
@@ -157,6 +157,28 @@ def test_crossing_count_is_inversion_number_for_full_perms():
         assert len(f.crossings()) == inv
 
 
+def test_every_producer_stores_a_byte_row():
+    # the row is bytes, m is its length, and each row reads as the tuple
+    # of images it held when rows were tuples
+    produced = [
+        (PartialPerm(3, 4, {1: 4, 3: 2}), (4, 0, 2)),
+        (PartialPerm.from_image(4, (0, 3, 1)), (0, 3, 1)),
+        (PartialPerm.identity(3), (1, 2, 3)),
+        (PartialPerm.empty(2, 5), (0, 0)),
+        (PartialPerm(3, 4, {1: 4, 3: 2}).inverse(), (0, 3, 0, 1)),
+        (F * G, (0, 4, 0, 2, 3)),
+        (SIGMA86, (4, 3, 5, 0, 1, 0, 0, 6)),
+        (eval_word(Word([Generator.deletion(2, 4), Generator.inversion(3, 3)])), (3, 0, 2, 1)),
+        (eval_generator(Generator.inversion(3, 3)), (3, 2, 1)),
+        (eval_generator(Generator.deletion(1, 3)), (0, 1, 2)),
+        *zip(all_partial_perms(2, 3), [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3),
+                                       (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)], strict=True),
+    ]
+    for x, row in produced:
+        assert type(x.image_row) is bytes and x.m == len(x.image_row), x
+        assert tuple(x.image_row) == row, x
+
+
 def test_injectivity_enforced():
     with pytest.raises(InvalidArgumentError):
         PartialPerm(3, 3, {1: 2, 2: 2})
@@ -171,7 +193,13 @@ def test_injectivity_enforced():
     (lambda: PartialPerm(2, 3, {1: 1})(3), "position 3 outside"),
     (lambda: sigma_from_frames("aba", "ab"), "first frame has repeated regions"),
     (lambda: sigma_from_frames("ab", "abb"), "second frame has repeated regions"),
-], ids=["negative-size", "domain-point", "image-point", "call", "first-frame", "second-frame"])
+    (lambda: PartialPerm(3.0, 3), "size must be an integer, got 3.0"),
+    (lambda: PartialPerm(3, 3, {1.0: 2}), "domain point must be an integer, got 1.0"),
+    (lambda: PartialPerm(3, 3, {1: 2.5, 2: 1}), "image point must be an integer, got 2.5"),
+    (lambda: PartialPerm.identity(2.0), "size must be an integer, got 2.0"),
+    (lambda: PartialPerm.empty(2, True), "size must be an integer, got True"),
+], ids=["negative-size", "domain-point", "image-point", "call", "first-frame", "second-frame",
+        "float-size", "float-domain-point", "float-image-point", "float-identity", "bool-empty"])
 def test_pperm_refuses_bad_input(build, message):
     with pytest.raises(InvalidArgumentError, match=message):
         build()
@@ -201,7 +229,7 @@ def test_value_swaps_match_the_per_entry_rewrite():
 
     def check(row, n):
         for (a, b), table in zip(_swap_pairs(n), _value_swaps(n), strict=True):
-            assert bytes(row).translate(table) == bytes(rewrite(row, a + 1, b + 1))
+            assert row.translate(table) == bytes(rewrite(row, a + 1, b + 1))
 
     checked = 0
     for m in range(1, 7):

@@ -108,12 +108,20 @@ REFUSED = [
     pytest.param(lambda: Generator("swap", 1, 3), "unknown generator kind 'swap'", id="kind"),
     pytest.param(lambda: Generator.rotation(3)._replace(i=1),
                  "rotation/reflection carries no index", id="generator-replace"),
+    pytest.param(lambda: Generator("inv", 1.5, 3),
+                 "generator index must be an integer, got 1.5", id="float-index"),
+    pytest.param(lambda: Generator("inv", 1, 3.0),
+                 "generator size must be an integer, got 3.0", id="float-size"),
+    pytest.param(lambda: Word((), 3.0),
+                 "word source size must be an integer, got 3.0", id="float-word-source"),
     pytest.param(lambda: BalancedSortInstance(PartialPerm(2, 3, {1: 3}), 1),
                  "balanced sorting is defined on square partial permutations", id="not-square"),
     pytest.param(lambda: BalancedSortInstance(SQUARE, -1),
                  "budget must be non-negative", id="negative-budget"),
     pytest.param(lambda: BalancedSortInstance(SQUARE, 1)._replace(k=-1),
                  "budget must be non-negative", id="instance-replace"),
+    pytest.param(lambda: BalancedSortInstance(SQUARE, 4.5),
+                 "budget must be an integer, got 4.5", id="float-budget"),
 ]
 
 
