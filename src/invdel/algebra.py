@@ -124,6 +124,8 @@ class Word(_ReadOnly):
                 raise WordTypeError("empty word needs an explicit source size")
             src = letters[0].n
         _check_int("word source size", src)
+        if src < 0:
+            raise InvalidArgumentError(f"word source size must be non-negative, got {src}")
         size = src
         for g in letters:
             # `Generator.src` and `tgt` read from the fields: a letter starts

@@ -9,14 +9,14 @@ cost; its witness, the move sequence kept as one inversion word per side,
 is built when first read.  The pairing it ends at is not kept.
 
 The default engine (`solve_sources`, with `solve_pair` its one-source
-case) takes one of two routes.  When the two genomes have the same regions
-(every source is n by n of rank n) it needs no search; see "Full rank"
-below.  Otherwise it deepens (Korf, 1985): for k = 0, 1, 2, ... it probes
-the sources in the order given, and the first source within k moves of a
-goal, an orientation-preserving pairing, wins at cost k.  States are
-byte rows (`pperm`): a left move swaps two positions, and a right move,
-which swaps two values, is one `bytes.translate` with a `_value_swaps`
-table.
+case) takes one of two routes.  When one genome's regions contain the
+other's (every source has full rank, min(m, n) >= 1) it needs no search;
+see "Full rank" below.  Otherwise it deepens (Korf, 1985): for k = 0, 1,
+2, ... it probes the sources in the order given, and the first source
+within k moves of a goal, an orientation-preserving pairing, wins at
+cost k.  States are byte rows (`pperm`): a left move swaps two
+positions, and a right move, which swaps two values, is one
+`bytes.translate` with a `_value_swaps` table.
 
 `probe(row, k)` finds a path to a goal within k moves.  A state is
 a goal when its defined images, read in position order, have at most one
@@ -29,9 +29,10 @@ This is the admissible bound of A* (Hart, Nilsson and Raphael, 1968): it
 is 0 exactly on goals, and a move changes it by at most one, because a
 move with two defined endpoints is a move of the compressed row, and one
 with an empty endpoint leaves that row as it is or turns it cyclically
-(only across the wraparound), which changes no least rotation cost.  A
-search memoises the bound by the defined images and by its relabelled
-row.  Past the prunes the probe tries the children in code order,
+(only across the wraparound), which changes no least rotation cost.  On
+a full-rank pairing the bound is exact ("Full rank" below).  A search
+memoises the bound by the defined images and by its relabelled row.
+Past the prunes the probe tries the children in code order,
 skipping a move whose endpoints are both empty (it fixes the state), and
 on failure records k as the largest bound the state failed at, so a
 revisit within it fails at once.  Every answer is exact: the prunes are
@@ -63,6 +64,20 @@ lifted tracks cross, periodic copies included: the sum over p < q of
 |floor((y_p - y_q) / n) + 1|, where y_p is where token p's track ends.  A
 source costs the least of its n rotation costs, and the first source of
 least cost wins.
+
+A pairing of rank min(m, n) takes the same closed form.  After the
+mirror m <= n, so the pairing sigma has no empty position, and its
+compressed row tau (the probe's, above) is m by m of rank m.  Then
+mu(sigma) = mu(tau).  Sigma's left moves are tau's left moves.  A right
+move between two used values is a move of tau; one that touches an
+unused value only renames a value, or, across the wraparound, turns the
+compressed order cyclically; so tau's cost is a lower bound.  And any
+solution of tau carries over to the left side alone, by conjugating its
+right moves by the target rotation, which keeps circular adjacency.  So
+from every state some left move lowers the cost, and sigma's
+lexicographically least shortest move sequence is tau's descent below,
+all on the left; with m > n it is all on the right, through the mirror.
+Only a pairing whose two genomes both have private regions is searched.
 
 `_rotation_costs` counts all n rotations in one O(n^2) pass.  Sort the
 tokens once by d, descending, ties by position: at every rotation the
@@ -100,8 +115,10 @@ solution on every permutation with n <= 6.  Beyond that it rests on
 Jerrum's argument and on drawn checks: the kernel against the reference
 at n = 9..16, and the words against a plain greedy descent on the least
 rotation cost, on 20 seeded permutations each for n = 8..16
-(`test_full_rank_words_descend_past_seven_regions`).  The solver as a
-whole, full and partial rank, is anchored to the tests' class tables:
+(`test_full_rank_words_descend_past_seven_regions`).  With m < n the
+route equals the probe, in index, cost and words, on 300 seeded pairings
+with n <= 10 (`test_full_rank_pairings_are_never_searched`).  The solver
+as a whole, full and partial rank, is anchored to the tests' class tables:
 its cost and words equal a table's cost and the greedy descent read off
 it on every pairing with m, n <= 6, both ways round, and, in a long
 test, on every pairing with m <= n = 7.
@@ -261,23 +278,27 @@ def _solution(m: int, n: int, codes: list[int]) -> tuple[Word, Word]:
 
 
 def _solve_full_rank(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolution]:
-    """`solve_sources` for n-by-n rank-n sources, without a search.
+    """`solve_sources` for m-by-n rank-m sources with 1 <= m <= n, without
+    a search.
 
-    A source costs the least of its n rotation costs, all found in one pass,
-    and the first source of least cost wins.  Its witness, built when first
-    read, descends greedily: each step takes the first move in code order
-    that lowers a rotation still at the minimum, and keeps only the
-    rotations it lowered.  Every move lowers or raises each rotation's cost
-    by exactly one, and `_lowered` tells which in O(1) per rotation, so no
-    child's cost is counted again (module docstring).
+    A source costs the least of the m rotation costs of its compressed
+    row, all found in one pass, and the first source of least cost wins.
+    Its witness, built when first read, descends greedily on that row:
+    each step takes the first move in code order that lowers a rotation
+    still at the minimum, and keeps only the rotations it lowered.  Every
+    move lowers or raises each rotation's cost by exactly one, and
+    `_lowered` tells which in O(1) per rotation, so no child's cost is
+    counted again.  The descent moves the left side alone, whose moves
+    are the source's own left moves (module docstring).
     """
-    n = sources[0].n
+    m, n = sources[0].m, sources[0].n
     best = None
     for index, sigma in enumerate(sources):
-        costs = _rotation_costs(sigma.image_row)
+        row = _relabelled(sigma.image_row) if m < n else sigma.image_row
+        costs = _rotation_costs(row)
         cost = min(costs)
         if best is None or cost < best[0]:
-            best = cost, index, sigma.image_row, [c for c in range(n) if costs[c] == cost]
+            best = cost, index, row, [c for c in range(m) if costs[c] == cost]
     cost, index, start, cheapest = best
 
     def witness() -> tuple[Word, Word]:
@@ -293,7 +314,7 @@ def _solve_full_rank(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolu
             # positions that hold them
             row = _swap_positions(row, x, z)
             codes.append(code)
-        return _solution(n, n, codes)
+        return _solution(m, n, codes)
     return index, AlignmentSolution(cost, witness)
 
 
@@ -397,7 +418,7 @@ def solve_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolutio
         return index, AlignmentSolution(mirror.cost, lambda: (
             Word(reversed(mirror.right_inversions.letters), m),
             Word(reversed(mirror.left_inversions.letters), n)))
-    if m == n and all(s.rank == n for s in sources):
+    if m >= 1 and all(s.rank == m for s in sources):
         return _solve_full_rank(sources)
     return _search_sources(sources)
 

@@ -53,13 +53,11 @@ def directed_distance(g1: Genome, g2: Genome) -> int:
     Then it equals the distance through the most recent common ancestor:
     the symmetric difference is exactly the deleted regions, and the
     alignment cost matches the fewest inversions sorting the first genome's
-    surviving regions into the second.  So the alignment is solved on the
-    survivors alone, and its cost grows with the second genome, not the
-    first.  The tests check this against that inversion-sorting search on
-    every pair with n <= 5; it also held on every subset pair with n <= 6.
-    The survivors and the second genome have the same regions, so the
-    alignment is full rank: it takes the closed form (see align.py), runs
-    no search and meets no state budget, up to 16 regions.
+    surviving regions into the second.  The tests check this against that
+    inversion-sorting search on every pair with n <= 5; it also held on
+    every subset pair with n <= 6.  The pairing of the shared regions then
+    has full rank, so the alignment takes the closed form (see align.py),
+    runs no search and meets no state budget, up to 16 regions.
     """
     r1, r2 = g1.regions, g2.regions
     if not r2 <= r1:
@@ -68,9 +66,7 @@ def directed_distance(g1: Genome, g2: Genome) -> int:
             "no inversion/deletion sequence exists: target regions not in source "
             f"(missing from source: {missing})"
         )
-    survivors = Genome.from_tokens(t for t in g1.canonical.tokens if t in r2)
-    mu = mrca_distance(survivors, g2).mu
-    return len(r1 - r2) + mu
+    return mrca_distance(g1, g2).total
 
 
 # -- ancestor construction -------------------------------------------------------

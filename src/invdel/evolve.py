@@ -13,7 +13,7 @@ from collections import namedtuple
 from .errors import CapacityError, InvalidArgumentError
 from .algebra import Generator, Word, apply_to_frame
 from .genome import Genome
-from .pperm import MAX_POSITIONS
+from .pperm import MAX_POSITIONS, _check_int
 
 
 class EvolutionScenario(namedtuple("EvolutionScenario",
@@ -30,6 +30,7 @@ class EvolutionScenario(namedtuple("EvolutionScenario",
 
 def random_genome(n: int, seed: int) -> Genome:
     """A uniformly random circular arrangement of the first n letters."""
+    _check_int("genome size", n)
     if not 1 <= n <= MAX_POSITIONS:
         raise CapacityError(f"genome size must be 1..{MAX_POSITIONS}, got {n}")
     tokens = list("abcdefghijklmnopqrstuvwxyz"[:n])
@@ -58,6 +59,8 @@ def simulate(
 ) -> EvolutionScenario:
     """Apply deletions-then-inversions independently along two branches."""
     n = ancestor.n
+    for k in (k_del_1, k_inv_1, k_del_2, k_inv_2):
+        _check_int("event count", k)
     for k in (k_del_1, k_del_2):
         if k < 0 or k > n - 1:
             raise InvalidArgumentError(f"deletions per branch must be 0..{n - 1}, got {k}")

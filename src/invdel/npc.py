@@ -49,6 +49,16 @@ class BalancedSortInstance(namedtuple("BalancedSortInstance", "sigma k")):
         return cls(*values)
 
 
+def _multiset(values: Iterable[int]) -> tuple[int, ...]:
+    """The multiset as a tuple, each element an integer of at least 1."""
+    values = tuple(values)
+    for a in values:
+        _check_int("multiset element", a)
+        if a < 1:
+            raise InvalidArgumentError("all elements must be positive integers")
+    return values
+
+
 def reduce_partition(values: Sequence[int]) -> BalancedSortInstance:
     """Encode an equal-sum-split instance as a balanced sorting instance.
 
@@ -57,11 +67,9 @@ def reduce_partition(values: Sequence[int]) -> BalancedSortInstance:
     exactly one crossing per element and the j-th needs a_j adjacent
     inversions to undo.
     """
-    values = tuple(values)
+    values = _multiset(values)
     if not values:
         raise InvalidArgumentError("the multiset must be nonempty")
-    if any(a < 1 for a in values):
-        raise InvalidArgumentError("all elements must be positive integers")
     total = sum(values)
     m = len(values) + total
     if m > MAX_POSITIONS:
@@ -80,11 +88,9 @@ def reduce_partition(values: Sequence[int]) -> BalancedSortInstance:
 
 def partition_brute(values: Sequence[int]) -> bool:
     """Exact subset-sum scan for an equal split."""
-    values = tuple(values)
+    values = _multiset(values)
     if len(values) > 24:
         raise CapacityError("brute-force split check is capped at 24 elements")
-    if any(a < 1 for a in values):
-        raise InvalidArgumentError("all elements must be positive integers")
     total = sum(values)
     if total % 2:
         return False
@@ -96,9 +102,7 @@ def partition_brute(values: Sequence[int]) -> bool:
 
 def partition_witness(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """An equal-sum split (X, Y) of the multiset, or None."""
-    values = tuple(values)
-    if any(a < 1 for a in values):
-        raise InvalidArgumentError("all elements must be positive integers")
+    values = _multiset(values)
     total = sum(values)
     if total % 2:
         return None

@@ -83,8 +83,8 @@ def test_criterion_2_relation_suite():
 def test_criterion_3_oracle_equivalence():
     start = time.perf_counter()
     checked = 0
-    for m in range(1, 5):
-        for n in range(1, 5):
+    for m in range(0, 5):
+        for n in range(0, 5):
             for sigma in all_partial_perms(m, n):
                 bfs = solve_pair(sigma).cost
                 oracle = mu_oracle(sigma, 8)

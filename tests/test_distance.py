@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from invdel import (Generator, Genome, NoPathError, Word, apply_to_frame,
+from invdel import (Generator, Genome, NoPathError, PartialPerm, Word, apply_to_frame,
                     construct_ancestor, directed_distance, distance_matrix, format_phylip,
                     format_tsv, genomes_from_token_lists, load_genomes,
                     mrca_distance, mu_oracle, random_genome, sigma_from_frames,
@@ -113,27 +113,46 @@ def test_directed_bounds_mrca():
         assert mrca_distance(g1, g2).total <= d
 
 
-def test_directed_searches_only_the_survivors(monkeypatch):
-    from invdel import distance
+NESTED_16_12 = ("r10 r14 r5 r1 r9 r2 r3 r11 r13 r7 r8 r4 r0 r6 r15 r12".split(),
+                "r0 r3 r13 r5 r14 r10 r12 r2 r11 r7 r9 r15".split())
 
-    g1, g2 = genomes_from_token_lists("abcdefghijkl", "cahfbedg")
-    expected = mrca_distance(g1, g2).total
-    sizes = []
-    core = distance.solve_sources
 
-    def recorded(sources):
-        sizes.extend((s.m, s.n) for s in sources)
-        return core(sources)
+def test_full_rank_pairings_are_never_searched(monkeypatch):
+    # when one genome's regions contain the other's, the pairing has full
+    # rank and takes the closed form, however many regions are private
+    from invdel import align
 
-    monkeypatch.setattr(distance, "solve_sources", recorded)
-    assert directed_distance(g1, g2) == expected
-    assert sizes == [(8, 8), (8, 8)]  # |R2| positions on both sides, never 12
+    # the probe stays the reference for the closed form on m < n, past the
+    # class tables' anchor at seven regions
+    rng = random.Random(42)
+    for _ in range(300):
+        n = rng.randint(2, 10)
+        m = rng.randint(1, n - 1)
+        sources = [PartialPerm(m, n, zip(range(1, m + 1), rng.sample(range(1, n + 1), m)))
+                   for _ in range(rng.randint(1, 3))]
+        index, closed = align.solve_sources(sources)
+        searched_index, searched = align._search_sources(sources)
+        assert (index, closed.cost) == (searched_index, searched.cost), sources
+        assert closed.left_inversions == searched.left_inversions, sources
+        assert closed.right_inversions == searched.right_inversions, sources
+
+    pairs = [genomes_from_token_lists("abcdefghijkl", "cahfbedg"),
+             genomes_from_token_lists(*NESTED_16_12)]
+
+    def refuse(sources):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(align, "_search_sources", refuse)
+    for (g1, g2), expected in zip(pairs, (10, 20)):
+        assert mrca_distance(g1, g2).total == mrca_distance(g2, g1).total == expected
+        assert directed_distance(g1, g2) == expected
 
 
 def test_directed_capacity(monkeypatch):
     # the size limit is not the target's region count: a close 11-region
-    # target solves, and since the survivors and the target share every
-    # region, the distance never searches, even at 16 regions to 14
+    # target solves, and since the target's regions all lie in the source's,
+    # the pairing has full rank and the distance never searches, even at
+    # 16 regions to 14
     from invdel import align
 
     g1, g2 = genomes_from_token_lists("abcdefghijkl", "abcedfghikj")
@@ -144,8 +163,8 @@ def test_directed_capacity(monkeypatch):
 
     monkeypatch.setattr(align, "_search_sources", refuse)
     g1, g2 = genomes_from_token_lists("abcdefghijklmnop", "abdcefghjilmno")
-    # two deletions and two swaps; the deepening oracle gives the survivors
-    # mu 2 on the direct pair and more than 2 on the reflected one
+    # two deletions and two swaps; the deepening oracle gives the surviving
+    # regions mu 2 on the direct pair and more than 2 on the reflected one
     assert directed_distance(g1, g2) == 4
 
 

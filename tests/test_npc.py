@@ -53,7 +53,12 @@ def test_reduction_names_positions_beyond_the_cap():
 @pytest.mark.parametrize("build, message", [
     (lambda: BalancedSortInstance(PartialPerm.identity(2), -1), "budget must be non-negative"),
     (lambda: partition_brute([0]), "positive integers"),
-], ids=["negative-budget", "zero-element"])
+    (lambda: partition_brute([1.5, 1.5]), r"multiset element must be an integer, got 1\.5"),
+    (lambda: partition_brute([2.0, 2.0]), r"multiset element must be an integer, got 2\.0"),
+    (lambda: partition_witness([2.0, 2.0]), r"multiset element must be an integer, got 2\.0"),
+    (lambda: reduce_partition([True, True]), "multiset element must be an integer, got True"),
+], ids=["negative-budget", "zero-element", "brute-half", "brute-float", "witness-float",
+        "reduce-bool"])
 def test_npc_refuses_bad_input(build, message):
     with pytest.raises(InvalidArgumentError, match=message):
         build()

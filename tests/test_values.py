@@ -122,6 +122,16 @@ REFUSED = [
                  "budget must be non-negative", id="instance-replace"),
     pytest.param(lambda: BalancedSortInstance(SQUARE, 4.5),
                  "budget must be an integer, got 4.5", id="float-budget"),
+    pytest.param(lambda: Word((), -1),
+                 "word source size must be non-negative, got -1", id="negative-word-source"),
+    pytest.param(lambda: random_genome(2.5, 1),
+                 "genome size must be an integer, got 2.5", id="float-genome-size"),
+    pytest.param(lambda: random_genome(True, 1),
+                 "genome size must be an integer, got True", id="bool-genome-size"),
+    pytest.param(lambda: simulate(random_genome(4, 1), 1.0, 0, 0, 0, 1),
+                 "event count must be an integer, got 1.0", id="float-deletions"),
+    pytest.param(lambda: simulate(random_genome(4, 1), 0, 0, 0, 2.5, 1),
+                 "event count must be an integer, got 2.5", id="float-inversions"),
 ]
 
 
