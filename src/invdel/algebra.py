@@ -91,8 +91,6 @@ def eval_generator(g: Generator) -> PartialPerm:
     n = g.n
     if g.kind == INV:
         # s_{i;n} swaps i and i+1; s_{n;n} is the wraparound pair (1, n).
-        if n == 1:
-            return PartialPerm.identity(1)
         a, b = (g.i, g.i + 1) if g.i < n else (1, n)
         img = list(range(1, n + 1))
         img[a - 1], img[b - 1] = b, a
@@ -119,6 +117,9 @@ class Word(_ReadOnly):
 
     def __init__(self, letters: Iterable[Generator] = (), src: int | None = None):
         letters = tuple(letters)
+        for g in letters:
+            if not isinstance(g, Generator):
+                raise WordTypeError(f"a word's letters must be generators, got {g!r}")
         if src is None:
             if not letters:
                 raise WordTypeError("empty word needs an explicit source size")
@@ -236,7 +237,7 @@ def apply_to_frame(frame: ReferenceFrame, w: Word) -> ReferenceFrame:
     _check_size(w.src, w.src)
     tokens = list(frame.tokens)
     _move(tokens, w)
-    return ReferenceFrame(tuple(tokens))
+    return ReferenceFrame(tokens)
 
 
 # -- serialization -----------------------------------------------------------

@@ -39,19 +39,21 @@ revisit within it fails at once.  Every answer is exact: the prunes are
 lower bounds, and a state that failed at k is more than k moves from a
 goal.  No goal is listed.
 
-The tie rule is fixed: sources are probed in the order given (repeats
-dropped, the first copy kept), and moves go in code order, the moves of
-the side with fewer positions before the other side's (the left side's
-when m = n; an m > n pairing is solved as its inverse), then by
-generator index.  The first source of least cost wins, and its witness
-is the path its successful probe found.  The probe takes the first child
-in code order that succeeds, and k is exact, so that path is the
-source's lexicographically least shortest move sequence: the answer of
-solving every source alone and keeping the first strict minimum, and
-that of a layered breadth-first search seeded with the sources in order
-(the tests' reference).  Probe calls, revisits
-included, count against `MAX_STATES`; beyond it the search raises
-CapacityError, so the budget bounds time, not just memory.
+The tie rule is fixed: sources are probed in the order given, and moves
+go in code order, the moves of the side with fewer positions before the
+other side's (the left side's when m = n; an m > n pairing is solved as
+its inverse), then by generator index.  The first source of least cost
+wins, and its witness is the path its successful probe found.  The probe
+takes the first child in code order that succeeds, and k is exact, so
+that path is the source's lexicographically least shortest move
+sequence: the answer of solving every source alone and keeping the first
+strict minimum, and that of a layered breadth-first search seeded with
+the sources in order (the tests' reference).  A repeated source needs no
+care: at every k it is probed after its first copy has failed, and fails
+at once, by the same prune or by the failure memo, so only the first
+copy can win.  Probe calls, revisits included, count against
+`MAX_STATES`; beyond it the search raises CapacityError, so the budget
+bounds time, not just memory.
 
 Full rank.  An n-by-n rank-n pairing is orientation preserving exactly
 when it is one of the n rotations of the identity, and the fewest moves
@@ -89,8 +91,8 @@ no crossing either, except the next token in order, which also goes back
 by n: only its n - 1 terms change, each by one.
 
 The witness, built on first read, is a greedy descent that keeps the tie
-rule.  A move swaps two tokens that are adjacent at their starts (a left
-move) or at their ends (a right move).  Carried over to the child, a lift
+rule.  A move swaps two tokens that are adjacent at the start (a left
+move) or at the end (a right move).  Carried over to the child, a lift
 changes only that pair's term, by one; and every move is a transposition,
 which flips the parity of every rotation's cost.  So a move changes each
 rotation's cost by exactly one, and it lowers rotation c's cost when the
@@ -218,7 +220,7 @@ def _rotation_costs(row: Sequence[int]) -> list[int]:
     # from each rotation to the next every end moves up by one, which
     # changes no crossing, and the next token j in order also goes back by
     # n: each of its n - 1 terms moves by one, up when the partner's copy
-    # that starts within n positions after j ends above j, down otherwise
+    # that begins within n positions after j ends above j, down otherwise
     for j in (order[k:] + order[:k])[:-1]:
         yj = y[j]
         above = sum(map(yj.__lt__, y[j + 1:])) + sum(map((yj - n).__lt__, y[:j]))
@@ -233,8 +235,8 @@ def _lowered(row: Sequence[int], rotations: Sequence[int]) -> Iterator[tuple[int
     two tokens, and the rotations among `rotations` whose cost it lowers,
     by one; it raises the others' by one.
 
-    The move's two tokens x and z are adjacent at their starts (a left
-    move: x starts one behind z) or at their ends (a right move: x ends
+    The move's two tokens x and z are adjacent at their start positions (a
+    left move: x begins one behind z) or at their ends (a right move: x ends
     one ahead of z), and it lowers rotation c's cost exactly when their
     tracks cross in some optimal lift (module docstring).  With m = 1 for
     a token sent backwards, they cross when b_x - b_z - 1 - n (m_x - m_z)
@@ -387,13 +389,9 @@ def _search_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolut
     path that probe found is the witness."""
     m, n = sources[0].m, sources[0].n
     probe, _ = _prober(m, n)
-    # each distinct source row with the index of its first copy
-    starts: dict[bytes, int] = {}
-    for index, sigma in enumerate(sources):
-        starts.setdefault(sigma.image_row, index)
     for cost in count():
-        for row, index in starts.items():
-            path = probe(row, cost)
+        for index, sigma in enumerate(sources):
+            path = probe(sigma.image_row, cost)
             if path is not None:
                 return index, AlignmentSolution(cost, partial(_solution, m, n, path[::-1]))
 
@@ -448,8 +446,6 @@ def mu_oracle(sigma: PartialPerm, depth_cap: int) -> int | None:
     def cyclic(row: bytes) -> bool:
         images = [v for v in row if v]
         k = len(images)
-        if k <= 1:
-            return True
         drops = 0
         for t in range(k):
             if images[t] > images[(t + 1) % k]:
@@ -477,12 +473,8 @@ def mu_oracle(sigma: PartialPerm, depth_cap: int) -> int | None:
 
 def reference_pairs(g1: Genome, g2: Genome) -> list[tuple[ReferenceFrame, ReferenceFrame]]:
     """The canonical frame of the first genome against the canonical and
-    the reflected-canonical frame of the second (the reflection is dropped
-    when it is the same frame)."""
+    the reflected-canonical frame of the second; the two are one pair
+    when the second genome has one region, and the first wins the tie."""
     c1, c2 = g1.canonical, g2.canonical
-    pairs = [(c1, c2)]
-    flipped = ReferenceFrame(c2.tokens[::-1])
-    if flipped != c2:
-        pairs.append((c1, flipped))
-    return pairs
+    return [(c1, c2), (c1, ReferenceFrame(c2.tokens[::-1]))]
 

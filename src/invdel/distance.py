@@ -158,7 +158,7 @@ def construct_ancestor(result: DistanceResult) -> AncestorScenario:
     for r, mine, theirs in zip(order, own1[1:], own2[1:]):
         ancestor_tokens += [r] + mine + theirs
 
-    ancestor_frame = ReferenceFrame(tuple(ancestor_tokens))
+    ancestor_frame = ReferenceFrame(ancestor_tokens)
 
     del1 = _deletion_word(ancestor_frame, regions2 - regions1)
     del2 = _deletion_word(ancestor_frame, regions1 - regions2)

@@ -154,6 +154,7 @@ class PartialPerm(_ReadOnly):
         return len(self._img)
 
     def __call__(self, i: int) -> int | None:
+        _check_int("position", i)
         if not 1 <= i <= self.m:
             raise InvalidArgumentError(f"position {i} outside 1..{self.m}")
         v = self._img[i - 1]

@@ -272,6 +272,8 @@ def test_multi_source_matches_single_sources(monkeypatch):
                                for _ in range(rng.randint(2, 4))]
                     single = {s: reference_search([s]) for s in sources}
                     check(sources, single)
+                    # a repeat reaches the probe, and only its first copy wins
+                    check(sources + sources[:1], single)
     assert any(memos) and True in above
 
 

@@ -264,6 +264,59 @@ def test_random_full_rank_pairs_solve_without_the_budget(tmp_path, capsys):
     assert code == 0 and "verify ok" in out
 
 
+# the lines the console-script step of .github/workflows/tests.yml pins,
+# on the same files: a genome file, the command and the names after it,
+# and what report lines read, by index (0-based, -1 the last)
+TIE = "A: d a c b e f\nB: a d c e\n"
+NESTED16 = ("A: r10 r14 r5 r1 r9 r2 r3 r11 r13 r7 r8 r4 r0 r6 r15 r12\n"
+            "B: r0 r3 r13 r5 r14 r10 r12 r2 r11 r7 r9 r15\n")
+SIXTEEN_ARGV = ("--max-n", "16", "--emit-events")
+OUTPUT_PINS = [
+    # the tie rule: the side with fewer positions moves first
+    pytest.param(TIE, ("distance", "A", "B", "--emit-events"),
+                 {-1: "right-inversions s1;4"}, id="tie"),
+    pytest.param(TIE, ("distance", "B", "A", "--emit-events"),
+                 {4: "left-inversions s1;4"}, id="tie-reversed"),
+    # a 16-region partial-rank search, both ways round
+    pytest.param(random_pair(16, 15), ("distance", "A", "B") + SIXTEEN_ARGV, {
+        2: "mu 25",
+        -1: "right-inversions s2;16 s3;16 s6;16 s5;16 s4;16"}, id="sixteen"),
+    pytest.param(random_pair(16, 15), ("distance", "B", "A") + SIXTEEN_ARGV, {
+        2: "mu 25",
+        4: "left-inversions s14;16 s15;16 s16;16 s13;16 s14;16 s15;16 s10;16 s11;16 s12;16 "
+           "s13;16 s14;16 s12;16 s13;16 s10;16 s11;16 s10;16 s8;16 s2;16 s3;16 s4;16 s3;16 "
+           "s1;16 s2;16",
+        -1: "right-inversions s10;16 s9;16"}, id="sixteen-reversed"),
+    # the 16-region full-rank route's witness
+    pytest.param(random_pair(16, 16), ("distance", "A", "B") + SIXTEEN_ARGV, {
+        4: "left-inversions s14;16 s15;16 s1;16 s16;16 s13;16 s14;16 s15;16 s2;16 s1;16 "
+           "s16;16 s12;16 s13;16 s14;16 s10;16 s11;16 s12;16 s13;16 s12;16 s11;16 s8;16 s4;16 "
+           "s5;16 s4;16 s2;16 s1;16"}, id="full16"),
+    # a nested pair: its words on the side with fewer positions alone
+    pytest.param(NESTED16, ("distance", "A", "B") + SIXTEEN_ARGV, {
+        -1: "right-inversions s1;12 s6;12 s5;12 s4;12 s3;12 s8;12 s10;12 s9;12 s8;12 s11;12 "
+            "s10;12 s9;12 s12;12 s1;12 s2;12 s11;12"}, id="nested16"),
+    pytest.param(NESTED16, ("distance", "B", "A") + SIXTEEN_ARGV, {
+        4: "left-inversions s10;12 s11;12 s1;12 s12;12 s11;12 s9;12 s8;12 s7;12 s6;12 s2;12 "
+           "s3;12 s4;12 s2;12 s3;12 s1;12 s2;12"}, id="nested16-reversed"),
+    # the whole mrca report of a pair whose second frame is turned
+    pytest.param("A: m d a e g n\nB: d g m n j h\n", ("mrca", "A", "B", "--json"), {
+        0: '{"ancestor": "admnjhge", "command": "mrca", "event_count": 5, "events_to_g1": '
+           '"d6;8 d5;7", "events_to_g2": "d8;8 d1;7 s6;6", "gap_sets": [[], [], [], ["j", '
+           '"h"], []], "genomes": ["A", "B"], "schema_version": 1, "verify": "ok"}'}, id="turn"),
+]
+
+
+@pytest.mark.parametrize("genomes, argv, lines", OUTPUT_PINS)
+def test_console_script_output_pins(tmp_path, capsys, genomes, argv, lines):
+    path = tmp_path / "genomes.txt"
+    path.write_text(genomes)
+    code, out, _ = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 0
+    out = out.splitlines()
+    assert {index: out[index] for index in lines} == lines
+
+
 def test_only_the_commands_that_print_words_run_the_descent(tmp_path, capsys, monkeypatch):
     # the full-rank route runs its greedy descent, one `_lowered` call per
     # move, only when the words are read: never for a command that prints

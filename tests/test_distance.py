@@ -3,9 +3,9 @@ from itertools import permutations
 
 import pytest
 
-from invdel import (Generator, Genome, NoPathError, PartialPerm, Word, apply_to_frame,
-                    construct_ancestor, directed_distance, distance_matrix, format_phylip,
-                    format_tsv, genomes_from_token_lists, load_genomes,
+from invdel import (Generator, Genome, NoPathError, PartialPerm, ReferenceFrame, Word,
+                    apply_to_frame, construct_ancestor, directed_distance, distance_matrix,
+                    format_phylip, format_tsv, genomes_from_token_lists, load_genomes,
                     mrca_distance, mu_oracle, random_genome, sigma_from_frames,
                     simulate, verify_scenario_report)
 from invdel.errors import CapacityError, InvalidArgumentError
@@ -178,6 +178,15 @@ def test_ancestor_worked_example():
     assert sc.gap_sets == (("i",), ("j", "k"), ("l",), (), ())
     assert verify_scenario_report(sc, g1, g2, expected=result.total)[0]
     assert sc.ancestor.regions == g1.regions | g2.regions
+
+
+def test_ancestor_of_genomes_built_from_any_frame():
+    # a genome built from a frame that is not its least one still replays
+    g1 = Genome(ReferenceFrame(tuple("bcdaef")))
+    g2 = Genome(ReferenceFrame(tuple("fbdxce")))
+    result = mrca_distance(g1, g2)
+    assert verify_scenario_report(construct_ancestor(result), g1, g2,
+                                  result.total) == (True, "ok")
 
 
 def test_ancestor_of_identical_genomes():

@@ -52,6 +52,24 @@ def test_canonicalize_idempotent_and_orbit_invariant():
         assert Genome.from_frame(apply_to_frame(f, sym)) == g
 
 
+def test_genome_constructor_canonicalizes():
+    # `Genome(frame)` keeps the least frame of the class, as `from_frame` does
+    assert Genome(frame("bac")) == Genome.from_tokens("bac") == Genome.from_frame(frame("cab"))
+    assert Genome(frame("bac")).canonical.tokens == tuple("abc")
+    assert Genome.from_tokens("abc")._replace(canonical=frame("dcab")).canonical == frame("abdc")
+    # the repr reads back: the argument goes by the field's name
+    shown = repr(Genome(frame("cba")))
+    assert eval(shown) == Genome(canonical=frame("bca")) == Genome(frame("abc"))
+
+
+def test_frame_takes_any_iterable_of_labels():
+    # a frame keeps its labels as a tuple, so it hashes whatever they came in
+    for tokens in (["a", "b"], iter("ab"), "ab"):
+        built = ReferenceFrame(tokens)
+        assert built.tokens == ("a", "b")
+        assert built == frame("ab") and hash(built) == hash(frame("ab"))
+
+
 def test_frames_counts_and_membership():
     g3 = Genome.from_frame(frame("abc"))
     assert {f.tokens for f in g3.frames()} == {

@@ -198,8 +198,11 @@ def test_injectivity_enforced():
     (lambda: PartialPerm(3, 3, {1: 2.5, 2: 1}), "image point must be an integer, got 2.5"),
     (lambda: PartialPerm.identity(2.0), "size must be an integer, got 2.0"),
     (lambda: PartialPerm.empty(2, True), "size must be an integer, got True"),
+    (lambda: PartialPerm(2, 3, {1: 1})(True), "position must be an integer, got True"),
+    (lambda: PartialPerm(2, 3, {1: 1})(1.0), "position must be an integer, got 1.0"),
 ], ids=["negative-size", "domain-point", "image-point", "call", "first-frame", "second-frame",
-        "float-size", "float-domain-point", "float-image-point", "float-identity", "bool-empty"])
+        "float-size", "float-domain-point", "float-image-point", "float-identity", "bool-empty",
+        "bool-call", "float-call"])
 def test_pperm_refuses_bad_input(build, message):
     with pytest.raises(InvalidArgumentError, match=message):
         build()

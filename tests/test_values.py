@@ -94,6 +94,8 @@ REFUSED = [
                  "regions in a frame must be distinct", id="repeated-region"),
     pytest.param(lambda: ReferenceFrame(("a",))._replace(tokens=()),
                  "a reference frame needs at least one region", id="frame-replace"),
+    pytest.param(lambda: Genome("abc"),
+                 "a genome is built from a ReferenceFrame, got 'abc'", id="genome-from-text"),
     pytest.param(lambda: Generator("inv", 1, 0), "generator size must be >= 1, got 0", id="size"),
     pytest.param(lambda: Generator("inv", 4, 3),
                  "inversion index 4 outside 1..3", id="inversion-index"),
