@@ -301,6 +301,7 @@ def relation_table(n: int) -> list[Relation]:
     written with positive letters; see the package notes for why the
     exponent is n-2.
     """
+    _check_int("relation size", n)
     if n < 2:
         raise InvalidArgumentError("relations start at size 2")
     # each letter is built once: s[i] and d[i] at size n, t[i] at n - 1

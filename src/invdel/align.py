@@ -91,19 +91,22 @@ no crossing either, except the next token in order, which also goes back
 by n: only its n - 1 terms change, each by one.
 
 The witness, built on first read, is a greedy descent that keeps the tie
-rule.  A move swaps two tokens that are adjacent at the start (a left
-move) or at the end (a right move).  Carried over to the child, a lift
-changes only that pair's term, by one; and every move is a transposition,
-which flips the parity of every rotation's cost.  So a move changes each
-rotation's cost by exactly one, and it lowers rotation c's cost when the
-pair's term drops in an optimal lift of the parent.  Any choice among the
-tokens tied at the k-th largest b gives an optimal lift, and these lifts
-catch every lowering move (on every move with n <= 8; Jerrum's argument
-gives only that they are optimal).  `_lowered` tests them all at once in
-O(1) per move and rotation, from the two tokens' b and the k-th and
-(k+1)-th largest b.  Testing the tie-rule lift alone would be sound but
-misses some lowering moves (72,671 at n <= 7) and would change the
-witness.  From cost d only a rotation at cost d can reach d - 1, so each
+rule.  Left moves come first in code order, and from every state some
+left move lowers the cost (above), so the descent takes left moves only.
+A left move swaps two tokens that are adjacent at the start.  Carried
+over to the child, a lift changes only that pair's term, by one; and
+every move is a transposition, which flips the parity of every
+rotation's cost.  So a move changes each rotation's cost by exactly one,
+and it lowers rotation c's cost when the pair's term drops in an optimal
+lift of the parent.  Any choice among the tokens tied at the k-th largest
+b gives an optimal lift, and these lifts catch every lowering left move
+(on every left move with n <= 9; Jerrum's argument gives only that they
+are optimal).  `_lowered` tests them all at once in O(1) per move and
+rotation, from the two tokens' b and the k-th and (k+1)-th largest b.
+Testing the tie-rule lift alone would be sound but misses some lowering
+left moves (34,406 move and rotation pairs at n <= 7); its descent gave
+the same words on every permutation with n <= 8, but no argument says it
+must.  From cost d only a rotation at cost d can reach d - 1, so each
 step takes the first move in code order that lowers a kept rotation and
 keeps the rotations it lowered; since the costs are exact, that is the
 lexicographically least shortest move sequence, the search's answer.
@@ -111,12 +114,14 @@ lexicographically least shortest move sequence, the search's answer.
 The exhaustive anchor is n <= 8: the kernel equals the plain count (kept
 in the tests as the reference) on every permutation there, and its least
 cost equals the tests' class table.  On every permutation with n <= 8
-each move changes each rotation's cost by exactly one, lowering just the
-rotations `_lowered` names, and the route returns the search's index and
-solution on every permutation with n <= 6.  Beyond that it rests on
-Jerrum's argument and on drawn checks: the kernel against the reference
-at n = 9..16, and the words against a plain greedy descent on the least
-rotation cost, on 20 seeded permutations each for n = 8..16
+each move, left or right, changes each rotation's cost by exactly one,
+and with n <= 9 each left move does and lowers just the rotations
+`_lowered` names.  The route returns the search's index and solution on
+every permutation with n <= 6.  Beyond that it rests on Jerrum's argument
+and on drawn checks: the kernel against the reference at n = 9..16, and
+the words against a plain greedy descent on the least rotation cost, on
+20 seeded permutations each for n = 8..16 and on 5 seeded pairings with
+m < n each for n = 8..16, both ways round
 (`test_full_rank_words_descend_past_seven_regions`).  With m < n the
 route equals the probe, in index, cost and words, on 300 seeded pairings
 with n <= 10 (`test_full_rank_pairings_are_never_searched`).  The solver
@@ -149,12 +154,13 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from functools import cached_property, partial
-from itertools import chain, combinations, count
+from itertools import combinations, count
 
 from .errors import CapacityError, InvalidArgumentError
 from .algebra import Generator, Word
 from .genome import Genome, ReferenceFrame
-from .pperm import PartialPerm, _ReadOnly, _descents, _swap_pairs, _swap_positions, _value_swaps
+from .pperm import (PartialPerm, _ReadOnly, _check_int, _descents, _swap_pairs, _swap_positions,
+                    _value_swaps)
 
 # Most probe calls one partial-rank search may make, revisits included,
 # before it gives up with CapacityError; full rank has a closed form.
@@ -231,21 +237,22 @@ def _rotation_costs(row: Sequence[int]) -> list[int]:
 
 
 def _lowered(row: Sequence[int], rotations: Sequence[int]) -> Iterator[tuple[int, int, int, list[int]]]:
-    """For each move in code order, its code, the positions x and z of its
-    two tokens, and the rotations among `rotations` whose cost it lowers,
-    by one; it raises the others' by one.
+    """For each left move in code order, its code, the positions x and z
+    of its two tokens, and the rotations among `rotations` whose cost it
+    lowers, by one; it raises the others' by one.  Right moves are not
+    listed: from every full-rank state some left move lowers the cost
+    (module docstring), so the descent never reaches one.
 
-    The move's two tokens x and z are adjacent at their start positions (a
-    left move: x begins one behind z) or at their ends (a right move: x ends
-    one ahead of z), and it lowers rotation c's cost exactly when their
-    tracks cross in some optimal lift (module docstring).  With m = 1 for
-    a token sent backwards, they cross when b_x - b_z - 1 - n (m_x - m_z)
-    is positive: always when x goes forwards and z backwards, never the
-    other way round, and when the two go the same way exactly when
-    b_x > b_z (b_x - b_z is never 1).  In an optimal lift a token can go
-    backwards when its b is at least the k-th largest, `top`, and forwards
-    when it is at most the (k+1)-th largest, `bot`; both only in a tie.
-    So each test is O(1).
+    The move's two tokens x and z are adjacent at their start positions (x
+    begins one behind z), and it lowers rotation c's cost exactly when
+    their tracks cross in some optimal lift (module docstring).  With
+    m = 1 for a token sent backwards, they cross when b_x - b_z - 1 -
+    n (m_x - m_z) is positive: always when x goes forwards and z
+    backwards, never the other way round, and when the two go the same
+    way exactly when b_x > b_z (b_x - b_z is never 1).  In an optimal lift
+    a token can go backwards when its b is at least the k-th largest,
+    `top`, and forwards when it is at most the (k+1)-th largest, `bot`;
+    both only in a tie.  So each test is O(1).
     """
     n = len(row)
     d, order, k = _lift(row)
@@ -253,11 +260,7 @@ def _lowered(row: Sequence[int], rotations: Sequence[int]) -> Iterator[tuple[int
     # token can go backwards
     bounds = [(c, (d[order[(k + c - 1) % n]] + c) % n or n, (d[order[(k + c) % n]] + c) % n)
               for c in rotations]
-    at = [0] * (n + 1)
-    for p, v in enumerate(row):
-        at[v] = p
-    pairs = _swap_pairs(n)
-    for code, (x, z) in enumerate(chain(pairs, ((at[b + 1], at[a + 1]) for a, b in pairs))):
+    for code, (x, z) in enumerate(_swap_pairs(n)):
         dx, dz = d[x], d[z]
         lowered = []
         for c, top, bot in bounds:
@@ -312,8 +315,6 @@ def _solve_full_rank(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolu
             else:
                 raise AssertionError("a move always lowers some cheapest rotation")
             kept = lowered
-            # a right move swaps two values: the same as swapping the two
-            # positions that hold them
             row = _swap_positions(row, x, z)
             codes.append(code)
         return _solution(m, n, codes)
@@ -438,6 +439,7 @@ def mu_oracle(sigma: PartialPerm, depth_cap: int) -> int | None:
     this shape because left and right multiplications commute).  Returns
     the exact minimum, or None when it exceeds the cap.
     """
+    _check_int("depth cap", depth_cap)
     if depth_cap < 0:
         raise InvalidArgumentError("depth cap must be >= 0")
     m, n = sigma.m, sigma.n

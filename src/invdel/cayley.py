@@ -24,11 +24,12 @@ them together.
 """
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 from math import comb, factorial
 
-from .errors import CapacityError
-from .pperm import PartialPerm, _swap_pairs, _swap_positions, _value_swaps, row_is_popi
+from .errors import CapacityError, InvalidArgumentError
+from .pperm import (PartialPerm, _check_int, _swap_pairs, _swap_positions, _value_swaps,
+                    row_is_popi)
 
 # |I_8| is already 1.4M elements; anything larger is hopeless here.
 MAX_ENUM = 8
@@ -36,6 +37,9 @@ MAX_ENUM = 8
 
 def monoid_size(n: int) -> int:
     """Closed-form element count: sum over ranks of C(n,r)^2 r!."""
+    _check_int("monoid size", n)
+    if n < 0:
+        raise InvalidArgumentError(f"monoid size must be non-negative, got {n}")
     return sum(comb(n, r) ** 2 * factorial(r) for r in range(n + 1))
 
 
@@ -59,10 +63,13 @@ def _image_rows(n: int) -> set[bytes]:
     return seen
 
 
-@cache  # one count per n: a second `verify --enumerate` in a process is free
+# one count per n: a second `verify --enumerate` in a process is free.  Typed,
+# so a cached count for 1 does not answer True without the check
+@lru_cache(maxsize=None, typed=True)
 def enumerate_monoid(n: int) -> int:
     """The number of elements of the partial-permutation monoid on n
     points that a breadth-first closure from the identity reaches."""
+    _check_int("monoid size", n)
     if not 1 <= n <= MAX_ENUM:
         raise CapacityError(f"monoid enumeration supports 1 <= n <= {MAX_ENUM}, got {n}")
     return len(_image_rows(n))

@@ -18,7 +18,8 @@ from .errors import GenomeParseError, InvalidArgumentError
 class ReferenceFrame(namedtuple("ReferenceFrame", "tokens")):
     """One concrete clockwise reading of a circular genome: its region
     labels, distinct, from position 1 on, kept as a tuple whatever
-    iterable they came in."""
+    iterable they came in.  A label is a non-empty string without
+    whitespace, as a genome file reads it, so a frame prints back."""
 
     __slots__ = ()
 
@@ -26,6 +27,14 @@ class ReferenceFrame(namedtuple("ReferenceFrame", "tokens")):
         tokens = tuple(tokens)
         if not tokens:
             raise InvalidArgumentError("a reference frame needs at least one region")
+        try:
+            readable = tuple(" ".join(tokens).split()) == tokens
+        except TypeError:  # a label that is not a string
+            readable = False
+        if not readable:
+            bad = next(t for t in tokens if not isinstance(t, str) or t.split() != [t])
+            raise InvalidArgumentError(
+                f"a region label is a non-empty string without whitespace, got {bad!r}")
         if len(set(tokens)) != len(tokens):
             raise InvalidArgumentError("regions in a frame must be distinct")
         return tuple.__new__(cls, (tokens,))

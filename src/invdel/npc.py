@@ -240,11 +240,7 @@ def solve_balancedsort(inst: BalancedSortInstance) -> bool:
     """
     sigma, k = inst.sigma, inst.k
     count = len(sigma.crossings())
-    if count == 0:
-        return True
     half = k // 2
-    if half == 0:
-        return False
 
     start, inverse = sigma.image_row, sigma.inverse().image_row
     lefts = set(_reached(start, count, half))

@@ -77,9 +77,11 @@ def test_word_type_checked():
     (lambda: parse_word("d1;4") + parse_word("s1;4"), WordTypeError, "cannot join"),
     (lambda: parse_generator("x1"), WordTypeError, "bad generator token"),
     (lambda: relation_table(1), InvalidArgumentError, "relations start at size 2"),
+    (lambda: relation_table(2.0), InvalidArgumentError,
+     r"relation size must be an integer, got 2\.0"),
 ], ids=["size", "inversion-index", "deletion-index", "deletion-at-size-1", "rotation-index",
         "reflection-index", "kind", "empty-word", "not-a-letter", "join-across-sizes", "token",
-        "relations-floor"])
+        "relations-floor", "float-relation-size"])
 def test_algebra_refuses_bad_input(build, error, message):
     with pytest.raises(error, match=message):
         build()

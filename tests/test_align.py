@@ -401,7 +401,7 @@ def _rotation_cost(row, c):
     return sum(abs((yp - yq) // n + 1) for yp, yq in combinations(y, 2))
 
 
-@lru_cache(maxsize=None)  # the n = 8 table is shared by two tests
+@lru_cache(maxsize=None)  # the n = 8 table is shared by three tests; n = 9 goes uncached
 def rotation_costs(n):
     """Every n-point permutation row mapped to its reference cost on each
     rotation."""
@@ -444,11 +444,15 @@ def _check_moves_change_costs_by_one(row, n, costs):
 
 
 def _check_lowered_moves(row, n, costs):
+    # `_lowered` lists the left moves, the only ones the descent takes; each
+    # changes every rotation's cost by one
+    lefts = len(_swap_pairs(n))
     before = costs[row]
     lowered = list(_lowered(row, range(n)))
-    assert [code for code, *_ in lowered] == list(range(2 * len(_swap_pairs(n))))
-    for (*_, rotations), (_, _, child) in zip(lowered, moves(row, n), strict=True):
+    assert [code for code, *_ in lowered] == list(range(lefts))
+    for (*_, rotations), (_, _, child) in zip(lowered, moves(row, n)[:lefts], strict=True):
         after = costs[child]
+        assert all(abs(x - y) == 1 for x, y in zip(after, before)), (row, child)
         assert rotations == [c for c in range(n) if after[c] < before[c]], (row, child)
 
 
@@ -465,9 +469,9 @@ def test_rotation_cost_moves_by_exactly_one():
 
 
 def test_lowered_moves_match_the_reference():
-    # the descent's O(1) test, on every (row, rotation, move) with n <= 7:
-    # the rotations a move lowers are exactly those whose reference cost
-    # is lower on the child; n = 8 is the long test below
+    # the descent's O(1) test, on every (row, rotation, left move) with
+    # n <= 7: the rotations a move lowers are exactly those whose reference
+    # cost is lower on the child; n = 8 and 9 are the long tests below
     for n in range(1, 8):
         costs = rotation_costs(n)
         for row in costs:
@@ -477,11 +481,23 @@ def test_lowered_moves_match_the_reference():
 @pytest.mark.skipif(os.environ.get("INVDEL_LONG_TESTS") != "1",
                     reason="set INVDEL_LONG_TESTS=1 for the n=8 moves")
 def test_rotation_moves_at_eight_regions():
-    # the two tests above at n = 8, in one loop: all 645,120 moves
+    # the two tests above at n = 8, in one loop: all 645,120 moves, and
+    # `_lowered` on the 322,560 left ones
     costs = rotation_costs(8)
     for row in costs:
         _check_moves_change_costs_by_one(row, 8, costs)
         _check_lowered_moves(row, 8, costs)
+
+
+@pytest.mark.skipif(os.environ.get("INVDEL_LONG_TESTS") != "1",
+                    reason="set INVDEL_LONG_TESTS=1 for the n=9 left moves")
+def test_left_moves_at_nine_regions():
+    # the lowered-moves check on the 3,265,920 left moves at n = 9, the
+    # ones the descent takes; the table is built uncached, so its 147 MB
+    # go with the test
+    costs = rotation_costs.__wrapped__(9)
+    for row in costs:
+        _check_lowered_moves(row, 9, costs)
 
 
 def test_full_rank_route_matches_the_search():
@@ -508,25 +524,42 @@ def test_full_rank_route_matches_the_search():
 
 
 def test_full_rank_words_descend_past_seven_regions():
-    # `_lowered` is checked on every move only up to n = 7.  Past that, on 20
-    # seeded permutations each for n = 8..16, the words equal a greedy
-    # descent on the closed form's cost: at each step the first move in
-    # code order whose child costs one less
+    # `_lowered` is checked on every left move only up to n = 7 in tier-1.
+    # Past that the words equal a greedy descent on the closed form's cost
+    # of the compressed row: at each step the first move in code order, of
+    # either side, whose child costs one less.  On 20 seeded permutations
+    # each for n = 8..16, and on 5 seeded pairings with m < n each for
+    # n = 8..16, both ways round; every word lies on the side with fewer
+    # positions
+    from invdel.align import _relabelled
+
+    def cost(row):
+        return min(_rotation_costs(_relabelled([v for v in row if v])))
+
+    def check(sigma):
+        row, n = tuple(sigma.image_row), sigma.n
+        sol = solve_pair(sigma)
+        words = ([], [])
+        for below in range(cost(row) - 1, -1, -1):
+            side, i, row = next(step for step in moves(row, n) if cost(step[2]) == below)
+            words[side].append(i)
+        assert row_is_popi(row)
+        assert not (words[1] if sigma.m <= n else words[0])  # the side with more positions
+        assert sol.cost == len(words[0]) + len(words[1])
+        assert ([g.i for g in sol.left_inversions],
+                [g.i for g in sol.right_inversions]) == (words[0][::-1], words[1])
+
     rng = random.Random(40)
     for n in range(8, 17):
         for _ in range(20):
-            row = tuple(rng.sample(range(1, n + 1), n))
-            sol = solve_pair(PartialPerm.from_image(n, row))
-            cost = min(_rotation_costs(row))
-            words = ([], [])
-            for below in range(cost - 1, -1, -1):
-                side, i, row = next(step for step in moves(row, n)
-                                    if min(_rotation_costs(step[2])) == below)
-                words[side].append(i)
-            assert row_is_popi(row)
-            assert sol.cost == cost
-            assert ([g.i for g in sol.left_inversions],
-                    [g.i for g in sol.right_inversions]) == (words[0][::-1], words[1])
+            check(PartialPerm.from_image(n, tuple(rng.sample(range(1, n + 1), n))))
+    rng = random.Random(44)
+    for n in range(8, 17):
+        for _ in range(5):
+            m = rng.randint(2, n - 1)
+            sigma = PartialPerm(m, n, zip(range(1, m + 1), rng.sample(range(1, n + 1), m)))
+            check(sigma)
+            check(sigma.inverse())
 
 
 def test_words_read_later_are_the_words_read_at_once():

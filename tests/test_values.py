@@ -6,8 +6,9 @@ import pytest
 
 from invdel import (AlignmentSolution, AncestorScenario, BalancedSortInstance, DistanceResult,
                     EvolutionScenario, Generator, Genome, PartialPerm, ReferenceFrame, Relation,
-                    Word, construct_ancestor, eval_generator, genomes_from_token_lists,
-                    mrca_distance, random_genome, reduce_partition, relation_table, simulate)
+                    Word, construct_ancestor, enumerate_monoid, eval_generator,
+                    genomes_from_token_lists, monoid_size, mrca_distance, mu_oracle,
+                    random_genome, reduce_partition, relation_table, simulate)
 from invdel.errors import InvalidArgumentError
 
 
@@ -94,6 +95,18 @@ REFUSED = [
                  "regions in a frame must be distinct", id="repeated-region"),
     pytest.param(lambda: ReferenceFrame(("a",))._replace(tokens=()),
                  "a reference frame needs at least one region", id="frame-replace"),
+    pytest.param(lambda: ReferenceFrame((1, 2, 3)),
+                 "a region label is a non-empty string without whitespace, got 1",
+                 id="label-not-a-string"),
+    pytest.param(lambda: ReferenceFrame(("a b", "c")),
+                 "a region label is a non-empty string without whitespace, got 'a b'",
+                 id="label-with-a-space"),
+    pytest.param(lambda: ReferenceFrame(("", "b")),
+                 "a region label is a non-empty string without whitespace, got ''",
+                 id="empty-label"),
+    pytest.param(lambda: ReferenceFrame(("a",))._replace(tokens=("a\n",)),
+                 "a region label is a non-empty string without whitespace, got 'a\\n'",
+                 id="label-replace"),
     pytest.param(lambda: Genome("abc"),
                  "a genome is built from a ReferenceFrame, got 'abc'", id="genome-from-text"),
     pytest.param(lambda: Generator("inv", 1, 0), "generator size must be >= 1, got 0", id="size"),
@@ -134,6 +147,19 @@ REFUSED = [
                  "event count must be an integer, got 1.0", id="float-deletions"),
     pytest.param(lambda: simulate(random_genome(4, 1), 0, 0, 0, 2.5, 1),
                  "event count must be an integer, got 2.5", id="float-inversions"),
+    pytest.param(lambda: monoid_size(-3),
+                 "monoid size must be non-negative, got -3", id="negative-monoid-size"),
+    pytest.param(lambda: monoid_size(2.5),
+                 "monoid size must be an integer, got 2.5", id="float-monoid-size"),
+    pytest.param(lambda: monoid_size(True),
+                 "monoid size must be an integer, got True", id="bool-monoid-size"),
+    pytest.param(lambda: enumerate_monoid(2.0),
+                 "monoid size must be an integer, got 2.0", id="float-enumeration-size"),
+    # after a count for 1, which a cache keyed on value alone would return
+    pytest.param(lambda: enumerate_monoid(1) and enumerate_monoid(True),
+                 "monoid size must be an integer, got True", id="bool-enumeration-size"),
+    pytest.param(lambda: mu_oracle(SQUARE, 2.5),
+                 "depth cap must be an integer, got 2.5", id="float-depth-cap"),
 ]
 
 
