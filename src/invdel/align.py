@@ -273,7 +273,9 @@ def _lowered(row: Sequence[int], rotations: Sequence[int]) -> Iterator[tuple[int
 
 
 def _solution(m: int, n: int, codes: list[int]) -> tuple[Word, Word]:
-    """The words of a move sequence, given in chronological code order."""
+    """The words of a move sequence, given in chronological code order.
+    The search's paths hold both sides' codes; the full-rank descent's
+    only left ones, so its right word is empty."""
     lefts = len(_swap_pairs(m))
     left_chrono = [c + 1 for c in codes if c < lefts]
     right_chrono = [c - lefts + 1 for c in codes if c >= lefts]

@@ -15,6 +15,16 @@ from collections.abc import Iterable, Iterator, Sequence
 from .errors import GenomeParseError, InvalidArgumentError
 
 
+def _readable(labels: tuple) -> bool:
+    """Whether the labels are non-empty strings without whitespace, the
+    rule a genome file's `str.split` applies: they join and split back to
+    themselves."""
+    try:
+        return tuple(" ".join(labels).split()) == labels
+    except TypeError:  # a label that is not a string
+        return False
+
+
 class ReferenceFrame(namedtuple("ReferenceFrame", "tokens")):
     """One concrete clockwise reading of a circular genome: its region
     labels, distinct, from position 1 on, kept as a tuple whatever
@@ -27,12 +37,8 @@ class ReferenceFrame(namedtuple("ReferenceFrame", "tokens")):
         tokens = tuple(tokens)
         if not tokens:
             raise InvalidArgumentError("a reference frame needs at least one region")
-        try:
-            readable = tuple(" ".join(tokens).split()) == tokens
-        except TypeError:  # a label that is not a string
-            readable = False
-        if not readable:
-            bad = next(t for t in tokens if not isinstance(t, str) or t.split() != [t])
+        if not _readable(tokens):
+            bad = next(t for t in tokens if not _readable((t,)))
             raise InvalidArgumentError(
                 f"a region label is a non-empty string without whitespace, got {bad!r}")
         if len(set(tokens)) != len(tokens):

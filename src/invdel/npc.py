@@ -240,6 +240,8 @@ def solve_balancedsort(inst: BalancedSortInstance) -> bool:
     """
     sigma, k = inst.sigma, inst.k
     count = len(sigma.crossings())
+    if count == 0:
+        return True
     half = k // 2
 
     start, inverse = sigma.image_row, sigma.inverse().image_row

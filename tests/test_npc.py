@@ -101,6 +101,10 @@ def test_balancedsort_trivial_cases():
     assert solve_balancedsort(BalancedSortInstance(PartialPerm.identity(4), 0))
     assert solve_balancedsort(reduce_partition((1, 1)))
     assert not solve_balancedsort(reduce_partition((1, 2)))
+    # answered without a search, which would build every layer to depth
+    # k // 2: here the 16-point permutations with up to 9 inversions, past
+    # MAX_ROWS
+    assert solve_balancedsort(BalancedSortInstance(PartialPerm.identity(16), 18))
 
 
 def _reversal(m):
