@@ -32,9 +32,7 @@ class Generator(namedtuple("Generator", "kind i n")):
 
     def __new__(cls, kind: str, i: int, n: int) -> Generator:
         _check_int("generator index", i)
-        _check_int("generator size", n)
-        if n < 1:
-            raise InvalidArgumentError(f"generator size must be >= 1, got {n}")
+        _check_int("generator size", n, 1)
         if kind == INV:
             if not 1 <= i <= n:
                 raise InvalidArgumentError(f"inversion index {i} outside 1..{n}")
@@ -124,9 +122,7 @@ class Word(_ReadOnly):
             if not letters:
                 raise WordTypeError("empty word needs an explicit source size")
             src = letters[0].n
-        _check_int("word source size", src)
-        if src < 0:
-            raise InvalidArgumentError(f"word source size must be non-negative, got {src}")
+        _check_int("word source size", src, 0)
         size = src
         for g in letters:
             # `Generator.src` and `tgt` read from the fields: a letter starts
@@ -161,6 +157,8 @@ class Word(_ReadOnly):
         return self.letters[k]
 
     def __add__(self, other: Word) -> Word:
+        if not isinstance(other, Word):
+            return NotImplemented
         if self.tgt != other.src:
             raise WordTypeError(
                 f"cannot join word ending at size {self.tgt} with word starting at {other.src}"
@@ -301,9 +299,7 @@ def relation_table(n: int) -> list[Relation]:
     written with positive letters; see the package notes for why the
     exponent is n-2.
     """
-    _check_int("relation size", n)
-    if n < 2:
-        raise InvalidArgumentError("relations start at size 2")
+    _check_int("relation size", n, 2)
     # each letter is built once: s[i] and d[i] at size n, t[i] at n - 1
     # (index 0 unused), and the dihedral letters at both sizes
     s = [None] + [Generator.inversion(i, n) for i in range(1, n + 1)]

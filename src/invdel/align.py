@@ -441,9 +441,7 @@ def mu_oracle(sigma: PartialPerm, depth_cap: int) -> int | None:
     this shape because left and right multiplications commute).  Returns
     the exact minimum, or None when it exceeds the cap.
     """
-    _check_int("depth cap", depth_cap)
-    if depth_cap < 0:
-        raise InvalidArgumentError("depth cap must be >= 0")
+    _check_int("depth cap", depth_cap, 0)
     m, n = sigma.m, sigma.n
     left_pairs, right_tables = _swap_pairs(m), _value_swaps(n)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial
 
-from .errors import CapacityError, InvalidArgumentError
+from .errors import CapacityError
 from .pperm import (PartialPerm, _check_int, _swap_pairs, _swap_positions, _value_swaps,
                     row_is_popi)
 
@@ -37,9 +37,7 @@ MAX_ENUM = 8
 
 def monoid_size(n: int) -> int:
     """Closed-form element count: sum over ranks of C(n,r)^2 r!."""
-    _check_int("monoid size", n)
-    if n < 0:
-        raise InvalidArgumentError(f"monoid size must be non-negative, got {n}")
+    _check_int("monoid size", n, 0)
     return sum(comb(n, r) ** 2 * factorial(r) for r in range(n + 1))
 
 
@@ -69,9 +67,7 @@ def _image_rows(n: int) -> set[bytes]:
 def enumerate_monoid(n: int) -> int:
     """The number of elements of the partial-permutation monoid on n
     points that a breadth-first closure from the identity reaches."""
-    _check_int("monoid size", n)
-    if not 1 <= n <= MAX_ENUM:
-        raise CapacityError(f"monoid enumeration supports 1 <= n <= {MAX_ENUM}, got {n}")
+    _check_int("monoid size", n, 1, MAX_ENUM)
     return len(_image_rows(n))
 
 

@@ -29,7 +29,7 @@ from .distance import (check_ancestor_size, construct_ancestor, directed_distanc
 from .evolve import random_genome, simulate
 from .genome import Genome, load_genomes
 from .npc import partition_witness, reduce_partition, solve_balancedsort
-from .pperm import MAX_POSITIONS
+from .pperm import MAX_POSITIONS, _check_int
 
 JSON_SCHEMA_VERSION = 1
 
@@ -403,8 +403,8 @@ def main(argv: list[str] | None = None) -> int:
                 _drop_stdout()
             raise
     try:
-        if hasattr(args, "max_n") and not 1 <= args.max_n <= MAX_POSITIONS:
-            raise CapacityError(f"--max-n must be 1..{MAX_POSITIONS}")
+        if hasattr(args, "max_n"):
+            _check_int("--max-n", args.max_n, 1, MAX_POSITIONS)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from .errors import CapacityError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .algebra import Generator, Word, apply_to_frame
 from .genome import Genome
 from .pperm import MAX_POSITIONS, _check_int
@@ -30,9 +30,7 @@ class EvolutionScenario(namedtuple("EvolutionScenario",
 
 def random_genome(n: int, seed: int) -> Genome:
     """A uniformly random circular arrangement of the first n letters."""
-    _check_int("genome size", n)
-    if not 1 <= n <= MAX_POSITIONS:
-        raise CapacityError(f"genome size must be 1..{MAX_POSITIONS}, got {n}")
+    _check_int("genome size", n, 1, MAX_POSITIONS)
     tokens = list("abcdefghijklmnopqrstuvwxyz"[:n])
     random.Random(seed).shuffle(tokens)
     return Genome.from_tokens(tokens)
@@ -60,12 +58,10 @@ def simulate(
     """Apply deletions-then-inversions independently along two branches."""
     n = ancestor.n
     for k in (k_del_1, k_inv_1, k_del_2, k_inv_2):
-        _check_int("event count", k)
+        _check_int("event count", k, 0)
     for k in (k_del_1, k_del_2):
-        if k < 0 or k > n - 1:
+        if k > n - 1:
             raise InvalidArgumentError(f"deletions per branch must be 0..{n - 1}, got {k}")
-    if k_inv_1 < 0 or k_inv_2 < 0:
-        raise InvalidArgumentError("inversion counts must be non-negative")
     rng = random.Random(seed)
     branch1 = _random_branch(rng, n, k_del_1, k_inv_1)
     branch2 = _random_branch(rng, n, k_del_2, k_inv_2)

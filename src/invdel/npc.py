@@ -39,9 +39,7 @@ class BalancedSortInstance(namedtuple("BalancedSortInstance", "sigma k")):
     def __new__(cls, sigma: PartialPerm, k: int) -> BalancedSortInstance:
         if sigma.m != sigma.n:
             raise InvalidArgumentError("balanced sorting is defined on square partial permutations")
-        _check_int("budget", k)
-        if k < 0:
-            raise InvalidArgumentError("budget must be non-negative")
+        _check_int("budget", k, 0)
         return tuple.__new__(cls, (sigma, k))
 
     @classmethod
@@ -53,9 +51,7 @@ def _multiset(values: Iterable[int]) -> tuple[int, ...]:
     """The multiset as a tuple, each element an integer of at least 1."""
     values = tuple(values)
     for a in values:
-        _check_int("multiset element", a)
-        if a < 1:
-            raise InvalidArgumentError("all elements must be positive integers")
+        _check_int("multiset element", a, 1)
     return values
 
 

@@ -65,22 +65,22 @@ def _value_swaps(n: int) -> tuple[bytes, ...]:
     return tuple(tables)
 
 
-def _check_int(what: str, value: object) -> None:
+def _check_int(what: str, value: object, low: int | None = None, cap: int | None = None) -> None:
     """Refuse a size, point, index or budget that is not an int, such as
-    2.5 or True, which a range check alone lets through."""
+    2.5 or True, which a range check alone lets through, or that lies below
+    its floor `low`: each is an `InvalidArgumentError`.  A value above its
+    capacity `cap` is a `CapacityError`."""
     if type(value) is not int:
         raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise InvalidArgumentError(f"{what} must be at least {low}, got {value}")
+    if cap is not None and value > cap:
+        raise CapacityError(f"{what} is capped at {cap}, got {value}")
 
 
 def _check_size(m: int, n: int) -> None:
-    _check_int("size", m)
-    _check_int("size", n)
-    if m < 0 or n < 0:
-        raise InvalidArgumentError(f"sizes must be non-negative, got {m}, {n}")
-    if m > MAX_POSITIONS or n > MAX_POSITIONS:
-        raise CapacityError(
-            f"partial permutations are capped at {MAX_POSITIONS} positions, got {m}x{n}"
-        )
+    _check_int("size", m, 0, MAX_POSITIONS)
+    _check_int("size", n, 0, MAX_POSITIONS)
 
 
 class _ReadOnly:

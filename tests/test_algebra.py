@@ -65,7 +65,8 @@ def test_word_type_checked():
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: Generator("inv", 1, 0), InvalidArgumentError, "size must be >= 1"),
+    (lambda: Generator("inv", 1, 0), InvalidArgumentError,
+     "generator size must be at least 1, got 0"),
     (lambda: Generator.inversion(5, 4), InvalidArgumentError, "inversion index 5"),
     (lambda: Generator.deletion(0, 4), InvalidArgumentError, "deletion index 0"),
     (lambda: Generator.deletion(1, 1), InvalidArgumentError, "deletions need size >= 2"),
@@ -75,12 +76,15 @@ def test_word_type_checked():
     (lambda: Word(()), WordTypeError, "explicit source size"),
     (lambda: Word([1, 2]), WordTypeError, "letters must be generators, got 1"),
     (lambda: parse_word("d1;4") + parse_word("s1;4"), WordTypeError, "cannot join"),
+    (lambda: Word((), 3) + 5, TypeError,
+     r"unsupported operand type\(s\) for \+: 'Word' and 'int'"),
     (lambda: parse_generator("x1"), WordTypeError, "bad generator token"),
-    (lambda: relation_table(1), InvalidArgumentError, "relations start at size 2"),
+    (lambda: relation_table(1), InvalidArgumentError, "relation size must be at least 2, got 1"),
     (lambda: relation_table(2.0), InvalidArgumentError,
      r"relation size must be an integer, got 2\.0"),
 ], ids=["size", "inversion-index", "deletion-index", "deletion-at-size-1", "rotation-index",
-        "reflection-index", "kind", "empty-word", "not-a-letter", "join-across-sizes", "token",
+        "reflection-index", "kind", "empty-word", "not-a-letter", "join-across-sizes",
+        "join-a-non-word", "token",
         "relations-floor", "float-relation-size"])
 def test_algebra_refuses_bad_input(build, error, message):
     with pytest.raises(error, match=message):

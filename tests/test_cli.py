@@ -548,16 +548,26 @@ def test_internal_error_is_exit_1(genome_file, capsys, monkeypatch):
 
 
 def test_verify_enumerate_capacity(capsys):
-    code, _, err = run(capsys, "verify", "--enumerate", "9")
-    assert code == 2
+    expected = (2, "", "error: monoid size is capped at 8, got 9\n")
+    assert run(capsys, "verify", "--enumerate", "9") == expected
+
+
+# a size below its floor is a bad argument, and exits 2 as a capped one does
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--enumerate", "0"], "monoid size must be at least 1, got 0"),
+    (["simulate", "--size", "0"], "genome size must be at least 1, got 0"),
+], ids=["enumerate-0", "simulate-size-0"])
+def test_size_below_its_floor_is_exit_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("max_n", ["0", "17"])
 def test_max_n_out_of_range_is_exit_2(genome_file, capsys, max_n):
-    for argv in (["distance", genome_file, "G1", "G2"], ["verify", "--relations"]):
-        code, out, err = run(capsys, *argv, "--max-n", max_n)
-        assert (code, out) == (2, "")
-        assert "--max-n must be 1..16" in err
+    message = {"0": "--max-n must be at least 1, got 0",
+               "17": "--max-n is capped at 16, got 17"}[max_n]
+    for argv in (["distance", genome_file, "G1", "G2"], ["verify", "--relations"],
+                 ["simulate", "--size", "4"]):
+        assert run(capsys, *argv, "--max-n", max_n) == (2, "", f"error: {message}\n")
 
 
 def test_verify_relations_below_the_table_floor_is_exit_2(capsys):

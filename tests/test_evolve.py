@@ -58,7 +58,7 @@ def test_simulate_rejects_too_many_deletions():
 @pytest.mark.parametrize("inversions1, inversions2", [(-1, 0), (0, -1)],
                          ids=["branch-1", "branch-2"])
 def test_simulate_rejects_negative_inversions(inversions1, inversions2):
-    with pytest.raises(InvalidArgumentError, match="inversion counts must be non-negative"):
+    with pytest.raises(InvalidArgumentError, match="event count must be at least 0, got -1"):
         simulate(random_genome(4, 0), 0, inversions1, 0, inversions2, 1)
 
 

@@ -51,8 +51,9 @@ def test_reduction_names_positions_beyond_the_cap():
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: BalancedSortInstance(PartialPerm.identity(2), -1), "budget must be non-negative"),
-    (lambda: partition_brute([0]), "positive integers"),
+    (lambda: BalancedSortInstance(PartialPerm.identity(2), -1),
+     "budget must be at least 0, got -1"),
+    (lambda: partition_brute([0]), "multiset element must be at least 1, got 0"),
     (lambda: partition_brute([1.5, 1.5]), r"multiset element must be an integer, got 1\.5"),
     (lambda: partition_brute([2.0, 2.0]), r"multiset element must be an integer, got 2\.0"),
     (lambda: partition_witness([2.0, 2.0]), r"multiset element must be an integer, got 2\.0"),

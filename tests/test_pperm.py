@@ -187,7 +187,7 @@ def test_injectivity_enforced():
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: PartialPerm(-1, 3), "sizes must be non-negative"),
+    (lambda: PartialPerm(-1, 3), "size must be at least 0, got -1"),
     (lambda: PartialPerm(2, 3, {3: 1}), "domain point 3 outside"),
     (lambda: PartialPerm(2, 3, {1: 4}), "image point 4 outside"),
     (lambda: PartialPerm(2, 3, {1: 1})(3), "position 3 outside"),

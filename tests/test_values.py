@@ -9,7 +9,7 @@ from invdel import (AlignmentSolution, AncestorScenario, BalancedSortInstance, D
                     Word, construct_ancestor, enumerate_monoid, eval_generator,
                     genomes_from_token_lists, monoid_size, mrca_distance, mu_oracle,
                     random_genome, reduce_partition, relation_table, simulate)
-from invdel.errors import InvalidArgumentError
+from invdel.errors import CapacityError, InvalidArgumentError
 
 
 def _pair():
@@ -109,7 +109,7 @@ REFUSED = [
                  id="label-replace"),
     pytest.param(lambda: Genome("abc"),
                  "a genome is built from a ReferenceFrame, got 'abc'", id="genome-from-text"),
-    pytest.param(lambda: Generator("inv", 1, 0), "generator size must be >= 1, got 0", id="size"),
+    pytest.param(lambda: Generator("inv", 1, 0), "generator size must be at least 1, got 0", id="size"),
     pytest.param(lambda: Generator("inv", 4, 3),
                  "inversion index 4 outside 1..3", id="inversion-index"),
     pytest.param(lambda: Generator("del", 1, 1),
@@ -132,29 +132,33 @@ REFUSED = [
     pytest.param(lambda: BalancedSortInstance(PartialPerm(2, 3, {1: 3}), 1),
                  "balanced sorting is defined on square partial permutations", id="not-square"),
     pytest.param(lambda: BalancedSortInstance(SQUARE, -1),
-                 "budget must be non-negative", id="negative-budget"),
+                 "budget must be at least 0, got -1", id="negative-budget"),
     pytest.param(lambda: BalancedSortInstance(SQUARE, 1)._replace(k=-1),
-                 "budget must be non-negative", id="instance-replace"),
+                 "budget must be at least 0, got -1", id="instance-replace"),
     pytest.param(lambda: BalancedSortInstance(SQUARE, 4.5),
                  "budget must be an integer, got 4.5", id="float-budget"),
     pytest.param(lambda: Word((), -1),
-                 "word source size must be non-negative, got -1", id="negative-word-source"),
+                 "word source size must be at least 0, got -1", id="negative-word-source"),
     pytest.param(lambda: random_genome(2.5, 1),
                  "genome size must be an integer, got 2.5", id="float-genome-size"),
     pytest.param(lambda: random_genome(True, 1),
                  "genome size must be an integer, got True", id="bool-genome-size"),
+    pytest.param(lambda: random_genome(0, 1),
+                 "genome size must be at least 1, got 0", id="zero-genome-size"),
     pytest.param(lambda: simulate(random_genome(4, 1), 1.0, 0, 0, 0, 1),
                  "event count must be an integer, got 1.0", id="float-deletions"),
     pytest.param(lambda: simulate(random_genome(4, 1), 0, 0, 0, 2.5, 1),
                  "event count must be an integer, got 2.5", id="float-inversions"),
     pytest.param(lambda: monoid_size(-3),
-                 "monoid size must be non-negative, got -3", id="negative-monoid-size"),
+                 "monoid size must be at least 0, got -3", id="negative-monoid-size"),
     pytest.param(lambda: monoid_size(2.5),
                  "monoid size must be an integer, got 2.5", id="float-monoid-size"),
     pytest.param(lambda: monoid_size(True),
                  "monoid size must be an integer, got True", id="bool-monoid-size"),
     pytest.param(lambda: enumerate_monoid(2.0),
                  "monoid size must be an integer, got 2.0", id="float-enumeration-size"),
+    pytest.param(lambda: enumerate_monoid(0),
+                 "monoid size must be at least 1, got 0", id="zero-enumeration-size"),
     # after a count for 1, which a cache keyed on value alone would return
     pytest.param(lambda: enumerate_monoid(1) and enumerate_monoid(True),
                  "monoid size must be an integer, got True", id="bool-enumeration-size"),
@@ -168,6 +172,34 @@ def test_values_refuse_bad_fields(build, message):
     with pytest.raises(InvalidArgumentError) as caught:
         build()
     assert type(caught.value) is InvalidArgumentError and str(caught.value) == message
+
+
+# a value above a capacity cap is a CapacityError, not a bad argument
+CAPPED = [
+    pytest.param(lambda: PartialPerm.identity(17), "size is capped at 16, got 17", id="pperm-size"),
+    pytest.param(lambda: random_genome(17, 1), "genome size is capped at 16, got 17",
+                 id="genome-size"),
+    pytest.param(lambda: enumerate_monoid(9), "monoid size is capped at 8, got 9",
+                 id="enumeration-size"),
+]
+
+
+@pytest.mark.parametrize("build, message", CAPPED)
+def test_values_refuse_sizes_above_their_caps(build, message):
+    with pytest.raises(CapacityError) as caught:
+        build()
+    assert type(caught.value) is CapacityError and str(caught.value) == message
+
+
+def test_values_answer_foreign_operands():
+    word = Word([Generator.inversion(1, 3), Generator.inversion(2, 3)])
+    assert word[0] == Generator.inversion(1, 3) and word[1:] == (Generator.inversion(2, 3),)
+    assert Generator.deletion(1, 3).src == 3
+    sigma = PartialPerm.identity(2)
+    assert word != 5 and not word == 5
+    assert sigma != 5 and not sigma == 5
+    with pytest.raises(TypeError):
+        sigma * 5
 
 
 def test_values_are_tuples_of_their_fields():
