@@ -32,28 +32,56 @@ with an empty endpoint leaves that row as it is or turns it cyclically
 (only across the wraparound), which changes no least rotation cost.  On
 a full-rank pairing the bound is exact ("Full rank" below).  A search
 memoises the bound by the defined images and by its relabelled row.
-Past the prunes the probe tries the children in code order,
-skipping a move whose endpoints are both empty (it fixes the state), and
-on failure records k as the largest bound the state failed at, so a
-revisit within it fails at once.  Every answer is exact: the prunes are
-lower bounds, and a state that failed at k is more than k moves from a
-goal.  No goal is listed.
+
+Past the prunes the probe skips three kinds of move, chosen by its last
+move alone: that move again, a left move after a right one, and a move
+of the same side with a smaller code whose positions (left) or values
+(right) are disjoint from the last move's.  This is duplicate pruning by
+an operator order (Taylor and Korf, AAAI 1993), and it keeps the answer
+of the tie rule below.  Left and right products commute, and so do two
+moves of one side on disjoint pairs; swapping an adjacent commuting pair
+that is out of code order keeps a sequence's length and its end, and
+makes it lexicographically smaller, and a move made twice in a row
+undoes itself.  So the least shortest sequence takes no skipped move,
+and the probe still meets it first.  `_allowed_moves` lists the moves
+allowed after each last move once per (m, n).
+
+The probe tests each child before it builds it, by the descent count
+the parent carries to it (`_carried`).  A left move with one empty
+endpoint, and a right move that renames a value to its absent
+neighbour, keep the defined images' cyclic order, and so the count.  A
+left move of two defined images changes only the three comparisons
+around them; a right move of two present values a and a + 1 only the
+comparison of the two, if they are neighbours; the wraparound right
+move, which swaps the least and the greatest value, is recounted.  A
+move whose endpoints are both empty fixes the state and is skipped.  A
+goal child returns at once, and a child past the descent prune is
+neither built nor called.  On failure the probe records k as the
+largest bound the state failed at, keyed by the state and its last
+move, which decides the moves allowed next; a revisit within it fails
+at once.  Every answer is exact: the prunes are lower bounds, and a
+state that failed at k after a given move has no allowed path of at
+most k moves to a goal.  No goal is listed.  The recursion passes
+itself as an argument instead of reaching itself through its closure,
+so no reference cycle holds the memos: they are freed when the search
+returns.
 
 The tie rule is fixed: sources are probed in the order given, and moves
 go in code order, the moves of the side with fewer positions before the
 other side's (the left side's when m = n; an m > n pairing is solved as
 its inverse), then by generator index.  The first source of least cost
 wins, and its witness is the path its successful probe found.  The probe
-takes the first child in code order that succeeds, and k is exact, so
-that path is the source's lexicographically least shortest move
-sequence: the answer of solving every source alone and keeping the first
-strict minimum, and that of a layered breadth-first search seeded with
-the sources in order (the tests' reference).  A repeated source needs no
-care: at every k it is probed after its first copy has failed, and fails
-at once, by the same prune or by the failure memo, so only the first
-copy can win.  Probe calls, revisits included, count against
-`MAX_STATES`; beyond it the search raises CapacityError, so the budget
-bounds time, not just memory.
+takes the first allowed child in code order that succeeds, and k is
+exact, so that path is the source's lexicographically least shortest
+move sequence (above): the answer of solving every source alone and
+keeping the first strict minimum, and that of a layered breadth-first
+search seeded with the sources in order (the tests' reference).  A
+repeated source needs no care: at every k it is probed after its first
+copy has failed, and fails at once, by the same prune or by the failure
+memo, so only the first copy can win.  The budget `MAX_STATES` counts
+states: each root probe and each child tested, revisits included.
+Beyond it the search raises CapacityError, so the budget bounds time,
+not just memory.
 
 Full rank.  An n-by-n rank-n pairing is orientation preserving exactly
 when it is one of the n rotations of the identity, and the fewest moves
@@ -153,7 +181,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import combinations, count
 
 from .errors import CapacityError, InvalidArgumentError
@@ -162,11 +190,12 @@ from .genome import Genome, ReferenceFrame
 from .pperm import (PartialPerm, _ReadOnly, _check_int, _descents, _swap_pairs, _swap_positions,
                     _value_swaps)
 
-# Most probe calls one partial-rank search may make, revisits included,
-# before it gives up with CapacityError; full rank has a closed form.
-# Random pairings of 12 regions sharing 10 or 11 stay well inside it, while
-# some random 16-region pairs sharing 12 to 15 reach it, after 8-31 s on
-# a 2-core Xeon VM.
+# Most states one partial-rank search may test, each root probe and each
+# child tested, revisits included, before it gives up with CapacityError;
+# full rank has a closed form.  Random pairings of 12 regions sharing 10 or
+# 11 stay well inside it, while 6 of ROADMAP's 24 baseline pairs of 16
+# regions sharing 13 to 15 reach it, after 4.2-21.7 s of CPU each on a
+# 2-core Xeon VM, at a peak RSS of 76-155 MB.
 MAX_STATES = 1_200_000
 
 
@@ -329,32 +358,84 @@ def _relabelled(values: Sequence[int]) -> bytes:
     return bytes(map(rank.__getitem__, values))
 
 
+@cache  # the searches on m-by-n rows share one set of lists
+def _allowed_moves(m: int, n: int) -> tuple[tuple[tuple[int, int, int, bytes | None], ...], ...]:
+    """The moves the probe may take after each last move, indexed by its
+    code, with one more entry, for the root, holding every move.  A move
+    is (code, a, b, table): a left move swaps positions a and b and has no
+    table; a right move swaps values a and b with its `_value_swaps`
+    table.  After a move the probe skips that move again, every left move
+    after a right one, and a move of the same side with a smaller code on
+    disjoint positions (left) or values (right) (module docstring)."""
+    lefts = [(code, a, b, None) for code, (a, b) in enumerate(_swap_pairs(m))]
+    rights = [(code, a + 1, b + 1, table) for code, (a, b), table
+              in zip(count(len(lefts)), _swap_pairs(n), _value_swaps(n))]
+    allowed = []
+    for side in lefts, rights:
+        for last, a, b, _ in side:
+            same = tuple(move for move in side if move[0] > last
+                         or move[0] < last and {a, b} & {move[1], move[2]})
+            allowed.append(same + tuple(rights) if side is lefts else same)
+    allowed.append(tuple(lefts + rights))
+    return tuple(allowed)
+
+
+def _carried(row: bytes, values: bytes, drops: int, a: int, b: int,
+             table: bytes | None) -> int | None:
+    """The descent count of a move's child, from its parent's: the row,
+    its defined images `values` and their `drops` descents, at least two
+    (so three or more images), as on every row the probe expands.  The
+    move is one of `_allowed_moves`; None when it fixes the row.  Only a
+    move that exchanges two neighbours in the cyclic order of the defined
+    images can change the count, and only at the comparisons next to
+    them."""
+    if table is None:
+        x, y = row[a], row[b]
+        if x and y:
+            # x and y sit next to each other in `values` too, so only the
+            # three comparisons around them change
+            r = len(values)
+            i = values.index(x)
+            before, after = values[i - 1], values[(i + 2) % r]
+            return (drops + (before > y) + (y > x) + (x > after)
+                    - (before > x) - (x > y) - (y > after))
+        # one empty endpoint moves a defined image past no other; two
+        # fix the row
+        return drops if x or y else None
+    if a in values and b in values:
+        if a < b:
+            # no value lies between a and b, so only a comparison of the
+            # two with each other changes
+            r = len(values)
+            i = values.index(a)
+            return drops + (values[(i + 1) % r] == b) - (values[i - 1] == b)
+        # the wraparound move swaps the least and the greatest value
+        return _descents(values.translate(table))
+    # a value renamed to its absent neighbour keeps its place in the
+    # cyclic order; two absent values fix the row
+    return drops if a in values or b in values else None
+
+
 def _prober(m: int, n: int):
     """A fresh `probe(row, k)` for m-by-n image rows and its memo of the
-    largest k each row failed at.  The probe returns None when no goal
-    lies within k moves of the row, and otherwise the first path it found:
-    the codes of the moves to a goal, last move first (empty, and so
-    falsy, at a goal)."""
-    lefts = list(enumerate(_swap_pairs(m)))
-    rights = list(enumerate(zip(((a + 1, b + 1) for a, b in _swap_pairs(n)), _value_swaps(n)),
-                            len(lefts)))
-    failed: dict[bytes, int] = {}
+    largest k each (row, last move code) failed at.  The probe returns
+    None when no goal lies within k moves of the row, and otherwise the
+    first path it found: the codes of the moves to a goal, last move first
+    (empty, and so falsy, at a goal)."""
+    allowed = _allowed_moves(m, n)
+    root = len(allowed) - 1
+    failed: dict[tuple[bytes, int], int] = {}
     bounds: dict[bytes, int] = {}
-    calls = 0
+    tested = 0
 
-    def probe(row: bytes, k: int) -> list[int] | None:
-        nonlocal calls
-        calls += 1
-        if calls > MAX_STATES:
-            raise CapacityError(f"the alignment search reached its budget of {MAX_STATES:,} "
-                                "probes; the pairing is too large to solve exactly")
-        values = row.replace(b"\0", b"")
-        drops = _descents(values)
-        if drops <= 1:
-            return []
-        # a move changes the descent count by at most one
-        if drops - 1 > k or failed.get(row, -1) >= k:
+    # `descend` is passed itself rather than read from a closure cell, so
+    # no cycle holds the memos: they go when the search drops the probe
+    def descend(descend, row: bytes, drops: int, k: int, last: int) -> list[int] | None:
+        # the row is no goal, and k passed its descent prune
+        nonlocal tested
+        if failed.get((row, last), -1) >= k:
             return None
+        values = row.replace(b"\0", b"")
         if k >= 2:
             bound = bounds.get(values)
             if bound is None:
@@ -367,21 +448,37 @@ def _prober(m: int, n: int):
                 bounds[values] = bound
             if bound > k:
                 return None
-        # a move with both endpoints empty fixes the row
-        for code, (a, b) in lefts:
-            if row[a] or row[b]:
-                path = probe(_swap_positions(row, a, b), k - 1)
-                if path is not None:
-                    path.append(code)
-                    return path
-        for code, ((u, v), table) in rights:
-            if u in row or v in row:
-                path = probe(row.translate(table), k - 1)
-                if path is not None:
-                    path.append(code)
-                    return path
-        failed[row] = k
+        for code, a, b, table in allowed[last]:
+            child = _carried(row, values, drops, a, b, table)
+            if child is None:
+                continue
+            tested += 1
+            if tested > MAX_STATES:
+                raise CapacityError(f"the alignment search reached its budget of {MAX_STATES:,} "
+                                    "states tested; the pairing is too large to solve exactly")
+            if child <= 1:
+                return [code]
+            # the descent prune: the child is at least child - 1 moves
+            # from a goal, and has k - 1 left
+            if child > k:
+                continue
+            path = descend(descend, _swap_positions(row, a, b) if table is None
+                           else row.translate(table), child, k - 1, code)
+            if path is not None:
+                path.append(code)
+                return path
+        failed[row, last] = k
         return None
+
+    def probe(row: bytes, k: int) -> list[int] | None:
+        nonlocal tested
+        tested += 1  # checked against the budget with the next child's count
+        drops = _descents(row.replace(b"\0", b""))
+        if drops <= 1:
+            return []
+        if drops - 1 > k:
+            return None
+        return descend(descend, row, drops, k, root)
 
     return probe, failed
 

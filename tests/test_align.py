@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 from functools import lru_cache
@@ -219,6 +220,70 @@ def test_right_move_with_one_empty_value():
     assert sol.cost == mu_oracle(sigma, 3) == 2
     assert not sol.left_inversions
     assert [g.i for g in sol.right_inversions] == [1, 7]
+
+
+def test_allowed_moves_follow_the_skip_rules():
+    # after each last move the probe may take every move but that one, a
+    # left move after a right one, and a move of the same side with a
+    # smaller code whose positions (left) or values (right) are disjoint
+    # from the last move's; the root takes every move in code order
+    from invdel.align import _allowed_moves, _value_swaps
+
+    for m in range(1, 8):
+        for n in range(1, 8):
+            lefts = [(code, a, b, None) for code, (a, b) in enumerate(_swap_pairs(m))]
+            rights = [(len(lefts) + code, a + 1, b + 1, table) for code, ((a, b), table)
+                      in enumerate(zip(_swap_pairs(n), _value_swaps(n)))]
+            every = lefts + rights
+            allowed = _allowed_moves(m, n)
+            assert len(allowed) == len(every) + 1 and list(allowed[-1]) == every
+            for last, a, b, table in every:
+                expected = [move for move in every
+                            if move[0] != last
+                            and not (table is not None and move[3] is None)
+                            and not ((table is None) == (move[3] is None) and move[0] < last
+                                     and not {a, b} & set(move[1:3]))]
+                assert list(allowed[last]) == expected, (m, n, last)
+
+
+def test_carried_descent_counts():
+    # the probe tests each child by the descent count its parent carries
+    # to it: on every row with m <= n <= 5 that the probe expands (two or
+    # more descents), and every move, that count is the child's own, and
+    # a move that fixes the row carries none; the children come from the
+    # tests' own moves, in the same code order
+    from invdel.align import _allowed_moves, _carried, _descents
+
+    for m in range(1, 6):
+        for n in range(m, 6):
+            every = _allowed_moves(m, n)[-1]
+            for sigma in all_partial_perms(m, n):
+                row = sigma.image_row
+                values = row.replace(b"\0", b"")
+                drops = _descents(values)
+                if drops <= 1:
+                    continue
+                for (_, a, b, table), (_, _, child) in zip(every, moves(tuple(row), n),
+                                                           strict=True):
+                    carried = _carried(row, values, drops, a, b, table)
+                    if child == tuple(row):
+                        assert carried is None, (row, a, b)
+                    else:
+                        assert carried == _descents(tuple(filter(None, child))), (row, a, b)
+
+
+def test_search_leaves_no_cyclic_garbage():
+    # the probe's memos go by reference counting when the search returns,
+    # so a loop of searches does not hold them until the cyclic collector
+    # runs
+    sigma = PartialPerm(6, 6, zip([1, 2, 3, 4, 5], [3, 1, 5, 2, 6]))
+    gc.collect()
+    gc.disable()
+    try:
+        assert solve_pair(sigma).cost == 3
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def least_bound(sources):

@@ -195,20 +195,28 @@ def test_max_n_checks_only_the_named_genomes(tmp_path, capsys):
         assert "genome 'A' has 9 regions" in err and "--max-n" in err
 
 
-def random_pair(n, shared):
-    """Genomes A and B over n shuffled regions each, sharing `shared`."""
-    rng = random.Random(0)
-    a, b = [f"r{i}" for i in range(n)], [f"r{i}" for i in range(n - shared, 2 * n - shared)]
-    rng.shuffle(a)
-    rng.shuffle(b)
+def random_pair(n, shared, seed=0, draw=0):
+    """Genomes A and B over n shuffled regions each, sharing `shared`: the
+    pair drawn `draw` pairs (0-based) into `random.Random(seed)`."""
+    rng = random.Random(seed)
+    for _ in range(draw + 1):
+        a, b = [f"r{i}" for i in range(n)], [f"r{i}" for i in range(n - shared, 2 * n - shared)]
+        rng.shuffle(a)
+        rng.shuffle(b)
     return f"A: {' '.join(a)}\nB: {' '.join(b)}\n"
 
 
+def baseline_pair(n, shared, draw):
+    """A pair of ROADMAP's baseline: its draws come from
+    `random.Random(1000 * n + shared)`."""
+    return random_pair(n, shared, 1000 * n + shared, draw)
+
+
 def test_search_budget_exit_2(tmp_path, capsys):
-    # a random 16-region pair sharing 12 regions is partial rank, so it is
-    # searched, and the search outgrows its budget of probes
+    # a 16-region pair sharing 13 regions is partial rank, so it is
+    # searched, and this one outgrows the search's budget of states
     path = tmp_path / "big.txt"
-    path.write_text(random_pair(16, 12))
+    path.write_text(baseline_pair(16, 13, 2))
     start = time.perf_counter()
     code, _, err = run(capsys, "distance", str(path), "A", "B", "--max-n", "16")
     assert code == 2
@@ -236,6 +244,25 @@ def test_random_twelve_region_partial_rank_pair_solves(tmp_path, capsys):
     report = json.loads(out)
     assert report["ancestor"] == "r0 r11 r9 r6 r1 r8 r7 r12 r10 r2 r5 r3 r4"
     assert report["verify"] == "ok"
+
+
+@pytest.mark.skipif(os.environ.get("INVDEL_LONG_TESTS") != "1",
+                    reason="set INVDEL_LONG_TESTS=1 for the 14-region search")
+def test_fourteen_region_partial_rank_pair_solves(tmp_path, capsys):
+    # a 14-region pair sharing 12 that the search solves only with its
+    # move pruning: its cost, pairing and words as they were frozen
+    path = tmp_path / "pair.txt"
+    path.write_text(baseline_pair(14, 12, 5))
+    code, out, _ = run(capsys, "distance", str(path), "A", "B", "--max-n", "14", "--json",
+                       "--emit-events")
+    assert code == 0
+    report = json.loads(out)
+    assert report["mu"] == 19
+    assert report["best_pair"] == ["r0 r2 r5 r1 r9 r8 r3 r13 r12 r10 r7 r6 r11 r4",
+                                   "r5 r3 r13 r6 r4 r7 r8 r15 r11 r12 r9 r2 r14 r10"]
+    assert report["left_inversions"] == ("s12;14 s13;14 s11;14 s7;14 s8;14 s9;14 s5;14 s6;14 "
+                                         "s7;14 s8;14 s4;14 s5;14 s4;14 s3;14")
+    assert report["right_inversions"] == "s7;14 s8;14 s11;14 s10;14 s9;14"
 
 
 def test_random_full_rank_pairs_solve_without_the_budget(tmp_path, capsys):
@@ -287,6 +314,12 @@ OUTPUT_PINS = [
            "s13;16 s14;16 s12;16 s13;16 s10;16 s11;16 s10;16 s8;16 s2;16 s3;16 s4;16 s3;16 "
            "s1;16 s2;16",
         -1: "right-inversions s10;16 s9;16"}, id="sixteen-reversed"),
+    # a 16-region partial-rank pair that only the pruned search solves, in
+    # about 4 s
+    pytest.param(random_pair(16, 12), ("distance", "A", "B", "--max-n", "16"), {2: "mu 19"},
+                 id="sixteen-twelve", marks=pytest.mark.skipif(
+                     os.environ.get("INVDEL_LONG_TESTS") != "1",
+                     reason="set INVDEL_LONG_TESTS=1 for the 16-region search")),
     # the 16-region full-rank route's witness
     pytest.param(random_pair(16, 16), ("distance", "A", "B") + SIXTEEN_ARGV, {
         4: "left-inversions s14;16 s15;16 s1;16 s16;16 s13;16 s14;16 s15;16 s2;16 s1;16 "
