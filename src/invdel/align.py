@@ -12,19 +12,22 @@ The default engine (`solve_sources`, with `solve_pair` its one-source
 case) takes one of two routes.  When one genome's regions contain the
 other's (every source has full rank, min(m, n) >= 1) it needs no search;
 see "Full rank" below.  Otherwise it deepens (Korf, 1985): for k = 0, 1,
-2, ... it probes the sources in the order given, and the first source
+2, ... it tries the sources in the order given, and the first source
 within k moves of a goal, an orientation-preserving pairing, wins at
 cost k.  States are byte rows (`pperm`): a left move swaps two
 positions, and a right move, which swaps two values, is one
 `bytes.translate` with a `_value_swaps` table.
 
-`probe(row, k)` finds a path to a goal within k moves.  A state is
-a goal when its defined images, read in position order, have at most one
-cyclic descent; a move changes that count by at most one, so a state with
-d descents is at least d - 1 moves away.  From k = 2 on the probe also
-prunes by the compressed closed form: drop the empty positions and
-values, relabel the r shared values 1..r, and take the least of the r
-rotation costs of "Full rank" below (r >= 3 past the descent prune).
+A state is a goal when its defined images, read in position order, have
+at most one cyclic descent; a move changes that count by at most one, so
+a state with d descents is at least d - 1 moves away.  The search counts
+each source's descents once.  At each k a goal source wins at cost k, a
+source with more than k + 1 descents is skipped, and from any other a
+depth-first descent looks for a path to a goal within k moves.  From
+k = 2 on the descent also prunes by the compressed closed form: drop the
+empty positions and values, relabel the r shared values 1..r, and take
+the least of the r rotation costs of "Full rank" below (r >= 3 past the
+descent prune).
 This is the admissible bound of A* (Hart, Nilsson and Raphael, 1968): it
 is 0 exactly on goals, and a move changes it by at most one, because a
 move with two defined endpoints is a move of the compressed row, and one
@@ -33,7 +36,7 @@ with an empty endpoint leaves that row as it is or turns it cyclically
 a full-rank pairing the bound is exact ("Full rank" below).  A search
 memoises the bound by the defined images and by its relabelled row.
 
-Past the prunes the probe skips three kinds of move, chosen by its last
+Past the prunes the descent skips three kinds of move, chosen by its last
 move alone: that move again, a left move after a right one, and a move
 of the same side with a smaller code whose positions (left) or values
 (right) are disjoint from the last move's.  This is duplicate pruning by
@@ -43,10 +46,10 @@ moves of one side on disjoint pairs; swapping an adjacent commuting pair
 that is out of code order keeps a sequence's length and its end, and
 makes it lexicographically smaller, and a move made twice in a row
 undoes itself.  So the least shortest sequence takes no skipped move,
-and the probe still meets it first.  `_allowed_moves` lists the moves
-allowed after each last move once per (m, n).
+and the descent still meets it first.  `_allowed_moves` lists the moves
+allowed after each last move, and at a source, once per (m, n).
 
-The probe tests each child before it builds it, by the descent count
+The descent tests each child before it builds it, by the descent count
 the parent carries to it (`_carried`).  A left move with one empty
 endpoint, and a right move that renames a value to its absent
 neighbour, keep the defined images' cyclic order, and so the count.  A
@@ -56,7 +59,7 @@ comparison of the two, if they are neighbours; the wraparound right
 move, which swaps the least and the greatest value, is recounted.  A
 move whose endpoints are both empty fixes the state and is skipped.  A
 goal child returns at once, and a child past the descent prune is
-neither built nor called.  On failure the probe records k as the
+neither built nor called.  On failure the descent records k as the
 largest bound the state failed at, keyed by the state and its last
 move, which decides the moves allowed next; a revisit within it fails
 at once.  Every answer is exact: the prunes are lower bounds, and a
@@ -66,22 +69,24 @@ itself as an argument instead of reaching itself through its closure,
 so no reference cycle holds the memos: they are freed when the search
 returns.
 
-The tie rule is fixed: sources are probed in the order given, and moves
+The tie rule is fixed: sources are tried in the order given, and moves
 go in code order, the moves of the side with fewer positions before the
 other side's (the left side's when m = n; an m > n pairing is solved as
 its inverse), then by generator index.  The first source of least cost
-wins, and its witness is the path its successful probe found.  The probe
+wins, and its witness is the path the search found from it.  The descent
 takes the first allowed child in code order that succeeds, and k is
 exact, so that path is the source's lexicographically least shortest
 move sequence (above): the answer of solving every source alone and
 keeping the first strict minimum, and that of a layered breadth-first
 search seeded with the sources in order (the tests' reference).  A
-repeated source needs no care: at every k it is probed after its first
+repeated source needs no care: at every k it is tried after its first
 copy has failed, and fails at once, by the same prune or by the failure
 memo, so only the first copy can win.  The budget `MAX_STATES` counts
-states: each root probe and each child tested, revisits included.
-Beyond it the search raises CapacityError, so the budget bounds time,
-not just memory.
+states: each source at each k and each child tested, revisits included;
+a source's count is checked with the next child's.  Beyond it the search
+raises CapacityError.  The budget bounds states, not time: the time a
+state takes varies within one size and grows with the size, so the
+budget bounds time only as measured for each size (`MAX_STATES`).
 
 Full rank.  An n-by-n rank-n pairing is orientation preserving exactly
 when it is one of the n rotations of the identity, and the fewest moves
@@ -97,7 +102,7 @@ least cost wins.
 
 A pairing of rank min(m, n) takes the same closed form.  After the
 mirror m <= n, so the pairing sigma has no empty position, and its
-compressed row tau (the probe's, above) is m by m of rank m.  Then
+compressed row tau (the bound's, above) is m by m of rank m.  Then
 mu(sigma) = mu(tau).  Sigma's left moves are tau's left moves.  A right
 move between two used values is a move of tau; one that touches an
 unused value only renames a value, or, across the wraparound, turns the
@@ -151,7 +156,7 @@ the words against a plain greedy descent on the least rotation cost, on
 20 seeded permutations each for n = 8..16 and on 5 seeded pairings with
 m < n each for n = 8..16, both ways round
 (`test_full_rank_words_descend_past_seven_regions`).  With m < n the
-route equals the probe, in index, cost and words, on 300 seeded pairings
+route equals the search, in index, cost and words, on 300 seeded pairings
 with n <= 10 (`test_full_rank_pairings_are_never_searched`).  The solver
 as a whole, full and partial rank, is anchored to the tests' class tables:
 its cost and words equal a table's cost and the greedy descent read off
@@ -190,12 +195,13 @@ from .genome import Genome, ReferenceFrame
 from .pperm import (PartialPerm, _ReadOnly, _check_int, _descents, _swap_pairs, _swap_positions,
                     _value_swaps)
 
-# Most states one partial-rank search may test, each root probe and each
-# child tested, revisits included, before it gives up with CapacityError;
-# full rank has a closed form.  Random pairings of 12 regions sharing 10 or
-# 11 stay well inside it, while 6 of ROADMAP's 24 baseline pairs of 16
-# regions sharing 13 to 15 reach it, after 4.2-21.7 s of CPU each on a
-# 2-core Xeon VM, at a peak RSS of 76-155 MB.
+# Most states one partial-rank search may test (module docstring) before
+# it gives up with CapacityError; full rank has a closed form.  Random
+# pairings of 12 regions sharing 10 or 11 stay well inside it, while 6 of
+# ROADMAP's 48 baseline pairs, of 16 regions sharing 13 to 15, reach it
+# after 4.5-31 s of CPU each (3.7-26 microseconds a state) on a 2-core
+# Xeon VM, at a peak RSS of 75-155 MB.  With the position cap lifted, a
+# 24-region refusal took 57 microseconds a state, before move pruning.
 MAX_STATES = 1_200_000
 
 
@@ -360,11 +366,11 @@ def _relabelled(values: Sequence[int]) -> bytes:
 
 @cache  # the searches on m-by-n rows share one set of lists
 def _allowed_moves(m: int, n: int) -> tuple[tuple[tuple[int, int, int, bytes | None], ...], ...]:
-    """The moves the probe may take after each last move, indexed by its
-    code, with one more entry, for the root, holding every move.  A move
+    """The moves the descent may take after each last move, indexed by its
+    code, with one more entry, for a source, holding every move.  A move
     is (code, a, b, table): a left move swaps positions a and b and has no
     table; a right move swaps values a and b with its `_value_swaps`
-    table.  After a move the probe skips that move again, every left move
+    table.  After a move the descent skips that move again, every left move
     after a right one, and a move of the same side with a smaller code on
     disjoint positions (left) or values (right) (module docstring)."""
     lefts = [(code, a, b, None) for code, (a, b) in enumerate(_swap_pairs(m))]
@@ -384,7 +390,7 @@ def _carried(row: bytes, values: bytes, drops: int, a: int, b: int,
              table: bytes | None) -> int | None:
     """The descent count of a move's child, from its parent's: the row,
     its defined images `values` and their `drops` descents, at least two
-    (so three or more images), as on every row the probe expands.  The
+    (so three or more images), as on every row the search expands.  The
     move is one of `_allowed_moves`; None when it fixes the row.  Only a
     move that exchanges two neighbours in the cyclic order of the defined
     images can change the count, and only at the comparisons next to
@@ -416,20 +422,23 @@ def _carried(row: bytes, values: bytes, drops: int, a: int, b: int,
     return drops if a in values or b in values else None
 
 
-def _prober(m: int, n: int):
-    """A fresh `probe(row, k)` for m-by-n image rows and its memo of the
-    largest k each (row, last move code) failed at.  The probe returns
-    None when no goal lies within k moves of the row, and otherwise the
-    first path it found: the codes of the moves to a goal, last move first
-    (empty, and so falsy, at a goal)."""
+def _search_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolution]:
+    """`solve_sources` for m <= n by iterative deepening (module docstring):
+    the first source with a path to a goal within the least k wins, and
+    the first path found from it is the witness."""
+    m, n = sources[0].m, sources[0].n
     allowed = _allowed_moves(m, n)
     root = len(allowed) - 1
+    # the largest k each (row, last move code) failed at, and each row's
+    # compressed bound
     failed: dict[tuple[bytes, int], int] = {}
     bounds: dict[bytes, int] = {}
     tested = 0
 
     # `descend` is passed itself rather than read from a closure cell, so
-    # no cycle holds the memos: they go when the search drops the probe
+    # no cycle holds the memos: they go when the search returns.  It
+    # returns None when no goal lies within k moves of the row, and
+    # otherwise the codes of the moves to the first goal found, last first
     def descend(descend, row: bytes, drops: int, k: int, last: int) -> list[int] | None:
         # the row is no goal, and k passed its descent prune
         nonlocal tested
@@ -470,28 +479,16 @@ def _prober(m: int, n: int):
         failed[row, last] = k
         return None
 
-    def probe(row: bytes, k: int) -> list[int] | None:
-        nonlocal tested
-        tested += 1  # checked against the budget with the next child's count
-        drops = _descents(row.replace(b"\0", b""))
-        if drops <= 1:
-            return []
-        if drops - 1 > k:
-            return None
-        return descend(descend, row, drops, k, root)
-
-    return probe, failed
-
-
-def _search_sources(sources: Sequence[PartialPerm]) -> tuple[int, AlignmentSolution]:
-    """`solve_sources` for m <= n by the bounded probe (module docstring):
-    the first source whose probe succeeds at the least k wins, and the
-    path that probe found is the witness."""
-    m, n = sources[0].m, sources[0].n
-    probe, _ = _prober(m, n)
+    roots = [(row, _descents(row.replace(b"\0", b""))) for row in (s.image_row for s in sources)]
     for cost in count():
-        for index, sigma in enumerate(sources):
-            path = probe(sigma.image_row, cost)
+        for index, (row, drops) in enumerate(roots):
+            tested += 1  # checked against the budget with the next child's count
+            if drops <= 1:
+                path = []
+            elif drops - 1 > cost:
+                continue
+            else:
+                path = descend(descend, row, drops, cost, root)
             if path is not None:
                 return index, AlignmentSolution(cost, partial(_solution, m, n, path[::-1]))
 

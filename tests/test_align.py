@@ -273,21 +273,41 @@ def test_carried_descent_counts():
 
 
 def test_search_leaves_no_cyclic_garbage():
-    # the probe's memos go by reference counting when the search returns,
-    # so a loop of searches does not hold them until the cyclic collector
-    # runs
+    # the search's memos go by reference counting when it returns, so a
+    # loop of searches does not hold them until the cyclic collector runs:
+    # one source, and two, the shape `mrca_distance` searches
     sigma = PartialPerm(6, 6, zip([1, 2, 3, 4, 5], [3, 1, 5, 2, 6]))
+    g1, g2 = genomes_from_token_lists("abcdefg", "acebdfh")
     gc.collect()
     gc.disable()
     try:
         assert solve_pair(sigma).cost == 3
         assert gc.collect() == 0
+        sources = [sigma_from_frames(f1, f2) for f1, f2 in reference_pairs(g1, g2)]
+        assert solve_sources(sources)[1].cost == 3
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
 
+def test_search_budget_counts_roots_and_children(monkeypatch):
+    # the budget's unit: each source at each k and each child tested.  This
+    # two-source search tests 4,791 states, so a budget of one fewer
+    # refuses it and a budget of exactly that many solves it
+    from invdel import align
+
+    rng = random.Random(2)
+    sources = [PartialPerm(11, 11, zip(rng.sample(range(1, 12), 9), rng.sample(range(1, 12), 9)))
+               for _ in range(2)]
+    monkeypatch.setattr(align, "MAX_STATES", 4_790)
+    with pytest.raises(CapacityError, match="budget of 4,790 states"):
+        solve_sources(sources)
+    monkeypatch.setattr(align, "MAX_STATES", 4_791)
+    assert solve_sources(sources)[1].cost == 10
+
+
 def least_bound(sources):
-    """The least k at which the probe looks past some source: below it,
+    """The least k at which the search looks past some source: below it,
     every source is pruned at once, by its descent count or, from k = 2
     on, by the compressed closed form."""
     from invdel.align import _descents, _relabelled
@@ -305,21 +325,22 @@ def least_bound(sources):
 def test_multi_source_matches_single_sources(monkeypatch):
     from invdel import align
 
-    # the failure memo of each probe, and whether each run solved above the
-    # least bound of its sources: both must happen for the checks below to
-    # cover the probe's search, not just its straight descent
-    memos, above = [], []
-    prober = align._prober
+    # the children tested by `_carried`, which only a row the search
+    # expands calls, and whether each run solved above the least bound of
+    # its sources: both must happen for the checks below to cover the
+    # search, not just its straight descent
+    carries, above = 0, []
+    carried = align._carried
 
     def recorded(*args):
-        probe, failed = prober(*args)
-        memos.append(failed)
-        return probe, failed
+        nonlocal carries
+        carries += 1
+        return carried(*args)
 
     def check(sources, single):
         above.append(_check_multi_source(sources, single).cost > least_bound(sources))
 
-    monkeypatch.setattr(align, "_prober", recorded)
+    monkeypatch.setattr(align, "_carried", recorded)
     for m in range(1, 5):
         for n in range(1, 5):
             perms = list(all_partial_perms(m, n))
@@ -337,9 +358,9 @@ def test_multi_source_matches_single_sources(monkeypatch):
                                for _ in range(rng.randint(2, 4))]
                     single = {s: reference_search([s]) for s in sources}
                     check(sources, single)
-                    # a repeat reaches the probe, and only its first copy wins
+                    # a repeat reaches the search, and only its first copy wins
                     check(sources + sources[:1], single)
-    assert any(memos) and True in above
+    assert carries and True in above
 
 
 def test_first_minimum_wins_over_every_frame_pair():

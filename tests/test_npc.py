@@ -47,6 +47,9 @@ def test_reduction_validates_input():
 def test_reduction_names_positions_beyond_the_cap():
     with pytest.raises(CapacityError, match="needs 22 positions.*capped at 16"):
         reduce_partition((1, 1, 2, 3, 4, 5))
+    # past the split helpers' cap too, but the positions are named
+    with pytest.raises(CapacityError, match="needs 2000001 positions"):
+        reduce_partition((2_000_000,))
     assert reduce_partition((1, 1, 2, 3, 4)).sigma.m == 16  # exactly at the cap
 
 
@@ -80,6 +83,16 @@ def test_partition_witness():
     for values in [(2, -2), (0, 0), (0,), (3, 0, 3)]:
         with pytest.raises(InvalidArgumentError):
             partition_witness(values)
+
+
+@pytest.mark.parametrize("helper", [partition_brute, partition_witness])
+def test_split_helpers_cap_their_table(helper):
+    # one element's table holds its half plus one cells: 2,000,000 is one
+    # cell past the cap, and one even element below it is within it
+    assert npc.MAX_SPLIT_CELLS == 1_000_000
+    with pytest.raises(CapacityError, match="split table cells is capped at 1000000, got 1000001"):
+        helper((2_000_000,))
+    assert not helper((1_999_998,))
 
 
 def test_partition_witness_agrees_with_brute_force():
