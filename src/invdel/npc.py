@@ -10,11 +10,12 @@ directions on small instances: it searches the left moves from the pairing
 and the right moves from it (as left moves from its inverse) once each,
 holding only the layers next to the one it expands, and joins the two on
 the order they leave the defined pairs in.  Its rows are bytes, each
-stored with its inversion count and its order, and a move's child row is
-built only after the count prune has let it through.  A pairing that is
-its own inverse, as every reduction instance is, has one search for both
-sides, each reached row read once as a left order and once as a right
-order.
+stored with its inversion count, its order and the move that built it; a
+row skips the moves that undo that move or commute back past it, and a
+move's child row is built only after the count prune has let it through.
+A pairing that is its own inverse, as every reduction instance is, has one
+search for both sides, each reached row read once as a left order and once
+as a right order.
 Every instance the reduction builds is decided; a search past `MAX_ROWS`
 rows raises CapacityError.
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
+from functools import cache
 
 from .errors import CapacityError, InvalidArgumentError
 from .pperm import MAX_POSITIONS, PartialPerm, _check_int
@@ -37,7 +39,8 @@ MAX_ROWS = 400_000  # rows one balanced search may add to its layers
 # integer `partition_brute` shifts.  The dearest multisets tried just under
 # it (1,412 ones; 1..157 and a 1; the powers of two to 2**15 and 52,109)
 # took at most 0.08 s of CPU and 28 MB peak RSS, 14 MB of it the
-# interpreter, on a 2-core Xeon VM with Python 3.11.
+# interpreter, on a 2-core Xeon VM with Python 3.11; `partition_brute`, whose
+# integer holds one bit per sum, answered each in under 1 ms at 15 MB.
 MAX_SPLIT_CELLS = 1_000_000
 
 
@@ -101,8 +104,6 @@ def reduce_partition(values: Sequence[int]) -> BalancedSortInstance:
 def partition_brute(values: Sequence[int]) -> bool:
     """Exact subset-sum scan for an equal split."""
     values = _split_multiset(values)
-    if len(values) > 24:
-        raise CapacityError("brute-force split check is capped at 24 elements")
     total = sum(values)
     if total % 2:
         return False
@@ -185,6 +186,26 @@ def partition_witness(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int
 # blanks is the row itself.  So the prune is tested first and a dropped
 # child is never built, and an order is built only by a swap of two values.
 #
+# Each layer entry also holds the move that first built its row (the start
+# row holds a sentinel), and a row takes only the moves `_moves_after` allows
+# after it: not that move again, and no move j < i - 1 after move i.  This is
+# duplicate pruning by an operator order (Taylor and Korf, AAAI 1993), as in
+# align's descent.  A layer is built in the order of the one before it, and
+# each row tries its moves in index order, so the first path the search
+# finds to a state is that state's lexicographically least shortest move
+# sequence.  That sequence takes no skipped move: the same move twice undoes
+# itself, and a move j < i - 1 right after move i swaps other positions, so
+# the two commute and putting j first gives a smaller sequence of the same
+# length and end.  The swap keeps the count prune too: each move changes the
+# count by the same amount in either order, so the new middle row's count is
+# at most one more than the end's, and the end row is allowed one move fewer
+# than the middle one.  So every state is still built first from the same
+# row by the same move, and the states, their order and the rows `MAX_ROWS`
+# counts are unchanged; only children that would have been dropped as rows
+# already met are no longer tried.  Rows already met still occur (two moves
+# of blanks, or the braid i, i + 1, i against i + 1, i, i + 1), so the two
+# layers are still tested.
+#
 # The rows reached grow as the factorial of the defined positions, so the
 # work is bounded, not the size: each row is expanded only while at most
 # `MAX_ROWS` states were added.  The largest reduction walk, from
@@ -192,6 +213,16 @@ def partition_witness(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int
 
 # _SWAPPED[a][b] is the pair (a, b) of adjacent entries after their swap.
 _SWAPPED = [[bytes((b, a)) for b in range(MAX_POSITIONS + 1)] for a in range(MAX_POSITIONS + 1)]
+
+
+@cache  # the searches on m positions share one table
+def _moves_after(m: int) -> tuple[tuple[int, ...], ...]:
+    """The moves a row may take after the move that first built it, indexed
+    by that move, with one more entry, for the start row, holding every
+    move.  Move i swaps positions i and i + 1 (0-based).  After move i a
+    row skips i again and every move j < i - 1 (see the comment above)."""
+    return (*(tuple(j for j in range(m - 1) if j == i - 1 or j > i) for i in range(m - 1)),
+            tuple(range(m - 1)))
 
 
 def _reached(start: bytes, count: int, depth: int):
@@ -206,17 +237,18 @@ def _reached(start: bytes, count: int, depth: int):
     if count > 2 * depth:
         return
     order = start.replace(b"\0", b"")
-    before, layer = {}, {start: (count, order)}
+    after = _moves_after(len(start))
+    before, layer = {}, {start: (count, order, len(after) - 1)}
     states = 1
     yield order, 0
     for d in range(1, depth + 1):
         allowed, parity = 2 * depth - d, d % 2
         nxt = {}
-        for row, (inv, order) in layer.items():
+        for row, (inv, order, last) in layer.items():
             if states > MAX_ROWS:
                 raise CapacityError(f"the balanced search reached its budget of {MAX_ROWS:,} "
                                     "rows; the pairing is too large to decide exactly")
-            for i in range(len(row) - 1):
+            for i in after[last]:
                 a, b = row[i], row[i + 1]
                 if a and b:
                     c = inv + 1 if a < b else inv - 1
@@ -234,7 +266,7 @@ def _reached(start: bytes, count: int, depth: int):
                         continue
                     c, o = inv, order
                 states += 1
-                nxt[y] = c, o
+                nxt[y] = c, o, i
                 yield o, parity
         before, layer = layer, nxt
 

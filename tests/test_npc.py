@@ -72,8 +72,10 @@ def test_partition_brute():
     assert partition_brute((1, 1, 2))
     assert not partition_brute((1, 1, 2, 3, 4))  # odd total
     assert partition_brute(())
-    with pytest.raises(CapacityError):
-        partition_brute((1,) * 25)
+    # no cap on the element count: both helpers refuse only past MAX_SPLIT_CELLS
+    for values in [(1,) * 25, (1,) * 26]:
+        assert partition_brute(values) == (partition_witness(values) is not None)
+    assert not partition_brute((1,) * 25) and partition_brute((1,) * 26)
 
 
 def test_partition_witness():
@@ -150,12 +152,9 @@ def test_budget_covers_the_largest_reduction_walk(monkeypatch):
     assert npc.MAX_ROWS >= 10 * len(rows)
 
 
-@pytest.mark.skipif(os.environ.get("INVDEL_LONG_TESTS") != "1",
-                    reason="set INVDEL_LONG_TESTS=1 for every reduction of 13-16 positions")
 def test_reduction_decides_every_instance_past_twelve_positions():
     # the 154 multisets needing 13 to 16 positions, the most the reduction
-    # can encode; together about 3 s of CPU.  Tier-1 keeps two of them,
-    # {1, 1, 2, 3, 4} and {3, 3, 3, 3}, in tests/test_cli.py
+    # can encode
     cases = 0
     for size in range(1, 9):
         for values in combinations_with_replacement(range(1, 18 - 2 * size), size):
@@ -264,6 +263,19 @@ def _partial_involutions(m):
 
     for mapping in pairings(list(range(1, m + 1))):
         yield PartialPerm(m, m, mapping)
+
+
+def test_moves_after_follow_the_skip_rules():
+    # after move i the search may take every linear move but i and the
+    # moves j < i - 1, which swap other positions and commute with it; the
+    # start row takes every move in index order
+    for m in range(1, 17):
+        every = list(range(m - 1))
+        after = npc._moves_after(m)
+        assert len(after) == m and list(after[-1]) == every
+        for last in every:
+            expected = [j for j in every if j != last and not j < last - 1]
+            assert list(after[last]) == expected, (m, last)
 
 
 @pytest.mark.skipif(os.environ.get("INVDEL_LONG_TESTS") != "1",
