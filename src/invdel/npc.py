@@ -10,9 +10,16 @@ directions on small instances: it searches the left moves from the pairing
 and the right moves from it (as left moves from its inverse) once each,
 holding only the layers next to the one it expands, and joins the two on
 the order they leave the defined pairs in.  Its rows are bytes, each
-stored with its inversion count, its order and the move that built it; a
-row skips the moves that undo that move or commute back past it, and a
-move's child row is built only after the count prune has let it through.
+stored with its bound, its order and the move that built it.  The bound is
+the inversion count plus, for each pair of a set of the start row's
+crossings that share no value, the fewer of the blanks and the absent
+values between its two: a crossing that spans a positions in the
+reduction costs a moves, since its a - 1 blanks must be cleared first.
+Every left or right move changes the bound by at most one and it is 0
+exactly on order-preserving rows, so a row whose bound exceeds the moves
+left is dropped without losing an answer.  A row skips the moves that undo
+the move that built it or commute back past it, and a move's child row is
+built only after the prune has let it through.
 A pairing that is its own inverse, as every reduction instance is, has one
 search for both sides, each reached row read once as a left order and once
 as a right order.
@@ -146,9 +153,10 @@ def partition_witness(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int
 #
 # The search holds the layer it expands and its two neighbours, not every
 # state it reached: every move flips the parity, so the (row, parity) graph
-# is bipartite, and the prune below only tightens with depth, so a state is
-# first met at its breadth-first depth and its neighbours lie one layer
-# before or after it.  A row met again is in one of those two layers.
+# is bipartite, and the prune below only tightens with depth and tests a
+# bound that moves by at most one per move, so a state is first met at its
+# breadth-first depth and its neighbours lie one layer before or after it.
+# A row met again is in one of those two layers.
 #
 # The moves are the linear adjacent transpositions only.  The wraparound pair
 # (1, m) is left out on purpose: the per-crossing width argument that makes
@@ -171,20 +179,40 @@ def partition_witness(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int
 # same rows: the one search serves both sides, its orders read once as they
 # are and once relabelled.
 #
-# Every linear adjacent move, left or right, changes the number of
-# out-of-order image pairs (the inversion count) by at most one, and that
-# count is 0 exactly on the order-preserving rows.  Each search drops a row
-# whose count exceeds the moves still allowed: its own remaining depth plus
-# the other side's whole k // 2.
+# Each search drops a row whose bound exceeds the moves still allowed: its
+# own remaining depth plus the other side's whole k // 2.  The bound is the
+# inversion count (the out-of-order pairs of image values) plus one term for
+# each pair of M, a set of the start row's crossed pairs that share no
+# value, fixed once per search (`_blank_pairs`; greedy by term, then by
+# value, though any such set would do).  While its pair is crossed, a term
+# is the fewer of the blank positions and the values absent from the row
+# between the pair's two; once uncrossed it is 0.  In the reduction each
+# crossing of width a has a - 1 of each, so the bound at the start is k,
+# where the count alone is the number of elements.
+#
+# The bound never exceeds the left and right moves still needed.  Follow
+# M's tokens by identity along any word of those moves.  A move of two
+# defined tokens changes the count by one and no pair's blank or absent
+# gap; a token passing a blank, or a value renamed to an absent neighbour,
+# leaves the count alone and changes only its own pair's gap, by one; and a
+# pair uncrosses only when its two are adjacent, at gap 0.  So every move
+# changes the bound by at most one, and the bound is 0 exactly on the
+# order-preserving rows.  Moving by at most one also makes it consistent,
+# all that the two-layer and move-order arguments need.  A left move keeps
+# every value, so in a search each pair's absent gap is fixed.
 #
 # A row is a bytes object, one byte per position holding its image or 0
 # (images are at most MAX_POSITIONS = 16), so it hashes once for the two
-# membership tests and the store.  Each layer maps a row to its count and
+# membership tests and the store.  Each layer maps a row to its bound and
 # its order, and a move's effect on both is known before its row is built:
-# a swap of two values moves the count by one and is the only move that
-# changes the order; a swap of a value and a blank keeps both; a swap of two
-# blanks is the row itself.  So the prune is tested first and a dropped
-# child is never built, and an order is built only by a swap of two values.
+# a swap of two values moves the bound by one and is the only move that
+# changes the order; a swap of a value and a blank keeps the order, and
+# moves the bound only when the value's pair in M is crossed, read off one
+# `bytes.index` of its partner and one count of the blanks between them; a
+# swap of two blanks is the row itself.  So the prune is tested first and a
+# dropped child is never built, and an order is built only by a swap of two
+# values.  A row with no blanks has every value, so M is empty and the
+# bound is the count.
 #
 # Each layer entry also holds the move that first built its row (the start
 # row holds a sentinel), and a row takes only the moves `_moves_after` allows
@@ -196,20 +224,19 @@ def partition_witness(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int
 # sequence.  That sequence takes no skipped move: the same move twice undoes
 # itself, and a move j < i - 1 right after move i swaps other positions, so
 # the two commute and putting j first gives a smaller sequence of the same
-# length and end.  The swap keeps the count prune too: each move changes the
-# count by the same amount in either order, so the new middle row's count is
-# at most one more than the end's, and the end row is allowed one move fewer
-# than the middle one.  So every state is still built first from the same
-# row by the same move, and the states, their order and the rows `MAX_ROWS`
-# counts are unchanged; only children that would have been dropped as rows
-# already met are no longer tried.  Rows already met still occur (two moves
-# of blanks, or the braid i, i + 1, i against i + 1, i, i + 1), so the two
-# layers are still tested.
+# length and end.  The swap keeps the prune too: the new middle row is one
+# move from the end row, so its bound is at most one more than the end's,
+# and the end row is allowed one move fewer than the middle one.  So every
+# state is still built first from the same row by the same move, and the
+# states, their order and the rows `MAX_ROWS` counts are unchanged; only
+# children that would have been dropped as rows already met are no longer
+# tried.  Rows already met still occur (two moves of blanks, or the braid
+# i, i + 1, i against i + 1, i, i + 1), so the two layers are still tested.
 #
 # The rows reached grow as the factorial of the defined positions, so the
 # work is bounded, not the size: each row is expanded only while at most
 # `MAX_ROWS` states were added.  The largest reduction walk, from
-# {3, 3, 3, 3}, reaches 16,814 rows; the reversal of 9 positions reaches 9!.
+# {3, 3, 3, 3}, reaches 1,917 rows; the reversal of 9 positions reaches 9!.
 
 # _SWAPPED[a][b] is the pair (a, b) of adjacent entries after their swap.
 _SWAPPED = [[bytes((b, a)) for b in range(MAX_POSITIONS + 1)] for a in range(MAX_POSITIONS + 1)]
@@ -225,46 +252,89 @@ def _moves_after(m: int) -> tuple[tuple[int, ...], ...]:
             tuple(range(m - 1)))
 
 
+def _blank_pairs(start: bytes) -> tuple[list[int], list[int], int]:
+    """The pairs whose blanks the prune counts, read from the start row:
+    `partner` and `absent`, indexed by value, give a matched value's partner
+    and the values absent between the two (0 for a value in no pair), and
+    the third item is the sum of the pairs' terms at the start.
+
+    The candidates are the crossed pairs with a value absent between them,
+    each weighed by its term, the smaller of its blank positions and its
+    absent values; they are taken greedily by weight, then by value, while
+    they share no value with a pair already taken.
+    """
+    defined = [(p, x) for p, x in enumerate(start) if x]
+    values = sorted(x for _, x in defined)
+    below = {x: x - r for r, x in enumerate(values, 1)}  # values absent below x
+    candidates = []
+    for k, (p, x) in enumerate(defined):
+        for q, y in defined[k + 1:]:
+            if y < x and below[x] > below[y]:
+                between = below[x] - below[y]
+                candidates.append((-min(start.count(0, p + 1, q), between), y, x, between))
+    partner, absent = [0] * (MAX_POSITIONS + 1), [0] * (MAX_POSITIONS + 1)
+    terms = 0
+    for weight, y, x, between in sorted(candidates):
+        if not partner[x] and not partner[y]:
+            partner[x], partner[y] = y, x
+            absent[x] = absent[y] = between
+            terms -= weight
+    return partner, absent, terms
+
+
 def _reached(start: bytes, count: int, depth: int):
     """Yield the order and parity of every row a left-move search of depth
     `depth` reaches from `start`, whose inversion count is `count`, layer
     by layer: the row's nonzero entries in position order, as bytes, and
     its layer's parity.
 
-    A row is dropped when its count exceeds the moves left on both sides,
-    `depth` minus its own depth plus the other side's `depth`.
+    A row is dropped when its bound, the inversion count plus the blanks
+    its matched crossed pairs must still clear, exceeds the moves left on
+    both sides: `depth` minus its own depth plus the other side's `depth`.
     """
-    if count > 2 * depth:
+    partner, absent, terms = _blank_pairs(start)
+    bound = count + terms
+    if bound > 2 * depth:
         return
     order = start.replace(b"\0", b"")
     after = _moves_after(len(start))
-    before, layer = {}, {start: (count, order, len(after) - 1)}
+    before, layer = {}, {start: (bound, order, len(after) - 1)}
     states = 1
     yield order, 0
     for d in range(1, depth + 1):
         allowed, parity = 2 * depth - d, d % 2
         nxt = {}
-        for row, (inv, order, last) in layer.items():
+        for row, (bound, order, last) in layer.items():
             if states > MAX_ROWS:
                 raise CapacityError(f"the balanced search reached its budget of {MAX_ROWS:,} "
                                     "rows; the pairing is too large to decide exactly")
             for i in after[last]:
                 a, b = row[i], row[i + 1]
                 if a and b:
-                    c = inv + 1 if a < b else inv - 1
+                    c = bound + 1 if a < b else bound - 1
                     if c > allowed:
                         continue
                     y = row[:i] + _SWAPPED[a][b] + row[i + 2:]
                     if y in before or y in nxt:
                         continue
                     o = y.replace(b"\0", b"")
-                elif inv > allowed:
-                    continue
                 else:
-                    y = row[:i] + _SWAPPED[a][b] + row[i + 2:] if a or b else row
+                    c, t = bound, a or b
+                    u = partner[t]
+                    if u:  # t passes a blank: its pair's blank gap moves by one
+                        p, j = (i if a else i + 1), row.index(u)  # t's and u's positions
+                        if (t > u) == (p < j):  # the pair is crossed
+                            gap = row.count(0, p + 1, j) if p < j else row.count(0, j + 1, p)
+                            if (p < j) == bool(a):  # t moves toward u
+                                c -= gap <= absent[t]
+                            else:
+                                c += gap < absent[t]
+                    if c > allowed:
+                        continue
+                    y = row[:i] + _SWAPPED[a][b] + row[i + 2:] if t else row
                     if y in before or y in nxt:
                         continue
-                    c, o = inv, order
+                    o = order
                 states += 1
                 nxt[y] = c, o, i
                 yield o, parity
@@ -277,10 +347,10 @@ def solve_balancedsort(inst: BalancedSortInstance) -> bool:
 
     Inversions here are the adjacent transpositions of the linear order,
     without the wraparound.  One layered search over image rows, a
-    layer's parity its depth's, runs per side, pruned by the inversion
-    count, and the two meet on the order of the defined pairs (see the
-    comment above _reached); a pairing that is its own inverse is searched
-    once for both sides.
+    layer's parity its depth's, runs per side, pruned by a bound that
+    counts each crossing and the blanks inside it, and the two meet on
+    the order of the defined pairs (see the comment above _reached); a
+    pairing that is its own inverse is searched once for both sides.
     """
     sigma, k = inst.sigma, inst.k
     count = len(sigma.crossings())

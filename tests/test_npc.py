@@ -1,6 +1,6 @@
 import os
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -148,7 +148,7 @@ def test_budget_covers_the_largest_reduction_walk(monkeypatch):
 
     monkeypatch.setattr(npc, "_reached", counted)
     assert solve_balancedsort(reduce_partition((3, 3, 3, 3)))
-    assert len(rows) == 16_814
+    assert len(rows) == 1_917
     assert npc.MAX_ROWS >= 10 * len(rows)
 
 
@@ -198,6 +198,11 @@ def _right_moves(row):
         yield tuple(out)
 
 
+def _crossings(row):
+    """The out-of-order pairs of a row's defined entries."""
+    return sum(a > b for a, b in combinations([v for v in row if v], 2))
+
+
 def _reference_balanced_steps(sigma, max_steps):
     """Fewest steps, each one left and one right move, that make sigma
     order preserving, or None beyond max_steps.
@@ -206,7 +211,11 @@ def _reference_balanced_steps(sigma, max_steps):
     Repeating a step undoes it, so a row reached after c steps is reached
     after c + 2 too; the search therefore keys on (image row, step parity).
     A halfway state expanded at an earlier step is not expanded again: its
-    right children are already seen.
+    right children are already seen.  A state whose crossings exceed the
+    moves left, two a step and one fewer halfway, is dropped: each move
+    changes the crossings by at most one (checked on every move at m <= 5
+    by test_balancedsort_matches_reference_exhaustively), so no answer
+    within max_steps is lost.
     """
     start = (tuple(sigma.image_row), 0)
     seen = {start}
@@ -217,14 +226,16 @@ def _reference_balanced_steps(sigma, max_steps):
             defined = [v for v in row if v]
             if defined == sorted(defined):
                 return steps
-        halfway = {(left, parity) for row, parity in layer for left in _left_moves(row)}
+        moves = 2 * (max_steps - steps)
+        halfway = {(left, parity) for row, parity in layer for left in _left_moves(row)
+                   if _crossings(left) < moves}
         halfway -= expanded
         expanded |= halfway
         nxt = []
         for left, parity in halfway:
             for both in _right_moves(left):
                 key = (both, 1 - parity)
-                if key not in seen:
+                if key not in seen and _crossings(both) <= moves - 2:
                     seen.add(key)
                     nxt.append(key)
         layer = nxt
@@ -278,13 +289,13 @@ def test_moves_after_follow_the_skip_rules():
             assert list(after[last]) == expected, (m, last)
 
 
-@pytest.mark.skipif(os.environ.get("INVDEL_LONG_TESTS") != "1",
-                    reason="set INVDEL_LONG_TESTS=1 for the m=6 and m=7 involutions")
-@pytest.mark.parametrize("m", [6, 7])
+@pytest.mark.parametrize("m", [6, pytest.param(7, marks=pytest.mark.skipif(
+    os.environ.get("INVDEL_LONG_TESTS") != "1",
+    reason="set INVDEL_LONG_TESTS=1 for the m=7 involutions"))])
 def test_balancedsort_matches_reference_on_every_partial_involution(m):
     # the pairings the reduction builds are their own inverses, and those
-    # are searched once for both sides; the step search takes about 4 s of
-    # CPU at m = 6 and 2 min at m = 7
+    # are searched once for both sides; the step search, pruned by the
+    # crossings, takes about 1 s of CPU at m = 6 and 7 s at m = 7
     cases = 0
     for sigma in _partial_involutions(m):
         assert sigma == sigma.inverse()
@@ -337,30 +348,114 @@ def _near_sorted(rng, m, swaps):
     return PartialPerm.from_image(m, row)
 
 
-def _reference_reached(start, count, depth):
+def _blank_matching(start):
+    """The pairs whose blanks npc's bound counts, read from the start row:
+    its crossed pairs (x, y), x left of y and x > y, with a value absent
+    between them, taken by their term (see _bound), largest first, then by
+    y and x, while they share no value with a pair already taken."""
+    present = set(start)
+    candidates = []
+    for p, q in combinations(range(len(start)), 2):
+        x, y = start[p], start[q]
+        if y and x > y:
+            absent = sum(v not in present for v in range(y + 1, x))
+            if absent:
+                candidates.append((-min(start[p + 1:q].count(0), absent), y, x))
+    taken, used = [], set()
+    for _, y, x in sorted(candidates):
+        if x not in used and y not in used:
+            taken.append((x, y))
+            used |= {x, y}
+    return taken
+
+
+def _bound(row, matching):
+    """The crossings of a row plus, for each pair of the matching still
+    crossed, the fewer of the blank positions and the absent values between
+    its two values, all counted from scratch."""
+    bound = _crossings(row)
+    present = set(row)
+    for x, y in matching:
+        p, q = row.index(x), row.index(y)
+        if p < q:
+            bound += min(row[p + 1:q].count(0), sum(v not in present for v in range(y + 1, x)))
+    return bound
+
+
+def _reference_reached(start, depth):
     """The layered search with a set of every (row, parity) state it
-    reached, read as orders: what npc._reached must yield, in this order."""
-    if count > 2 * depth:
+    reached, each row's bound computed afresh, read as orders: what
+    npc._reached must yield, in this order."""
+    start = tuple(start)
+    matching = _blank_matching(start)
+    if _bound(start, matching) > 2 * depth:
         return
-    first = (tuple(start), 0)
-    layer = {first: count}
+    first = (start, 0)
+    layer = [first]
     seen = {first}
     yield tuple(filter(None, start)), 0
     for d in range(1, depth + 1):
         allowed = 2 * depth - d
-        nxt = {}
-        for (row, parity), inv in layer.items():
+        nxt = []
+        for row, parity in layer:
             for i in range(len(row) - 1):
-                a, b = row[i], row[i + 1]
-                y = (row[:i] + (b, a) + row[i + 2:], 1 - parity)
-                if y in seen:
-                    continue
-                c = inv + (1 if a < b else -1) if a and b else inv
-                if c <= allowed:
+                y = (row[:i] + (row[i + 1], row[i]) + row[i + 2:], 1 - parity)
+                if y not in seen and _bound(y[0], matching) <= allowed:
                     seen.add(y)
-                    nxt[y] = c
+                    nxt.append(y)
         layer = nxt
         yield from ((tuple(filter(None, row)), parity) for row, parity in layer)
+
+
+def test_blank_bound_is_admissible_and_zero_exactly_on_order_preserving_rows():
+    # A search reads its matching from its start row and carries the bound
+    # to every row its left moves reach, the rows with the start's values.
+    # There the bound must not exceed the fewest mixed left and right moves
+    # to an order-preserving row, be 0 exactly on those rows, and move by at
+    # most one per left move, which keeps the two-layer and move-order
+    # arguments of npc's search.
+    checked = blanks = 0
+    for m in range(1, 6):
+        rows = [tuple(s.image_row) for s in all_partial_perms(m, m)]
+        # multi-source breadth-first search from the order-preserving rows;
+        # every move is its own inverse, so a row's depth is its distance
+        layer = [row for row in rows if _crossings(row) == 0]
+        fewest = dict.fromkeys(layer, 0)
+        depth = 0
+        while layer:
+            depth += 1
+            nxt = []
+            for row in layer:
+                for moved in [*_left_moves(row), *_right_moves(row)]:
+                    if moved not in fewest:
+                        fewest[moved] = depth
+                        nxt.append(moved)
+            layer = nxt
+        assert len(fewest) == len(rows)
+        by_values = {}
+        for row in rows:
+            by_values.setdefault(frozenset(row), []).append(row)
+        done = set()
+        for start in rows:
+            matching = _blank_matching(start)
+            _, _, terms = npc._blank_pairs(bytes(start))
+            assert _crossings(start) + terms == _bound(start, matching)
+            key = (frozenset(start), tuple(matching))
+            if key in done:
+                continue
+            done.add(key)
+            bounds = {row: _bound(row, matching) for row in by_values[key[0]]}
+            for row, bound in bounds.items():
+                assert bound <= fewest[row], (start, row)
+                assert (bound == 0) == (fewest[row] == 0), (start, row)
+                assert all(abs(bounds[moved] - bound) <= 1 for moved in _left_moves(row)), row
+                checked += 1
+                blanks += bound > _crossings(row)
+    # the reduction's blanks count: 2,2 starts at k = 4, each crossing with
+    # one blank between it and one value absent
+    sigma = reduce_partition((2, 2)).sigma
+    assert _bound(tuple(sigma.image_row), _blank_matching(tuple(sigma.image_row))) == 4
+    assert (checked, blanks) == (4516, 595)
 
 
 def test_two_layers_reach_what_every_state_reaches():
@@ -379,7 +474,7 @@ def test_two_layers_reach_what_every_state_reaches():
         row, count = sigma.image_row, len(sigma.crossings())
         for depth in depths:
             assert ([(tuple(o), p) for o, p in npc._reached(row, count, depth)]
-                    == list(_reference_reached(row, count, depth))), (row, depth)
+                    == list(_reference_reached(row, depth))), (row, depth)
             cases += 1
     assert cases == 9_110
     # values up to 16, the top of npc's swap table, on pairings a few swaps
@@ -390,7 +485,7 @@ def test_two_layers_reach_what_every_state_reaches():
         row, count = sigma.image_row, len(sigma.crossings())
         for depth in (2, 3):
             got = [(tuple(o), p) for o, p in npc._reached(row, count, depth)]
-            assert got == list(_reference_reached(row, count, depth)), (row, depth)
+            assert got == list(_reference_reached(row, depth)), (row, depth)
             walked += len(got) > 1
     assert walked >= 60
 
