@@ -11,14 +11,14 @@ from .genome import (Genome, ReferenceFrame, genomes_from_token_lists,
 from .algebra import (Generator, Relation, Word, apply_to_frame,
                       eval_generator, eval_word, format_word, parse_word,
                       relation_table, rewrite_deletions_first)
-from .cayley import enumerate_monoid, monoid_size, solve_pair_via_cayley
+from .cayley import enumerate_monoid, monoid_size
 from .align import AlignmentSolution, mu_oracle, solve_pair, solve_sources
 from .distance import (AncestorScenario, DistanceResult, construct_ancestor,
                        directed_distance, distance_matrix, format_phylip,
                        format_tsv, mrca_distance, verify_scenario_report)
 from .evolve import EvolutionScenario, random_genome, replay, simulate
-from .npc import (BalancedSortInstance, partition_brute, partition_witness,
-                  reduce_partition, solve_balancedsort)
+from .npc import (BalancedSortInstance, partition_witness, reduce_partition,
+                  solve_balancedsort)
 
 __all__ = [
     "AlignmentSolution", "AncestorScenario", "BalancedSortInstance",
@@ -32,9 +32,9 @@ __all__ = [
     "eval_generator", "eval_word", "format_phylip", "format_tsv",
     "format_word", "genomes_from_token_lists", "load_genomes",
     "monoid_size", "mrca_distance", "mu_oracle",
-    "parse_genomes", "parse_word", "partition_brute", "partition_witness",
+    "parse_genomes", "parse_word", "partition_witness",
     "random_genome", "reduce_partition", "relation_table", "replay",
     "rewrite_deletions_first", "sigma_from_frames", "simulate", "solve_pair",
-    "solve_pair_via_cayley", "solve_balancedsort", "solve_sources",
+    "solve_balancedsort", "solve_sources",
     "verify_scenario_report",
 ]

@@ -164,15 +164,16 @@ it on every pairing with m, n <= 6, both ways round, and, in a long
 test, on every pairing with m <= n = 7.
 
 The default engine is the one route the CLI and the library answer by.
-Other routes to the same number serve as checks: a breadth-first search
-from the pairing's row through its rank class of the monoid, composing
-inversions on either side (`cayley.solve_pair_via_cayley`), and an
-iterative-deepening oracle here with its own traversal and its own
-orientation test (`mu_oracle`).  The tests add two of their own: a table
-per rank class holding the cost of every pairing in it, filled by one
-breadth-first search over tuple rows, with the witness read off it by a
-greedy descent, and a decomposition into the two circles' separate
-distances.  Tests hold them all together.
+Other routes to the same number serve as checks: an iterative-deepening
+oracle here with its own traversal and its own orientation test
+(`mu_oracle`).  The tests add three of their own: the class-graph route,
+a breadth-first search from the pairing's row through its rank class of
+the monoid, composing inversions on either side, which lives in the
+tests' oracle module (`tests/oracles.py`); a table per rank class
+holding the cost of every pairing in it, filled by one breadth-first
+search over tuple rows, with the witness read off it by a greedy
+descent; and a decomposition into the two circles' separate distances.
+Tests hold them all together.
 
 Minimizing over reference pairs only needs two of the 4mn frame pairs:
 rotating either frame conjugates the inversion alphabet (rotations

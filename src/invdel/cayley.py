@@ -1,35 +1,23 @@
-"""Cayley graphs of partial permutations: the count of the monoid and the
-Cayley-graph route to the alignment cost.
+"""The count of the partial-permutation monoid on n points.
 
 Elements are byte rows (`pperm`): byte i - 1 is the image of i, or 0
-when i is undefined.  A row is a target when its defined images read in
-a cyclic order (`row_is_popi`).  A product with an inversion on the left
-swaps two positions (`_swap_positions`); one on the right rewrites
-values, one `bytes.translate` with a `_value_swaps` table.
+when i is undefined.  A product with a generator on the right rewrites
+values, one `bytes.translate`: an inversion's table from `_value_swaps`,
+or the partial identity's, which maps n to 0.
 
 `enumerate_monoid(n)` counts the square monoid on n points, generated by
 the circular adjacent inversions together with the partial identity on
 {1..n-1}: the number of elements a breadth-first closure from the
 identity reaches under right products, checked against the closed form
-`monoid_size(n)`.
-
-`solve_pair_via_cayley` is one of the routes to the alignment cost `mu`:
-a breadth-first search in the Cayley graph of the pairing's rank class,
-walked from the pairing's own row with an edge for each inversion
-composed on either side.  The CLI and the library answer by the default
-engine, `align.solve_sources`; this route, the deepening oracle
-`align.mu_oracle`, and the tests' own class tables and circle
-decomposition each reach the same number another way, and the tests hold
-them together.
+`monoid_size(n)`.  The closure keeps a seen set and the current layer,
+and is capped at `MAX_ENUM` points.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, factorial
 
-from .errors import CapacityError
-from .pperm import (PartialPerm, _check_int, _swap_pairs, _swap_positions, _value_swaps,
-                    row_is_popi)
+from .pperm import _check_int, _value_swaps
 
 # |I_8| is already 1.4M elements; anything larger is hopeless here.
 MAX_ENUM = 8
@@ -70,29 +58,3 @@ def enumerate_monoid(n: int) -> int:
     _check_int("monoid size", n, 1, MAX_ENUM)
     return len(_image_rows(n))
 
-
-def solve_pair_via_cayley(sigma: PartialPerm) -> int:
-    """The alignment cost of a pairing, by breadth-first search in the
-    Cayley graph of its rank class.
-
-    The search starts at the pairing's own m-by-n row; a row's neighbours
-    are its products with an inversion on m points on the left and with
-    one on n points on the right.  Inversions are permutations, so every
-    product keeps the rank.  The cost is the depth of the first row that
-    reads in a cyclic order.
-    """
-    m, n = sigma.m, sigma.n
-    if max(m, n) > MAX_ENUM:
-        raise CapacityError(f"the class-graph route supports up to {MAX_ENUM} regions, "
-                            f"got {max(m, n)}")
-    lefts, rights = _swap_pairs(m), _value_swaps(n)
-    seen, layer = {sigma.image_row}, {sigma.image_row}
-    depth = 0
-    while layer:
-        if any(map(row_is_popi, layer)):
-            return depth
-        depth += 1
-        layer = ({_swap_positions(x, a, b) for x in layer for a, b in lefts}
-                 | {x.translate(table) for x in layer for table in rights}) - seen
-        seen |= layer
-    raise AssertionError("every rank class contains orientation-preserving elements")

@@ -42,11 +42,12 @@ from .pperm import MAX_POSITIONS, PartialPerm, _check_int
 MAX_ROWS = 400_000  # rows one balanced search may add to its layers
 # Cells of the subset-sum table a split helper may read a multiset into:
 # elements x (total // 2 + 1), one per element and sum up to half the
-# total.  It bounds the sums `partition_witness` keeps a subset for and the
-# integer `partition_brute` shifts.  The dearest multisets tried just under
+# total.  It bounds the sums `partition_witness` keeps a subset for, and
+# the integer shifted by the other helper it caps, the tests' bitset scan
+# for a split in tests/oracles.py.  The dearest multisets tried just under
 # it (1,412 ones; 1..157 and a 1; the powers of two to 2**15 and 52,109)
 # took at most 0.08 s of CPU and 28 MB peak RSS, 14 MB of it the
-# interpreter, on a 2-core Xeon VM with Python 3.11; `partition_brute`, whose
+# interpreter, on a 2-core Xeon VM with Python 3.11; the scan, whose
 # integer holds one bit per sum, answered each in under 1 ms at 15 MB.
 MAX_SPLIT_CELLS = 1_000_000
 
@@ -108,18 +109,6 @@ def reduce_partition(values: Sequence[int]) -> BalancedSortInstance:
     return BalancedSortInstance(PartialPerm(m, m, mapping), total)
 
 
-def partition_brute(values: Sequence[int]) -> bool:
-    """Exact subset-sum scan for an equal split."""
-    values = _split_multiset(values)
-    total = sum(values)
-    if total % 2:
-        return False
-    reachable = 1
-    for a in values:
-        reachable |= reachable << a
-    return bool((reachable >> (total // 2)) & 1)
-
-
 def partition_witness(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """An equal-sum split (X, Y) of the multiset, or None."""
     values = _split_multiset(values)
@@ -175,7 +164,7 @@ def partition_witness(values: Sequence[int]) -> tuple[tuple[int, ...], tuple[int
 # some order and parity is reached on both sides: two words of the same
 # parity, each at most k // 2 long, are made equally long by repeating one
 # move twice in the shorter.  When sigma is its own inverse the two searches
-# start from the same row with the same count and depth, so they reach the
+# start from the same row with the same depth, so they reach the
 # same rows: the one search serves both sides, its orders read once as they
 # are and once relabelled.
 #
@@ -253,10 +242,11 @@ def _moves_after(m: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _blank_pairs(start: bytes) -> tuple[list[int], list[int], int]:
-    """The pairs whose blanks the prune counts, read from the start row:
-    `partner` and `absent`, indexed by value, give a matched value's partner
-    and the values absent between the two (0 for a value in no pair), and
-    the third item is the sum of the pairs' terms at the start.
+    """The pairs whose blanks the prune counts, read from the start row in
+    one pass over its defined pairs: `partner` and `absent`, indexed by
+    value, give a matched value's partner and the values absent between the
+    two (0 for a value in no pair), and the third item is the start row's
+    bound, its inversion count plus the sum of the pairs' terms.
 
     The candidates are the crossed pairs with a value absent between them,
     each weighed by its term, the smaller of its blank positions and its
@@ -266,34 +256,33 @@ def _blank_pairs(start: bytes) -> tuple[list[int], list[int], int]:
     defined = [(p, x) for p, x in enumerate(start) if x]
     values = sorted(x for _, x in defined)
     below = {x: x - r for r, x in enumerate(values, 1)}  # values absent below x
-    candidates = []
+    bound, candidates = 0, []
     for k, (p, x) in enumerate(defined):
         for q, y in defined[k + 1:]:
-            if y < x and below[x] > below[y]:
-                between = below[x] - below[y]
-                candidates.append((-min(start.count(0, p + 1, q), between), y, x, between))
+            if y < x:
+                bound += 1
+                if below[x] > below[y]:
+                    between = below[x] - below[y]
+                    candidates.append((-min(start.count(0, p + 1, q), between), y, x, between))
     partner, absent = [0] * (MAX_POSITIONS + 1), [0] * (MAX_POSITIONS + 1)
-    terms = 0
     for weight, y, x, between in sorted(candidates):
         if not partner[x] and not partner[y]:
             partner[x], partner[y] = y, x
             absent[x] = absent[y] = between
-            terms -= weight
-    return partner, absent, terms
+            bound -= weight
+    return partner, absent, bound
 
 
-def _reached(start: bytes, count: int, depth: int):
+def _reached(start: bytes, depth: int):
     """Yield the order and parity of every row a left-move search of depth
-    `depth` reaches from `start`, whose inversion count is `count`, layer
-    by layer: the row's nonzero entries in position order, as bytes, and
-    its layer's parity.
+    `depth` reaches from `start`, layer by layer: the row's nonzero entries
+    in position order, as bytes, and its layer's parity.
 
     A row is dropped when its bound, the inversion count plus the blanks
     its matched crossed pairs must still clear, exceeds the moves left on
     both sides: `depth` minus its own depth plus the other side's `depth`.
     """
-    partner, absent, terms = _blank_pairs(start)
-    bound = count + terms
+    partner, absent, bound = _blank_pairs(start)
     if bound > 2 * depth:
         return
     order = start.replace(b"\0", b"")
@@ -353,13 +342,12 @@ def solve_balancedsort(inst: BalancedSortInstance) -> bool:
     pairing that is its own inverse is searched once for both sides.
     """
     sigma, k = inst.sigma, inst.k
-    count = len(sigma.crossings())
-    if count == 0:
+    if sigma.is_order_preserving():
         return True
     half = k // 2
 
     start, inverse = sigma.image_row, sigma.inverse().image_row
-    lefts = set(_reached(start, count, half))
-    rights = lefts if inverse == start else _reached(inverse, count, half)
+    lefts = set(_reached(start, half))
+    rights = lefts if inverse == start else _reached(inverse, half)
     relabel = (b"\0" + start).ljust(256, b"\0")
     return any((order.translate(relabel), parity) in lefts for order, parity in rights)

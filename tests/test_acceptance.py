@@ -20,16 +20,16 @@ from invdel import (Generator, PartialPerm, Word, all_partial_perms,
                     eval_generator, eval_word, format_word,
                     genomes_from_token_lists,
                     mrca_distance, mu_oracle, parse_word,
-                    partition_brute, random_genome, reduce_partition,
+                    random_genome, reduce_partition,
                     relation_table, rewrite_deletions_first,
                     sigma_from_frames, simulate, solve_balancedsort,
-                    solve_pair, solve_pair_via_cayley,
-                    verify_scenario_report)
+                    solve_pair, verify_scenario_report)
 from invdel.algebra import is_deletions_first
 from invdel.cayley import enumerate_monoid
 from invdel.genome import ReferenceFrame
 
 from class_tables import class_cost
+from oracles import partition_brute, solve_pair_via_cayley
 
 TABLE_COUNTS = {3: 34, 4: 209, 5: 1546, 6: 13327, 7: 130922}
 LONG_COUNTS = {8: 1441729}

@@ -9,12 +9,12 @@ import pytest
 from invdel import (CapacityError, InvalidArgumentError, PartialPerm,
                     all_partial_perms, eval_word,
                     genomes_from_token_lists, mrca_distance, mu_oracle,
-                    sigma_from_frames, solve_pair,
-                    solve_pair_via_cayley, solve_sources)
+                    sigma_from_frames, solve_pair, solve_sources)
 from invdel.align import _lowered, _rotation_costs, _swap_pairs, reference_pairs
 from invdel.pperm import row_is_popi
 
 from class_tables import class_cost, class_costs, moves
+from oracles import solve_pair_via_cayley
 
 SIGMA86 = sigma_from_frames("abcdefgh", "eibach")
 

@@ -60,7 +60,7 @@ def test_inversion_products_stay_in_the_closure_and_rank():
 
 # -- the class-graph route's moves -------------------------------------------------
 #
-# `solve_pair_via_cayley` walks the rank class (D-class) of a pairing's
+# `oracles.solve_pair_via_cayley` walks the rank class (D-class) of a pairing's
 # own m-by-n byte row: a row's products with each inversion on m points on
 # the left (`_swap_positions`) and each on n points on the right (a
 # `_value_swaps` table).
