@@ -227,12 +227,11 @@ def eval_word(w: Word) -> PartialPerm:
 def apply_to_frame(frame: ReferenceFrame, w: Word) -> ReferenceFrame:
     """Apply the word's events to a frame; deleted regions are dropped.
 
-    `_move` carries the frame's tokens, so no map is built.  A word over
-    more than 16 positions is refused, as `eval_word` refuses it.
+    `_move` carries the frame's tokens, so no map is built, and a frame
+    of any size moves as its token list does.
     """
     if frame.n != w.src:
         raise WordTypeError(f"word starts at size {w.src} but frame has {frame.n} regions")
-    _check_size(w.src, w.src)
     tokens = list(frame.tokens)
     _move(tokens, w)
     return ReferenceFrame(tokens)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import CapacityError, InvalidArgumentError, NoPathError
+from .errors import InvalidArgumentError, NoPathError
 from .algebra import Generator, Word, apply_to_frame
 from .align import reference_pairs, solve_sources
 from .genome import Genome, ReferenceFrame
-from .pperm import MAX_POSITIONS, sigma_from_frames
+from .pperm import sigma_from_frames
 
 
 class DistanceResult(namedtuple("DistanceResult", "deletions best_pair solution")):
@@ -112,15 +112,6 @@ def _stretches(frame: ReferenceFrame, shared: frozenset[str]) -> list[list[str]]
     return out
 
 
-def check_ancestor_size(regions1: frozenset[str], regions2: frozenset[str]) -> None:
-    """Refuse a pair whose ancestor, holding the union of the two region
-    sets, has more regions than a partial permutation can address."""
-    union = regions1 | regions2
-    if len(union) > MAX_POSITIONS:
-        raise CapacityError(f"the ancestor has {len(union)} regions; "
-                            f"partial permutations are capped at {MAX_POSITIONS}")
-
-
 def construct_ancestor(result: DistanceResult) -> AncestorScenario:
     """Build an ancestor realizing the result's event count from the result
     alone: its best reference pair holds frames of the two genomes.
@@ -133,12 +124,12 @@ def construct_ancestor(result: DistanceResult) -> AncestorScenario:
     private stretches: first the second frame's stretch before the first
     shared region, then the first frame's, then each shared region in
     order followed by the first frame's stretch after it and then the
-    second frame's.  An ancestor beyond `pperm.MAX_POSITIONS` regions
-    raises CapacityError.
+    second frame's.  The ancestor holds the union of the two region sets,
+    so it may have more regions than a partial permutation can address;
+    it is only ever moved as a frame.
     """
     (f1, f2), solution = result.best_pair, result.solution
     regions1, regions2 = frozenset(f1.tokens), frozenset(f2.tokens)
-    check_ancestor_size(regions1, regions2)
     m, n = f1.n, f2.n
 
     g1p = apply_to_frame(f1, Word(reversed(solution.left_inversions.letters), m))

@@ -291,8 +291,16 @@ def test_eval_word_keeps_the_size_cap():
         eval_word(Word([Generator.deletion(17, 17)]))
 
 
-def test_apply_to_frame_keeps_the_size_cap():
-    f = frame([f"r{i}" for i in range(17)])
-    for w in (Word((), 17), Word([Generator.deletion(17, 17)]), Word([Generator.rotation(17)])):
-        with pytest.raises(CapacityError):
-            apply_to_frame(f, w)
+def test_apply_to_frame_moves_a_17_region_frame_like_its_token_list():
+    # past the 16 positions eval_word addresses, a frame still moves: each
+    # letter does to the tokens what it does to a list of them
+    tokens = [f"r{i}" for i in range(17)]
+    f = frame(tokens)
+    for w, moved in [
+        (Word((), 17), tokens),
+        (Word([Generator.deletion(17, 17)]), tokens[:16]),
+        (Word([Generator.rotation(17)]), tokens[16:] + tokens[:16]),
+        (Word([Generator.reflection(17)]), tokens[::-1]),
+        (Word([Generator.inversion(17, 17)]), tokens[16:] + tokens[1:16] + tokens[:1]),
+    ]:
+        assert apply_to_frame(f, w) == frame(moved)

@@ -464,16 +464,24 @@ def test_mrca_layout_fixture(tmp_path, capsys):
     }
 
 
-def test_mrca_ancestor_beyond_the_position_cap_is_exit_2(tmp_path, capsys):
-    # 9 + 9 regions sharing one: the ancestor needs 17, one more than a
-    # partial permutation can address, although --max-n admits both
+def test_mrca_ancestor_beyond_the_position_cap_is_exit_0(tmp_path, capsys):
+    # 9 + 9 regions sharing one: the ancestor holds 17, one more than a
+    # partial permutation can address; --max-n caps each genome, not it
     path = tmp_path / "wide.txt"
     path.write_text("A: a b c d e f g h i\nB: i j k l m n o p q\n")
     code, out, err = run(capsys, "mrca", str(path), "A", "B", "--max-n", "9")
-    assert (code, out) == (2, "")
-    assert "the ancestor has 17 regions; partial permutations are capped at 16" in err
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines[0].split()[1]) == 17
+    assert lines[-2:] == ["events 16", "verify ok"]
     code, out, _ = run(capsys, "distance", str(path), "A", "B", "--max-n", "9")
     assert code == 0 and out.splitlines()[0] == "distance 16"
+    # 16 + 16 sharing nothing: a 32-region ancestor
+    path.write_text(f"C: {' '.join(f'c{i}' for i in range(16))}\n"
+                    f"D: {' '.join(f'd{i}' for i in range(16))}\n")
+    code, out, _ = run(capsys, "mrca", str(path), "C", "D", "--max-n", "16", "--json")
+    report = json.loads(out)
+    assert code == 0 and (report["event_count"], report["verify"]) == (32, "ok")
 
 
 def test_mrca_identical(genome_file, capsys):
@@ -563,8 +571,13 @@ def _with_a_false_relation(real):
      "34 MISMATCH (expected 35)", "expected", 35),
     ("solve_balancedsort", lambda real: lambda inst: not real(inst),
      ["reduce-partition", "1,1,2"], "REDUCTION MISMATCH", "mismatch", True),
-], ids=["false-relation", "wrong-monoid-size", "reduction-disagrees"])
-def test_failed_check_is_exit_1(capsys, monkeypatch, name, patch, argv, line, field, value):
+    ("verify_scenario_report", lambda real: lambda *args, **kwargs: (False, "side 1 diverged"),
+     ["mrca", "GENOMES", "G1", "G2"], "verify side 1 diverged", "verify", "side 1 diverged"),
+], ids=["false-relation", "wrong-monoid-size", "reduction-disagrees", "mrca-replay-fails"])
+def test_failed_check_is_exit_1(genome_file, capsys, monkeypatch, name, patch, argv, line,
+                                field, value):
+    # "GENOMES" in argv stands for the genome file
+    argv = [genome_file if arg == "GENOMES" else arg for arg in argv]
     monkeypatch.setattr(cli, name, patch(getattr(cli, name)))
     code, out, _ = run(capsys, *argv)
     assert code == 1 and line in out.splitlines()

@@ -8,7 +8,7 @@ from invdel import (Generator, Genome, NoPathError, PartialPerm, ReferenceFrame,
                     format_phylip, format_tsv, genomes_from_token_lists, load_genomes,
                     mrca_distance, mu_oracle, random_genome, sigma_from_frames,
                     simulate, verify_scenario_report)
-from invdel.errors import CapacityError, InvalidArgumentError
+from invdel.errors import InvalidArgumentError
 
 
 def test_distance_zero_for_equal_genomes():
@@ -238,13 +238,35 @@ def test_ancestor_round_trip_every_small_pair():
     assert (turned, disjoint) == (616, 200)
 
 
-def test_ancestor_beyond_the_position_cap_is_refused():
-    # 9 + 9 regions sharing one: the distance is found, but the ancestor
-    # needs one position more than a partial permutation can address
+def test_ancestor_beyond_the_position_cap_is_built():
+    # 9 + 9 regions sharing one: the ancestor holds 17, one more than a
+    # partial permutation can address, and is built and replayed as a frame
     g1, g2 = genomes_from_token_lists("abcdefghi", "ijklmnopq")
     result = mrca_distance(g1, g2)
-    with pytest.raises(CapacityError, match="the ancestor has 17 regions"):
-        construct_ancestor(result)
+    sc = construct_ancestor(result)
+    assert sc.ancestor.regions == g1.regions | g2.regions and sc.ancestor.n == 17
+    assert verify_scenario_report(sc, g1, g2, expected=result.total) == (True, "ok")
+    assert sc.event_count == result.total == 16
+
+
+def test_ancestor_round_trip_past_sixteen_regions():
+    # seeded pairs of 9-16 regions sharing 0-3, so the ancestor holds
+    # 15-32; the first is 16 + 16 with nothing shared, a 32-region ancestor
+    rng = random.Random(52)
+    shapes = [(16, 16, 0)] + [(rng.randint(9, 16), rng.randint(9, 16), rng.randint(0, 3))
+                              for _ in range(59)]
+    for m, n, r in shapes:
+        shared = [f"s{i}" for i in range(r)]
+        left = shared + [f"a{i}" for i in range(m - r)]
+        right = shared + [f"b{i}" for i in range(n - r)]
+        rng.shuffle(left)
+        rng.shuffle(right)
+        g1, g2 = genomes_from_token_lists(left, right)
+        result = mrca_distance(g1, g2)
+        sc = construct_ancestor(result)
+        assert sc.ancestor.n == m + n - r
+        assert verify_scenario_report(sc, g1, g2, expected=result.total) == (True, "ok")
+        assert sc.event_count == result.total
 
 
 def test_verify_rejects_tampered_scenario():
